@@ -546,13 +546,13 @@ def _q_kg_conv_entities(sf_dir: str):
 
 
 def _q_kg_turn_entities(sf_dir: str):
-    from clinicaltransformerner_ray.pipelines.kg import detect_mentions, link_mentions
+    from clinicaltransformerner_ray.pipelines.kg import detect_mentions
     from clinicaltransformerner_ray.sources.turns import load_alias_rows, read_turns
     import pyarrow as pa
 
     alias_rows = load_alias_rows(sf_dir)
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
-    linked = link_mentions(detect_mentions(turns, alias_rows), alias_rows)
+    linked = detect_mentions(turns, alias_rows, emit="linked")
 
     def dedup(batch: pa.Table) -> pa.Table:
         df = batch.select(["conv_id", "turn_idx", "entity_id"]).to_pandas()
@@ -3929,7 +3929,10 @@ c0 AS (
     FROM q JOIN c{T} c ON c.i = q.i
     GROUP BY 1, 2, 3
 ), score AS (
-    SELECT a.vec_id AS nid, l.qid, SUM(l.dot) AS sc
+    -- summed in subspace order, as the engine sums: vectors with equal
+    -- codes then tie exactly and rank by nid, where a thread-dependent
+    -- sum order would break their tie by rounding
+    SELECT a.vec_id AS nid, l.qid, SUM(l.dot ORDER BY l.s) AS sc
     FROM aF a JOIN lut l ON l.s = a.s AND l.c = a.c
     GROUP BY 1, 2
 )

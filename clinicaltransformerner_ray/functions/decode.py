@@ -9,7 +9,9 @@
   - ``fix_system_labels`` — predictions in {X, PAD, CLS} (ids below 'O')
     map to 'O' (M8, `src/transformer_ner/task.py:497-501`),
   - ``fix_bio`` — BIO repair of illegal transitions (M9,
-    `src/transformer_ner/task.py:467-491`).
+    `src/transformer_ner/task.py:467-491`),
+  - ``BioLabels.fix_system`` / ``BioLabels.fix_bio`` — the same M8/M9
+    rules as array operations over the label ids of many sentences.
 """
 
 from __future__ import annotations
@@ -89,3 +91,64 @@ def fix_bio(bios: list[str]) -> list[str]:
                 prev = bio
         fixed.append(prev)
     return fixed
+
+
+class BioLabels:
+    """A label vocabulary (``labels[i]`` is id ``i``) as per-id arrays for
+    the vectorized M8/M9 rules.  ``fix_bio``'s position-0 rule can name a
+    label outside the vocabulary (``I-a-b`` becomes ``B-b``); such labels
+    get ids after the vocabulary's, so ``names`` may be longer than it."""
+
+    def __init__(self, labels: list[str]):
+        self.names = list(labels)
+        ids = {lb: i for i, lb in enumerate(self.names)}
+
+        def id_of(lb: str) -> int:
+            if lb not in ids:
+                ids[lb] = len(self.names)
+                self.names.append(lb)
+            return ids[lb]
+
+        n = len(labels)
+        self.o = ids[O]
+        begin = [id_of("B-" + lb.split("-", 1)[1])
+                 if lb.startswith("I-") else i
+                 for i, lb in enumerate(labels)]
+        begin0 = [id_of("B-" + lb.split("-")[-1])
+                  if lb.startswith("I-") else i
+                  for i, lb in enumerate(labels)]
+        names = self.names
+        #: B- id of an I- label's type; other ids map to themselves
+        self.begin = np.asarray(begin + list(range(n, len(names))))
+        #: the same, under fix_bio's position-0 rule
+        self.begin0 = np.asarray(begin0 + list(range(n, len(names))))
+        self.inside = np.asarray([lb.startswith("I-") for lb in names])
+        self.is_begin = np.asarray([lb.startswith("B-") for lb in names])
+        #: the labels ``tag2entity_turn`` accepts
+        self.valid = self.inside | self.is_begin | (np.arange(len(names))
+                                                     == self.o)
+        #: fix_bio compares ``prev.split("-", 1)[1]`` (or the whole label
+        #: when it has no '-') with an I- label's type
+        keys = [lb.split("-", 1)[1] if "-" in lb else lb for lb in names]
+        codes = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+        self.key = np.asarray([codes[k] for k in keys])
+        #: a B- label's entity type, as ``tag2entity_turn`` reads it
+        self.type = keys
+        self.system = np.arange(len(names)) < self.o
+
+    def fix_system(self, ids: np.ndarray) -> np.ndarray:
+        """M8 on ids: control labels (ids below 'O') become 'O'."""
+        return np.where(self.system[ids], self.o, ids)
+
+    def fix_bio(self, ids: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """M9 over the concatenated label ids of many sentences;
+        ``starts`` marks each sentence's first position.  Equals
+        ``fix_bio`` per sentence: a repair turns I-s into B-s, which
+        keeps both the type key and the not-'O' state that the next
+        position compares against, so every position needs only its
+        input neighbour (and position 0's own repair)."""
+        ids = np.where(starts & self.inside[ids], self.begin0[ids], ids)
+        prev = np.roll(ids, 1)
+        bad = (self.inside[ids] & ~starts
+               & ((prev == self.o) | (self.key[prev] != self.key[ids])))
+        return np.where(bad, self.begin[ids], ids)

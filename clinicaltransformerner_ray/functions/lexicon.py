@@ -66,13 +66,18 @@ class Lexicon:
         return labels
 
 
+def flips_to_inside(word_norm: str, mod: int) -> bool:
+    """Whether ``perturb_tags`` turns a B- tag on this word into I-."""
+    return _h(word_norm) % mod == 0
+
+
 def perturb_tags(words_norm: list[str], labels: list[str], mod: int = 5) -> list[str]:
     """Deterministic B->I flips (hash-gated) to exercise BIO repair.
     Net-neutral when every entity is preceded by an O word or sentence
     start — guaranteed by the synthesizer's filler-between-entities rule."""
     out = list(labels)
     for i, lb in enumerate(out):
-        if lb.startswith("B-") and _h(words_norm[i]) % mod == 0:
+        if lb.startswith("B-") and flips_to_inside(words_norm[i], mod):
             out[i] = "I-" + lb.split("-", 1)[1]
     return out
 

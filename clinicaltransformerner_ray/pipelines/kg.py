@@ -1,7 +1,6 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1).
 
-    turns ──map_batches(MentionTagger actor pool)──▶ mentions
-          ──map_batches(EntityLinker actor pool)──▶ linked mentions
+    turns ──map_batches(MentionTagger actor pool, emit="linked")──▶ linked mentions
           ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block merges──▶ evidence
           ──combine ➜ sort(subj,pred,obj) ➜ combine──▶ deduped edge table
     linked mentions ──combine ➜ sort(entity_id) ➜ finalize──▶ entity table
@@ -25,8 +24,10 @@ plus mega-partitions) — both measured failure modes, see emit_triples.
      the all-to-all moves candidate triples, not mention rows.
   #3 entity canonicalization sorts entity_id over pre-combined counts.
 
-Mention rows never take part in a wide shuffle: they flow straight from
-the tagger pool into the linker pool under streaming execution.
+Mention rows never take part in a wide shuffle, and never leave the
+actor that found them before they are linked: each tagger actor tags a
+whole Arrow batch and links its mentions in place (``emit="linked"``),
+so there is one mention pool, not a tagger pool feeding a linker pool.
 
 Downstream analytics chained off the flagship tables:
 `association_stats` (integer PMI numerators per co-occurring pair),
@@ -57,21 +58,56 @@ FOLLOWS = "follows"
 DEFAULT_SALT_SPAN = 512
 
 
-def _auto_concurrency(frac: float, lo: int = 1) -> int:
-    """Fixed actor-pool size scaled to the cluster (``frac`` of total
-    CPUs).  Fixed, not autoscaling (1, N): the pool starts every actor
-    immediately instead of ramping on queue pressure, and pool size must
-    grow with the cluster or N->4N scaling clamps at the cap.
+#: pool shares of the cluster's CPUs: the tagger is the dominant CPU
+#: consumer; the linker does about 1% of its work
+TAGGER_FRAC = 0.625
+LINKER_FRAC = 1 / 8
 
-    Pool fractions across concurrent stages MUST sum well below 1.0 —
-    actor pools reserve their CPUs for the stage lifetime, and a pool
-    set that covers every CPU starves the stateless read/shuffle tasks
-    feeding it (observed deadlock at num_cpus=4)."""
+
+def _cluster_cpus() -> int:
     try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        cpus = 8
-    return max(lo, int(cpus * frac))
+        return 8
+
+
+def _auto_concurrency(frac: float, *, reserve: int = 0,
+                      cpus: int | None = None) -> int:
+    """Fixed actor-pool size scaled to the cluster: ``frac`` of its CPUs
+    (``cpus``, read from Ray when not given), leaving at least
+    ``reserve`` CPUs free, never below 1.  Fixed, not autoscaling
+    (1, N): the pool starts every actor immediately instead of ramping
+    on queue pressure, and pool size must grow with the cluster or
+    N->4N scaling clamps at the cap.
+
+    Pool sizes across concurrent stages MUST sum well below the CPU
+    count — actor pools reserve their CPUs for the stage lifetime, and
+    a pool set that covers every CPU starves the stateless read/shuffle
+    tasks feeding it (observed deadlock at num_cpus=4)."""
+    if cpus is None:
+        cpus = _cluster_cpus()
+    return max(1, min(int(cpus * frac), cpus - reserve))
+
+
+def mention_pool_size(emit: str = "mentions",
+                      cpus: int | None = None) -> int:
+    """Default tagger pool size of :func:`detect_mentions`.
+
+    Unlinked, the tagger gets ``TAGGER_FRAC`` of the cluster but leaves
+    room for a ``link_mentions`` pool beside it plus one reader, since
+    callers may run the two pools together.  With ``emit="linked"``
+    there is no linker pool, so the tagger takes both shares, still
+    leaving one CPU for the reader.  The fractions keep the 8 -> 32 CPU
+    sizes exactly 4x apart (5 -> 20 unlinked, 6 -> 24 linked), so an
+    N-vs-4N scaling comparison gives both sizes the same share."""
+    if cpus is None:
+        cpus = _cluster_cpus()
+    linker_n = _auto_concurrency(LINKER_FRAC, cpus=cpus)
+    tagger_n = _auto_concurrency(TAGGER_FRAC, reserve=linker_n + 1,
+                                 cpus=cpus)
+    if emit != "linked":
+        return tagger_n
+    return max(1, min(tagger_n + linker_n, cpus - 1))
 
 
 def detect_mentions(
@@ -92,7 +128,9 @@ def detect_mentions(
     per actor through a ray.put broadcast ref.  ``decode="crf"`` selects
     the Viterbi route (reference --use_crf).  ``quarantine_dir`` makes
     each actor write failed turns (keys + error) as a parquet side
-    table; failures always WARN-log regardless.
+    table; failures always WARN-log regardless.  ``emit="linked"``
+    links the mentions inside the same actors (adds ``entity_id``),
+    ``emit="labels"`` gives per-turn BIO labels instead.
 
     ``model_dir`` selects the real-checkpoint scorer (import-guarded
     torch/transformers, loaded once per actor in ``__init__``); pair it
@@ -100,28 +138,7 @@ def detect_mentions(
     so Ray schedules each tagger actor onto a GPU — the reference's
     single-process single-GPU loop becomes a GPU actor pool."""
     if concurrency is None:
-        # the dominant CPU consumer: a fixed 3/4 FRACTION of the cluster
-        # (not cluster-minus-constant) so the N vs 4N scaling comparison
-        # gives both sizes the same resource share — capped so tagger +
-        # linker + one reader never cover every CPU (starved readers
-        # deadlock the pipeline; observed at num_cpus=4)
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        linker_n = max(1, cpus // 8)
-        # fraction of the cluster for the tagger pool: must be EXACTLY
-        # proportional at the benchmark pair (8 -> N, 32 -> 4N) so the
-        # N-vs-4N comparison gives both sizes identical resource
-        # shares, with enough headroom that readers, the linker pool
-        # and Ray system threads don't contend the pool.  GRAFT_TAGGER_FRAC
-        # tunes the share (0.5 keeps whole-actor proportionality at
-        # 8/32 AND leaves 1/4+ headroom per leg for object-store and
-        # system threads — see BASELINE.md scaling notes)
-        import os as _os
-
-        frac = float(_os.environ.get("GRAFT_TAGGER_FRAC", "0.625"))
-        concurrency = max(1, min(int(frac * cpus), cpus - linker_n - 1))
+        concurrency = mention_pool_size(emit)
     ref = ray.put(alias_rows)
     extra: dict = {}
     if num_gpus:
@@ -192,8 +209,12 @@ def link_mentions(
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 8192,
 ) -> rd.Dataset:
+    """mentions -> linked mentions via an EntityLinker actor pool.  The
+    flagship links inside the tagger pool (``detect_mentions(...,
+    emit="linked")``); this pool links mentions from other taggers, such
+    as the biaffine route."""
     if concurrency is None:
-        concurrency = _auto_concurrency(1 / 8)
+        concurrency = _auto_concurrency(LINKER_FRAC)
     ref = ray.put(alias_rows)
     return mentions.map_batches(
         EntityLinker,
@@ -614,14 +635,14 @@ def kg_pipeline(
     `detect_mentions`' tagger pool, which writes per-actor parquet)."""
     alias_rows = load_alias_rows(sf_dir)
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
-    mentions = detect_mentions(
+    linked = detect_mentions(
         turns, alias_rows,
         max_seq_length=max_seq_length,
         noise_mod=noise_mod,
         concurrency=tagger_concurrency,
         quarantine_dir=quarantine_dir,
+        emit="linked",
     )
-    linked = link_mentions(mentions, alias_rows)
     if linked_checkpoint_dir is None and not materialize_linked:
         if _turns_bytes(sf_dir) <= AUTO_MATERIALIZE_MAX_BYTES:
             materialize_linked = True
@@ -650,8 +671,10 @@ def kg_pipeline(
         linked = rd.read_parquet(linked_checkpoint_dir)
     elif materialize_linked:
         linked = linked.materialize()
+    # the linked table has every mention column, so it serves as the
+    # mention table too
     return {
-        "mentions": mentions,
+        "mentions": linked,
         "linked": linked,
         "entities": canonical_entities(linked),
         "triples": emit_triples(linked, salt_span=salt_span),

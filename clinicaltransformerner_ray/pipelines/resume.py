@@ -2,7 +2,7 @@
 metrics enabling checkpoint-resume of any stage).
 
 ``checkpointed_mentions`` runs the map-only extraction prefix
-(read -> tagger pool -> linker pool) shard-by-shard through
+(read -> tagger pool, linking in the tagger) shard-by-shard through
 ``state.lineage.run_resumable`` — each input turn shard becomes one
 output mention partition with a lineage record.  A second invocation
 skips every finished partition (anti-join on lineage) and retries only
@@ -21,10 +21,10 @@ import os
 import ray.data as rd
 
 from clinicaltransformerner_ray.pipelines.kg import (
+    _cluster_cpus,
     canonical_entities,
     detect_mentions,
     emit_triples,
-    link_mentions,
 )
 from clinicaltransformerner_ray.sources.turns import load_alias_rows
 from clinicaltransformerner_ray.state.lineage import (
@@ -49,23 +49,19 @@ def checkpointed_mentions(
 
     Default pool sizing splits the cluster across the concurrent shard
     pipelines (state/lineage runs cpus//8 of them at once): per shard,
-    tagger + linker + reader must fit its CPU share or readers starve
-    (the measured pool-deadlock mode, kg._auto_concurrency)."""
+    the tagger pool (which links in place) plus a reader must fit its
+    CPU share with one CPU to spare, or readers starve (the measured
+    pool-deadlock mode, kg._auto_concurrency)."""
     alias_rows = load_alias_rows(sf_dir)
     if concurrency is None:
-        try:
-            import ray
-
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
+        cpus = _cluster_cpus()
         threads = max(1, cpus // 8)
-        concurrency = max(1, (cpus - 2 * threads) // threads - 1)
+        concurrency = max(1, (cpus - 2 * threads) // threads)
 
     def build(ds: rd.Dataset) -> rd.Dataset:
         ds = ds.select_columns(["conv_id", "turn_idx", "text"])
-        mentions = detect_mentions(ds, alias_rows, concurrency=concurrency)
-        return link_mentions(mentions, alias_rows, concurrency=1)
+        return detect_mentions(ds, alias_rows, concurrency=concurrency,
+                               emit="linked")
 
     def metrics(tbl) -> dict:
         import pyarrow.compute as pc

@@ -2,9 +2,10 @@
 
 One callable class = one Ray actor pool via
 ``ds.map_batches(MentionTagger, concurrency=N, batch_format="pyarrow")``.
-All load-once state (tokenizer with caches, lexicon, label vocab) is built
-in ``__init__`` — the Ray analog of the reference's load-model-once,
-stream-files production loop (`src/run_transformer_batch_prediction.py:32-69`).
+All load-once state (tokenizer with caches, lexicon, label vocab, and with
+``emit="linked"`` the entity linker) is built in ``__init__`` — the Ray
+analog of the reference's load-model-once, stream-files production loop
+(`src/run_transformer_batch_prediction.py:32-69`).
 
 Per batch the stage runs the full reference inference lifecycle:
 
@@ -14,20 +15,30 @@ Per batch the stage runs the full reference inference lifecycle:
   log_softmax (M7) -> guard-walk decode merging continuation windows (M6)
   -> system-label fix (M8) -> BIO repair (M9) -> span assembly (M11).
 
-The decode here is the vectorized equivalent of the reference's guard walk:
-for BERT-family framing, positions with ``guard > 0`` and
-``guard != previous guard`` are exactly the first subtokens of words, in
-order, and NEXT_GUARD/pad/special positions all carry ``guard <= 0`` —
-equivalence with the sequential walk is asserted by
-tests/test_kg_pipeline.py::test_vectorized_decode_equals_reference_walk.
+Every step runs over the whole Arrow batch at once, not turn by turn.
+The batch's words are dictionary-encoded, and the per-word work
+(normalization, subword split and ids, lexicon-head test) runs once per
+distinct word and is cached for the actor's lifetime.  The window grid of
+every turn is built with index arithmetic; only turns longer than one
+window run make_windows' word-boundary cut loop.  The guard walk of M6
+selects, per word, the prediction at its first subtoken, so decode is a
+gather at those positions; M8/M9 are array rules (``BioLabels``), and
+spans come from the run starts of the repaired labels.  Python work is
+left per distinct word, per lexicon-head occurrence and per mention.
+``tests/tagger_reference.py`` keeps the per-turn composition of
+``make_windows``/``decode_windows``/``fix_bio``/``tag2entity_turn`` that
+the property tests hold this stage to.
 
 Per-turn failures are quarantined, not fatal (the reference's per-file
 try/except-skip-but-LOG, `run_transformer_batch_prediction.py:70-72`):
-bad rows are counted per actor (``n_failed``), every batch with
-failures emits one WARNING naming the turns, and when
-``quarantine_dir`` is set each actor also writes the failed keys +
-error strings as a parquet side table (one small file per failing
-batch) that `read_quarantine` loads back as a Dataset.
+when the batch pass raises, the batch is re-run one turn at a time
+through the same code, and only the turns that raise are dropped.  Bad
+rows are counted per actor (``n_failed``), every batch with failures
+emits one WARNING naming the turns, and when ``quarantine_dir`` is set
+each actor also writes the failed keys, the stage that failed
+(``featurize`` or ``decode``) and the error strings as a parquet side
+table (one small file per failing batch) that `read_quarantine` loads
+back as a Dataset.
 
 MULTI-NODE NOTE: actors write with local-filesystem calls, so on a
 real cluster ``quarantine_dir`` must be a path every node mounts (NFS
@@ -40,6 +51,9 @@ from __future__ import annotations
 import logging
 import os
 import uuid
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -49,28 +63,28 @@ import ray
 _LOG = logging.getLogger(__name__)
 
 from clinicaltransformerner_ray.labels import (
+    NEXT_GUARD,
+    NEXT_TOKEN,
+    O,
+    X,
     build_label_vocab,
     invert,
-    system_labels,
 )
-from clinicaltransformerner_ray.functions.decode import (
-    argmax_decode,
-    decode_windows,
-    fix_bio,
-    fix_system_labels,
-)
+from clinicaltransformerner_ray.functions.decode import BioLabels, argmax_decode
 from clinicaltransformerner_ray.functions.lexicon import (
     Lexicon,
+    flips_to_inside,
     ids_to_logits,
-    perturb_tags,
 )
-from clinicaltransformerner_ray.functions.spans import tag2entity_turn
 from clinicaltransformerner_ray.functions.subword import tokenizer_for_family
 from clinicaltransformerner_ray.functions.text import (
     normalize_surface,
-    tokenize_with_offsets,
+    tokenize_batch,
 )
-from clinicaltransformerner_ray.functions.windowing import FAMILIES, make_windows
+from clinicaltransformerner_ray.functions.windowing import (
+    FAMILIES,
+    word_boundary_cut,
+)
 
 MENTION_SCHEMA = pa.schema([
     ("conv_id", pa.string()),
@@ -91,6 +105,10 @@ LABELS_SCHEMA = pa.schema([
     ("tokens", pa.list_(pa.string())),
     ("labels", pa.list_(pa.string())),
 ])
+
+#: bound of the per-actor distinct-word cache (the tokenizer's piece
+#: cache uses the same bound)
+WORD_CACHE_MAX = 500_000
 
 
 def read_quarantine(quarantine_dir: str):
@@ -139,13 +157,75 @@ def _import_hf():
     return torch, transformers
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Offset of each group's first element, for groups laid end to end."""
+    return np.cumsum(counts) - counts
+
+
+def _window_cuts(guards: list[int], limit: int) -> list[tuple[int, int, bool]]:
+    """make_windows' chunking of one turn's subtoken guards, as
+    ``(first subtoken, subtokens, ends in [next])`` per window."""
+    out = []
+    off, left = 0, len(guards)
+    while left > limit:
+        # at the last word boundary; a word that fills the whole window
+        # is cut at the window's edge
+        cut = word_boundary_cut(guards[off:off + limit], limit - 1)
+        out.append((off, cut, True))
+        off += cut
+        left -= cut
+    out.append((off, left, False))
+    return out
+
+
+class _Word(NamedTuple):
+    """What the tagger needs of one distinct word."""
+
+    norm: str        # normalize_surface(word)
+    head: bool       # first word of some alias
+    flip: bool       # perturb_tags turns a B- tag here into I-
+    ids: list[int]   # subtoken ids
+
+
+class _StageError(Exception):
+    """A batch pass failed in ``stage``; the cause is the real error."""
+
+    def __init__(self, stage: str):
+        super().__init__(stage)
+        self.stage = stage
+
+
+@dataclass
+class _Featurized:
+    """One batch of turns as words, subtokens and the stacked window
+    grid.  Word (token) arrays are concatenated over the batch's turns,
+    subtoken arrays over its words, window rows over its turns."""
+
+    n_words: np.ndarray     # (turns,) words per turn
+    first_word: np.ndarray  # (turns,) index of each turn's first word
+    words: pa.StringArray   # (words,) the words themselves
+    codes: np.ndarray       # (words,) index into ``distinct``
+    distinct: list[str]     # the batch's distinct words
+    starts: np.ndarray      # (words,) char span in the turn
+    ends: np.ndarray
+    n_pieces: np.ndarray    # (words,) subtokens per word
+    piece_ids: np.ndarray   # (subtokens,) token ids
+    win_n: np.ndarray       # (windows,) subtokens in each window
+    win_next: np.ndarray    # (windows,) window ends in [next]
+    col0: np.ndarray        # (windows,) column of the first subtoken
+    pos_piece: np.ndarray   # (windows, L) subtoken at each position, or
+    #                         the subtoken count where there is none
+    guards: np.ndarray      # (windows, L) make_windows' guards
+    mask: np.ndarray        # (windows, L) attention mask
+    target: np.ndarray | None  # (windows, L) mock-model label ids
+
+
 class MentionTagger:
     def __init__(
         self,
         alias_rows_ref,
         max_seq_length: int = 64,
         noise_mod: int = 5,
-        fast_decode: bool = True,
         decode: str = "argmax",
         family: str = "bert",
         label2idx: dict[str, int] | None = None,
@@ -159,13 +239,22 @@ class MentionTagger:
         # the span table — the fix_bio'd y_pred round-trips exactly to
         # spans_to_bio(tag2entity_turn(y_pred)), so this is the same
         # decode with the mention projection skipped (zero extra wide
-        # ops for training-data assembly, pipelines/train.py)
-        assert emit in ("mentions", "labels"), emit
+        # ops for training-data assembly, pipelines/train.py).
+        # emit="linked": the mention table plus ``entity_id`` from an
+        # EntityLinker over the same alias rows, so mentions are linked
+        # in this actor instead of a second actor pool.
+        if emit not in ("mentions", "labels", "linked"):
+            raise ValueError(f"unknown emit: {emit!r}")
         self.emit = emit
         alias_rows = _maybe_get(alias_rows_ref)
         self.lexicon = Lexicon(
             (tuple(r["alias"].split(" ")), r["type"], r["entity_id"]) for r in alias_rows
         )
+        self.linker = None
+        if emit == "linked":
+            from clinicaltransformerner_ray.stages.linker import EntityLinker
+
+            self.linker = EntityLinker(alias_rows)
         types = sorted({r["type"] for r in alias_rows})
         # a persisted label2idx.json (state/artifacts.load_label_vocab,
         # the reference's frozen train-time vocab, task.py:556-577) can
@@ -195,8 +284,6 @@ class MentionTagger:
             self._torch = torch
             self.hf_tokenizer = transformers.AutoTokenizer.from_pretrained(
                 model_dir, use_fast=False)
-            from clinicaltransformerner_ray.labels import NEXT_TOKEN
-
             self.hf_tokenizer.add_tokens(NEXT_TOKEN)
             self.model = (transformers.AutoModelForTokenClassification
                           .from_pretrained(model_dir))
@@ -209,8 +296,9 @@ class MentionTagger:
                 self.label2idx = {str(k): int(v) for k, v in
                                   self.model.config.label2id.items()}
         self.idx2label = invert(self.label2idx)
-        self.system_labels = system_labels(self.label2idx)
         self.n_labels = len(self.label2idx)
+        self.bio = BioLabels(
+            [self.idx2label[i] for i in range(self.n_labels)])
         # tokenizer-family strategy (M3/M5/M19 variance): framing,
         # padding side, continuation-label policy and partial-token
         # convention all come from one strategy object
@@ -218,13 +306,16 @@ class MentionTagger:
         # the windowing layer needs exactly tokenize(word) +
         # convert_tokens_to_ids(tokens) — the HF slow-tokenizer
         # interface — so a real checkpoint tokenizer drops in where the
-        # deterministic mock otherwise sits (same word-by-word loop as
+        # deterministic mock otherwise sits (same word-by-word split as
         # the reference featurizer, data_utils.py:287-299)
         self.tokenizer = (self.hf_tokenizer if self.model is not None
                           else tokenizer_for_family(family))
+        if max_seq_length - self.family.shifts < 2:
+            # windows need room for a subtoken plus [next]
+            raise ValueError(f"max_seq_length {max_seq_length} is too "
+                             f"short for the {family} framing")
         self.max_seq_length = max_seq_length
         self.noise_mod = noise_mod
-        self.fast_decode = fast_decode
         # decode route: "argmax" (M7) or "crf" (T3) — the reference's
         # --use_crf model option (`src/run_transformer_ner.py`,
         # `src/common_utils/model_utils.py:582-657`); CRF runs Viterbi
@@ -237,6 +328,8 @@ class MentionTagger:
             self.transitions = bio_transitions(self.label2idx)
         self.n_failed = 0
         self.quarantine_dir = quarantine_dir
+        #: distinct word -> its _Word facts
+        self._word_facts: dict[str, _Word] = {}
 
     def _report_failures(self, failures: list[tuple]) -> None:
         """Surface quarantined turns — never silently drop (reference
@@ -312,178 +405,295 @@ class MentionTagger:
             return viterbi_decode(logits, self.transitions, mask)
         return argmax_decode(logits)
 
-    # -- per-turn featurize ------------------------------------------------
-    def _featurize_turn(self, text: str):
-        """Tokenize/window one turn; returns (tokens, offsets, wins,
-        guards_mat, first, target) or None for empty turns.  The model
-        forward is NOT run here — windows of the whole batch stack into
-        one forward/Viterbi call (the reference batches the same way:
-        DataLoader batches windows regardless of sentence,
-        data_utils.py:356-389)."""
-        tokens, offsets = tokenize_with_offsets(text)
-        if not tokens:
-            return None
-        # featurize with all-'O' labels (predict mode, data_utils.py:167-168)
-        wins = make_windows(tokens, ["O"] * len(tokens), self.tokenizer,
-                            self.max_seq_length, self.label2idx,
-                            family=self.family)
-        guards_mat = np.asarray([w.guards for w in wins], dtype=np.int32)
-        first = np.empty_like(guards_mat, dtype=bool)
-        first[:, 0] = True
-        first[:, 1:] = guards_mat[:, 1:] != guards_mat[:, :-1]
-        mask_mat = np.asarray([w.attention_mask for w in wins],
-                              dtype=np.int8)
-        if self.model is not None:
-            # real checkpoint: the model scores the windows itself — no
-            # lexicon-derived target ids exist (the checkpoint vocab
-            # need not cover the alias types at all)
-            return tokens, offsets, wins, guards_mat, first, None, mask_mat
-        norm = [normalize_surface(t) for t in tokens]
-        word_tags = self.lexicon.tag_words(norm)
-        if self.noise_mod:
-            word_tags = perturb_tags(norm, word_tags, mod=self.noise_mod)
-        # what a trained model would emit per subtoken: word tag on first
-        # piece, X on continuations (XLNet: the tag again), O on specials
-        tag_ids = np.asarray(
-            [self.label2idx[t] for t in word_tags] + [self.label2idx["O"]],
-            dtype=np.int32,
-        )
-        word_pos = np.clip(guards_mat - 1, 0, len(word_tags) - 1)
-        cont = (tag_ids[word_pos]
-                if self.family.repeat_label_on_continuation
-                else self.label2idx["X"])
-        target = np.where(
-            guards_mat <= 0,
-            self.label2idx["O"],
-            np.where(first, tag_ids[word_pos], cont),
-        )
-        return tokens, offsets, wins, guards_mat, first, target, mask_mat
+    # -- featurize ---------------------------------------------------------
+    def _facts(self, distinct: list[str]) -> list[_Word]:
+        """Per distinct word, from the actor-lifetime cache."""
+        cache = self._word_facts
+        out = []
+        for w in distinct:
+            f = cache.get(w)
+            if f is None:
+                norm = normalize_surface(w)
+                head = norm in self.lexicon.by_head
+                f = _Word(norm, head,
+                          head and bool(self.noise_mod)
+                          and flips_to_inside(norm, self.noise_mod),
+                          self.tokenizer.convert_tokens_to_ids(
+                              self.tokenizer.tokenize(w)))
+                if len(cache) < WORD_CACHE_MAX:
+                    cache[w] = f
+            out.append(f)
+        return out
 
-    def _predict_bio(self, feat, preds: np.ndarray) -> list[str]:
-        """preds: this turn's (n_windows, L) predicted label ids ->
-        the repaired per-word BIO sequence."""
-        tokens, offsets, wins, guards_mat, first, _target, _mask = feat
-        if self.fast_decode:
-            sel = (guards_mat > 0) & first
-            y_pred = [self.idx2label[int(p)] for p in preds[sel]]
+    def _word_tags(self, codes: np.ndarray, facts: list[_Word],
+                   turn_end: np.ndarray) -> np.ndarray:
+        """Lexicon.tag_words + perturb_tags over the batch's words, as
+        label ids: the greedy longest match runs only from words that
+        start some alias, skipping those inside the previous match."""
+        l2i = self.label2idx
+        tags = np.full(len(codes), l2i[O], dtype=np.int64)
+        head = np.fromiter((f.head for f in facts), bool, len(facts))
+        nxt = 0
+        for i in np.flatnonzero(head[codes]).tolist():
+            if i < nxt:
+                continue
+            end = int(turn_end[i])
+            word = facts[codes[i]]
+            for alias, etype, _eid in self.lexicon.by_head[word.norm]:
+                n = len(alias)
+                if i + n <= end and all(facts[codes[i + k]].norm == alias[k]
+                                        for k in range(1, n)):
+                    tags[i] = l2i[("I-" if word.flip else "B-") + etype]
+                    tags[i + 1:i + n] = l2i["I-" + etype]
+                    nxt = i + n
+                    break
+        return tags
+
+    def _featurize(self, texts: list) -> _Featurized:
+        """Words, subtokens and the window grid of a batch of turns —
+        make_windows' fields for every turn, by index arithmetic."""
+        fam = self.family
+        L = self.max_seq_length
+        words, n_words, starts, ends = tokenize_batch(texts)
+        enc = words.dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        distinct = enc.dictionary.to_pylist()
+        facts = self._facts(distinct)
+        first_word = _starts(n_words)
+        word_turn = np.repeat(np.arange(len(n_words)), n_words)
+
+        # subtokens: a ragged gather of the distinct words' id lists
+        n_pc = np.fromiter((len(f.ids) for f in facts), np.int64, len(facts))
+        ids_u = np.fromiter(chain.from_iterable(f.ids for f in facts),
+                            np.int64, int(n_pc.sum()))
+        n_pieces = n_pc[codes]
+        piece_word = np.repeat(np.arange(len(codes)), n_pieces)
+        piece_k = np.arange(len(piece_word)) - _starts(n_pieces)[piece_word]
+        piece_ids = ids_u[_starts(n_pc)[codes][piece_word] + piece_k]
+        # guard = 1-based word index in the turn (data_utils.py:287-299)
+        piece_guard = (np.arange(len(codes)) - first_word[word_turn]
+                       + 1)[piece_word]
+
+        # windows: one per non-empty turn unless it needs the cut loop
+        csum = np.concatenate([[0], np.cumsum(n_pieces)])
+        turn_p0 = csum[first_word]
+        turn_np = csum[first_word + n_words] - turn_p0
+        limit = L - fam.shifts
+        n_win = (n_words > 0).astype(np.int64)
+        cuts = {}
+        for t in np.flatnonzero(turn_np > limit).tolist():
+            p0 = turn_p0[t]
+            cuts[t] = _window_cuts(
+                piece_guard[p0:p0 + turn_np[t]].tolist(), limit)
+            n_win[t] = len(cuts[t])
+        win_turn = np.repeat(np.arange(len(n_words)), n_win)
+        win_p0 = turn_p0[win_turn]
+        win_n = turn_np[win_turn]
+        win_next = np.zeros(len(win_turn), dtype=bool)
+        w0 = _starts(n_win)
+        for t, cut in cuts.items():
+            for j, (off, n, nxt) in enumerate(cut):
+                win_p0[w0[t] + j] += off
+                win_n[w0[t] + j] = n
+                win_next[w0[t] + j] = nxt
+
+        # the grid: framing puts a window's content after one leading
+        # special, and XLNet's pre-padding shifts it right
+        # (data_utils.py:174-265)
+        content = win_n + win_next
+        if fam.pre_pad:
+            col0 = L - content - fam.shifts + 1
         else:
-            masks = [w.attention_mask for w in wins]
-            y_pred = decode_windows(masks, preds.tolist(),
-                                    guards_mat.tolist(), self.idx2label,
-                                    skip_masked=self.family.pre_pad)
-        y_pred = fix_system_labels(y_pred, self.system_labels)
-        return fix_bio(y_pred)
+            col0 = np.ones_like(win_n)
+        rel = np.arange(L)[None, :] - col0[:, None]
+        is_piece = (rel >= 0) & (rel < win_n[:, None])
+        n_all = len(piece_word)
+        pos_piece = np.where(is_piece, win_p0[:, None] + rel, n_all)
+        guards = np.append(piece_guard, 0)[pos_piece]
+        guards[win_next[:, None] & (rel == win_n[:, None])] = NEXT_GUARD
+        mask = ((rel >= -1) & (rel < (content + fam.shifts - 1)[:, None])
+                ).astype(np.int8)
 
-    def _decode_turn(self, feat, preds: np.ndarray):
-        tokens, offsets = feat[0], feat[1]
-        y_pred = self._predict_bio(feat, preds)
-        spans = tag2entity_turn(tokens, offsets, y_pred)
-        return [(surf, normalize_surface(surf), s, e, t)
-                for surf, s, e, t in spans]
+        target = None
+        if self.model is None:
+            # what a trained model would emit per subtoken: word tag on
+            # the first piece of each run of equal guards, X on
+            # continuations (XLNet: the tag again), O on specials
+            tags = self._word_tags(codes, facts,
+                                   (first_word + n_words)[word_turn])
+            l2i = self.label2idx
+            pos_tag = np.append(tags, l2i[O])[
+                np.append(piece_word, len(codes))[pos_piece]]
+            first = np.ones(guards.shape, dtype=bool)
+            first[:, 1:] = guards[:, 1:] != guards[:, :-1]
+            cont = (pos_tag if fam.repeat_label_on_continuation
+                    else l2i[X])
+            target = np.where(guards <= 0, l2i[O],
+                              np.where(first, pos_tag, cont))
+        return _Featurized(
+            n_words=n_words, first_word=first_word, words=words,
+            codes=codes, distinct=distinct, starts=starts, ends=ends,
+            n_pieces=n_pieces, piece_ids=piece_ids, win_n=win_n,
+            win_next=win_next, col0=col0, pos_piece=pos_piece,
+            guards=guards, mask=mask, target=target)
 
-    @staticmethod
-    def _labels_table(rows: list[tuple], empties: list[tuple]) -> pa.Table:
-        """emit="labels" output builder — explicit types so empty blocks
-        never infer a `null` column (CLAUDE.md round-3 rule 3)."""
-        all_rows = rows + [(cid, ti, [], []) for cid, ti in empties]
+    def _model_inputs(self, f: _Featurized) -> tuple[np.ndarray, np.ndarray]:
+        """``input_ids`` and ``segment_ids`` of the window grid, framed
+        and padded as make_windows frames each window."""
+        fam = self.family
+        L = self.max_seq_length
+
+        def tid(tok: str) -> int:
+            return self.tokenizer.convert_tokens_to_ids([tok])[0]
+
+        if fam.pre_pad:  # ``<s> X </s> <sep> <cls>``, pre-padded
+            lead, tail = "<s>", ["</s>", fam.end_tok, fam.start_tok]
+        else:  # ``start X end``, post-padded
+            lead, tail = fam.start_tok, [fam.end_tok]
+        rel = np.arange(L)[None, :] - f.col0[:, None]
+        content = (f.win_n + f.win_next)[:, None]
+        ids = np.append(f.piece_ids, tid(fam.pad_tok))[f.pos_piece]
+        ids[rel == -1] = tid(lead)
+        ids[f.win_next[:, None] & (rel == f.win_n[:, None])] = tid(NEXT_TOKEN)
+        for k, tok in enumerate(tail):
+            ids[rel == content + k] = tid(tok)
+        segment_ids = np.zeros_like(ids)
+        if fam.pre_pad:
+            # single sequence: pad segment 3, content 0, trailing <cls> 2
+            # (data_utils.py:243-247)
+            segment_ids[rel < -1] = 3
+            segment_ids[:, -1] = 2
+        return ids, segment_ids
+
+    # -- decode ------------------------------------------------------------
+    def _predict(self, f: _Featurized) -> np.ndarray:
+        """(windows, L) predicted label ids for the whole batch: one
+        stacked model call (the reference batches windows the same way,
+        regardless of sentence, data_utils.py:356-389)."""
+        if not len(f.win_n):
+            return np.zeros((0, self.max_seq_length), dtype=np.int64)
+        if self.model is not None:
+            input_ids, segment_ids = self._model_inputs(f)
+            return self._forward_real(input_ids, f.mask, segment_ids)
+        return self._forward(f.target,
+                             f.mask if self.decode == "crf" else None)
+
+    def _bio(self, f: _Featurized, preds: np.ndarray):
+        """The repaired BIO label ids of every turn, concatenated, and
+        the label count per turn.
+
+        The guard walk (task.py:406-429) keeps, per word, the prediction
+        at its first subtoken, so this gathers the predictions there.
+        Words without subtokens get no label; as in the walk plus
+        ``tag2entity_turn``'s zip, a turn's labels pair with its first
+        words in order."""
+        piece_win = np.repeat(np.arange(len(f.win_n)), f.win_n)
+        piece_col = (f.col0[piece_win] + np.arange(len(piece_win))
+                     - _starts(f.win_n)[piece_win])
+        firsts = _starts(f.n_pieces)[f.n_pieces > 0]
+        y = preds[piece_win[firsts], piece_col[firsts]]
+        word_turn = np.repeat(np.arange(len(f.n_words)), f.n_words)
+        n_labels = np.bincount(word_turn[f.n_pieces > 0],
+                               minlength=len(f.n_words))
+        is_start = np.zeros(len(y), dtype=bool)
+        is_start[_starts(n_labels)[n_labels > 0]] = True
+        y = self.bio.fix_bio(self.bio.fix_system(y), is_start)
+        return y, n_labels
+
+    def _mentions(self, f: _Featurized, y: np.ndarray,
+                  n_labels: np.ndarray, batch: pa.Table) -> pa.Table:
+        """M11 span assembly: after fix_bio every I- label continues the
+        span its predecessor opened, so spans are the B- positions, each
+        extended over the I- run that follows it."""
+        lab = self.bio
+        bad = ~lab.valid[y]
+        if bad.any():
+            raise ValueError("BIO scheme supports B/I but got "
+                             f"{lab.names[int(y[bad][0])]}")
+        label_turn = np.repeat(np.arange(len(n_labels)), n_labels)
+        label_word = (f.first_word[label_turn] + np.arange(len(y))
+                      - _starts(n_labels)[label_turn])
+        breaks = np.flatnonzero(~lab.inside[y])
+        run_last = np.append(breaks[1:] - 1, len(y) - 1)
+        b = np.flatnonzero(lab.is_begin[y])
+        first_w = label_word[b]
+        last_w = label_word[run_last[np.searchsorted(breaks, b)]]
+        turn = label_turn[b]
+        ment_id = np.arange(len(b)) - _starts(
+            np.bincount(turn, minlength=len(n_labels)))[turn]
+        distinct, codes = f.distinct, f.codes
+        surface = [" ".join([distinct[c] for c in codes[i:j + 1].tolist()])
+                   for i, j in zip(first_w.tolist(), last_w.tolist())]
+        take = pa.array(turn, pa.int64())
         return pa.table({
-            "conv_id": pa.array([r[0] for r in all_rows], pa.string()),
-            "turn_idx": pa.array([int(r[1]) for r in all_rows], pa.int64()),
-            "tokens": pa.array([r[2] for r in all_rows],
-                               pa.list_(pa.string())),
-            "labels": pa.array([r[3] for r in all_rows],
-                               pa.list_(pa.string())),
+            "conv_id": batch.column("conv_id").take(take).cast(pa.string()),
+            "turn_idx": batch.column("turn_idx").take(take).cast(pa.int32()),
+            "ment_id": pa.array(ment_id, pa.int32()),
+            "surface": pa.array(surface, pa.string()),
+            "surface_norm": pa.array([normalize_surface(s) for s in surface],
+                                     pa.string()),
+            "start": pa.array(f.starts[first_w], pa.int32()),
+            "end": pa.array(f.ends[last_w], pa.int32()),
+            "type": pa.array([lab.type[i] for i in y[b].tolist()],
+                             pa.string()),
+        }, schema=MENTION_SCHEMA)
+
+    def _labels_table(self, f: _Featurized, y: np.ndarray,
+                      n_labels: np.ndarray, batch: pa.Table) -> pa.Table:
+        """emit="labels" output: one row per turn, empty lists for empty
+        turns; explicit types so empty blocks never infer a `null`
+        column."""
+        def lists(counts, values):
+            offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+            return pa.ListArray.from_arrays(pa.array(offsets), values)
+
+        names = pa.array(self.bio.names, pa.string())
+        return pa.table({
+            "conv_id": batch.column("conv_id").cast(pa.string()),
+            "turn_idx": batch.column("turn_idx").cast(pa.int64()),
+            "tokens": lists(f.n_words, f.words),
+            "labels": lists(n_labels, names.take(pa.array(y, pa.int64()))),
         }, schema=LABELS_SCHEMA)
 
     # -- batch entry -------------------------------------------------------
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        conv = batch.column("conv_id").to_pylist()
-        tidx = batch.column("turn_idx").to_pylist()
+    def _tag(self, batch: pa.Table) -> pa.Table:
+        """One pass over ``batch``; a failure raises ``_StageError``
+        naming the stage."""
         texts = batch.column("text").to_pylist()
-        o_conv, o_tidx, o_mid, o_surf, o_norm, o_s, o_e, o_type = ([] for _ in range(8))
-
-        # phase 1: featurize every turn; collect windows for ONE stacked
-        # model call (argmax is cheap either way; Viterbi's DP loop is
-        # overhead-dominated per call, so batching is a ~5x win)
-        feats = []
-        failures: list[tuple] = []
-        empties: list[tuple] = []
-        for cid, ti, text in zip(conv, tidx, texts):
-            try:
-                feat = self._featurize_turn(text or "")
-            except Exception as exc:
-                # poison-row quarantine, reference skip semantics
-                # (run_transformer_batch_prediction.py:70-72)
-                failures.append((cid, ti, "featurize", repr(exc)))
-                continue
-            if feat is not None:
-                feats.append((cid, ti, feat))
-            elif self.emit == "labels":
-                empties.append((cid, ti))
-        if not feats:
-            self._report_failures(failures)
+        stage = "featurize"
+        try:
+            f = self._featurize(texts)
+            stage = "decode"
+            y, n_labels = self._bio(f, self._predict(f))
             if self.emit == "labels":
-                return self._labels_table([], empties)
-            return MENTION_SCHEMA.empty_table()
+                return self._labels_table(f, y, n_labels, batch)
+            return self._mentions(f, y, n_labels, batch)
+        except Exception as exc:
+            raise _StageError(stage) from exc
 
-        if self.model is not None:
-            wins_all = [w for f in feats for w in f[2][2]]
-            input_ids = np.asarray([w.input_ids for w in wins_all],
-                                   dtype=np.int64)
-            mask_mat = np.concatenate([f[2][6] for f in feats], axis=0)
-            seg_mat = np.asarray([w.segment_ids for w in wins_all],
-                                 dtype=np.int64)
-            preds_all = self._forward_real(input_ids, mask_mat, seg_mat)
-        else:
-            targets = np.concatenate([f[2][5] for f in feats], axis=0)
-            masks = (np.concatenate([f[2][6] for f in feats], axis=0)
-                     if self.decode == "crf" else None)
-            preds_all = self._forward(targets, masks)
-
-        # phase 2: split predictions back per turn and decode
-        if self.emit == "labels":
-            rows = []
-            pos = 0
-            for cid, ti, feat in feats:
-                n_wins = feat[3].shape[0]
-                preds = preds_all[pos:pos + n_wins]
-                pos += n_wins
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        try:
+            out = self._tag(batch)
+        except _StageError as batch_err:
+            # poison-row quarantine, reference skip semantics
+            # (run_transformer_batch_prediction.py:70-72): re-run the
+            # batch turn by turn and drop only the turns that fail
+            _LOG.warning("MentionTagger: batch pass failed in %s (%r); "
+                         "re-running its %d turns one at a time",
+                         batch_err.stage, batch_err.__cause__,
+                         batch.num_rows)
+            parts, failures = [], []
+            conv = batch.column("conv_id").to_pylist()
+            tidx = batch.column("turn_idx").to_pylist()
+            for i in range(batch.num_rows):
                 try:
-                    y_pred = self._predict_bio(feat, preds)
-                except Exception as exc:
-                    failures.append((cid, ti, "decode", repr(exc)))
-                    continue
-                rows.append((cid, ti, list(feat[0]), y_pred))
+                    parts.append(self._tag(batch.slice(i, 1)))
+                except _StageError as err:
+                    failures.append((conv[i], tidx[i], err.stage,
+                                     repr(err.__cause__)))
             self._report_failures(failures)
-            return self._labels_table(rows, empties)
-
-        pos = 0
-        for cid, ti, feat in feats:
-            n_wins = feat[3].shape[0]
-            preds = preds_all[pos:pos + n_wins]
-            pos += n_wins
-            try:
-                spans = self._decode_turn(feat, preds)
-            except Exception as exc:
-                failures.append((cid, ti, "decode", repr(exc)))
-                continue
-            for mid, (surf, snorm, s, e, t) in enumerate(spans):
-                o_conv.append(cid)
-                o_tidx.append(ti)
-                o_mid.append(mid)
-                o_surf.append(surf)
-                o_norm.append(snorm)
-                o_s.append(s)
-                o_e.append(e)
-                o_type.append(t)
-        self._report_failures(failures)
-        return pa.table({
-            "conv_id": pa.array(o_conv, pa.string()),
-            "turn_idx": pa.array(o_tidx, pa.int32()),
-            "ment_id": pa.array(o_mid, pa.int32()),
-            "surface": pa.array(o_surf, pa.string()),
-            "surface_norm": pa.array(o_norm, pa.string()),
-            "start": pa.array(o_s, pa.int32()),
-            "end": pa.array(o_e, pa.int32()),
-            "type": pa.array(o_type, pa.string()),
-        }, schema=MENTION_SCHEMA)
+            schema = LABELS_SCHEMA if self.emit == "labels" else MENTION_SCHEMA
+            out = pa.concat_tables([schema.empty_table()] + parts)
+        if self.linker is not None:
+            out = self.linker(out)
+        return out

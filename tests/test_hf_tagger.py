@@ -140,7 +140,7 @@ def test_real_forward_subbatching_matches_single_call(tmp_path):
 def test_real_forward_all_framing_families(tmp_path, family):
     """VERDICT r04 item 7: the real forward must compose with every
     framing strategy — including XLNet's PRE-pad layout (leading pad,
-    trailing <sep><cls>, 4 shifts) — because `_decode_turn` selects by
+    trailing <sep><cls>, 4 shifts) — because the decode selects by
     per-position guards, not by slice offset.  The tiny checkpoint's
     vocab carries the xlnet special tokens so framing uses real ids."""
     pytest.importorskip("torch")

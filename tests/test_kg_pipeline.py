@@ -151,14 +151,32 @@ def test_linked_path_auto_select():
 
 
 def test_vectorized_decode_equals_reference_walk(alias_rows, synth_paths):
-    """MentionTagger fast path (boolean-mask decode) == the sequential
-    guard-walk decode (task.py:406-429 semantics) on real turns."""
+    """The batch-vectorized MentionTagger == the per-turn reference
+    built on the sequential guard-walk decode (task.py:406-429
+    semantics) on real turns, for mentions and labels."""
+    from tagger_reference import reference_tag
+
     from clinicaltransformerner_ray.stages.tagger import MentionTagger
 
     turns = pq.read_table(synth_paths["turns"]).slice(0, 300)
-    fast = MentionTagger(alias_rows, fast_decode=True)(turns)
-    slow = MentionTagger(alias_rows, fast_decode=False)(turns)
-    assert fast.to_pydict() == slow.to_pydict()
+    for emit in ("mentions", "labels"):
+        fast = MentionTagger(alias_rows, emit=emit)(turns)
+        slow = reference_tag(turns, alias_rows, emit=emit)
+        assert fast.to_pydict() == slow.to_pydict()
+        assert fast.num_rows > 0
+
+
+def test_linked_emit_equals_tagger_then_linker(alias_rows, synth_paths):
+    """MentionTagger(emit="linked") == the EntityLinker stage over the
+    tagger's mention table."""
+    from clinicaltransformerner_ray.stages.linker import EntityLinker
+    from clinicaltransformerner_ray.stages.tagger import MentionTagger
+
+    turns = pq.read_table(synth_paths["turns"]).slice(0, 400)
+    linked = MentionTagger(alias_rows, emit="linked")(turns)
+    want = EntityLinker(alias_rows)(MentionTagger(alias_rows)(turns))
+    assert linked.equals(want)
+    assert linked.num_rows > 0
 
 
 def test_crf_route_equals_argmax_route(alias_rows, synth_paths):
