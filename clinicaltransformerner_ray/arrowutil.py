@@ -13,12 +13,18 @@ purely because one was built via ``from_pandas`` and the other via
 Routing every pandas→Arrow conversion through :func:`from_pandas_clean`
 makes block representation a function of the VALUES alone, independent of
 which construction path a kernel happened to use.
+
+:func:`grouped_agg` is the engine's Arrow grouped aggregate, for the
+combine and the per-block completion around a sort.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def from_pandas_clean(df: "pd.DataFrame", **kwargs) -> pa.Table:
@@ -31,6 +37,33 @@ def from_pandas_clean(df: "pd.DataFrame", **kwargs) -> pa.Table:
     """
     kwargs.setdefault("preserve_index", False)
     return pa.Table.from_pandas(df, **kwargs).replace_schema_metadata(None)
+
+
+def grouped_agg(table: pa.Table, keys: list[str],
+                aggs: list[tuple[str, str]]) -> pa.Table:
+    """One grouped aggregate over an Arrow table: ``keys`` then one
+    column per ``(column, func)`` in ``aggs``, named after ``column``
+    (no ``_sum``/``_min`` suffix), so the output of a partial-row input
+    has the input's own schema and the call can run again on it.
+
+    ``func`` must be order-free (sum, min, max, count): the engine
+    calls this batch-locally before a sort and per sorted block after
+    it, and any block split must give the same answer.  Strings
+    compare in binary (code point) order, as Python and DuckDB do.
+    ``use_threads=False`` keeps the output row order a function of the
+    input alone.
+
+    Null-key rule: rows with a null in any key column are dropped, as
+    pandas ``groupby(dropna=True)`` drops them; Arrow alone would keep
+    them as a group."""
+    valid = [pc.is_valid(table.column(k)) for k in keys
+             if table.column(k).null_count]
+    if valid:
+        table = table.filter(functools.reduce(pc.and_, valid))
+    out = table.group_by(keys, use_threads=False).aggregate(aggs)
+    return pa.table([out.column(k) for k in keys]
+                    + [out.column(f"{c}_{f}") for c, f in aggs],
+                    names=list(keys) + [c for c, _ in aggs])
 
 
 def coalesced_sort(ds, key, *, descending=False,

@@ -2099,26 +2099,33 @@ def modularity_report(pairs: rd.Dataset,
         in_counts = ca[(ca == cb).to_numpy()].value_counts()
         deg_counts = pd.concat([ca, cb]).value_counts()
         ks = sorted(deg_counts.index)
+        # the block's edge count rides on a null-community sentinel row
+        # (the association_stats "" idiom): it exists even when no
+        # endpoint maps to a community, and no real community is null
         return pa.table({
-            "community": pa.array(ks, pa.string()),
+            "community": pa.array(ks + [None], pa.string()),
             "in_edges": pa.array(
-                [int(in_counts.get(k, 0)) for k in ks], pa.int64()),
+                [int(in_counts.get(k, 0)) for k in ks] + [0], pa.int64()),
             "deg_sum": pa.array(
-                [int(deg_counts[k]) for k in ks], pa.int64()),
-            "m": pa.array([len(df)] + [0] * (len(ks) - 1), pa.int64()),
+                [int(deg_counts[k]) for k in ks] + [0], pa.int64()),
+            "m": pa.array([0] * len(ks) + [len(df)], pa.int64()),
         })
 
     acc: dict[str, list] = {}
     m = 0
     for r in pairs.map_batches(partials, batch_format="pyarrow",
                                batch_size=None).take_all():
+        if r["community"] is None:
+            m += int(r["m"])
+            continue
         a = acc.setdefault(r["community"], [0, 0])
         a[0] += int(r["in_edges"])
         a[1] += int(r["deg_sum"])
-        m += int(r["m"])
     n_nodes: dict[str, int] = {}
     for c in communities.column("community").to_pylist():
-        n_nodes[c] = n_nodes.get(c, 0) + 1
+        # a null community leaves its node unmapped, as in the partials
+        if c is not None:
+            n_nodes[c] = n_nodes.get(c, 0) + 1
     # communities with no incident edge still appear (all-zero row)
     for c in n_nodes:
         acc.setdefault(c, [0, 0])

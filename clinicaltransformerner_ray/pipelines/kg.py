@@ -1,16 +1,18 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1).
 
     turns ──map_batches(MentionTagger actor pool, emit="linked")──▶ linked mentions
-          ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block merges──▶ evidence
-          ──combine ➜ sort(subj,pred,obj) ➜ combine──▶ deduped edge table
-    linked mentions ──combine ➜ sort(entity_id) ➜ finalize──▶ entity table
+          ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block pairs──▶ evidence rows
+          ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
+    linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
 
 Shuffle inventory (SURVEY.md §7.4) — every wide op is the same shape:
-batch-local vectorized COMBINE (shrinks what moves), one SORT on a
-high-cardinality key (Ray's range partitioner keeps equal keys whole in
-one block), then a vectorized per-block pass that completes the
-aggregation.  No map_groups / Aggregate operators anywhere: per-group
-and per-key machinery serializes at high group counts, and sorting a
+batch-local COMBINE (shrinks what moves), one SORT on a high-cardinality
+key (Ray's range partitioner keeps equal keys whole in one block), then
+a per-block pass that completes the aggregation.  For the triple dedup
+and the entity counts both passes are one Arrow hash aggregate,
+``arrowutil.grouped_agg`` (:func:`_combine_sort_combine`).  No
+map_groups / Aggregate operators anywhere: per-group and per-key
+machinery serializes at high group counts, and sorting a
 LOW-cardinality key degenerates the range partitioner (empty partitions
 plus mega-partitions) — both measured failure modes, see emit_triples.
 
@@ -39,8 +41,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import (
+    from_pandas_clean, grouped_agg)
 
 import ray
 import ray.data as rd
@@ -240,79 +244,82 @@ TE_OUTPUT_CHUNK = 1 << 16
 
 
 def _combine_sort_combine(
-    ds: rd.Dataset, keys: list[str], combine, finalize=None
+    ds: rd.Dataset, keys: list[str], aggs: list[tuple[str, str]], *,
+    sort_keys: list[str] | None = None, finalize=None,
 ) -> rd.Dataset:
-    """The engine's grouped-aggregation shape: an idempotent vectorized
-    combiner applied (1) batch-locally pre-shuffle (coalesced batches),
-    then (2) per sorted block post-shuffle.  Ray's range partitioner
-    keeps equal keys in one block, so step 2 completes the aggregation
-    with plain pandas groupby — no per-group invocation, no Aggregate
-    operator (whose per-key machinery dominates at high key counts)."""
+    """The engine's grouped-aggregation shape over partial rows (``keys``
+    plus one column per ``aggs`` entry): one Arrow hash aggregate
+    (:func:`arrowutil.grouped_agg`) runs (1) batch-locally over
+    coalesced batches before the shuffle, then (2) on each sorted block
+    after it.  Ray's range partitioner keeps equal ``sort_keys`` (a
+    prefix of ``keys``; all of them by default) in one block, so step 2
+    completes the aggregation; ``finalize`` then reshapes each
+    completed block.  No per-group invocation and no Aggregate operator
+    (whose per-key machinery dominates at high key counts)."""
+
+    def combine(batch: pa.Table) -> pa.Table:
+        return grouped_agg(batch, keys, aggs)
+
+    def complete(batch: pa.Table) -> pa.Table:
+        out = grouped_agg(batch, keys, aggs)
+        return finalize(out) if finalize else out
+
     partials = ds.map_batches(
         combine, batch_format="pyarrow", batch_size=COMBINE_BATCH)
-    return partials.sort(keys).map_batches(
-        finalize or combine, batch_format="pyarrow", batch_size=None)
+    return partials.sort(sort_keys or keys).map_batches(
+        complete, batch_format="pyarrow", batch_size=None)
+
+
+def _with_ones(batch: pa.Table, cols: list[str], name: str) -> pa.Table:
+    """``batch[cols]`` plus an int64 column of ones: one partial row per
+    input row, ready for a summing :func:`_combine_sort_combine`."""
+    return batch.select(cols).append_column(
+        name, pa.array(np.ones(batch.num_rows, np.int64)))
 
 
 def canonical_entities(linked: rd.Dataset) -> rd.Dataset:
-    """Canonicalization: partial (entity_id, type, surface_norm) counts
-    inside map_batches (combiner), one sort on entity_id, vectorized
-    per-block finalize (canonical surface = count-desc / lexicographic
-    argmax over the entity's surface variants)."""
+    """Canonicalization: (entity_id, type, surface_norm) mention counts
+    through the grouped-aggregation shape, sorted on entity_id alone so
+    an entity's surfaces complete in one block; the per-block finalize
+    sums each (entity_id, type) and picks the entity's canonical
+    surface, the first of its (entity_id, type, surface) rows by count
+    descending, then surface ascending.  An entity seen with two types
+    gives one row per type, each carrying that one canonical surface."""
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "pn" not in df.columns:
-            df = df[["entity_id", "type", "surface_norm"]].assign(pn=1)
-        g = df.groupby(["entity_id", "type", "surface_norm"],
-                       sort=False)["pn"].sum().reset_index()
-        return from_pandas_clean(g, preserve_index=False)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "entity_id": pa.array([], pa.string()),
-                "type": pa.array([], pa.string()),
-                "canonical_surface": pa.array([], pa.string()),
-                "n_mentions": pa.array([], pa.int64()),
-                "n_surfaces": pa.array([], pa.int64()),
-            })
-        g = df.groupby(["entity_id", "type", "surface_norm"],
-                       sort=False)["pn"].sum().reset_index()
-        tot = g.groupby(["entity_id", "type"], sort=False).agg(
-            n_mentions=("pn", "sum"),
-            n_surfaces=("surface_norm", "nunique")).reset_index()
-        top = (g.sort_values(["pn", "surface_norm"],
-                             ascending=[False, True])
-               .drop_duplicates("entity_id")
-               [["entity_id", "surface_norm"]]
-               .rename(columns={"surface_norm": "canonical_surface"}))
-        out = tot.merge(top, on="entity_id")
-        out = out[["entity_id", "type", "canonical_surface",
-                   "n_mentions", "n_surfaces"]]
-        return from_pandas_clean(out, preserve_index=False)
+    def finalize(g: pa.Table) -> pa.Table:
+        tot = grouped_agg(g, ["entity_id", "type"],
+                          [("pn", "sum"), ("surface_norm", "count")])
+        top = g.sort_by([("entity_id", "ascending"), ("pn", "descending"),
+                         ("surface_norm", "ascending")]
+                        ).group_by("entity_id", use_threads=False
+                                   ).aggregate([("surface_norm", "first")])
+        canon = top.column("surface_norm_first").take(pc.index_in(
+            tot.column("entity_id"),
+            value_set=top.column("entity_id").combine_chunks()))
+        return pa.table({
+            "entity_id": tot.column("entity_id"),
+            "type": tot.column("type"),
+            "canonical_surface": canon,
+            "n_mentions": tot.column("pn"),
+            "n_surfaces": tot.column("surface_norm"),
+        })
 
     return _combine_sort_combine(
         linked.map_batches(
-            lambda b: b.select(["entity_id", "type", "surface_norm"]),
+            _with_ones, fn_args=(["entity_id", "type", "surface_norm"], "pn"),
             batch_format="pyarrow"),
-        ["entity_id"], combine, finalize)
+        ["entity_id", "type", "surface_norm"], [("pn", "sum")],
+        sort_keys=["entity_id"], finalize=finalize)
 
 
 def mention_counts(mentions: rd.Dataset) -> rd.Dataset:
     """(conv_id, turn_idx, surface_norm, type) -> n_mentions via the
     combine/sort/combine aggregation shape."""
     keys = ["conv_id", "turn_idx", "surface_norm", "type"]
-
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "n_mentions" not in df.columns:
-            df = df[keys].assign(n_mentions=1)
-        g = df.groupby(keys, sort=False)["n_mentions"].sum().reset_index()
-        return from_pandas_clean(g, preserve_index=False)
-
-    return _combine_sort_combine(mentions, keys, combine)
+    return _combine_sort_combine(
+        mentions.map_batches(_with_ones, fn_args=(keys, "n_mentions"),
+                             batch_format="pyarrow"),
+        keys, [("n_mentions", "sum")])
 
 
 def _bucketed_turn_entities(
@@ -420,6 +427,18 @@ def _cross_pairs(s1: np.ndarray, c1: np.ndarray,
     return np.concatenate(I), np.concatenate(J)
 
 
+#: schema of the triple table, and of the one-evidence partial rows
+#: ``emit_triples`` aggregates into it
+_PARTIAL_TRIPLES_EMPTY = pa.table({
+    "subj": pa.array([], pa.string()),
+    "pred": pa.array([], pa.string()),
+    "obj": pa.array([], pa.string()),
+    "n_evidence": pa.array([], pa.int64()),
+    "first_conv_id": pa.array([], pa.string()),
+    "first_turn_idx": pa.array([], pa.int64()),
+})
+
+
 def emit_triples(
     linked: rd.Dataset,
     *,
@@ -435,10 +454,16 @@ def emit_triples(
     range partitioner never splits equal key values across partitions, so
     every bucket arrives whole in exactly one block, and a plain
     ``map_batches(batch_size=None)`` over sorted blocks can process ALL
-    the buckets in a block with two vectorized pandas merges — co_occurs
-    as a self-merge on (conv_id, turn_idx), follows as turn t against
-    t+1.  No per-group invocation anywhere (the map_groups API costs a
-    pandas call per group; at millions of groups that serializes).
+    the buckets in a block with vectorized index arithmetic — co_occurs
+    within a (conv_id, turn_idx), follows as turn t against t+1.  No
+    per-group invocation anywhere (the map_groups API costs a pandas
+    call per group; at millions of groups that serializes).
+
+    Each emitted pair is already a one-evidence partial row
+    (``n_evidence=1``, ``first_conv_id``/``first_turn_idx`` its own
+    turn), so shuffle #2 is :func:`_combine_sort_combine` summing
+    ``n_evidence`` and taking both ``first_*`` minima per (subj, pred,
+    obj); the two minima may come from different rows.
 
     Output: (subj, pred, obj, n_evidence, first_conv_id, first_turn_idx).
     """
@@ -456,15 +481,8 @@ def emit_triples(
         the original string-keyed pandas merges (measured 10x CPU of
         this path at sf10)."""
         g = batch.to_pandas()
-        empty = pa.table({
-            "subj": pa.array([], pa.string()),
-            "pred": pa.array([], pa.string()),
-            "obj": pa.array([], pa.string()),
-            "conv_id": pa.array([], pa.string()),
-            "turn_idx": pa.array([], pa.int64()),
-        })
         if g.empty:
-            return empty
+            return _PARTIAL_TRIPLES_EMPTY
         conv_uniq, conv_code = _sorted_factorize(g["conv_id"].to_numpy())
         ent_uniq, ent_code = _sorted_factorize(g["entity_id"].to_numpy())
         turn = g["turn_idx"].to_numpy().astype(np.int64)
@@ -499,76 +517,31 @@ def emit_triples(
                                   astarts[pos[valid]], acounts[pos[valid]])
         m = e_ng[I_fo] != ent_code[J_fo]
         I_fo, J_fo = I_fo[m], J_fo[m]
-        if len(I_co) + len(I_fo) == 0:
-            return empty
-
-        out = pd.DataFrame({
-            "subj": np.concatenate([ent_uniq[e_ng[I_co]],
-                                    ent_uniq[e_ng[I_fo]]]),
-            "pred": np.asarray([CO_OCCURS] * len(I_co)
-                               + [FOLLOWS] * len(I_fo), dtype=object),
-            "obj": np.concatenate([ent_uniq[e_ng[J_co]],
-                                   ent_uniq[ent_code[J_fo]]]),
-            "conv_id": np.concatenate([conv_uniq[c_ng[I_co]],
-                                       conv_uniq[c_ng[I_fo]]]),
-            "turn_idx": np.concatenate([t_ng[I_co], t_ng[I_fo]]),
+        n_co, n = len(I_co), len(I_co) + len(I_fo)
+        if n == 0:
+            return _PARTIAL_TRIPLES_EMPTY
+        return pa.table({
+            "subj": pa.array(np.concatenate(
+                [ent_uniq[e_ng[I_co]], ent_uniq[e_ng[I_fo]]]), pa.string()),
+            "pred": pa.array([CO_OCCURS] * n_co + [FOLLOWS] * (n - n_co),
+                             pa.string()),
+            "obj": pa.array(np.concatenate(
+                [ent_uniq[e_ng[J_co]], ent_uniq[ent_code[J_fo]]]),
+                pa.string()),
+            "n_evidence": pa.array(np.ones(n, np.int64)),
+            "first_conv_id": pa.array(np.concatenate(
+                [conv_uniq[c_ng[I_co]], conv_uniq[c_ng[I_fo]]]),
+                pa.string()),
+            "first_turn_idx": pa.array(
+                np.concatenate([t_ng[I_co], t_ng[I_fo]]).astype(np.int64)),
         })
-        return from_pandas_clean(out, preserve_index=False)
 
     raw = te.sort("bucket").map_batches(
         block_pairs, batch_format="pyarrow", batch_size=None)
-
-    combined_empty = pa.table({
-        "subj": pa.array([], pa.string()),
-        "pred": pa.array([], pa.string()),
-        "obj": pa.array([], pa.string()),
-        "n_evidence": pa.array([], pa.int64()),
-        "first_conv_id": pa.array([], pa.string()),
-        "first_turn_idx": pa.array([], pa.int64()),
-    })
-
-    def triple_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        keys = ["subj", "pred", "obj"]
-        if "n_evidence" in df.columns:
-            # post-shuffle completion: input is pre-combined partials
-            # (small), plain pandas is fine
-            g = df.groupby(keys, sort=False).agg(
-                n_evidence=("n_evidence", "sum"),
-                first_conv_id=("first_conv_id", "min"),
-                first_turn_idx=("first_turn_idx", "min"),
-            ).reset_index()
-            return from_pandas_clean(g, preserve_index=False)
-        # pre-shuffle combiner over RAW pair rows: integer-coded
-        # (np.unique codes are sorted, so code-min == string-min) —
-        # pandas string groupby here was the triples phase's hot spot
-        if df.empty:
-            return combined_empty
-        subj_u, subj_c = _sorted_factorize(df["subj"].to_numpy())
-        obj_u, obj_c = _sorted_factorize(df["obj"].to_numpy())
-        conv_u, conv_c = _sorted_factorize(df["conv_id"].to_numpy())
-        pred_c = (df["pred"].to_numpy() == FOLLOWS).astype(np.int64)
-        turn = df["turn_idx"].to_numpy().astype(np.int64)
-        key = (subj_c.astype(np.int64) * len(obj_u) + obj_c) * 2 + pred_c
-        uk, inv, counts = np.unique(key, return_inverse=True,
-                                    return_counts=True)
-        n = len(uk)
-        min_conv = np.full(n, len(conv_u) - 1, dtype=np.int64)
-        np.minimum.at(min_conv, inv, conv_c)
-        min_turn = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(min_turn, inv, turn)
-        out = pd.DataFrame({
-            "subj": subj_u[(uk // 2) // len(obj_u)],
-            "pred": np.where(uk % 2 == 1, FOLLOWS, CO_OCCURS),
-            "obj": obj_u[(uk // 2) % len(obj_u)],
-            "n_evidence": counts.astype(np.int64),
-            "first_conv_id": conv_u[min_conv],
-            "first_turn_idx": min_turn,
-        })
-        return from_pandas_clean(out, preserve_index=False)
-
-    return _combine_sort_combine(raw, ["subj", "pred", "obj"],
-                                 triple_combine)
+    return _combine_sort_combine(
+        raw, ["subj", "pred", "obj"],
+        [("n_evidence", "sum"), ("first_conv_id", "min"),
+         ("first_turn_idx", "min")])
 
 
 #: linked-path auto-select threshold: turns parquet under this size can

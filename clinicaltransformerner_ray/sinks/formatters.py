@@ -35,10 +35,6 @@ BIOC_HEADER = (
 BIOC_FOOTER = "</collection>\n"
 
 
-def _doc_key(df: pd.DataFrame) -> pd.Series:
-    return df["conv_id"].astype(str) + ":" + df["turn_idx"].astype(str)
-
-
 def _group_runs(df: pd.DataFrame, key: list[str]):
     """Boundaries of consecutive equal-``key`` runs in an already-sorted
     frame: (starts, offsets, per_row_rank) as numpy arrays, no per-group
@@ -315,11 +311,3 @@ def copy_source_texts(src_dir: str, out_dir: str) -> int:
         shutil.copy2(fn, os.path.join(out_dir, os.path.basename(fn)))
         n += 1
     return n
-
-
-def write_partitioned(ds: rd.Dataset, out_dir: str, *, column: str) -> None:
-    """Streamed hive-partitioned sink: one directory per value of
-    ``column`` (`out_dir/column=value/…`), files sized by Ray's block
-    layout — never a single giant file, and a resumed run can skip
-    finished partitions by directory (resumable-output rule)."""
-    ds.write_parquet(out_dir, partition_cols=[column])

@@ -185,16 +185,6 @@ class MediaDecoder:
         })
 
 
-class DecodeStub(MediaDecoder):
-    """Stub-era name AND contract: defaults to the deterministic
-    pseudo-decode (``fake=True``), so legacy callers feeding arbitrary
-    bytes keep getting features instead of container sniffing.  Use
-    :class:`MediaDecoder` for the real WAV/BMP/PPM codecs."""
-
-    def __init__(self, fake: bool = True, feature_dim: int = FEATURE_DIM):
-        super().__init__(fake=fake, feature_dim=feature_dim)
-
-
 class ImageResizer:
     """Actor-pool image resize stage: decode (BMP/PPM), nearest-neighbor
     resample to ``(out_w, out_h)``, re-encode as PPM.

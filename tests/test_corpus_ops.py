@@ -2890,3 +2890,34 @@ def test_modularity_planted_cliques(ray_session):
         assert out.loc[c, "in_edges"] == 3
         assert out.loc[c, "deg_sum"] == 7
         assert out.loc[c, "q_num_part"] == 4 * 7 * 3 - 49
+
+
+def test_modularity_block_with_no_mapped_endpoint(ray_session):
+    """A block none of whose endpoints the community table maps still
+    counts its edges in m: a 3-clique A in one block and a 2-edge path
+    of unmapped nodes in the other give m=5, in=3, deg_sum=6, so
+    q_num_part = 4*5*3 - 36.  x2's null community leaves it unmapped."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from clinicaltransformerner_ray.pipelines.graph import (
+        modularity_report)
+
+    def block(edges):
+        return pa.table({
+            "subj": pa.array([x for x, _ in edges], pa.string()),
+            "obj": pa.array([y for _, y in edges], pa.string()),
+        })
+
+    pairs = rd.from_arrow([
+        block([("a1", "a2"), ("a1", "a3"), ("a2", "a3")]),
+        block([("x1", "x2"), ("x2", "x3")]),
+    ])
+    assert pairs.num_blocks() == 2
+    comm = pa.table({
+        "entity_id": pa.array(["a1", "a2", "a3", "x2"], pa.string()),
+        "community": pa.array(["A", "A", "A", None], pa.string()),
+    })
+    out = modularity_report(pairs, comm).to_pylist()
+    assert out == [{"community": "A", "n_nodes": 3, "in_edges": 3,
+                    "deg_sum": 6, "q_num_part": 4 * 5 * 3 - 36}]
