@@ -3144,8 +3144,8 @@ def _q_kg_mentions_biaffine(sf_dir: str):
 
 def _train_sentences(sf_dir: str):
     """Shared upstream for the T6/A6 queries: turns -> per-turn BIO
-    label rows straight off the tagger pool (`tag_turn_labels`, one
-    actor-pool pass, zero wide ops — bit-identical to the
+    label rows straight off the tagger (`tag_turn_labels`, one
+    task-map pass, zero wide ops — bit-identical to the
     detect_mentions + labels_from_mentions re-join, tested), renamed to
     the trainer's (doc_id, sent_idx, tokens, labels) schema."""
     from clinicaltransformerner_ray.pipelines.kg import tag_turn_labels
@@ -7438,7 +7438,7 @@ def oracle_sql_for(sf_dir: str) -> dict[str, str]:
     # BIGINT) so a windowed MIN + DISTINCT replicates the selector
     # bit for bit; shingle conventions == the substring/Jaccard CTE
     sql["doc_winnowing"] = """
-        WITH d AS (SELECT doc_id, string_split(text, ' ') AS l
+        WITH d AS (SELECT doc_id, string_split(coalesce(text, ''), ' ') AS l
                    FROM documents),
         sp AS (
             SELECT doc_id, unnest(CASE
@@ -7563,7 +7563,7 @@ def oracle_sql_for(sf_dir: str) -> dict[str, str]:
     # doc_winnowing selection CTEs, hash-SET identity (position
     # dropped), exact shared counts thresholded at 3
     sql["dedup_winnow_pairs"] = """
-        WITH d AS (SELECT doc_id, string_split(text, ' ') AS l
+        WITH d AS (SELECT doc_id, string_split(coalesce(text, ''), ' ') AS l
                    FROM documents),
         sp AS (
             SELECT doc_id, unnest(CASE

@@ -4,7 +4,7 @@ The reference's CRF head decodes each sequence with learned transition
 scores via dynamic programming (`src/common_utils/model_utils.py:582-657`
 ``New_Transformer_CRF._viterbi_decode``).  This is the numpy equivalent:
 max-product DP over (emissions + transitions), backpointer walk, batched
-over windows.  It slots into the scorer actor after the model forward —
+over windows.  It slots into the scorer stage after the model forward —
 ``argmax`` is the degenerate case with zero transition scores — so the
 CRF variant reuses the whole window/guard/decode pipeline unchanged.
 """

@@ -22,6 +22,7 @@ import hashlib
 CLS_TOKEN = "[CLS]"
 SEP_TOKEN = "[SEP]"
 PAD_TOKEN = "[PAD]"
+from clinicaltransformerner_ray.functions.windowing import FAMILIES  # noqa: E402
 from clinicaltransformerner_ray.labels import NEXT_TOKEN  # noqa: E402
 
 _SPECIAL_IDS = {
@@ -40,7 +41,7 @@ class MockWordpieceTokenizer:
     def __init__(self, piece_len: int = 4):
         self.piece_len = piece_len
         # memoization: the long tail of repeated words makes both the piece
-        # split and the id hash near-free after warmup (actor-lifetime cache)
+        # split and the id hash near-free after warmup (stage-lifetime cache)
         self._piece_cache: dict[str, list[str]] = {}
         self._id_cache: dict[str, int] = dict(_SPECIAL_IDS)
 
@@ -118,15 +119,17 @@ class MockSentencePieceTokenizer(MockBPETokenizer):
 
 
 def tokenizer_for_family(name: str):
-    """T1 registry: family name -> mock tokenizer instance (the analog
-    of MODEL_CLASSES, `src/transformer_ner/task.py:53-66`)."""
-    if name == "bert":
+    """T1 registry: model-type name -> mock tokenizer instance (the
+    analog of MODEL_CLASSES, `src/transformer_ner/task.py:53-66`).  Any
+    name in ``windowing.FAMILIES`` gets the tokenizer of its strategy."""
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"unknown tokenizer family: {name}")
+    if family.name == "bert":
         return MockWordpieceTokenizer()
-    if name == "roberta":
+    if family.name == "roberta":
         return MockBPETokenizer()
-    if name in ("xlnet", "albert"):
-        # both are sentencepiece in HF: word-initial `▁` mark, partial
-        # token = missing mark (task.py:168-172).  albert keeps BERT
-        # framing (CLS/SEP, post-pad) — only the piece convention differs.
-        return MockSentencePieceTokenizer()
-    raise ValueError(f"unknown tokenizer family: {name}")
+    # xlnet and albert are both sentencepiece in HF: word-initial `▁`
+    # mark, partial token = missing mark (task.py:168-172).  albert keeps
+    # BERT framing (CLS/SEP, post-pad) — only the piece convention differs.
+    return MockSentencePieceTokenizer()

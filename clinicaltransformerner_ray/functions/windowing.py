@@ -59,8 +59,15 @@ XLNET = FamilyStrategy("xlnet", "<cls>", "<sep>", "<pad>",
 ALBERT = FamilyStrategy("albert", "[CLS]", "[SEP]", "<pad>",
                         2, False, False, True)
 
+#: every model-type name of the reference's ``MODEL_CLASSES``
+#: (`src/transformer_ner/task.py:53-66`) -> its framing strategy.  The
+#: BERT-framed encoders share BERT's ``[CLS] X [SEP]`` contract; bart and
+#: longformer are RoBERTa-framed and take no token_type_ids (M5).
 FAMILIES: dict[str, FamilyStrategy] = {
-    f.name: f for f in (BERT, ROBERTA, XLNET, ALBERT)
+    **{f.name: f for f in (BERT, ROBERTA, XLNET, ALBERT)},
+    **dict.fromkeys(("distilbert", "electra", "deberta", "deberta-v2",
+                     "megatron", "gatortron"), BERT),
+    **dict.fromkeys(("bart", "longformer"), ROBERTA),
 }
 
 

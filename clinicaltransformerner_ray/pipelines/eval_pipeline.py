@@ -19,7 +19,6 @@ import pyarrow as pa
 
 from clinicaltransformerner_ray.arrowutil import from_pandas_clean
 
-import ray
 import ray.data as rd
 
 from clinicaltransformerner_ray.functions.eval_bio import (
@@ -28,6 +27,7 @@ from clinicaltransformerner_ray.functions.eval_bio import (
     merge_counters,
     performance,
 )
+from clinicaltransformerner_ray.stages.stage_map import map_stage
 
 KEY = ["conv_id", "turn_idx"]
 
@@ -171,20 +171,20 @@ def token_accuracy_table(gold: rd.Dataset, pred: rd.Dataset) -> pa.Table:
 
 
 class DualLexiconEval:
-    """Actor-pool stage computing BioEval counters in ONE pass: both
+    """Task-map stage computing BioEval counters in ONE pass: both
     the gold and the degraded lexicons tag the SAME turn batch inside
-    the actor, so gold/pred pairing is local to the row and the
+    the task, so gold/pred pairing is local to the row and the
     union -> sort(key) exchange of :func:`span_counters_table`
     disappears entirely (at corpus scale that sort shuffles the whole
     token-label table twice).  Use the pairing-based functions when
     gold and pred are genuinely separate datasets; use this when both
     sides are derived from the same input rows."""
 
-    def __init__(self, gold_ref, pred_ref):
+    def __init__(self, gold_rows: list[dict], pred_rows: list[dict]):
         from clinicaltransformerner_ray.stages.tagger import MentionTagger
 
-        self.gold = MentionTagger(gold_ref, emit="labels")
-        self.pred = MentionTagger(pred_ref, emit="labels")
+        self.gold = MentionTagger(gold_rows, emit="labels")
+        self.pred = MentionTagger(pred_rows, emit="labels")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         g = self.gold(batch)
@@ -213,21 +213,11 @@ class DualLexiconEval:
 
 def _dual_eval_fold(turns: rd.Dataset, gold_rows: list[dict],
                     pred_rows: list[dict]) -> dict[str, list[int]]:
-    """Run the dual-lexicon pool over turns and fold the partial
+    """Run the dual-lexicon stage over turns and fold the partial
     counter rows on the driver (category count is lexicon-bounded)."""
-    ref_g = ray.put(gold_rows)
-    ref_p = ray.put(pred_rows)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    parts = turns.map_batches(
-        DualLexiconEval,
-        fn_constructor_args=(ref_g, ref_p),
-        concurrency=max(1, min(int(0.625 * cpus), cpus - 2)),
-        batch_size=1024,
-        batch_format="pyarrow",
-    )
+    parts = map_stage(turns, DualLexiconEval,
+                      {"gold_rows": gold_rows, "pred_rows": pred_rows},
+                      batch_size=1024)
     acc: dict[str, list[int]] = {}
     for blk in parts.iter_batches(batch_format="pyarrow", batch_size=None):
         for cat, cells in zip(blk.column("category").to_pylist(),

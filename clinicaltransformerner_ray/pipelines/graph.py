@@ -1802,6 +1802,12 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
     the same recurrence runs as the pagerank-style distributed
     gather (sort on endpoint), auto-selection left to the caller.
 
+    Scores are exact Python ints until output.  Unnormalized HITS grows
+    about as (max weighted degree)^(2 * rounds), and the output columns
+    are int64, so a score above 2^63 - 1 raises OverflowError naming
+    the bound (lower ``rounds``) instead of wrapping or failing in the
+    cast.
+
     Output pa.Table (entity_id, hub, auth), sorted by entity_id."""
 
     def edge_partial(batch: pa.Table) -> pa.Table:
@@ -1837,6 +1843,11 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
         np.add.at(a, dst, mult * h[src])
         h = np.zeros(n, dtype=object)
         np.add.at(h, src, mult * a[dst])
+    top = max(max(h), max(a))
+    if top > (1 << 63) - 1:
+        raise OverflowError(
+            f"hits_scores: a score reached {top} after {rounds} rounds, "
+            "past the int64 output bound 2^63 - 1; lower rounds")
     return pa.table({
         "entity_id": pa.array(nodes, pa.string()),
         "hub": pa.array([int(v) for v in h], pa.int64()),

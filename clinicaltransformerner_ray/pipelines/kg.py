@@ -1,6 +1,6 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1).
 
-    turns ──map_batches(MentionTagger actor pool, emit="linked")──▶ linked mentions
+    turns ──map_batches(MentionTagger task map, emit="linked")──▶ linked mentions
           ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block pairs──▶ evidence rows
           ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
     linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
@@ -27,9 +27,12 @@ plus mega-partitions) — both measured failure modes, see emit_triples.
   #3 entity canonicalization sorts entity_id over pre-combined counts.
 
 Mention rows never take part in a wide shuffle, and never leave the
-actor that found them before they are linked: each tagger actor tags a
+task that found them before they are linked: each tagger task tags a
 whole Arrow batch and links its mentions in place (``emit="linked"``),
-so there is one mention pool, not a tagger pool feeding a linker pool.
+so there is one mention operator, not a tagger feeding a linker.  The
+tagger runs as a stateless task map over a per-process stage cache
+(``stages/stage_map.py``), so no stage reserves CPUs and nothing sizes a
+pool.
 
 Downstream analytics chained off the flagship tables:
 `association_stats` (integer PMI numerators per co-occurring pair),
@@ -46,12 +49,12 @@ import pyarrow.compute as pc
 from clinicaltransformerner_ray.arrowutil import (
     from_pandas_clean, grouped_agg)
 
-import ray
 import ray.data as rd
 
 
 from clinicaltransformerner_ray.sources.turns import load_alias_rows, read_turns
 from clinicaltransformerner_ray.stages.linker import EntityLinker
+from clinicaltransformerner_ray.stages.stage_map import map_stage
 from clinicaltransformerner_ray.stages.tagger import MentionTagger
 
 CO_OCCURS = "co_occurs"
@@ -62,65 +65,12 @@ FOLLOWS = "follows"
 DEFAULT_SALT_SPAN = 512
 
 
-#: pool shares of the cluster's CPUs: the tagger is the dominant CPU
-#: consumer; the linker does about 1% of its work
-TAGGER_FRAC = 0.625
-LINKER_FRAC = 1 / 8
-
-
-def _cluster_cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
-
-
-def _auto_concurrency(frac: float, *, reserve: int = 0,
-                      cpus: int | None = None) -> int:
-    """Fixed actor-pool size scaled to the cluster: ``frac`` of its CPUs
-    (``cpus``, read from Ray when not given), leaving at least
-    ``reserve`` CPUs free, never below 1.  Fixed, not autoscaling
-    (1, N): the pool starts every actor immediately instead of ramping
-    on queue pressure, and pool size must grow with the cluster or
-    N->4N scaling clamps at the cap.
-
-    Pool sizes across concurrent stages MUST sum well below the CPU
-    count — actor pools reserve their CPUs for the stage lifetime, and
-    a pool set that covers every CPU starves the stateless read/shuffle
-    tasks feeding it (observed deadlock at num_cpus=4)."""
-    if cpus is None:
-        cpus = _cluster_cpus()
-    return max(1, min(int(cpus * frac), cpus - reserve))
-
-
-def mention_pool_size(emit: str = "mentions",
-                      cpus: int | None = None) -> int:
-    """Default tagger pool size of :func:`detect_mentions`.
-
-    Unlinked, the tagger gets ``TAGGER_FRAC`` of the cluster but leaves
-    room for a ``link_mentions`` pool beside it plus one reader, since
-    callers may run the two pools together.  With ``emit="linked"``
-    there is no linker pool, so the tagger takes both shares, still
-    leaving one CPU for the reader.  The fractions keep the 8 -> 32 CPU
-    sizes exactly 4x apart (5 -> 20 unlinked, 6 -> 24 linked), so an
-    N-vs-4N scaling comparison gives both sizes the same share."""
-    if cpus is None:
-        cpus = _cluster_cpus()
-    linker_n = _auto_concurrency(LINKER_FRAC, cpus=cpus)
-    tagger_n = _auto_concurrency(TAGGER_FRAC, reserve=linker_n + 1,
-                                 cpus=cpus)
-    if emit != "linked":
-        return tagger_n
-    return max(1, min(tagger_n + linker_n, cpus - 1))
-
-
 def detect_mentions(
     turns: rd.Dataset,
     alias_rows: list[dict],
     *,
     max_seq_length: int = 64,
     noise_mod: int = 5,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 1024,
     decode: str = "argmax",
     quarantine_dir: str | None = None,
@@ -128,52 +78,39 @@ def detect_mentions(
     num_gpus: float = 0.0,
     emit: str = "mentions",
 ) -> rd.Dataset:
-    """turns -> mentions via the tagger actor pool. Alias rows ship once
-    per actor through a ray.put broadcast ref.  ``decode="crf"`` selects
-    the Viterbi route (reference --use_crf).  ``quarantine_dir`` makes
-    each actor write failed turns (keys + error) as a parquet side
-    table; failures always WARN-log regardless.  ``emit="linked"``
-    links the mentions inside the same actors (adds ``entity_id``),
-    ``emit="labels"`` gives per-turn BIO labels instead.
+    """turns -> mentions via the MentionTagger task map
+    (:func:`~clinicaltransformerner_ray.stages.stage_map.map_stage`): the
+    tagger is built once per worker process from alias rows shipped once
+    through a ray.put ref.  ``decode="crf"`` selects the Viterbi route
+    (reference --use_crf).  ``quarantine_dir`` makes each task write the
+    turns it failed on (keys + error) as a parquet side table; failures
+    always WARN-log regardless.  ``emit="linked"`` links the mentions in
+    the same task (adds ``entity_id``), ``emit="labels"`` gives per-turn
+    BIO labels instead.
 
     ``model_dir`` selects the real-checkpoint scorer (import-guarded
-    torch/transformers, loaded once per actor in ``__init__``); pair it
-    with ``num_gpus`` (e.g. 1.0, or 0.25 to pack 4 actors per device)
-    so Ray schedules each tagger actor onto a GPU — the reference's
-    single-process single-GPU loop becomes a GPU actor pool."""
-    if concurrency is None:
-        concurrency = mention_pool_size(emit)
-    ref = ray.put(alias_rows)
-    extra: dict = {}
-    if num_gpus:
-        extra["num_gpus"] = num_gpus
-    return turns.map_batches(
-        MentionTagger,
-        fn_constructor_kwargs={
-            "alias_rows_ref": ref,
-            "max_seq_length": max_seq_length,
-            "noise_mod": noise_mod,
-            "decode": decode,
-            "quarantine_dir": quarantine_dir,
-            "model_dir": model_dir,
-            "emit": emit,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-        **extra,
-    )
+    torch/transformers, loaded once per worker process); pair it with
+    ``num_gpus`` (e.g. 1.0, or 0.25 to pack 4 tasks per device) so Ray
+    schedules each tagger task onto a GPU."""
+    return map_stage(turns, MentionTagger, {
+        "alias_rows": alias_rows,
+        "max_seq_length": max_seq_length,
+        "noise_mod": noise_mod,
+        "decode": decode,
+        "quarantine_dir": quarantine_dir,
+        "model_dir": model_dir,
+        "emit": emit,
+    }, batch_size=batch_size, num_gpus=num_gpus)
 
 
 def tag_turn_labels(turns: rd.Dataset, alias_rows: list[dict],
                     **kw) -> rd.Dataset:
     """Training-data assembly surface (T6): per-turn
     ``(conv_id, turn_idx, tokens, labels)`` rows straight off the tagger
-    actor pool — the same windowed decode as :func:`detect_mentions`
-    with the span projection skipped, so corpus labeling is ONE
-    actor-pool pass with zero wide ops (vs mention detection + a
-    union/sort re-join through ``labels_from_mentions``)."""
+    — the same windowed decode as :func:`detect_mentions` with the span
+    projection skipped, so corpus labeling is ONE map pass with zero
+    wide ops (vs mention detection + a union/sort re-join through
+    ``labels_from_mentions``)."""
     return detect_mentions(turns, alias_rows, emit="labels", **kw)
 
 
@@ -182,56 +119,32 @@ def detect_mentions_biaffine(
     alias_rows: list[dict],
     *,
     max_sub_len: int = 2048,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 512,
 ) -> rd.Dataset:
-    """turns -> mentions via the biaffine span-grid actor pool (the
+    """turns -> mentions via the biaffine span-grid task map (the
     reference's second model family; stages/biaffine.py).  Same output
     schema as detect_mentions, so the whole KG suffix composes
     unchanged.  Smaller batch_size: the O(L^2 x C) grids live per
-    sentence inside the actor and long turns make them large."""
+    sentence inside the task and long turns make them large."""
     from clinicaltransformerner_ray.stages.biaffine import BiaffineTagger
 
-    if concurrency is None:
-        concurrency = _auto_concurrency(0.5)
-    ref = ray.put(alias_rows)
-    return turns.map_batches(
-        BiaffineTagger,
-        fn_constructor_kwargs={"alias_rows_ref": ref,
-                               "max_sub_len": max_sub_len},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+    return map_stage(turns, BiaffineTagger,
+                     {"alias_rows": alias_rows, "max_sub_len": max_sub_len},
+                     batch_size=batch_size)
 
 
 def link_mentions(
     mentions: rd.Dataset,
     alias_rows: list[dict],
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 8192,
 ) -> rd.Dataset:
-    """mentions -> linked mentions via an EntityLinker actor pool.  The
-    flagship links inside the tagger pool (``detect_mentions(...,
-    emit="linked")``); this pool links mentions from other taggers, such
-    as the biaffine route."""
-    if concurrency is None:
-        concurrency = _auto_concurrency(LINKER_FRAC)
-    ref = ray.put(alias_rows)
-    return mentions.map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={"alias_rows_ref": ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        # whole CPUs everywhere: fractional reservations let the nominal
-        # N-CPU session run more than N busy processes on a bigger
-        # physical host, silently inflating small-cluster throughput and
-        # corrupting the N-vs-4N scaling comparison
-        num_cpus=1,
-    )
+    """mentions -> linked mentions via an EntityLinker task map.  No
+    engine route calls this: the flagship links inside the tagger
+    (``detect_mentions(..., emit="linked")``).  It is kept as the
+    benchmark's separately traced linker layer."""
+    return map_stage(mentions, EntityLinker, {"alias_rows": alias_rows},
+                     batch_size=batch_size)
 
 
 #: combiner coalescing width: map_batches with a large batch_size merges
@@ -571,7 +484,6 @@ def kg_pipeline(
     *,
     max_seq_length: int = 64,
     noise_mod: int = 5,
-    tagger_concurrency: int | tuple[int, int] | None = None,
     salt_span: int = DEFAULT_SALT_SPAN,
     materialize_linked: bool = False,
     linked_checkpoint_dir: str | None = None,
@@ -605,14 +517,13 @@ def kg_pipeline(
     GRAFT_CHECKPOINT_ROOT (or pass linked_checkpoint_dir) to a shared
     filesystem / object-store URI; a driver-local /tmp path only works
     single-node.  The same applies to ``quarantine_dir`` (forwarded to
-    `detect_mentions`' tagger pool, which writes per-actor parquet)."""
+    `detect_mentions`' tagger, which writes per-task parquet)."""
     alias_rows = load_alias_rows(sf_dir)
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
     linked = detect_mentions(
         turns, alias_rows,
         max_seq_length=max_seq_length,
         noise_mod=noise_mod,
-        concurrency=tagger_concurrency,
         quarantine_dir=quarantine_dir,
         emit="linked",
     )

@@ -2,7 +2,7 @@
 metrics enabling checkpoint-resume of any stage).
 
 ``checkpointed_mentions`` runs the map-only extraction prefix
-(read -> tagger pool, linking in the tagger) shard-by-shard through
+(read -> tagger task map, linking in the tagger) shard-by-shard through
 ``state.lineage.run_resumable`` — each input turn shard becomes one
 output mention partition with a lineage record.  A second invocation
 skips every finished partition (anti-join on lineage) and retries only
@@ -21,7 +21,6 @@ import os
 import ray.data as rd
 
 from clinicaltransformerner_ray.pipelines.kg import (
-    _cluster_cpus,
     canonical_entities,
     detect_mentions,
     emit_triples,
@@ -39,29 +38,16 @@ def turn_shards(sf_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(paths["turns"], "*.parquet")))
 
 
-def checkpointed_mentions(
-    sf_dir: str,
-    out_dir: str,
-    *,
-    concurrency: int | None = None,
-) -> dict:
+def checkpointed_mentions(sf_dir: str, out_dir: str) -> dict:
     """Resumable extraction: one linked-mention partition per turn shard.
-
-    Default pool sizing splits the cluster across the concurrent shard
-    pipelines (state/lineage runs cpus//8 of them at once): per shard,
-    the tagger pool (which links in place) plus a reader must fit its
-    CPU share with one CPU to spare, or readers starve (the measured
-    pool-deadlock mode, kg._auto_concurrency)."""
+    The concurrent shard pipelines (state/lineage runs several at once)
+    share the cluster's CPUs task by task; the tagger is a task map, so
+    no shard holds CPUs between batches."""
     alias_rows = load_alias_rows(sf_dir)
-    if concurrency is None:
-        cpus = _cluster_cpus()
-        threads = max(1, cpus // 8)
-        concurrency = max(1, (cpus - 2 * threads) // threads)
 
     def build(ds: rd.Dataset) -> rd.Dataset:
         ds = ds.select_columns(["conv_id", "turn_idx", "text"])
-        return detect_mentions(ds, alias_rows, concurrency=concurrency,
-                               emit="linked")
+        return detect_mentions(ds, alias_rows, emit="linked")
 
     def metrics(tbl) -> dict:
         import pyarrow.compute as pc

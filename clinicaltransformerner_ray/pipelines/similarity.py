@@ -1089,9 +1089,15 @@ def embedding_outliers(vecs: rd.Dataset, *, k: int = 20,
     ``n² · ‖xq - mean(xq)‖²`` — the same ORDER as distance-to-centroid
     with no float division ever happening, so the ranking is
     deterministic and block-split-invariant on both engines.  Bound:
-    |n*xq| < n·2^q_bits must stay under ~2^31 for the squared sum to
-    fit int64 — at 2^10 that holds to ~2M vectors; rescale q_bits
-    down as n grows.
+    each term is at most ``n·(max_d - min_d)`` of its dimension's
+    quantized values, so every score is at most
+    ``Σ_d (n·(max_d - min_d))²``; that sum (and ``n·|xq|``) must fit
+    int64.  The function checks it after pass 1 and raises
+    OverflowError above it.  Components in [-1, 1] spread at most
+    2^(q_bits+1) per dimension, which always fits while
+    ``n · 2^(q_bits+1) · sqrt(dim) < 2^63.5`` (about 185k vectors of
+    dim 64 at q_bits 10; real spreads are narrower); lower q_bits as n
+    grows.
 
     Shape: pass 1 folds (n, S) on the driver (O(blocks x dim) rows);
     pass 2 streams blocked score computation keeping each block's
@@ -1116,20 +1122,32 @@ def embedding_outliers(vecs: rd.Dataset, *, k: int = 20,
             "s": pa.array(Xq.sum(axis=0), pa.int64()),
             "n": pa.array(np.full(len(dims), len(ids), np.int64),
                           pa.int64()),
+            "lo": pa.array(Xq.min(axis=0), pa.int64()),
+            "hi": pa.array(Xq.max(axis=0), pa.int64()),
         })
 
     S: dict[int, int] = {}
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
     n = 0
-    seen_dims = False
     for r in vecs.map_batches(sum_partial,
                               batch_format="pyarrow").take_all():
-        S[int(r["d"])] = S.get(int(r["d"]), 0) + int(r["s"])
-        if int(r["d"]) == 0:
+        d = int(r["d"])
+        S[d] = S.get(d, 0) + int(r["s"])
+        lo[d] = min(lo.get(d, int(r["lo"])), int(r["lo"]))
+        hi[d] = max(hi.get(d, int(r["hi"])), int(r["hi"]))
+        if d == 0:
             n += int(r["n"])
-        seen_dims = True
-    if not seen_dims or n == 0:
+    if not S or n == 0:
         z = pa.array([], pa.int64())
         return pa.table({"vec_id": z, "score": z, "rank": z})
+    top = sum((n * (hi[d] - lo[d])) ** 2 for d in S)
+    big = n * max(abs(v) for v in (*lo.values(), *hi.values()))
+    if max(top, big) > (1 << 63) - 1:
+        raise OverflowError(
+            f"embedding_outliers: scores can reach {top} over {n} "
+            f"vectors of dim {len(S)} at q_bits={q_bits}, past int64; "
+            "lower q_bits")
     Sv = np.asarray([S[d] for d in sorted(S)], np.int64)
     ref = ray.put((n, Sv))
 

@@ -72,7 +72,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 
 from clinicaltransformerner_ray.functions.eval_bio import (
@@ -81,6 +80,7 @@ from clinicaltransformerner_ray.functions.eval_bio import (
     performance,
 )
 from clinicaltransformerner_ray.labels import O, build_label_vocab, invert
+from clinicaltransformerner_ray.stages.stage_map import map_stage
 from clinicaltransformerner_ray.state.artifacts import (
     check_resume_vocab,
     save_checkpoint,
@@ -691,13 +691,11 @@ def train(
 
 
 class TrainedEmissionTagger:
-    """Actor-pool stage scoring sentences with a trained emission
+    """Task-map stage scoring sentences with a trained emission
     payload — the broadcast-once / vectorize-per-batch pattern of
     `stages/tagger.py`."""
 
-    def __init__(self, payload_ref):
-        payload = (ray.get(payload_ref)
-                   if isinstance(payload_ref, ray.ObjectRef) else payload_ref)
+    def __init__(self, payload: dict):
         self.W = np.asarray(payload["W"])
         self.b = np.asarray(payload["b"])
         self.n_buckets = int(payload["n_buckets"])
@@ -738,18 +736,12 @@ class TrainedEmissionTagger:
         })
 
 
-def tag_with_model(sentences: rd.Dataset, payload: dict,
-                   *, concurrency: int = 2) -> rd.Dataset:
+def tag_with_model(sentences: rd.Dataset, payload: dict) -> rd.Dataset:
     """Distributed inference with a trained checkpoint payload: the
     sentence Dataset gains a predicted ``labels`` column (the engine's
     predict path fed by T6's output instead of the mock lexicon)."""
-    ref = ray.put(payload)
-    return sentences.map_batches(
-        TrainedEmissionTagger,
-        fn_constructor_args=(ref,),
-        concurrency=concurrency,
-        batch_format="pyarrow",
-    )
+    return map_stage(sentences, TrainedEmissionTagger, {"payload": payload},
+                     batch_size=None)
 
 
 class TrainedMentionTagger:
@@ -763,13 +755,10 @@ class TrainedMentionTagger:
     extraction reuses `tag2entity_turn` — identical downstream
     semantics to the lexicon route."""
 
-    def __init__(self, payload_ref):
+    def __init__(self, payload: dict):
         from clinicaltransformerner_ray.functions.text import (
             tokenize_with_offsets)
 
-        payload = (ray.get(payload_ref)
-                   if isinstance(payload_ref, ray.ObjectRef)
-                   else payload_ref)
         self.W = np.asarray(payload["W"])
         self.b = np.asarray(payload["b"])
         self.n_buckets = int(payload["n_buckets"])
@@ -824,24 +813,9 @@ class TrainedMentionTagger:
 
 
 def detect_mentions_trained(turns: rd.Dataset, payload: dict,
-                            *, concurrency: int | None = None,
-                            batch_size: int = 1024) -> rd.Dataset:
-    """The predict surface on a trained checkpoint: same actor-pool
+                            *, batch_size: int = 1024) -> rd.Dataset:
+    """The predict surface on a trained checkpoint: the same task-map
     shape as `kg.detect_mentions`, scoring with the broadcast emission
-    payload instead of the alias lexicon.  Default concurrency leaves
-    reader headroom — a pool covering every CPU starves the read stage
-    and deadlocks (CLAUDE.md perf rule 3)."""
-    if concurrency is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        concurrency = max(1, min(int(0.625 * cpus), cpus - 2))
-    ref = ray.put(payload)
-    return turns.map_batches(
-        TrainedMentionTagger,
-        fn_constructor_args=(ref,),
-        concurrency=concurrency,
-        batch_size=batch_size,
-        batch_format="pyarrow",
-    )
+    payload instead of the alias lexicon."""
+    return map_stage(turns, TrainedMentionTagger, {"payload": payload},
+                     batch_size=batch_size)

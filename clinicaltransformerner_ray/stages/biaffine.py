@@ -19,7 +19,7 @@ with the deterministic lexicon stand-in for the trained model:
     with a count, as the reference warns-and-drops
   project (M16/M17): word spans -> BIO labels / char-offset mentions
 
-O(L²) grids NEVER enter Arrow — they live only inside the actor per
+O(L²) grids NEVER enter Arrow — they live only inside the stage per
 sentence (SURVEY.md §7.5 hard-part #5); rows carry spans, not grids.
 Sentences longer than ``max_sub_len`` subtokens are truncated, matching
 the reference's fixed ``max_seq_len`` featurization.
@@ -38,11 +38,7 @@ from clinicaltransformerner_ray.functions.text import (
     normalize_surface,
     tokenize_with_offsets,
 )
-from clinicaltransformerner_ray.stages.tagger import (
-    MENTION_SCHEMA,
-    _import_hf,
-    _maybe_get,
-)
+from clinicaltransformerner_ray.stages.tagger import MENTION_SCHEMA, _import_hf
 
 
 def latest_checkpoint(model_dir: str) -> str | None:
@@ -134,14 +130,14 @@ def _build_real_model(torch, transformers, config):
 
 
 class BiaffineTagger:
-    """Actor-pool stage: turns -> mentions via the span-grid route.
-    Same output schema as MentionTagger, so every downstream KG stage
-    (linker, canonicalization, triples) composes unchanged."""
+    """Task-map stage (``kg.detect_mentions_biaffine``): turns ->
+    mentions via the span-grid route.  Same output schema as
+    MentionTagger, so every downstream KG stage (canonicalization,
+    triples) composes unchanged."""
 
-    def __init__(self, alias_rows_ref, max_sub_len: int = 128,
+    def __init__(self, alias_rows: list[dict], max_sub_len: int = 128,
                  noise_floor: bool = True, model_dir: str | None = None,
                  device: str = "cpu", forward_sentence_batch: int = 16):
-        alias_rows = _maybe_get(alias_rows_ref)
         self.lexicon = Lexicon(
             (tuple(r["alias"].split(" ")), r["type"], r["entity_id"])
             for r in alias_rows)
@@ -156,7 +152,7 @@ class BiaffineTagger:
         # AutoModelFor* cannot load it, so the head is re-derived in
         # `_build_real_model` and the newest `checkpoint_<step>.bin`
         # state dict applied (`task_utils.py:456-474`).  Loaded ONCE
-        # per actor; model_dir=None keeps the deterministic mock and
+        # per process; model_dir=None keeps the deterministic mock and
         # imports nothing.
         self.model = None
         self.device = device
@@ -271,7 +267,7 @@ class BiaffineTagger:
         bounded sub-batches (one forward per `forward_sentence_batch`
         sentences, the tagger's `_forward_real` precedent), return one
         (Lmax, Lmax, C) grid per sentence.  Grids never enter Arrow —
-        they are decoded to span tuples inside the actor."""
+        they are decoded to span tuples inside the stage."""
         torch = self._torch
         tok = self.hf_tokenizer
         pad_id = tok.pad_token_id or 0

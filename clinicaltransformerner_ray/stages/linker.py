@@ -1,10 +1,11 @@
-"""Entity-linking actor stage: alias dictionary + embedding-similarity.
+"""Entity-linking stage: alias dictionary + embedding-similarity.
 
-The north rule's linking stage: "stateful entity-linking actors (alias
-dictionary + embedding-similarity scoring)".  Load-once state per actor:
-the normalized-alias -> entity_id dict and the alias embedding matrix,
-both received as a single ``ray.put`` broadcast (shipped once per actor,
-never per batch).
+The north rule's linking stage: "stateful entity-linking (alias
+dictionary + embedding-similarity scoring)".  Load-once state: the
+normalized-alias -> entity_id dict and the alias embedding matrix, built
+once per worker process from one ``ray.put`` of the alias rows
+(``stages/stage_map.py``), never per batch.  The flagship runs it inside
+the tagger (``MentionTagger(emit="linked")``).
 
 Per batch (vectorized, pandas/numpy):
   1. dict hit: surface_norm -> entity_id,
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from clinicaltransformerner_ray.stages.tagger import _maybe_get
 
 EMBED_DIM_DEFAULT = 16
 
@@ -47,8 +46,7 @@ def hash_trigram(tri: str) -> int:
 
 
 class EntityLinker:
-    def __init__(self, alias_rows_ref, sim_threshold: float = 0.99):
-        alias_rows = _maybe_get(alias_rows_ref)
+    def __init__(self, alias_rows: list[dict], sim_threshold: float = 0.99):
         self.alias2eid: dict[str, str] = {}
         embs = []
         self.eids: list[str] = []

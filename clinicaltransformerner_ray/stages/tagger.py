@@ -1,10 +1,11 @@
-"""Mention-detection actor stage (T1+T2+M1-M11 fused).
+"""Mention-detection stage (T1+T2+M1-M11 fused).
 
-One callable class = one Ray actor pool via
-``ds.map_batches(MentionTagger, concurrency=N, batch_format="pyarrow")``.
+One callable class, run as a task map by
+``stages.stage_map.map_stage(ds, MentionTagger, {...}, batch_size=N)``.
 All load-once state (tokenizer with caches, lexicon, label vocab, and with
-``emit="linked"`` the entity linker) is built in ``__init__`` — the Ray
-analog of the reference's load-model-once, stream-files production loop
+``emit="linked"`` the entity linker) is built in ``__init__``, once per
+worker process — the Ray analog of the reference's load-model-once,
+stream-files production loop
 (`src/run_transformer_batch_prediction.py:32-69`).
 
 Per batch the stage runs the full reference inference lifecycle:
@@ -18,7 +19,7 @@ Per batch the stage runs the full reference inference lifecycle:
 Every step runs over the whole Arrow batch at once, not turn by turn.
 The batch's words are dictionary-encoded, and the per-word work
 (normalization, subword split and ids, lexicon-head test) runs once per
-distinct word and is cached for the actor's lifetime.  The window grid of
+distinct word and is cached for the stage's lifetime.  The window grid of
 every turn is built with index arithmetic; only turns longer than one
 window run make_windows' word-boundary cut loop.  The guard walk of M6
 selects, per word, the prediction at its first subtoken, so decode is a
@@ -33,14 +34,14 @@ Per-turn failures are quarantined, not fatal (the reference's per-file
 try/except-skip-but-LOG, `run_transformer_batch_prediction.py:70-72`):
 when the batch pass raises, the batch is re-run one turn at a time
 through the same code, and only the turns that raise are dropped.  Bad
-rows are counted per actor (``n_failed``), every batch with failures
+rows are counted per stage (``n_failed``), every batch with failures
 emits one WARNING naming the turns, and when ``quarantine_dir`` is set
-each actor also writes the failed keys, the stage that failed
+each task also writes the failed keys, the stage that failed
 (``featurize`` or ``decode``) and the error strings as a parquet side
 table (one small file per failing batch) that `read_quarantine` loads
 back as a Dataset.
 
-MULTI-NODE NOTE: actors write with local-filesystem calls, so on a
+MULTI-NODE NOTE: tasks write with local-filesystem calls, so on a
 real cluster ``quarantine_dir`` must be a path every node mounts (NFS
 etc.); a driver-local /tmp path collects only driver-node failures.
 Single-node (this sandbox) is unaffected.
@@ -57,8 +58,6 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 _LOG = logging.getLogger(__name__)
 
@@ -106,13 +105,13 @@ LABELS_SCHEMA = pa.schema([
     ("labels", pa.list_(pa.string())),
 ])
 
-#: bound of the per-actor distinct-word cache (the tokenizer's piece
+#: bound of the per-stage distinct-word cache (the tokenizer's piece
 #: cache uses the same bound)
 WORD_CACHE_MAX = 500_000
 
 
 def read_quarantine(quarantine_dir: str):
-    """Load the quarantine side table written by MentionTagger actors
+    """Load the quarantine side table written by MentionTagger tasks
     as a Dataset (conv_id, turn_idx, stage, error); empty Dataset if no
     turn ever failed."""
     import glob
@@ -129,15 +128,6 @@ def read_quarantine(quarantine_dir: str):
             "error": pa.array([], pa.string()),
         }))
     return rd.read_parquet(files)
-
-
-def _maybe_get(ref):
-    """Broadcast pattern: constructor receives a ``ray.put`` ObjectRef
-    (shipped once per actor, not per batch); plain values pass through for
-    tests without Ray."""
-    if isinstance(ref, ray.ObjectRef):
-        return ray.get(ref)
-    return ref
 
 
 def _import_hf():
@@ -223,7 +213,7 @@ class _Featurized:
 class MentionTagger:
     def __init__(
         self,
-        alias_rows_ref,
+        alias_rows: list[dict],
         max_seq_length: int = 64,
         noise_mod: int = 5,
         decode: str = "argmax",
@@ -242,11 +232,13 @@ class MentionTagger:
         # ops for training-data assembly, pipelines/train.py).
         # emit="linked": the mention table plus ``entity_id`` from an
         # EntityLinker over the same alias rows, so mentions are linked
-        # in this actor instead of a second actor pool.
+        # in this stage instead of a second operator.
         if emit not in ("mentions", "labels", "linked"):
             raise ValueError(f"unknown emit: {emit!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown model family {family!r}; known: "
+                             f"{sorted(FAMILIES)}")
         self.emit = emit
-        alias_rows = _maybe_get(alias_rows_ref)
         self.lexicon = Lexicon(
             (tuple(r["alias"].split(" ")), r["type"], r["entity_id"]) for r in alias_rows
         )
@@ -269,7 +261,7 @@ class MentionTagger:
         else:
             self.label2idx = build_label_vocab(types)
         # real-checkpoint scorer (T1/T2 parity, import-guarded): load
-        # tokenizer + token-classification head ONCE per actor — the
+        # tokenizer + token-classification head ONCE per process — the
         # Ray analog of the reference's load-model-once production loop
         # (`src/transformer_ner/task.py:75-98`: config/tokenizer/model
         # from the checkpoint dir, plus the added [next] token,
@@ -339,7 +331,7 @@ class MentionTagger:
         self.n_failed += len(failures)
         _LOG.warning(
             "MentionTagger: quarantined %d turn(s) in batch "
-            "(actor total %d): %s",
+            "(stage total %d): %s",
             len(failures), self.n_failed,
             [(c, t, err.splitlines()[0][:120]) for c, t, _st, err
              in failures[:5]])
@@ -407,7 +399,7 @@ class MentionTagger:
 
     # -- featurize ---------------------------------------------------------
     def _facts(self, distinct: list[str]) -> list[_Word]:
-        """Per distinct word, from the actor-lifetime cache."""
+        """Per distinct word, from the stage-lifetime cache."""
         cache = self._word_facts
         out = []
         for w in distinct:

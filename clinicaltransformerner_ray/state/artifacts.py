@@ -14,7 +14,7 @@ Replicates the reference's model-directory contract:
   - ``base_model_name.txt`` run-config sidecar (`task.py:262-266`).
 
 These are driver-side utilities — tiny metadata, no Dataset involved;
-actors receive the loaded vocab via their constructor broadcast.
+stages receive the loaded vocab via their constructor broadcast.
 """
 
 from __future__ import annotations

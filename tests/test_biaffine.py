@@ -111,12 +111,11 @@ def test_binary_span_prf_biaffine_vs_bio_routes(ray_session):
     SF = "/root/testdata/sf0.001"
     alias_rows = load_alias_rows(SF)
     turns = read_turns(SF, columns=["conv_id", "turn_idx", "text"])
-    # explicit pool sizes: both routes execute in ONE streaming run via
-    # the union inside binary_span_prf — default pools would cover every
-    # session CPU and starve the readers (CLAUDE.md deadlock rule)
-    bio = detect_mentions(turns, alias_rows, concurrency=1)
+    # both routes execute in ONE streaming run via the union inside
+    # binary_span_prf
+    bio = detect_mentions(turns, alias_rows)
     grid = detect_mentions_biaffine(
         read_turns(SF, columns=["conv_id", "turn_idx", "text"]),
-        alias_rows, concurrency=1)
+        alias_rows)
     r = binary_span_prf(bio, grid)
     assert r["f1"] > 0.999999 and r["fp"] == 0 and r["fn"] == 0

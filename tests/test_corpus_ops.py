@@ -2547,6 +2547,9 @@ def test_emb_outliers_planted(ray_session):
             ref = out
         else:
             pd.testing.assert_frame_equal(out, ref)
+    # at q_bits=40 the planted spread squares past int64: a loud error
+    with pytest.raises(OverflowError, match="int64"):
+        embedding_outliers(rd.from_arrow(tbl), k=5, q_bits=40)
 
 
 def test_hits_hand_fold(ray_session):
@@ -2573,6 +2576,25 @@ def test_hits_hand_fold(ray_session):
     for i in range(4):
         assert out.loc[f"l{i}", "auth"] == 4
         assert out.loc[f"l{i}", "hub"] == 0
+
+
+def test_hits_int64_bound_is_loud(ray_session):
+    """The star's hub score is 4^rounds: 31 rounds give 2^62 exactly,
+    32 rounds pass 2^63 - 1 and raise instead of wrapping."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from clinicaltransformerner_ray.pipelines.graph import hits_scores
+
+    t = rd.from_arrow(pa.table({
+        "subj": pa.array(["hub"] * 4, pa.string()),
+        "pred": pa.array(["co_occurs"] * 4, pa.string()),
+        "obj": pa.array([f"l{i}" for i in range(4)], pa.string()),
+    })).materialize()
+    out = hits_scores(t, rounds=31).to_pandas().set_index("entity_id")
+    assert out.loc["hub", "hub"] == 1 << 62
+    with pytest.raises(OverflowError, match="int64"):
+        hits_scores(t, rounds=32)
 
 
 def test_session_concurrency_reconciles(ray_session):

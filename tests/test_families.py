@@ -226,3 +226,41 @@ def test_windowing_roundtrip_property(data, fam_name):
         skip_masked=fam.pre_pad,
     )
     assert y == labels
+
+
+#: the reference's MODEL_CLASSES names -> the strategy each one frames with
+MODEL_TYPES = {
+    "bert": "bert", "roberta": "roberta", "xlnet": "xlnet",
+    "albert": "albert", "distilbert": "bert", "electra": "bert",
+    "deberta": "bert", "deberta-v2": "bert", "megatron": "bert",
+    "gatortron": "bert", "bart": "roberta", "longformer": "roberta",
+}
+
+
+@pytest.mark.parametrize("model_type", sorted(MODEL_TYPES))
+def test_every_reference_model_type_tags(model_type):
+    """All 12 reference model types construct a tagger that frames with
+    its family's strategy and tags the same mentions as that family."""
+    import pyarrow.parquet as pq
+
+    from clinicaltransformerner_ray.stages.tagger import MentionTagger
+    from clinicaltransformerner_ray.synth import ensure_synth
+
+    base = MODEL_TYPES[model_type]
+    assert FAMILIES[model_type] is FAMILIES[base]
+    assert (type(tokenizer_for_family(model_type))
+            is type(tokenizer_for_family(base)))
+    p = ensure_synth("/root/testdata/sf0.001")
+    alias_rows = pq.read_table(p["aliases"]).to_pylist()
+    turns = pq.read_table(p["turns"]).slice(0, 100)
+    got = MentionTagger(alias_rows, family=model_type)(turns)
+    assert got.num_rows > 0
+    assert got.to_pydict() == MentionTagger(alias_rows,
+                                            family=base)(turns).to_pydict()
+
+
+def test_unknown_model_type_is_a_clear_error():
+    from clinicaltransformerner_ray.stages.tagger import MentionTagger
+
+    with pytest.raises(ValueError, match="unknown model family"):
+        MentionTagger([], family="gpt9")

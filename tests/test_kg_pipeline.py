@@ -268,7 +268,7 @@ def test_eval_prf_oracle_parity_and_nondegeneracy(ray_session):
 
 def test_dual_lexicon_route_equals_pairing_route(ray_session, alias_rows):
     """The zero-shuffle DualLexiconEval route (both lexicons tag each
-    turn batch inside one actor) is bit-identical to the
+    turn batch inside one task) is bit-identical to the
     union/sort pairing route for both the span counters and the token
     accuracy."""
     import __ray_entry__ as E
@@ -279,15 +279,15 @@ def test_dual_lexicon_route_equals_pairing_route(ray_session, alias_rows):
 
     pred_rows = E._pred_alias_rows(alias_rows)
     tu = read_turns(SF, columns=["conv_id", "turn_idx", "text"])
-    gold = tag_turn_labels(tu, alias_rows, concurrency=1)
-    pred = tag_turn_labels(tu, pred_rows, concurrency=1)
+    gold = tag_turn_labels(tu, alias_rows)
+    pred = tag_turn_labels(tu, pred_rows)
     old_prf = (span_counters_table(gold, pred).to_pandas()
                .sort_values("category").reset_index(drop=True))
     new_prf = (E.queries()["eval_prf"](SF).to_pandas()
                .sort_values("category").reset_index(drop=True))
     pd.testing.assert_frame_equal(new_prf, old_prf)
-    gold2 = tag_turn_labels(tu, alias_rows, concurrency=1)
-    pred2 = tag_turn_labels(tu, pred_rows, concurrency=1)
+    gold2 = tag_turn_labels(tu, alias_rows)
+    pred2 = tag_turn_labels(tu, pred_rows)
     old_acc = token_accuracy_table(gold2, pred2).to_pandas()
     new_acc = E.queries()["eval_token_acc"](SF).to_pandas()
     pd.testing.assert_frame_equal(new_acc, old_acc)

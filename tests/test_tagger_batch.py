@@ -1,7 +1,7 @@
 """The batch-vectorized MentionTagger against the per-turn reference
 (``tagger_reference.reference_tag``): mention and label tables, window
-grids and model inputs, the vectorized BIO rules, batch tokenization,
-per-turn quarantine and the pool-size rule."""
+grids and model inputs, the vectorized BIO rules, batch tokenization
+and per-turn quarantine."""
 
 from __future__ import annotations
 
@@ -239,22 +239,3 @@ def test_poison_turn_is_the_only_one_quarantined(stage, tmp_path, caplog,
     clean = MentionTagger(ALIASES)(_batch(texts)).to_pylist()
     assert out.to_pylist() == [r for r in clean if r["turn_idx"] != 2]
     assert out.num_rows > 0
-
-
-@pytest.mark.parametrize("cpus,unlinked,linked",
-                         [(2, 1, 1), (4, 2, 3), (8, 5, 6), (32, 20, 24)])
-def test_mention_pool_sizes(cpus, unlinked, linked):
-    """The tagger pool: unlinked leaves room for a linker pool and a
-    reader; linked takes the linker's share too, capped at cpus - 1."""
-    from clinicaltransformerner_ray.pipelines.kg import mention_pool_size
-
-    assert mention_pool_size("mentions", cpus) == unlinked
-    assert mention_pool_size("labels", cpus) == unlinked
-    assert mention_pool_size("linked", cpus) == linked
-
-
-def test_mention_pool_scales_exactly_4x_from_8_to_32():
-    from clinicaltransformerner_ray.pipelines.kg import mention_pool_size
-
-    for emit in ("mentions", "linked"):
-        assert mention_pool_size(emit, 32) == 4 * mention_pool_size(emit, 8)

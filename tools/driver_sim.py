@@ -5,10 +5,11 @@ Usage: python tools/driver_sim.py [sf_dir] [query ...]
 """
 import hashlib
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 import pandas as pd
@@ -18,7 +19,8 @@ import ray
 SF = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 ONLY = set(sys.argv[2:])
 
-ray.init(address="local", num_cpus=32, include_dashboard=False,
+ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+         include_dashboard=False,
          logging_level="ERROR", log_to_driver=False)
 
 import __ray_entry__ as E  # noqa: E402
