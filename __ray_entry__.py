@@ -169,16 +169,19 @@ def _q_kg_assoc(sf_dir: str):
 def _q_kg_assoc_topk(sf_dir: str):
     """Per-entity top-3 associations by integer-lift PMI
     (lift = n_co * n_turns * 10^4 // (n_subj * n_obj), non-negative
-    floor): symmetrize the undirected assoc pairs, one sort on the
-    center entity, block-local (lift DESC, neighbor ASC) ranking."""
+    floor): symmetrize the undirected assoc pairs, cut each batch to
+    its per-center top-3, then one sort on the center entity and a
+    block-local (lift DESC, neighbor ASC) ranking."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
+    from clinicaltransformerner_ray.arrowutil import (
+        grouped_topk, topk_complete)
     from clinicaltransformerner_ray.pipelines.kg import association_stats
 
     out = _kg(sf_dir)
     assoc = association_stats(out["linked"], out["triples"])
+    order = [("lift", "descending"), ("nbr", "ascending")]
 
     def sym(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -186,33 +189,17 @@ def _q_kg_assoc_topk(sf_dir: str):
                 * df["n_turns"].to_numpy(dtype=np.int64) * 10_000
                 // (df["n_subj"].to_numpy(dtype=np.int64)
                     * df["n_obj"].to_numpy(dtype=np.int64)))
-        return pa.table({
+        return grouped_topk(pa.table({
             "center": pa.array(df["subj"].tolist() + df["obj"].tolist(),
                                pa.string()),
             "nbr": pa.array(df["obj"].tolist() + df["subj"].tolist(),
                             pa.string()),
             "lift": pa.array(np.concatenate([lift, lift]), pa.int64()),
-        })
+        }), ["center"], order, 3)
 
-    def topk(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["center", "lift", "nbr"],
-                           ascending=[True, False, True]))
-        df["rk"] = df.groupby("center", sort=False).cumcount() + 1
-        df = df[df["rk"] <= 3]
-        return pa.table({
-            "center": pa.array(df["center"].tolist(), pa.string()),
-            "nbr": pa.array(df["nbr"].tolist(), pa.string()),
-            "lift": pa.array(df["lift"].to_numpy(dtype=np.int64),
-                             pa.int64()),
-            "rk": pa.array(df["rk"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-        })
-
-    return (assoc.map_batches(sym, batch_format="pyarrow",
-                              batch_size=1 << 19)
-            .sort("center")
-            .map_batches(topk, batch_format="pyarrow", batch_size=None))
+    return topk_complete(
+        assoc.map_batches(sym, batch_format="pyarrow", batch_size=1 << 19),
+        ["center"], order, 3, rank="rk")
 
 
 def _q_kg_components(sf_dir: str):

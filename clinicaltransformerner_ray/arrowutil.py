@@ -16,12 +16,20 @@ which construction path a kernel happened to use.
 
 :func:`grouped_agg` is the engine's Arrow grouped aggregate, for the
 combine and the per-block completion around a sort.
+
+:func:`grouped_topk` is its top-k twin: the ``k`` best rows per key
+under a caller-stated total order, optionally ranked.  Every top-k in
+the engine is one call to it: a scoring UDF cuts its own block with it
+before the exchange, and :func:`topk_complete` finishes the job, per
+sorted block when there are keys and as a running driver fold when
+there are none.
 """
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -56,14 +64,95 @@ def grouped_agg(table: pa.Table, keys: list[str],
     Null-key rule: rows with a null in any key column are dropped, as
     pandas ``groupby(dropna=True)`` drops them; Arrow alone would keep
     them as a group."""
+    out = (_drop_null_keys(table, keys)
+           .group_by(keys, use_threads=False).aggregate(aggs))
+    return pa.table([out.column(k) for k in keys]
+                    + [out.column(f"{c}_{f}") for c, f in aggs],
+                    names=list(keys) + [c for c, _ in aggs])
+
+
+def _drop_null_keys(table: pa.Table, keys: list[str]) -> pa.Table:
     valid = [pc.is_valid(table.column(k)) for k in keys
              if table.column(k).null_count]
     if valid:
         table = table.filter(functools.reduce(pc.and_, valid))
-    out = table.group_by(keys, use_threads=False).aggregate(aggs)
-    return pa.table([out.column(k) for k in keys]
-                    + [out.column(f"{c}_{f}") for c, f in aggs],
-                    names=list(keys) + [c for c, _ in aggs])
+    return table
+
+
+def grouped_topk(table: pa.Table, keys: list[str],
+                 order: list[tuple[str, str]], k: int, *,
+                 rank: str | None = None) -> pa.Table:
+    """The first ``k`` rows of each ``keys`` group under ``order``, a
+    list of ``(column, "ascending"|"descending")`` that the caller makes
+    total (score, then id), so the cut at the k-th row never depends on
+    input order and per-block cuts merge: the k best of a union are
+    among the k best of each part.  Descending is a sort direction, not
+    a negated column, so an INT64_MIN score cannot wrap.  Floats sort
+    as Arrow sorts them: ``-0.0 == 0.0`` (the next order column
+    decides), NaN after every number in either direction.
+
+    One ``sort_by(keys ascending + order)``; each key run is then cut
+    at ``k`` by run-boundary arithmetic.  ``rank``, when given, names a
+    1-based int64 rank column appended to the output.  Output rows are
+    in sort order, with the input's columns and types.
+
+    Null-key rule: as in :func:`grouped_agg`, rows with a null in any
+    key column are dropped (pandas ``groupby(...).head`` and
+    ``cumcount`` drop them too)."""
+    table = _drop_null_keys(table, keys).sort_by(
+        [(c, "ascending") for c in keys] + list(order))
+    n = table.num_rows
+    pos = np.arange(n, dtype=np.int64)  # position within its key run
+    if n and keys:
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = functools.reduce(np.logical_or, [
+            pc.not_equal(table.column(c).slice(1),
+                         table.column(c).slice(0, n - 1))
+            .to_numpy(zero_copy_only=False) for c in keys])
+        pos -= np.maximum.accumulate(np.where(starts, pos, 0))
+    keep = pos < k
+    out = table.filter(pa.array(keep)) if not keep.all() else table
+    if rank is not None:
+        out = out.append_column(rank, pa.array(pos[keep] + 1, pa.int64()))
+    return out
+
+
+def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
+                  k: int, *, rank: str | None = None):
+    """Finish a top-k over a Dataset whose blocks each scoring UDF has
+    already cut with :func:`grouped_topk`.
+
+    With ``keys``: one ``sort(keys)``, then :func:`grouped_topk` per
+    block.  The range sort never splits equal keys, so each block holds
+    every candidate of its groups and the per-block cut is final.
+    Returns a Dataset.
+
+    Without keys: a running driver fold over ``iter_batches``,
+    ``acc = grouped_topk(concat([acc, block]), [], order, k)``, which
+    holds at most ``k`` rows plus one block and runs no exchange (the
+    single-driver degenerate of a tree fold).  Returns a ``pa.Table``;
+    an input with no rows gives an empty one with the schema of the
+    UDF's empty output, and raises ValueError when no UDF ever ran
+    (Ray then has no schema to give).
+    """
+    if keys:
+        return ds.sort(list(keys)).map_batches(
+            grouped_topk, fn_args=(list(keys), list(order), k),
+            fn_kwargs={"rank": rank}, batch_format="pyarrow",
+            batch_size=None)
+    acc = None
+    for blk in ds.iter_batches(batch_format="pyarrow", batch_size=None):
+        if blk.num_rows:  # a Sort's empty blocks carry no schema
+            acc = grouped_topk(blk if acc is None
+                               else pa.concat_tables([acc, blk]),
+                               [], order, k)
+    if acc is None:  # no block: only a UDF's empty output has a schema
+        schema = ds.schema()
+        if schema is None:
+            raise ValueError("topk_complete: the input has no rows and "
+                             "no schema to build an empty result from")
+        acc = schema.base_schema.empty_table()
+    return grouped_topk(acc, [], order, k, rank=rank)
 
 
 def coalesced_sort(ds, key, *, descending=False,

@@ -34,8 +34,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from clinicaltransformerner_ray.arrowutil import (coalesced_sort,
-                                                  from_pandas_clean)
+from clinicaltransformerner_ray.arrowutil import (
+    coalesced_sort, from_pandas_clean, grouped_agg, grouped_topk,
+    topk_complete)
 
 import ray
 import ray.data as rd
@@ -1821,7 +1822,8 @@ def winnow_pairs(docs: rd.Dataset, *, n: int = 3, w: int = 4,
     Shape (the MinHash-band pattern): per-batch winnow selection
     (block-local, zero wide ops) -> distinct (hash, doc) postings ->
     ONE sort on the hash -> per-block per-hash pair emission (buckets
-    are tiny; ``max_bucket`` caps an adversarial hash, logged) ->
+    are tiny; a hash shared by more than ``max_bucket`` docs raises
+    ValueError rather than truncating its pairs) ->
     pre-sort pair-count combine -> ONE sort on the pair -> exact
     shared-fingerprint counts, thresholded at ``min_shared``.
 
@@ -1853,11 +1855,11 @@ def winnow_pairs(docs: rd.Dataset, *, n: int = 3, w: int = 4,
         for h, g in dup.groupby("hr", sort=False):
             ids = np.sort(g["doc_id"].to_numpy(np.int64))
             if max_bucket is not None and len(ids) > max_bucket:
-                _LOG.warning(
-                    "winnow_pairs: hash %d shared by %d docs > "
-                    "max_bucket=%d; pairing only the first %d",
-                    h, len(ids), max_bucket, max_bucket)
-                ids = ids[:max_bucket]
+                raise ValueError(
+                    f"winnow_pairs: hash {h} is shared by {len(ids)} "
+                    f"docs, more than max_bucket={max_bucket}; pairing "
+                    "only some of them would drop candidate pairs "
+                    "silently")
             if len(ids) < 2:
                 continue
             ii, jj = np.triu_indices(len(ids), k=1)
@@ -2041,6 +2043,7 @@ def coverage_select(docs: rd.Dataset, *, n: int = 3,
         docs.map_batches(postings, batch_format="pyarrow"),
         "doc_id").materialize()
 
+    order = [("gain", "descending"), ("doc_id", "ascending")]
     covered: set = set()
     chosen: list[tuple] = []
     for _round in range(k):
@@ -2050,29 +2053,23 @@ def coverage_select(docs: rd.Dataset, *, n: int = 3,
             cov, sel = ray.get(cref)
             df = batch.to_pandas()
             df = df[~df["doc_id"].isin(sel)]
-            if df.empty:
-                z = pa.array([], pa.int64())
-                return pa.table({"doc_id": z, "gain": z})
-            new = ~df["h"].isin(cov)
-            g = (pd.DataFrame({"doc_id": df["doc_id"],
-                               "new": new.astype(np.int64)})
-                 .groupby("doc_id", sort=False)["new"]
-                 .sum().reset_index())
-            g = g.sort_values(["new", "doc_id"],
-                              ascending=[False, True]).head(1)
-            return pa.table({
-                "doc_id": pa.array(g["doc_id"].to_numpy(np.int64),
+            new = pa.table({
+                "doc_id": pa.array(df["doc_id"].to_numpy(np.int64),
                                    pa.int64()),
-                "gain": pa.array(g["new"].to_numpy(np.int64),
+                "gain": pa.array((~df["h"].isin(cov)).to_numpy(np.int64),
                                  pa.int64()),
             })
+            return grouped_topk(grouped_agg(new, ["doc_id"],
+                                            [("gain", "sum")]),
+                                [], order, 1)
 
-        cands = post.map_batches(local_best, batch_format="pyarrow",
-                                 batch_size=None).take_all()
-        if not cands:
+        best = topk_complete(post.map_batches(
+            local_best, batch_format="pyarrow", batch_size=None),
+            [], order, 1)
+        if not best.num_rows:
             break
-        cands.sort(key=lambda r: (-int(r["gain"]), int(r["doc_id"])))
-        win, gain = int(cands[0]["doc_id"]), int(cands[0]["gain"])
+        win, gain = (best.column("doc_id")[0].as_py(),
+                     best.column("gain")[0].as_py())
 
         def win_rows(batch: pa.Table) -> pa.Table:
             ids = batch.column("doc_id").to_numpy(

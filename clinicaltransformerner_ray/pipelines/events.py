@@ -60,7 +60,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import (
+    from_pandas_clean, topk_complete)
 
 import ray.data as rd
 
@@ -2814,17 +2815,9 @@ def revenue_concentration(events: rd.Dataset) -> pa.Table:
                          "top_users": z, "top_cents": z,
                          "share_per_mille": z})
     m = max(n_users // 10, 1)
-    # running top-m: keep at most m rows by (cents DESC, user ASC)
-    best_c = np.empty(0, np.int64)
-    best_u = np.empty(0, np.int64)
-    for blk in totals.iter_batches(batch_format="pyarrow",
-                                   batch_size=None):
-        c = np.concatenate([best_c, blk.column("cents").to_numpy(
-            zero_copy_only=False).astype(np.int64)])
-        u = np.concatenate([best_u, blk.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)])
-        order = np.lexsort((u, -c))[:m]
-        best_c, best_u = c[order], u[order]
+    best_c = topk_complete(
+        totals, [], [("cents", "descending"), ("user_id", "ascending")],
+        m).column("cents").to_numpy()
     top_cents = int(best_c.sum())
     return pa.table({
         "n_users": pa.array([n_users], pa.int64()),

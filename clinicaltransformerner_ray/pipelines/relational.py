@@ -56,6 +56,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
 from clinicaltransformerner_ray.pipelines.events import _round_half_away
 
 _US_PER_DAY = 86_400_000_000
@@ -381,7 +382,8 @@ def top_orders_per_customer(orders: rd.Dataset, *, k: int = 3) -> rd.Dataset:
     group's global top-k is contained in the union of its local
     top-ks — so the shuffle moves at most k rows per (custkey, block);
     then one sort on the HIGH-CARDINALITY custkey (equal keys arrive
-    whole per block) and a vectorized per-block final rank.
+    whole per block) and a per-block final rank (``grouped_topk`` at
+    both cuts, ``topk_complete`` for the second).
 
     Tie rule on BOTH engines: (cents DESC, o_orderkey ASC) — total
     order, so the boundary cut is deterministic.  Money is integer
@@ -390,43 +392,22 @@ def top_orders_per_customer(orders: rd.Dataset, *, k: int = 3) -> rd.Dataset:
 
     Output: (o_custkey, o_orderkey, total_cents, rk)."""
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        # runs once, pre-shuffle only (final_rank completes post-sort)
-        df = batch.to_pandas()
-        df = pd.DataFrame({
-            "o_custkey": df["o_custkey"],
-            "o_orderkey": df["o_orderkey"],
-            "total_cents": _round_half_away(
-                df["o_totalprice"].to_numpy() * 100),
-        })
-        df = df.sort_values(["o_custkey", "total_cents", "o_orderkey"],
-                            ascending=[True, False, True])
-        df = df.groupby("o_custkey", sort=False).head(k)
-        return pa.table({
-            "o_custkey": pa.array(df["o_custkey"].to_numpy(), pa.int64()),
-            "o_orderkey": pa.array(df["o_orderkey"].to_numpy(), pa.int64()),
-            "total_cents": pa.array(df["total_cents"].to_numpy(), pa.int64()),
-        })
+    order = [("total_cents", "descending"), ("o_orderkey", "ascending")]
 
-    def final_rank(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["o_custkey", "total_cents", "o_orderkey"],
-                           ascending=[True, False, True]))
-        rk = df.groupby("o_custkey", sort=False).cumcount() + 1
-        df = df[rk <= k]
-        return pa.table({
-            "o_custkey": pa.array(df["o_custkey"].to_numpy(), pa.int64()),
-            "o_orderkey": pa.array(df["o_orderkey"].to_numpy(), pa.int64()),
-            "total_cents": pa.array(df["total_cents"].to_numpy(), pa.int64()),
-            "rk": pa.array(rk[rk <= k].to_numpy(dtype=np.int64),
-                           pa.int64()),
-        })
+    def cents(batch: pa.Table) -> pa.Table:
+        # batch-local top-k per custkey before the exchange
+        return grouped_topk(pa.table({
+            "o_custkey": batch.column("o_custkey").cast(pa.int64()),
+            "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
+            "total_cents": pa.array(_round_half_away(
+                batch.column("o_totalprice").to_numpy(
+                    zero_copy_only=False) * 100), pa.int64()),
+        }), ["o_custkey"], order, k)
 
-    return (orders.map_batches(local_topk, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("o_custkey")
-            .map_batches(final_rank, batch_format="pyarrow",
-                         batch_size=None))
+    return topk_complete(
+        orders.map_batches(cents, batch_format="pyarrow",
+                           batch_size=1 << 19),
+        ["o_custkey"], order, k, rank="rk")
 
 
 def promo_revenue_by_month(
@@ -617,7 +598,9 @@ def top_unshipped_orders(
             "kind": pa.array(np.ones(len(g), np.int64), pa.int64()),
         })
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    order = [("rev_e4", "descending"), ("okey", "ascending")]
+
+    def revenue(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         o = df[df["kind"] == 0]
         li = df[df["kind"] == 1]
@@ -626,16 +609,14 @@ def top_unshipped_orders(
                  o[["okey", "odate", "oprio"]], on="okey"))
         # no >0 filter: the oracle's inner join ranks zero-revenue
         # orders too (fully-discounted lineitems), so must we
-        g = (g.sort_values(["rev_e4", "okey"], ascending=[False, True])
-             .head(k))
-        return pa.table({
-            "okey": pa.array(g["okey"].to_numpy(), pa.int64()),
+        return grouped_topk(pa.table({
+            "okey": pa.array(g["okey"].to_numpy(np.int64), pa.int64()),
             "rev_e4": pa.array(np.asarray(g["rev_e4"], np.int64),
                                pa.int64()),
             "odate": pa.array(g["odate"].to_numpy(dtype=np.int64),
                               pa.int64()),
             "oprio": pa.array(g["oprio"].tolist(), pa.string()),
-        })
+        }), [], order, k)
 
     surviving = (customer.map_batches(c_keys, batch_format="pyarrow",
                                       batch_size=1 << 19)
@@ -649,22 +630,14 @@ def top_unshipped_orders(
                 li_combine, batch_format="pyarrow",
                 batch_size=1 << 19))
             .sort("okey")
-            .map_batches(local_topk, batch_format="pyarrow",
-                         batch_size=None)
-            .take_all())  # <= k rows per block
-    df = (pd.DataFrame(rows)
-          .sort_values(["rev_e4", "okey"], ascending=[False, True])
-          .head(k)) if rows else pd.DataFrame(
-              {"okey": [], "rev_e4": [], "odate": [], "oprio": []})
+            .map_batches(revenue, batch_format="pyarrow",
+                         batch_size=None))  # <= k rows per block
+    top = topk_complete(rows, [], order, k)
     return pa.table({
-        "o_orderkey": pa.array(df["okey"].to_numpy(dtype=np.int64),
-                               pa.int64()),
-        "revenue_e4": pa.array(df["rev_e4"].to_numpy(dtype=np.int64),
-                               pa.int64()),
-        "o_orderdate": pa.array(
-            df["odate"].to_numpy(dtype=np.int64),
-            pa.timestamp("us")),
-        "o_orderpriority": pa.array(df["oprio"].tolist(), pa.string()),
+        "o_orderkey": top.column("okey"),
+        "revenue_e4": top.column("rev_e4"),
+        "o_orderdate": top.column("odate").cast(pa.timestamp("us")),
+        "o_orderpriority": top.column("oprio"),
     })
 
 
@@ -2879,33 +2852,21 @@ def returned_top(
         return _sup(df["c_custkey"], "c", z, z, df["c_nationkey"],
                     df["c_name"].tolist())
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    order = [("revenue_e4", "descending"), ("c_custkey", "ascending")]
+
+    def totals(batch: pa.Table) -> pa.Table:
         """custkey totals are block-complete after the sort: emit the
         block's local top-k only."""
-        empty = pa.table({
-            "c_custkey": pa.array([], pa.int64()),
-            "c_name": pa.array([], pa.string()),
-            "nationkey": pa.array([], pa.int64()),
-            "revenue_e4": pa.array([], pa.int64()),
-            "n_items": pa.array([], pa.int64()),
-        })
         df = batch.to_pandas()
         c = df[df["kind"] == "c"]
         x = df[df["kind"] == "x"]
-        if x.empty or c.empty:
-            return empty
         tot = (x.groupby("key", sort=False)
                [["rev_e4", "n_items"]].sum().reset_index())
         j = pd.merge(tot,
                      c[["key", "payload", "name"]].rename(
                          columns={"payload": "nationkey"}),
                      on="key")
-        if j.empty:
-            return empty
-        order = np.lexsort((j["key"].to_numpy(np.int64),
-                            -j["rev_e4"].to_numpy(np.int64)))[:k]
-        j = j.iloc[order]
-        return pa.table({
+        return grouped_topk(pa.table({
             "c_custkey": pa.array(j["key"].to_numpy(np.int64),
                                   pa.int64()),
             "c_name": pa.array(j["name"].tolist(), pa.string()),
@@ -2915,7 +2876,7 @@ def returned_top(
                                    pa.int64()),
             "n_items": pa.array(j["n_items"].to_numpy(np.int64),
                                 pa.int64()),
-        })
+        }), [], order, k)
 
     joined = (
         lineitem.map_batches(l_side, batch_format="pyarrow",
@@ -2928,22 +2889,16 @@ def returned_top(
         .union(customer.map_batches(c_side, batch_format="pyarrow",
                                     batch_size=1 << 19))
         .sort("key")
-        .map_batches(local_topk, batch_format="pyarrow",
+        .map_batches(totals, batch_format="pyarrow",
                      batch_size=None)
     )
-    rows = joined.take_all()  # O(blocks x k)
-    rows.sort(key=lambda r: (-int(r["revenue_e4"]),
-                             int(r["c_custkey"])))
-    rows = rows[:k]
+    top = topk_complete(joined, [], order, k)  # O(k + block) rows
     return pa.table({
-        "c_custkey": pa.array([int(r["c_custkey"]) for r in rows],
-                              pa.int64()),
-        "c_name": pa.array([r["c_name"] for r in rows], pa.string()),
+        "c_custkey": top.column("c_custkey"),
+        "c_name": top.column("c_name"),
         "n_name": pa.array(
-            [nation_map.get(int(r["nationkey"]), ("", ""))[0]
-             for r in rows], pa.string()),
-        "revenue_e4": pa.array([int(r["revenue_e4"]) for r in rows],
-                               pa.int64()),
-        "n_items": pa.array([int(r["n_items"]) for r in rows],
-                            pa.int64()),
+            [nation_map.get(n, ("", ""))[0]
+             for n in top.column("nationkey").to_pylist()], pa.string()),
+        "revenue_e4": top.column("revenue_e4"),
+        "n_items": top.column("n_items"),
     })

@@ -11,10 +11,10 @@ Two passes, both streaming:
 2. SCORE + TOP-K — stats broadcast into a batch transform that
    explodes tokens with Arrow kernels, filters to the query terms,
    computes tf per (doc, term) via C++ grouped aggregation, scores,
-   and keeps a LOCAL top-k per term; `sort(query_term)` then a
-   per-block completion keeps the final top-k (the engine's
-   combine/sort/combine shape — the shuffle moves at most
-   k * n_terms rows per batch, never the corpus).
+   and keeps a LOCAL top-k per term (`grouped_topk`);
+   `topk_complete` sorts on query_term and keeps the final top-k per
+   block (the engine's combine/sort/combine shape — the shuffle moves
+   at most k * n_terms rows per batch, never the corpus).
 
 Exactness: within a single term, BM25's idf factor is a positive
 per-term constant, so the rank depends only on
@@ -37,10 +37,11 @@ per Robertson/Sparck-Jones as popularized by Lucene's practical form.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
+
+from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
 
 
 def _corpus_stats(docs: rd.Dataset) -> dict:
@@ -89,16 +90,7 @@ def bm25_topk(
 
     term_arr = pa.array(terms, pa.string())
 
-    def _scored(query_term, doc_id, tf, g) -> pa.Table:
-        """Explicit types — an empty pandas frame would infer Arrow
-        `null` for query_term and break the sort schema."""
-        return pa.table({
-            "query_term": pa.array(list(query_term), pa.string()),
-            "doc_id": pa.array(np.asarray(doc_id, np.int64),
-                               pa.int64()),
-            "tf": pa.array(np.asarray(tf, np.int64), pa.int64()),
-            "g": pa.array(np.asarray(g, np.float64), pa.float64()),
-        })
+    order = [("g", "descending"), ("doc_id", "ascending")]
 
     def score_local(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -115,9 +107,6 @@ def bm25_topk(
         })
         flat = flat.filter(pc.is_in(flat.column("tok"),
                                     value_set=term_arr))
-        if not flat.num_rows:
-            z = np.empty(0, np.int64)
-            return _scored([], z, z, np.empty(0, np.float64))
         tf_tbl = (flat.group_by(["i", "tok"])
                   .aggregate([("tok", "count")]))
         i = tf_tbl.column("i").to_numpy()
@@ -126,43 +115,18 @@ def bm25_topk(
         # docstring; evaluation order matters for bit-exactness
         dli = dl[i].astype(np.float64)
         g = tf * (k1 + 1) / (tf + k1 * (1 - b + b * dli / avgdl))
-        df = pd.DataFrame({
-            "query_term": tf_tbl.column("tok").to_pandas(),
-            "doc_id": ids[i],
-            "tf": tf,
-            "g": g,
-        })
-        df = df.sort_values(["query_term", "g", "doc_id"],
-                            ascending=[True, False, True])
-        df = df.groupby("query_term", sort=False).head(k)
-        return _scored(df["query_term"].tolist(), df["doc_id"],
-                       df["tf"], df["g"])
+        # explicit types: an empty block must keep the sort schema
+        return grouped_topk(pa.table({
+            "query_term": tf_tbl.column("tok").cast(pa.string()),
+            "doc_id": pa.array(ids[i], pa.int64()),
+            "tf": pa.array(tf, pa.int64()),
+            "g": pa.array(g, pa.float64()),
+        }), ["query_term"], order, k)
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if not df.empty:
-            df = df.sort_values(["query_term", "g", "doc_id"],
-                                ascending=[True, False, True])
-            df = df.groupby("query_term", sort=False).head(k)
-            rank = (df.groupby("query_term", sort=False).cumcount()
-                    + 1).to_numpy()
-        else:
-            rank = np.empty(0, np.int64)
-        return pa.table({
-            "query_term": pa.array(df["query_term"].tolist(),
-                                   pa.string()),
-            "doc_id": pa.array(np.asarray(df["doc_id"], np.int64),
-                               pa.int64()),
-            "tf": pa.array(np.asarray(df["tf"], np.int64), pa.int64()),
-            "rank": pa.array(np.asarray(rank, np.int64), pa.int64()),
-        })
-
-    return (
+    return topk_complete(
         docs.map_batches(score_local, batch_format="pyarrow",
-                         batch_size=1 << 17)
-        .sort("query_term")
-        .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-    )
+                         batch_size=1 << 17),
+        ["query_term"], order, k, rank="rank").drop_columns(["g"])
 
 
 def hybrid_rerank(

@@ -2,7 +2,7 @@
 
   knn_bruteforce   exact cosine top-k: blocked matmul of every batch
                    against a small broadcast query matrix, per-batch
-                   partial top-k, tiny final per-query merge
+                   partial top-k, one sort on query_id to rank
   knn_ivf          IVF-style approximate top-k: vectors bucketed by
                    nearest coarse centroid; queries probe only the
                    ``n_probe`` closest buckets
@@ -18,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
 
 import ray
 import ray.data as rd
@@ -40,24 +41,65 @@ def _batch_matrix_raw(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return ids, X
 
 
-def load_queries(vecs: rd.Dataset, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic query set: the vectors with vec_id < n_queries.
+def _query_table(vecs: rd.Dataset, n_queries: int
+                 ) -> tuple[np.ndarray, np.ndarray, pa.Table]:
+    """Deterministic query set: the vectors with vec_id < n_queries,
+    sorted by vec_id, as RAW (ids, X) plus the filtered table (callers
+    normalize, or read ``label`` from it).
 
     The predicate is applied DISTRIBUTED (per-batch pyarrow filter under
     streaming execution), so only the handful of matching rows ever
     reach the driver — the data side never materializes."""
-    import pyarrow.compute as pc
-
     small = vecs.map_batches(
         lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
         batch_format="pyarrow",
     )
-    rows = small.take_all()  # O(n_queries) rows only
-    ids = np.asarray([r["vec_id"] for r in rows], dtype=np.int64)
-    Q = np.asarray([r["embedding"] for r in rows], dtype=np.float64)
-    Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    order = np.argsort(ids)
-    return ids[order], Q[order]
+    t = pa.concat_tables(list(small.iter_batches(
+        batch_format="pyarrow", batch_size=None))).sort_by("vec_id")
+    ids, X = _batch_matrix_raw(t)
+    return ids, X, t
+
+
+def load_queries(vecs: rd.Dataset, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_query_table`'s (ids, X) with every row L2-normalized."""
+    ids, X, _ = _query_table(vecs, n_queries)
+    return ids, X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+_NEIGHBOR_ORDER = [("sim", "descending"), ("neighbor_id", "ascending")]
+
+
+def _per_query_topk(vecs: rd.Dataset, k: int, score) -> rd.Dataset:
+    """The per-query top-k shape every query-set search here shares.
+    ``score(batch)`` returns ``(qids, ids, S, keep)``: the batch's
+    (B, nq) score matrix and a mask of the (vector, query) pairs that
+    may match.  Each batch emits its kept pairs as one long
+    (query_id, neighbor_id, sim) table cut to the per-query top-k (so
+    the shuffle moves <= k rows per (query, batch)); one sort on
+    query_id then ranks each query's candidates.  The cut and the rank
+    use the same total order (sim desc, neighbor_id asc), so a tie at
+    the k boundary never drops a lower-id candidate the global top-k
+    keeps.  ``n_queries`` can be a table, not a constant: nothing runs
+    per group.
+
+    Output: (query_id, neighbor_id, rank), rank 1-based."""
+
+    def query_pairs(batch: pa.Table) -> pa.Table:
+        qids, ids, S, keep = score(batch)
+        b, q = np.nonzero(keep)
+        return grouped_topk(pa.table({
+            "query_id": pa.array(qids[q], pa.int64()),
+            "neighbor_id": pa.array(ids[b], pa.int64()),
+            "sim": pa.array(S[b, q], pa.float64()),
+        }), ["query_id"], _NEIGHBOR_ORDER, k)
+
+    # 2^14-row batches: the sort sees few blocks of k * nq rows each,
+    # while a large table still scores in parallel tasks
+    return topk_complete(
+        vecs.map_batches(query_pairs, batch_format="pyarrow",
+                         batch_size=1 << 14),
+        ["query_id"], _NEIGHBOR_ORDER, k, rank="rank",
+    ).drop_columns(["sim"])
 
 
 def knn_bruteforce(
@@ -70,39 +112,20 @@ def knn_bruteforce(
 
     map_batches computes (B, nq) similarities and keeps only each
     query's batch-local top-k (so the shuffle moves k*nq rows per batch,
-    not B*nq); the final per-query merge re-sorts the tiny candidate
-    set.  Self-matches excluded.  Ties break (sim desc, vec_id asc).
+    not B*nq); one sort on query_id ranks the tiny candidate set
+    (:func:`_per_query_topk`).  Self-matches excluded.  Ties break
+    (sim desc, vec_id asc).
 
     Output: (query_id, neighbor_id, rank) with rank 1-based."""
     qids, Q = load_queries(vecs, n_queries)
     qref = ray.put((qids, Q))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids_, Q_ = ray.get(qref)
         ids, X = _batch_matrix(batch)
-        sims = X @ Q_.T  # (B, nq)
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            s = sims[:, j]
-            mask = ids != qids_[j]
-            cand_ids, cand_s = ids[mask], s[mask]
-            if len(cand_ids) > k:
-                # exact (sim desc, neighbor_id asc) cut — the same order
-                # the final merge uses, so a tie at the k boundary can
-                # never drop a lower-id candidate the global top-k keeps
-                order = np.lexsort((cand_ids, -cand_s))[:k]
-                cand_ids, cand_s = cand_ids[order], cand_s[order]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(cand_s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        return qids_, ids, X @ Q_.T, ids[:, None] != qids_[None, :]
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
+    return _per_query_topk(vecs, k, score)
 
 
 def hard_negatives(
@@ -126,109 +149,20 @@ def hard_negatives(
 
     Output: (query_id, neighbor_id, rank) with rank 1-based.
     """
-    import pyarrow.compute as pc
-
-    small = vecs.map_batches(
-        lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-        batch_format="pyarrow",
-    )
-    rows = small.take_all()  # O(n_queries) rows only
-    qids = np.asarray([r["vec_id"] for r in rows], dtype=np.int64)
-    qlab = np.asarray([r["label"] for r in rows], dtype=np.int64)
-    Q = np.asarray([r["embedding"] for r in rows], dtype=np.float64)
+    qids, Q, qt = _query_table(vecs, n_queries)
+    qlab = np.asarray(qt.column("label").to_pylist(), dtype=np.int64)
     Q = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-    order = np.argsort(qids)
-    qids, qlab, Q = qids[order], qlab[order], Q[order]
     qref = ray.put((qids, qlab, Q))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids_, qlab_, Q_ = ray.get(qref)
         ids, X = _batch_matrix(batch)
         labels = np.asarray(batch.column("label").to_pylist(),
                             dtype=np.int64)
-        sims = X @ Q_.T  # (B, nq)
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            mask = labels != qlab_[j]  # negatives only (self excluded)
-            cand_ids, cand_s = ids[mask], sims[:, j][mask]
-            if len(cand_ids) > k:
-                order = np.lexsort((cand_ids, -cand_s))[:k]
-                cand_ids, cand_s = cand_ids[order], cand_s[order]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(cand_s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        # negatives only (self excluded: same label)
+        return qids_, ids, X @ Q_.T, labels[:, None] != qlab_[None, :]
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
-
-
-def _merge_topk(partials: rd.Dataset, k: int) -> rd.Dataset:
-    """Distributed top-k-per-query merge in the engine's standard
-    combine/sort/combine shape — no ``groupby().map_groups`` (per-group
-    pandas calls serialize at high group counts), so ``n_queries`` can
-    be a table, not a constant: each batch keeps its local per-query
-    top-k (vectorized lexsort + group head), ONE sort on query_id
-    co-locates the survivors (equal keys never split), and a per-block
-    pass finalizes ranks.  Shuffle volume <= k rows per (query, batch).
-
-    Output: (query_id, neighbor_id, rank), rank 1-based by
-    (sim desc, neighbor_id asc)."""
-
-    empty_partial = pa.table({
-        "query_id": pa.array([], pa.int64()),
-        "neighbor_id": pa.array([], pa.int64()),
-        "sim": pa.array([], pa.float64()),
-    })
-
-    def _topk_frame(df: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized per-query top-k cut: global (query, sim desc,
-        neighbor asc) lexsort, then keep each query's first k rows."""
-        q = df["query_id"].to_numpy()
-        order = np.lexsort((df["neighbor_id"].to_numpy(),
-                            -df["sim"].to_numpy(), q))
-        df = df.iloc[order]
-        qs = df["query_id"].to_numpy()
-        new_q = np.empty(len(qs), dtype=bool)
-        new_q[0] = True
-        new_q[1:] = qs[1:] != qs[:-1]
-        grp_start = np.maximum.accumulate(
-            np.where(new_q, np.arange(len(qs)), 0))
-        rank = np.arange(len(qs)) - grp_start
-        out = df[rank < k].copy()
-        out["rank"] = (rank[rank < k] + 1).astype(np.int64)
-        return out
-
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return empty_partial
-        return from_pandas_clean(
-            _topk_frame(df)[["query_id", "neighbor_id", "sim"]],
-            preserve_index=False)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "query_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-            })
-        out = _topk_frame(df)
-        return from_pandas_clean(
-            out[["query_id", "neighbor_id", "rank"]], preserve_index=False)
-
-    return (
-        partials.map_batches(combine, batch_format="pyarrow",
-                             batch_size=1 << 19)
-        .sort("query_id")
-        .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-    )
+    return _per_query_topk(vecs, k, score)
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +291,15 @@ def knn_ivf(
     probes = np.argsort(-(Q @ C.T), axis=1)[:, :n_probe]  # (nq, n_probe)
     ref = ray.put((qids, Q, C, probes))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids_, Q_, C_, probes_ = ray.get(ref)
         ids, X = _batch_matrix(batch)
         buckets = np.argmax(X @ C_.T, axis=1)  # (B,)
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            probe_set = probes_[j]
-            m = np.isin(buckets, probe_set) & (ids != qids_[j])
-            if not m.any():
-                continue
-            s = X[m] @ Q_[j]
-            cand_ids = ids[m]
-            if len(cand_ids) > k:
-                order = np.lexsort((cand_ids, -s))[:k]  # tie-exact cut
-                cand_ids, s = cand_ids[order], s[order]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        probed = (buckets[:, None, None] == probes_[None, :, :]).any(axis=2)
+        return (qids_, ids, X @ Q_.T,
+                probed & (ids[:, None] != qids_[None, :]))
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
+    return _per_query_topk(vecs, k, score)
 
 
 def _lsh_planes(n_planes: int, dim: int) -> np.ndarray:
@@ -434,58 +351,25 @@ def knn_lsh(
 
     Output: (query_id, neighbor_id, rank), rank 1-based by
     (sim desc, neighbor_id asc)."""
-    qids, Q = load_queries(vecs, n_queries)
-
-    def raw_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.asarray(batch.column("vec_id").to_pylist(),
-                         dtype=np.int64)
-        X = np.asarray(batch.column("embedding").to_pylist(),
-                       dtype=np.float64)
-        return ids, X
-
-    dim = Q.shape[1]
-    planes = _lsh_planes(n_planes, dim)
-    # query codes from RAW (unnormalized) vectors — recompute via the
-    # distributed filter load (load_queries normalizes)
-    import pyarrow.compute as pc
-    qraw_rows = vecs.map_batches(
-        lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-        batch_format="pyarrow").take_all()  # O(n_queries)
-    qraw_rows.sort(key=lambda r: r["vec_id"])
-    Qraw = np.asarray([r["embedding"] for r in qraw_rows],
-                      dtype=np.float64)
+    qids, Qraw, _ = _query_table(vecs, n_queries)
+    Q = Qraw / np.linalg.norm(Qraw, axis=1, keepdims=True)
+    planes = _lsh_planes(n_planes, Q.shape[1])
+    # query codes from RAW (unnormalized) vectors
     qcodes = _lsh_codes(Qraw, planes)
     pop = np.array([bin(i).count("1") for i in range(1 << n_planes)],
                    dtype=np.int64)
     qref = ray.put((qids, Q, qcodes, planes, pop))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids_, Q_, qcodes_, planes_, pop_ = ray.get(qref)
-        ids, Xr = raw_matrix(batch)
+        ids, Xr = _batch_matrix_raw(batch)
         codes = _lsh_codes(Xr, planes_)
         X = Xr / np.linalg.norm(Xr, axis=1, keepdims=True)
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            m = (pop_[np.bitwise_xor(codes, qcodes_[j])]
-                 <= max_hamming) & (ids != qids_[j])
-            if not m.any():
-                continue
-            s = X[m] @ Q_[j]
-            cand_ids = ids[m]
-            if len(cand_ids) > k:
-                order = np.lexsort((cand_ids, -s))[:k]  # tie-exact cut
-                cand_ids, s = cand_ids[order], s[order]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        near = pop_[np.bitwise_xor(codes[:, None], qcodes_[None, :])]
+        return (qids_, ids, X @ Q_.T,
+                (near <= max_hamming) & (ids[:, None] != qids_[None, :]))
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
+    return _per_query_topk(vecs, k, score)
 
 
 def knn_graph(
@@ -544,26 +428,13 @@ def knn_graph(
                              pa.list_(pa.float64())),
         })
 
-    def _local_topk(src_ids, dst_ids, dots):
-        """Per-src (dot desc, dst asc) top-k over a dense (S, D) dot
-        matrix; excludes nothing (caller masks self-pairs)."""
-        out_s, out_d, out_q = [], [], []
-        for si in range(len(src_ids)):
-            row = dots[si]
-            cand = dst_ids
-            mask = cand != src_ids[si]
-            row, cand = row[mask], cand[mask]
-            if len(cand) > k:
-                order = np.lexsort((cand, -row))[:k]
-                row, cand = row[order], cand[order]
-            out_s.extend([src_ids[si]] * len(cand))
-            out_d.extend(cand.tolist())
-            out_q.extend(row.astype(np.int64).tolist())
-        return out_s, out_d, out_q
+    order = [("dot_q", "descending"), ("dst_id", "ascending")]
 
     def bucket_dots(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
-        out_s, out_d, out_q = [], [], []
+        out = [pa.table({"src_id": pa.array([], pa.int64()),
+                         "dst_id": pa.array([], pa.int64()),
+                         "dot_q": pa.array([], pa.int64())})]
         for bk in pd.unique(df["bucket"]):
             g = df[df["bucket"] == bk]
             lo, hi = divmod(int(bk), n_chunks)
@@ -573,65 +444,31 @@ def knn_graph(
             # empty in off-diagonal buckets — np.stack would raise)
             if not len(gi) or not len(gj):
                 continue
-            Xi = np.stack(gi["qvec"].to_numpy())
             ids_i = gi["vec_id"].to_numpy()
-            if lo == hi:
-                dots = Xi @ Xi.T
-                s, d, q = _local_topk(ids_i, ids_i, dots)
-                out_s += s; out_d += d; out_q += q
-            else:
-                Xj = np.stack(gj["qvec"].to_numpy())
-                ids_j = gj["vec_id"].to_numpy()
-                dots = Xi @ Xj.T
-                s, d, q = _local_topk(ids_i, ids_j, dots)
-                out_s += s; out_d += d; out_q += q
-                s, d, q = _local_topk(ids_j, ids_i, dots.T)
-                out_s += s; out_d += d; out_q += q
-        return pa.table({
-            "src_id": pa.array(out_s, pa.int64()),
-            "dst_id": pa.array(out_d, pa.int64()),
-            "dot_q": pa.array(out_q, pa.int64()),
-        })
+            ids_j = gj["vec_id"].to_numpy()
+            dots = (np.stack(gi["qvec"].to_numpy())
+                    @ np.stack(gj["qvec"].to_numpy()).T)
+            r, c = np.nonzero(ids_i[:, None] != ids_j[None, :])
+            src, dst = [ids_i[r]], [ids_j[c]]
+            if lo != hi:  # both directions of an off-diagonal pair
+                src, dst = [ids_i[r], ids_j[c]], [ids_j[c], ids_i[r]]
+            # each src's LOCAL top-k over the partner chunk
+            out.append(grouped_topk(pa.table({
+                "src_id": pa.array(np.concatenate(src), pa.int64()),
+                "dst_id": pa.array(np.concatenate(dst), pa.int64()),
+                "dot_q": pa.array(np.tile(dots[r, c].astype(np.int64),
+                                          len(src)), pa.int64()),
+            }), ["src_id"], order, k))
+        return pa.concat_tables(out)
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "src_id": pa.array([], pa.int64()),
-                "dst_id": pa.array([], pa.int64()),
-                "rk": pa.array([], pa.int64()),
-                "dot_q": pa.array([], pa.int64()),
-            })
-        order = np.lexsort((df["dst_id"].to_numpy(),
-                            -df["dot_q"].to_numpy(),
-                            df["src_id"].to_numpy()))
-        df = df.iloc[order]
-        s = df["src_id"].to_numpy()
-        new_s = np.empty(len(s), dtype=bool)
-        new_s[0] = True
-        new_s[1:] = s[1:] != s[:-1]
-        grp_start = np.maximum.accumulate(
-            np.where(new_s, np.arange(len(s)), 0))
-        rank = np.arange(len(s)) - grp_start
-        keep = rank < k
-        out = df[keep]
-        return pa.table({
-            "src_id": pa.array(out["src_id"].to_numpy(), pa.int64()),
-            "dst_id": pa.array(out["dst_id"].to_numpy(), pa.int64()),
-            "rk": pa.array((rank[keep] + 1).astype(np.int64),
-                           pa.int64()),
-            "dot_q": pa.array(out["dot_q"].to_numpy(), pa.int64()),
-        })
-
-    return (
+    return topk_complete(
         vecs.map_batches(replicate, batch_format="pyarrow",
                          batch_size=1 << 16)
         .sort("bucket")
         .map_batches(bucket_dots, batch_format="pyarrow",
-                     batch_size=None)
-        .sort("src_id")
-        .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-    )
+                     batch_size=None),
+        ["src_id"], order, k, rank="rk",
+    ).select_columns(["src_id", "dst_id", "rk", "dot_q"])
 
 
 def mips_topk(
@@ -648,45 +485,15 @@ def mips_topk(
     output (the ann_topk float rule); ties (dot DESC, neighbor ASC).
 
     Output: (query_id, neighbor_id, rank)."""
-    import pyarrow.compute as pc
-
-    small = vecs.map_batches(
-        lambda b: b.filter(pc.less(b.column("vec_id"), n_queries)),
-        batch_format="pyarrow",
-    )
-    rows = small.take_all()  # O(n_queries) rows only
-    qids = np.asarray([r["vec_id"] for r in rows], dtype=np.int64)
-    Q = np.asarray([r["embedding"] for r in rows], dtype=np.float64)
-    order = np.argsort(qids)
-    qids, Q = qids[order], Q[order]  # RAW vectors — no normalization
+    qids, Q, _ = _query_table(vecs, n_queries)  # RAW: no normalization
     qref = ray.put((qids, Q))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         qids_, Q_ = ray.get(qref)
-        ids = np.asarray(batch.column("vec_id").to_pylist(),
-                         dtype=np.int64)
-        X = np.asarray(batch.column("embedding").to_pylist(),
-                       dtype=np.float64)  # raw
-        dots = X @ Q_.T
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            s = dots[:, j]
-            mask = ids != qids_[j]
-            cand_ids, cand_s = ids[mask], s[mask]
-            if len(cand_ids) > k:
-                o = np.lexsort((cand_ids, -cand_s))[:k]
-                cand_ids, cand_s = cand_ids[o], cand_s[o]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(cand_s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        ids, X = _batch_matrix_raw(batch)
+        return qids_, ids, X @ Q_.T, ids[:, None] != qids_[None, :]
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
+    return _per_query_topk(vecs, k, score)
 
 
 def pq_topk(
@@ -823,7 +630,7 @@ def pq_topk(
     # --- encode + ADC score + batch-local top-k ---
     cref = ray.put((C, qids, np.floor(Q * SCALE)))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table):
         C_, qids_, Q_ = ray.get(cref)
         ids, X = _batch_matrix(batch)
         X = np.floor(X * SCALE)
@@ -833,25 +640,9 @@ def pq_topk(
         for s in range(m):
             lut = sub_view(Q_, s) @ C_[s].T          # (nq, k_sub)
             scores += lut[:, codes[:, s]].T           # (B, nq)
-        out_q, out_n, out_s = [], [], []
-        for j in range(len(qids_)):
-            sc = scores[:, j]
-            msk = ids != qids_[j]
-            cand_ids, cand_s = ids[msk], sc[msk]
-            if len(cand_ids) > k:
-                order = np.lexsort((cand_ids, -cand_s))[:k]
-                cand_ids, cand_s = cand_ids[order], cand_s[order]
-            out_q.extend([qids_[j]] * len(cand_ids))
-            out_n.extend(cand_ids.tolist())
-            out_s.extend(cand_s.tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        return qids_, ids, scores, ids[:, None] != qids_[None, :]
 
-    partials = vecs.map_batches(partial_topk, batch_format="pyarrow")
-    return _merge_topk(partials, k)
+    return _per_query_topk(vecs, k, score)
 
 
 def topk_recall(exact: rd.Dataset, approx: rd.Dataset,
@@ -972,6 +763,8 @@ def mmr_topk(
     q = _quantize_rows(np.asarray([qrows[0]["embedding"]]))[0]
     qref = ray.put(q)
 
+    order = [("s", "descending"), ("vec_id", "ascending")]
+
     def partial(batch: pa.Table) -> pa.Table:
         q_ = ray.get(qref)
         ids = np.asarray(batch.column("vec_id").to_pylist(),
@@ -980,23 +773,20 @@ def mmr_topk(
                                       .to_pylist(), dtype=np.float64))
         mask = ids != query_id
         ids, X = ids[mask], X[mask]
-        s = X @ q_  # exact int64
-        if len(ids) > n_candidates:
-            o = np.lexsort((ids, -s))[:n_candidates]
-            ids, X, s = ids[o], X[o], s[o]
-        return pa.table({
+        n, dim = X.shape
+        return grouped_topk(pa.table({
             "vec_id": pa.array(ids, pa.int64()),
-            "s": pa.array(s, pa.int64()),
-            "emb": pa.array([r.tolist() for r in X],
-                            pa.list_(pa.int64())),
-        })
+            "s": pa.array(X @ q_, pa.int64()),  # exact int64
+            "emb": pa.ListArray.from_arrays(  # row i is X[i], no loop
+                pa.array(np.arange(0, n * dim + 1, dim), pa.int32()),
+                pa.array(X.ravel(), pa.int64())),
+        }), [], order, n_candidates)
 
-    rows = vecs.map_batches(partial, batch_format="pyarrow").take_all()
-    ids = np.asarray([r["vec_id"] for r in rows], dtype=np.int64)
-    s = np.asarray([r["s"] for r in rows], dtype=np.int64)
-    X = np.asarray([r["emb"] for r in rows], dtype=np.int64)
-    o = np.lexsort((ids, -s))[:n_candidates]
-    ids, s, X = ids[o], s[o], X[o]
+    cand = topk_complete(vecs.map_batches(partial, batch_format="pyarrow"),
+                         [], order, n_candidates)
+    ids = cand.column("vec_id").to_numpy(zero_copy_only=False)
+    s = cand.column("s").to_numpy(zero_copy_only=False)
+    X = np.asarray(cand.column("emb").to_pylist(), dtype=np.int64)
 
     G = X @ X.T  # candidate-candidate integer sims (bounded grid)
     sel: list[int] = []
@@ -1101,8 +891,8 @@ def embedding_outliers(vecs: rd.Dataset, *, k: int = 20,
 
     Shape: pass 1 folds (n, S) on the driver (O(blocks x dim) rows);
     pass 2 streams blocked score computation keeping each block's
-    local top-k by (score DESC, vec_id ASC); the driver merges
-    O(blocks x k).  Zero wide ops.
+    local top-k by (score DESC, vec_id ASC); the driver folds them
+    with a running top-k (O(k) state).  Zero wide ops.
 
     Output pa.Table (vec_id, score, rank), rank 1-based."""
     import ray
@@ -1150,33 +940,21 @@ def embedding_outliers(vecs: rd.Dataset, *, k: int = 20,
             "lower q_bits")
     Sv = np.asarray([S[d] for d in sorted(S)], np.int64)
     ref = ray.put((n, Sv))
+    order = [("score", "descending"), ("vec_id", "ascending")]
 
-    def local_topk(batch: pa.Table) -> pa.Table:
+    def scores(batch: pa.Table) -> pa.Table:
         n_, S_ = ray.get(ref)
         ids, X = _batch_matrix_raw(batch)
-        if not len(ids):
-            z = pa.array([], pa.int64())
-            return pa.table({"vec_id": z, "score": z})
-        Xq = np.floor(X * scale).astype(np.int64)
+        # an empty batch reads as shape (0,): give it its (0, dim)
+        Xq = np.floor(X.reshape(len(ids), len(S_)) * scale).astype(np.int64)
         diff = n_ * Xq - S_[None, :]
-        score = (diff * diff).sum(axis=1)
-        order = np.lexsort((ids, -score))[:k]
-        return pa.table({
-            "vec_id": pa.array(ids[order], pa.int64()),
-            "score": pa.array(score[order], pa.int64()),
-        })
+        return grouped_topk(pa.table({
+            "vec_id": pa.array(ids, pa.int64()),
+            "score": pa.array((diff * diff).sum(axis=1), pa.int64()),
+        }), [], order, k)
 
-    rows = vecs.map_batches(local_topk,
-                            batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: (-int(r["score"]), int(r["vec_id"])))
-    rows = rows[:k]
-    return pa.table({
-        "vec_id": pa.array([int(r["vec_id"]) for r in rows],
-                           pa.int64()),
-        "score": pa.array([int(r["score"]) for r in rows],
-                          pa.int64()),
-        "rank": pa.array(list(range(1, len(rows) + 1)), pa.int64()),
-    })
+    return topk_complete(vecs.map_batches(scores, batch_format="pyarrow"),
+                         [], order, k, rank="rank")
 
 
 def embedding_coverage(docs: rd.Dataset,

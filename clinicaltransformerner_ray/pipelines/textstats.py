@@ -32,7 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import (
+    from_pandas_clean, grouped_agg, grouped_topk, topk_complete)
 
 import ray.data as rd
 
@@ -522,28 +523,17 @@ def top_tokens(docs: rd.Dataset, *, k: int = 100) -> rd.Dataset:
     """Exact top-``k`` most frequent tokens (heavy hitters without the
     sketch): :func:`token_vocab`, a per-block LOCAL top-k (each block
     holds distinct tokens after the vocab sort, so its top-k is a
-    valid partial — the final exchange moves at most k rows per
-    block), then one global sort + limit.
+    valid partial — at most k rows per block reach the driver), then a
+    running driver fold (``topk_complete``) — no second sort.
 
     Ordering/tie rule: (n DESC, token ASC) on both engines, so the
     boundary cut is deterministic.  Output: (token, n)."""
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["n", "token"], ascending=[False, True])
-              .head(k))
-        return pa.table({
-            "token": pa.array(df["token"].tolist(), pa.string()),
-            "n": pa.array(np.asarray(df["n"], np.int64), pa.int64()),
-        })
-
-    return (
-        token_vocab(docs)
-        .map_batches(local_topk, batch_format="pyarrow",
-                     batch_size=None)
-        .sort(["n", "token"], descending=[True, False])
-        .limit(k)
-    )
+    order = [("n", "descending"), ("token", "ascending")]
+    vocab = token_vocab(docs).map_batches(
+        grouped_topk, fn_args=([], order, k), batch_format="pyarrow",
+        batch_size=None)
+    return rd.from_arrow(topk_complete(vocab, [], order, k))
 
 
 def token_count_ranks(docs: rd.Dataset) -> rd.Dataset:
@@ -971,9 +961,9 @@ def tfidf_topk(docs: rd.Dataset, n_docs: int, *, k: int = 5) -> rd.Dataset:
     sort on token makes each block see every row of its tokens — df is
     a block-local run count and the idf annotate is free; a block-local
     partial top-k per doc shrinks the second shuffle (global top-k is
-    contained in the union of per-block top-ks), and ONE sort on
-    doc_id + per-block ranking completes.  ``n_docs`` comes from
-    parquet metadata — no counting pass."""
+    contained in the union of per-block top-ks), and ``topk_complete``
+    (ONE sort on doc_id + per-block ranking) completes.  ``n_docs``
+    comes from parquet metadata — no counting pass."""
     import pyarrow.compute as pc
 
     lift = 10_000
@@ -997,64 +987,30 @@ def tfidf_topk(docs: rd.Dataset, n_docs: int, *, k: int = 5) -> rd.Dataset:
                            pa.int64()),
         })
 
-    def annotate_df_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "token": pa.array([], pa.string()),
-                "tf": pa.array([], pa.int64()),
-                "df": pa.array([], pa.int64()),
-                "score": pa.array([], pa.int64()),
-            })
-        cnt = df.groupby("token", sort=False)["token"].transform("size")
-        df["df"] = cnt.to_numpy(dtype=np.int64)
-        df["score"] = (df["tf"].to_numpy(dtype=np.int64)
-                       * ((n_docs * lift)
-                          // df["df"].to_numpy(dtype=np.int64)))
+    order = [("score", "descending"), ("token", "ascending")]
+
+    def score_tokens(batch: pa.Table) -> pa.Table:
+        # df is the token's run count in this block (tokens land whole)
+        tok = batch.column("token")
+        vc = pc.value_counts(tok)
+        dfc = pc.take(vc.field("counts"),
+                      pc.index_in(tok, value_set=vc.field("values")))
+        dfc = dfc.to_numpy(zero_copy_only=False).astype(np.int64)
+        tf = batch.column("tf").to_numpy(zero_copy_only=False)
         # partial top-k per doc inside this block (shrinks the shuffle)
-        df = (df.sort_values(["doc_id", "score", "token"],
-                             ascending=[True, False, True])
-              .groupby("doc_id", sort=False).head(k))
-        return from_pandas_clean(df, preserve_index=False)
+        return grouped_topk(
+            batch.append_column("df", pa.array(dfc, pa.int64()))
+            .append_column("score", pa.array(
+                tf * ((n_docs * lift) // dfc), pa.int64())),
+            ["doc_id"], order, k)
 
-    def rank_complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "doc_id": pa.array([], pa.int64()),
-                "token": pa.array([], pa.string()),
-                "tf": pa.array([], pa.int64()),
-                "df": pa.array([], pa.int64()),
-                "score": pa.array([], pa.int64()),
-                "rk": pa.array([], pa.int64()),
-            })
-        df = df.sort_values(["doc_id", "score", "token"],
-                            ascending=[True, False, True])
-        df["rk"] = df.groupby("doc_id", sort=False).cumcount() + 1
-        df = df[df["rk"] <= k]
-        return pa.table({
-            "doc_id": pa.array(df["doc_id"].to_numpy(dtype=np.int64),
-                               pa.int64()),
-            "token": pa.array(df["token"].tolist(), pa.string()),
-            "tf": pa.array(df["tf"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-            "df": pa.array(df["df"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-            "score": pa.array(df["score"].to_numpy(dtype=np.int64),
-                              pa.int64()),
-            "rk": pa.array(df["rk"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-        })
-
-    return (docs.map_batches(explode_tf, batch_format="pyarrow",
-                             batch_size=1 << 14)
-            .sort("token")
-            .map_batches(annotate_df_topk, batch_format="pyarrow",
-                         batch_size=None)
-            .sort("doc_id")
-            .map_batches(rank_complete, batch_format="pyarrow",
-                         batch_size=None))
+    return topk_complete(
+        docs.map_batches(explode_tf, batch_format="pyarrow",
+                         batch_size=1 << 14)
+        .sort("token")
+        .map_batches(score_tokens, batch_format="pyarrow",
+                     batch_size=None),
+        ["doc_id"], order, k, rank="rk")
 
 
 def weighted_sample(docs: rd.Dataset, *, k: int = 50) -> pa.Table:
@@ -1068,13 +1024,15 @@ def weighted_sample(docs: rd.Dataset, *, k: int = 50) -> pa.Table:
 
     Scale shape: bottom-k partials are mergeable (global bottom-k is
     inside the union of per-block bottom-ks), so each block ships <= k
-    rows and the driver folds O(k x blocks).  Tie rule: (priority,
-    doc_id).
+    rows and the driver folds them with a running top-k (O(k) state).
+    Tie rule: (priority, doc_id).
 
     Output: (rk, doc_id, n_tokens) sorted by rank."""
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
 
-    def bottom_k(batch: pa.Table) -> pa.Table:
+    order = [("prio", "ascending"), ("doc_id", "ascending")]
+
+    def priorities(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         toks = pc.split_pattern(
@@ -1083,22 +1041,16 @@ def weighted_sample(docs: rd.Dataset, *, k: int = 50) -> pa.Table:
         did = batch.column("doc_id").to_numpy(zero_copy_only=False)
         h = _hash64([str(int(d)) for d in did])
         prio = h // w  # uint64 floor division, exact on both engines
-        order = np.lexsort((did, prio))[:k]
-        return pa.table({
-            "doc_id": pa.array(did[order].astype(np.int64), pa.int64()),
-            "n_tokens": pa.array(w[order].astype(np.int64), pa.int64()),
-            "prio": pa.array(prio[order], pa.uint64()),
-        })
+        return grouped_topk(pa.table({
+            "doc_id": pa.array(did.astype(np.int64), pa.int64()),
+            "n_tokens": pa.array(w.astype(np.int64), pa.int64()),
+            "prio": pa.array(prio, pa.uint64()),
+        }), [], order, k)
 
-    rows = (docs.map_batches(bottom_k, batch_format="pyarrow",
-                             batch_size=1 << 19).take_all())
-    rows.sort(key=lambda r: (r["prio"], r["doc_id"]))
-    rows = rows[:k]
-    return pa.table({
-        "rk": pa.array(range(1, len(rows) + 1), pa.int64()),
-        "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
-        "n_tokens": pa.array([r["n_tokens"] for r in rows], pa.int64()),
-    })
+    return topk_complete(
+        docs.map_batches(priorities, batch_format="pyarrow",
+                         batch_size=1 << 19),
+        [], order, k, rank="rk").select(["rk", "doc_id", "n_tokens"])
 
 
 def shard_plan(docs: rd.Dataset, *, n_shards: int = 16) -> rd.Dataset:
@@ -1700,36 +1652,20 @@ def dsir_select(
     Exact deterministic order: (score DESC, doc_id ASC), 1-based rank.
 
     Shape: the scored stream is consumed with ``iter_batches`` while
-    the driver maintains a RUNNING top-m (lexsort of at most
-    ``m + batch`` rows per step) — O(m) driver state, no sort, no
-    shuffle, nothing corpus-sized materializes.  At fleet scale the
-    same fold runs as a tree (per-block partial top-m -> combine);
-    the running fold is the single-driver degenerate tree.
+    the driver maintains a RUNNING top-m (``topk_complete``: one
+    ``grouped_topk`` over at most ``m + batch`` rows per step) — O(m)
+    driver state, no sort, no shuffle, nothing corpus-sized
+    materializes.  At fleet scale the same fold runs as a tree
+    (per-block partial top-m -> combine); the running fold is the
+    single-driver degenerate tree.
 
     Output: (doc_id, n_toks, score, rank) for the selected m,
     rank-ascending."""
     scored = dsir_importance(docs, target_source=target_source,
                              n_buckets=n_buckets)
-    top_ids = np.empty(0, np.int64)
-    top_tok = np.empty(0, np.int64)
-    top_sc = np.empty(0, np.int64)
-    for blk in scored.iter_batches(batch_format="pyarrow",
-                                   batch_size=None):
-        ids = np.concatenate([top_ids, blk.column("doc_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)])
-        tok = np.concatenate([top_tok, blk.column("n_toks").to_numpy(
-            zero_copy_only=False).astype(np.int64)])
-        sc = np.concatenate([top_sc, blk.column("score").to_numpy(
-            zero_copy_only=False).astype(np.int64)])
-        order = np.lexsort((ids, -sc))[:m]
-        top_ids, top_tok, top_sc = ids[order], tok[order], sc[order]
-    return rd.from_arrow(pa.table({
-        "doc_id": pa.array(top_ids, pa.int64()),
-        "n_toks": pa.array(top_tok, pa.int64()),
-        "score": pa.array(top_sc, pa.int64()),
-        "rank": pa.array(np.arange(1, len(top_ids) + 1, dtype=np.int64),
-                         pa.int64()),
-    }))
+    return rd.from_arrow(topk_complete(
+        scored, [], [("score", "descending"), ("doc_id", "ascending")], m,
+        rank="rank"))
 
 
 def lm_quality(
@@ -2259,19 +2195,15 @@ def bpe_train(
     """
     import pyarrow.compute as pc
 
+    order = [("n", "descending"), ("word", "ascending")]
+
     def count_words(batch: pa.Table) -> pa.Table:
         if "word" in batch.column_names:       # post-sort completion
-            df = batch.to_pandas()
-            g = (df.groupby("word", sort=False)["n"].sum()
-                 .reset_index()
-                 .sort_values(["n", "word"], ascending=[False, True])
-                 .head(max_types))             # exact local partial:
-            # each word is whole per block after the sort, so the
-            # union of block top-Ms contains the global top-M
-            return pa.table({
-                "word": pa.array(g["word"].tolist(), pa.string()),
-                "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-            })
+            # exact local partial: each word is whole per block after
+            # the sort, so the union of block top-Ms holds the global
+            return grouped_topk(
+                grouped_agg(batch, ["word"], [("n", "sum")]),
+                [], order, max_types)
         toks = pc.list_flatten(pc.split_pattern(
             pc.fill_null(batch.column("text"), ""), " "))
         vc = pc.value_counts(toks)
@@ -2283,14 +2215,15 @@ def bpe_train(
             "n": pc.cast(pc.filter(counts, keep), pa.int64()),
         })
 
-    cand = (docs.map_batches(count_words, batch_format="pyarrow",
-                             batch_size=1 << 17)
-            .sort("word")
-            .map_batches(count_words, batch_format="pyarrow",
-                         batch_size=None)
-            .take_all())                        # <= max_types x blocks
-    cand.sort(key=lambda r: (-r["n"], r["word"]))
-    types = [(r["word"], int(r["n"])) for r in cand[:max_types]]
+    cand = topk_complete(
+        docs.map_batches(count_words, batch_format="pyarrow",
+                         batch_size=1 << 17)
+        .sort("word")
+        .map_batches(count_words, batch_format="pyarrow",
+                     batch_size=None),
+        [], order, max_types)
+    types = list(zip(cand.column("word").to_pylist(),
+                     cand.column("n").to_pylist()))
 
     seqs = {w: " ".join(w) for w, _ in types}
     rounds, lefts, rights, mergeds, pcs = [], [], [], [], []

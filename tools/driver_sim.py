@@ -2,6 +2,11 @@
 
 Mirrors the driver compare: sort columns by name, sort rows, hash values.
 Usage: python tools/driver_sim.py [sf_dir] [query ...]
+
+The last stdout line is one JSON object: the PASS/ROWS_ONLY/BAD counts
+and ``results``, each query's status, rows, seconds and the md5 of its
+canonical (column- and row-sorted) output, so a diff of two runs' last
+lines shows what a change moved.
 """
 import hashlib
 import json
@@ -44,6 +49,15 @@ def vhash(df: pd.DataFrame) -> str:
         df.to_csv(index=False, float_format="%.9g").encode()).hexdigest()
 
 
+def safe_hash(df) -> str | None:
+    """Canonical hash of an unchecked output, or None when its columns
+    do not sort (lists, dicts)."""
+    try:
+        return vhash(canon(df))
+    except (TypeError, ValueError, AttributeError):
+        return None
+
+
 results = {}
 n_pass = n_rows_only = n_bad = 0
 for name, fn in qs.items():
@@ -56,7 +70,7 @@ for name, fn in qs.items():
         dt = time.time() - t0
         if name not in sqls:
             results[name] = {"status": "ROWS_ONLY", "rows": len(rdf),
-                             "sec": round(dt, 1)}
+                             "sec": round(dt, 1), "hash": safe_hash(rdf)}
             n_rows_only += 1
             print(f"{name}: ROWS_ONLY rows={len(rdf)} {dt:.1f}s", flush=True)
             continue
@@ -74,14 +88,16 @@ for name, fn in qs.items():
         else:
             n_bad += 1
         results[name] = {"status": status, "rows": len(a),
-                         "oracle_rows": len(b), "sec": round(dt, 1)}
+                         "oracle_rows": len(b), "sec": round(dt, 1),
+                         "hash": vhash(a)}
         print(f"{name}: {status} rows={len(a)}/{len(b)} {dt:.1f}s",
               flush=True)
     except Exception as exc:
         n_bad += 1
-        results[name] = {"status": "ERROR", "error": repr(exc)[:200]}
+        results[name] = {"status": "ERROR", "error": repr(exc)[:200],
+                         "sec": round(time.time() - t0, 1)}
         print(f"{name}: ERROR {exc!r}", flush=True)
 
 print(json.dumps({"pass": n_pass, "rows_only": n_rows_only, "bad": n_bad,
-                  "total": len(results)}))
+                  "total": len(results), "results": results}))
 ray.shutdown()
