@@ -23,16 +23,26 @@ the engine is one call to it: a scoring UDF cuts its own block with it
 before the exchange, and :func:`topk_complete` finishes the job, per
 sorted block when there are keys and as a running driver fold when
 there are none.
+
+:func:`driver_table` is the bounded fold-or-exchange selector: it hands
+an already-materialized Dataset at or below a byte cap to the driver as
+one table, so a wide operator can run its kernels once over every row
+instead of combine, Sort and complete.  Its choice is logged through
+the engine's one logger, ``logging.getLogger("ray_kg")``.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+#: the engine's one logger: path choices and their reasons
+LOG = logging.getLogger("ray_kg")
 
 
 def from_pandas_clean(df: "pd.DataFrame", **kwargs) -> pa.Table:
@@ -153,6 +163,40 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
                              "no schema to build an empty result from")
         acc = schema.base_schema.empty_table()
     return grouped_topk(acc, [], order, k, rank=rank)
+
+
+def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
+    """Every row of ``ds`` as one driver-side table, or None.
+
+    The rows come back only when ``ds`` is a ``MaterializedDataset`` of
+    at most ``max_bytes`` (``size_bytes()``, Ray's block-metadata sum,
+    so choosing runs nothing) holding at least one row; the caller then
+    folds them with its own kernels and skips the exchange.  A lazy
+    input, one above the cap, or one with no rows gives None and the
+    caller runs its exchange path, so nothing is executed just to
+    choose, and an empty input gets the exchange path's own result.
+    Blocks are fetched with ``ray.get(ds.to_arrow_refs())`` and joined
+    with ``concat_tables(promote_options="default")``.
+
+    Null-key rule: the table holds every row, null keys included, and
+    the fold sees exactly the rows its exchange path would; the kernels
+    decide.  ``grouped_agg`` and ``grouped_topk`` drop a row with a null
+    key, pandas ``drop_duplicates`` keeps it.
+
+    Logs one line per call through ``LOG``: ``op``, the path (``fold``
+    or ``exchange``), the size estimate and the cap."""
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    size = ds.size_bytes() if isinstance(ds, MaterializedDataset) else None
+    fold = size is not None and size <= max_bytes and ds.count() > 0
+    LOG.info("%s: %s (size_bytes=%s, cap=%d)", op or "driver_table",
+             "fold" if fold else "exchange",
+             "lazy" if size is None else size, max_bytes)
+    if not fold:
+        return None
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()),
+                            promote_options="default")
 
 
 def coalesced_sort(ds, key, *, descending=False,

@@ -5,7 +5,10 @@
           ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
     linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
 
-Shuffle inventory (SURVEY.md §7.4) — every wide op is the same shape:
+A materialized linked table of at most ``FOLD_MAX_BYTES`` folds on the
+driver (``arrowutil.driver_table``): the same kernels, once, no Sort.
+Above the cap, or for a lazy input, the shuffle inventory (SURVEY.md
+§7.4) holds — every wide op is the same shape:
 batch-local COMBINE (shrinks what moves), one SORT on a high-cardinality
 key (Ray's range partitioner keeps equal keys whole in one block), then
 a per-block pass that completes the aggregation.  For the triple dedup
@@ -47,7 +50,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    from_pandas_clean, grouped_agg)
+    driver_table, from_pandas_clean, grouped_agg)
 
 import ray.data as rd
 
@@ -147,6 +150,15 @@ def link_mentions(
                      batch_size=batch_size)
 
 
+#: fold-or-exchange cap: a materialized input of at most this many bytes
+#: folds on the driver, with no Sort.  Fold vs Sort path, emit_triples +
+#: canonical_entities, 4 CPUs: 0.03-0.05 vs 0.17-0.18 s at 0.8-1.2 MB
+#: linked (kgbench shapes, sf0.01), 0.09 vs 0.27 s at 8 MB (sf0.1), 0.23
+#: vs 0.52 s at 25 MB, 0.75 vs 1.63 s at 82 MB (sf1; driver RSS +415 MB).
+#: No crossover on 4 CPUs; with 8x the CPUs the Sort path's 19 ms/MB
+#: would meet the fold's 9 ms/MB near 25-30 MB, hence 32 MiB.
+FOLD_MAX_BYTES = 32 << 20
+
 #: combiner coalescing width: map_batches with a large batch_size merges
 #: many upstream blocks per combine call, shrinking what the sort moves
 COMBINE_BATCH = 1 << 19
@@ -190,49 +202,61 @@ def _with_ones(batch: pa.Table, cols: list[str], name: str) -> pa.Table:
         name, pa.array(np.ones(batch.num_rows, np.int64)))
 
 
+def _entity_finalize(g: pa.Table) -> pa.Table:
+    """Entity rows from complete (entity_id, type, surface_norm, pn)
+    counts: sum each (entity_id, type), count its surfaces, and pick the
+    entity's canonical surface, the first of its rows by count
+    descending, then surface ascending."""
+    tot = grouped_agg(g, ["entity_id", "type"],
+                      [("pn", "sum"), ("surface_norm", "count")])
+    top = g.sort_by([("entity_id", "ascending"), ("pn", "descending"),
+                     ("surface_norm", "ascending")]
+                    ).group_by("entity_id", use_threads=False
+                               ).aggregate([("surface_norm", "first")])
+    canon = top.column("surface_norm_first").take(pc.index_in(
+        tot.column("entity_id"),
+        value_set=top.column("entity_id").combine_chunks()))
+    return pa.table({
+        "entity_id": tot.column("entity_id"),
+        "type": tot.column("type"),
+        "canonical_surface": canon,
+        "n_mentions": tot.column("pn"),
+        "n_surfaces": tot.column("surface_norm"),
+    })
+
+
 def canonical_entities(linked: rd.Dataset) -> rd.Dataset:
     """Canonicalization: (entity_id, type, surface_norm) mention counts
     through the grouped-aggregation shape, sorted on entity_id alone so
-    an entity's surfaces complete in one block; the per-block finalize
-    sums each (entity_id, type) and picks the entity's canonical
-    surface, the first of its (entity_id, type, surface) rows by count
-    descending, then surface ascending.  An entity seen with two types
-    gives one row per type, each carrying that one canonical surface."""
-
-    def finalize(g: pa.Table) -> pa.Table:
-        tot = grouped_agg(g, ["entity_id", "type"],
-                          [("pn", "sum"), ("surface_norm", "count")])
-        top = g.sort_by([("entity_id", "ascending"), ("pn", "descending"),
-                         ("surface_norm", "ascending")]
-                        ).group_by("entity_id", use_threads=False
-                                   ).aggregate([("surface_norm", "first")])
-        canon = top.column("surface_norm_first").take(pc.index_in(
-            tot.column("entity_id"),
-            value_set=top.column("entity_id").combine_chunks()))
-        return pa.table({
-            "entity_id": tot.column("entity_id"),
-            "type": tot.column("type"),
-            "canonical_surface": canon,
-            "n_mentions": tot.column("pn"),
-            "n_surfaces": tot.column("surface_norm"),
-        })
-
+    an entity's surfaces complete in one block, then
+    :func:`_entity_finalize` per block.  An entity seen with two types
+    gives one row per type, each carrying that one canonical surface.
+    Under ``FOLD_MAX_BYTES`` both kernels run once, on the driver."""
+    keys, aggs = ["entity_id", "type", "surface_norm"], [("pn", "sum")]
+    tbl = driver_table(linked, FOLD_MAX_BYTES, op="canonical_entities")
+    if tbl is not None:
+        return rd.from_arrow(_entity_finalize(
+            grouped_agg(_with_ones(tbl, keys, "pn"), keys, aggs)))
     return _combine_sort_combine(
-        linked.map_batches(
-            _with_ones, fn_args=(["entity_id", "type", "surface_norm"], "pn"),
-            batch_format="pyarrow"),
-        ["entity_id", "type", "surface_norm"], [("pn", "sum")],
-        sort_keys=["entity_id"], finalize=finalize)
+        linked.map_batches(_with_ones, fn_args=(keys, "pn"),
+                           batch_format="pyarrow"),
+        keys, aggs, sort_keys=["entity_id"], finalize=_entity_finalize)
 
 
 def mention_counts(mentions: rd.Dataset) -> rd.Dataset:
     """(conv_id, turn_idx, surface_norm, type) -> n_mentions via the
-    combine/sort/combine aggregation shape."""
+    combine/sort/combine aggregation shape, or one driver-side
+    ``grouped_agg`` for a materialized input under ``FOLD_MAX_BYTES``."""
     keys = ["conv_id", "turn_idx", "surface_norm", "type"]
+    aggs = [("n_mentions", "sum")]
+    tbl = driver_table(mentions, FOLD_MAX_BYTES, op="mention_counts")
+    if tbl is not None:
+        return rd.from_arrow(
+            grouped_agg(_with_ones(tbl, keys, "n_mentions"), keys, aggs))
     return _combine_sort_combine(
         mentions.map_batches(_with_ones, fn_args=(keys, "n_mentions"),
                              batch_format="pyarrow"),
-        keys, [("n_mentions", "sum")])
+        keys, aggs)
 
 
 def _bucketed_turn_entities(
@@ -352,6 +376,75 @@ _PARTIAL_TRIPLES_EMPTY = pa.table({
 })
 
 
+def _block_pairs(batch: pa.Table) -> pa.Table:
+    """Pair emission over (conv_id, turn_idx, entity_id, ghost) rows
+    holding every turn whole plus its next turn: one bucket-sorted block
+    on the exchange path, the whole table on the fold path.  Pure
+    integer index arithmetic: conv/entity strings encode ONCE (sorted
+    uniques, so code comparisons == lexicographic string comparisons),
+    turns key as ``conv_code * 2^33 + turn_idx``, and both joins
+    (same-turn co_occurs, turn+1 follows) become searchsorted +
+    vectorized cross-product expansion.  Replaced the original
+    string-keyed pandas merges (measured 10x CPU of this path at sf10).
+    A row with a null key gives no pair (pandas would factorize the null
+    to -1, aliasing another conversation)."""
+    g = batch.drop_null().to_pandas()
+    if g.empty:
+        return _PARTIAL_TRIPLES_EMPTY
+    conv_uniq, conv_code = _sorted_factorize(g["conv_id"].to_numpy())
+    ent_uniq, ent_code = _sorted_factorize(g["entity_id"].to_numpy())
+    turn = g["turn_idx"].to_numpy().astype(np.int64)
+    ghost = g["ghost"].to_numpy()
+    key = conv_code.astype(np.int64) * (np.int64(1) << 33) + turn
+    # finish the distinct the combiner started; a ghost copy and
+    # its original can share a block, so dedup IGNORES the ghost
+    # flag, preferring the original (lexsort puts ghost=False first)
+    order = np.lexsort((ghost, ent_code, key))
+    key, ent_code, ghost = key[order], ent_code[order], ghost[order]
+    turn, conv_code = turn[order], conv_code[order]
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = (key[1:] != key[:-1]) | (ent_code[1:] != ent_code[:-1])
+    key, ent_code, ghost = key[keep], ent_code[keep], ghost[keep]
+    turn, conv_code = turn[keep], conv_code[keep]
+
+    ng = ~ghost
+    k_ng, e_ng = key[ng], ent_code[ng]
+    t_ng, c_ng = turn[ng], conv_code[ng]
+    uk, starts, counts = np.unique(
+        k_ng, return_index=True, return_counts=True)
+    # co_occurs: all (i<j) entity pairs within a turn (rows within
+    # a key group are ent-code-sorted = string-sorted)
+    I_co, J_co = _triu_pairs(starts, counts)
+    # follows: non-ghost turn t against ALL rows of turn t+1
+    ak, astarts, acounts = np.unique(
+        key, return_index=True, return_counts=True)
+    pos = np.searchsorted(ak, uk + 1)
+    safe = np.minimum(pos, len(ak) - 1)
+    valid = (pos < len(ak)) & (ak[safe] == uk + 1)
+    I_fo, J_fo = _cross_pairs(starts[valid], counts[valid],
+                              astarts[pos[valid]], acounts[pos[valid]])
+    m = e_ng[I_fo] != ent_code[J_fo]
+    I_fo, J_fo = I_fo[m], J_fo[m]
+    n_co, n = len(I_co), len(I_co) + len(I_fo)
+    if n == 0:
+        return _PARTIAL_TRIPLES_EMPTY
+    return pa.table({
+        "subj": pa.array(np.concatenate(
+            [ent_uniq[e_ng[I_co]], ent_uniq[e_ng[I_fo]]]), pa.string()),
+        "pred": pa.array([CO_OCCURS] * n_co + [FOLLOWS] * (n - n_co),
+                         pa.string()),
+        "obj": pa.array(np.concatenate(
+            [ent_uniq[e_ng[J_co]], ent_uniq[ent_code[J_fo]]]),
+            pa.string()),
+        "n_evidence": pa.array(np.ones(n, np.int64)),
+        "first_conv_id": pa.array(np.concatenate(
+            [conv_uniq[c_ng[I_co]], conv_uniq[c_ng[I_fo]]]),
+            pa.string()),
+        "first_turn_idx": pa.array(
+            np.concatenate([t_ng[I_co], t_ng[I_fo]]).astype(np.int64)),
+    })
+
+
 def emit_triples(
     linked: rd.Dataset,
     *,
@@ -378,83 +471,26 @@ def emit_triples(
     ``n_evidence`` and taking both ``first_*`` minima per (subj, pred,
     obj); the two minima may come from different rows.
 
+    A materialized input under ``FOLD_MAX_BYTES`` skips both shuffles:
+    one :func:`_block_pairs` and one ``grouped_agg`` over every row, on
+    the driver.  ``salt_span``/``n_buckets`` shape only the exchange path.
+
     Output: (subj, pred, obj, n_evidence, first_conv_id, first_turn_idx).
     """
+    keys = ["subj", "pred", "obj"]
+    aggs = [("n_evidence", "sum"), ("first_conv_id", "min"),
+            ("first_turn_idx", "min")]
+    tbl = driver_table(linked, FOLD_MAX_BYTES, op="emit_triples")
+    if tbl is not None:
+        te = tbl.select(["conv_id", "turn_idx", "entity_id"])
+        te = te.append_column("ghost", pa.array(np.zeros(len(te), bool)))
+        return rd.from_arrow(grouped_agg(_block_pairs(te), keys, aggs))
     if n_buckets is None:
         n_buckets = 65536
     te = _bucketed_turn_entities(linked, salt_span, n_buckets)
-
-    def block_pairs(batch: pa.Table) -> pa.Table:
-        """Pair emission per sorted block — pure integer index
-        arithmetic.  conv/entity strings np.unique-encode ONCE (sorted
-        uniques, so code comparisons == lexicographic string
-        comparisons), turns key as ``conv_code * 2^32 + turn_idx``, and
-        both joins (same-turn co_occurs, turn+1 follows) become
-        searchsorted + vectorized cross-product expansion.  Replaced
-        the original string-keyed pandas merges (measured 10x CPU of
-        this path at sf10)."""
-        g = batch.to_pandas()
-        if g.empty:
-            return _PARTIAL_TRIPLES_EMPTY
-        conv_uniq, conv_code = _sorted_factorize(g["conv_id"].to_numpy())
-        ent_uniq, ent_code = _sorted_factorize(g["entity_id"].to_numpy())
-        turn = g["turn_idx"].to_numpy().astype(np.int64)
-        ghost = g["ghost"].to_numpy()
-        key = conv_code.astype(np.int64) * (np.int64(1) << 33) + turn
-        # finish the distinct the combiner started; a ghost copy and
-        # its original can share a block, so dedup IGNORES the ghost
-        # flag, preferring the original (lexsort puts ghost=False first)
-        order = np.lexsort((ghost, ent_code, key))
-        key, ent_code, ghost = key[order], ent_code[order], ghost[order]
-        turn, conv_code = turn[order], conv_code[order]
-        keep = np.ones(len(key), dtype=bool)
-        keep[1:] = (key[1:] != key[:-1]) | (ent_code[1:] != ent_code[:-1])
-        key, ent_code, ghost = key[keep], ent_code[keep], ghost[keep]
-        turn, conv_code = turn[keep], conv_code[keep]
-
-        ng = ~ghost
-        k_ng, e_ng = key[ng], ent_code[ng]
-        t_ng, c_ng = turn[ng], conv_code[ng]
-        uk, starts, counts = np.unique(
-            k_ng, return_index=True, return_counts=True)
-        # co_occurs: all (i<j) entity pairs within a turn (rows within
-        # a key group are ent-code-sorted = string-sorted)
-        I_co, J_co = _triu_pairs(starts, counts)
-        # follows: non-ghost turn t against ALL rows of turn t+1
-        ak, astarts, acounts = np.unique(
-            key, return_index=True, return_counts=True)
-        pos = np.searchsorted(ak, uk + 1)
-        safe = np.minimum(pos, len(ak) - 1)
-        valid = (pos < len(ak)) & (ak[safe] == uk + 1)
-        I_fo, J_fo = _cross_pairs(starts[valid], counts[valid],
-                                  astarts[pos[valid]], acounts[pos[valid]])
-        m = e_ng[I_fo] != ent_code[J_fo]
-        I_fo, J_fo = I_fo[m], J_fo[m]
-        n_co, n = len(I_co), len(I_co) + len(I_fo)
-        if n == 0:
-            return _PARTIAL_TRIPLES_EMPTY
-        return pa.table({
-            "subj": pa.array(np.concatenate(
-                [ent_uniq[e_ng[I_co]], ent_uniq[e_ng[I_fo]]]), pa.string()),
-            "pred": pa.array([CO_OCCURS] * n_co + [FOLLOWS] * (n - n_co),
-                             pa.string()),
-            "obj": pa.array(np.concatenate(
-                [ent_uniq[e_ng[J_co]], ent_uniq[ent_code[J_fo]]]),
-                pa.string()),
-            "n_evidence": pa.array(np.ones(n, np.int64)),
-            "first_conv_id": pa.array(np.concatenate(
-                [conv_uniq[c_ng[I_co]], conv_uniq[c_ng[I_fo]]]),
-                pa.string()),
-            "first_turn_idx": pa.array(
-                np.concatenate([t_ng[I_co], t_ng[I_fo]]).astype(np.int64)),
-        })
-
     raw = te.sort("bucket").map_batches(
-        block_pairs, batch_format="pyarrow", batch_size=None)
-    return _combine_sort_combine(
-        raw, ["subj", "pred", "obj"],
-        [("n_evidence", "sum"), ("first_conv_id", "min"),
-         ("first_turn_idx", "min")])
+        _block_pairs, batch_format="pyarrow", batch_size=None)
+    return _combine_sort_combine(raw, keys, aggs)
 
 
 #: linked-path auto-select threshold: turns parquet under this size can
@@ -489,7 +525,9 @@ def kg_pipeline(
     linked_checkpoint_dir: str | None = None,
     quarantine_dir: str | None = None,
 ) -> dict[str, rd.Dataset]:
-    """Compose the full build; returns lazy Datasets keyed by stage.
+    """Compose the full build; returns Datasets keyed by stage, lazy but
+    for ``entities``/``triples`` over a materialized linked table under
+    ``FOLD_MAX_BYTES``: those folds run here, eagerly (tens of ms).
 
     The linked-mention table feeds BOTH the entity and triple branches,
     so it must not re-run the tagger twice.  Cache strategies, in

@@ -116,10 +116,12 @@ def pending_shards(shards: list[str], out_dir: str) -> list[int]:
 
 
 def _default_shard_concurrency() -> int:
-    """How many shard pipelines to fly at once.  Each shard pipeline
-    spins its own small actor pools + a reader, so in-flight shards x
-    per-shard CPU demand must stay below the cluster CPU count or the
-    readers starve (the measured pool-deadlock mode, CLAUDE.md #3)."""
+    """How many shard pipelines to fly at once: one per 8 cluster CPUs.
+    Each shard pipeline is a reader plus the task-map tagger, which
+    reserves no CPUs, so the actor-pool starvation this bound once
+    guarded against (CLAUDE.md #3) cannot happen here.  The value is
+    kept as it was until a measurement shows whether more in-flight
+    shards help."""
     try:
         import ray
 

@@ -69,11 +69,14 @@ def test_entities_match_sequential_oracle(kg_out, seq_result):
     assert got == seq_result["entities"]
 
 
-def test_salted_equals_unsalted(ray_session, kg_out):
+def test_salted_equals_unsalted(ray_session, kg_out, monkeypatch):
     """Skew salting (bucketed conv groups + ghost-overlap rows) must be
-    byte-identical to the unsalted grouping."""
+    byte-identical to the unsalted grouping.  The salted build is forced
+    onto the exchange path: salting shapes only that path."""
+    from clinicaltransformerner_ray.pipelines import kg
     from clinicaltransformerner_ray.pipelines.kg import emit_triples, kg_pipeline
 
+    monkeypatch.setattr(kg, "FOLD_MAX_BYTES", 0)
     salted = kg_pipeline(SF, salt_span=4)["triples"].to_pandas()
     base = kg_out["triples"].to_pandas()
     key = ["subj", "pred", "obj"]
@@ -82,16 +85,19 @@ def test_salted_equals_unsalted(ray_session, kg_out):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_ghost_buckets_mega_conversation(ray_session):
+def test_ghost_buckets_mega_conversation(ray_session, monkeypatch):
     """A single conversation spanning many salt spans: salted triple
     emission (n_buckets large, uint64 hash+span arithmetic) must equal
     the unsalted single-bucket grouping exactly — every span boundary
     exercises a ghost row, so a dropped/misrouted ghost loses `follows`
-    triples and fails this test."""
+    triples and fails this test.  ``rd.from_items`` is materialized, so
+    the exchange path is forced: salting shapes only that path."""
     import ray.data as rd
 
+    from clinicaltransformerner_ray.pipelines import kg
     from clinicaltransformerner_ray.pipelines.kg import emit_triples
 
+    monkeypatch.setattr(kg, "FOLD_MAX_BYTES", 0)
     span = 8
     n_turns = 10 * span  # >2*span boundaries, all ghosts exercised
     rows = []

@@ -17,6 +17,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
+import numpy as np
 import pandas as pd
 
 import ray
@@ -39,8 +40,23 @@ for t in ["region", "nation", "customer", "supplier", "part", "orders",
                 f"read_parquet('{SF}/{t}.parquet')")
 
 
+def _json_text(v):
+    """A list/array/dict cell as JSON text; nested arrays and numpy
+    scalars go through ``tolist``."""
+    return json.dumps(v, sort_keys=True, default=lambda o: (
+        o.tolist() if hasattr(o, "tolist") else str(o)))
+
+
 def canon(df: pd.DataFrame) -> pd.DataFrame:
+    """Columns sorted by name, then rows by every column.  A column
+    holding lists, arrays or dicts is compared as each cell's JSON text,
+    since those cells do not sort."""
     df = df[sorted(df.columns)].copy()
+    for c in df.columns:
+        if df[c].dtype == object and df[c].map(
+                lambda v: isinstance(v, (list, tuple, dict, np.ndarray))
+        ).any():
+            df[c] = df[c].map(_json_text)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
@@ -50,8 +66,8 @@ def vhash(df: pd.DataFrame) -> str:
 
 
 def safe_hash(df) -> str | None:
-    """Canonical hash of an unchecked output, or None when its columns
-    do not sort (lists, dicts)."""
+    """Canonical hash of an unchecked output, or None when its rows
+    still do not sort (a column mixing types)."""
     try:
         return vhash(canon(df))
     except (TypeError, ValueError, AttributeError):
