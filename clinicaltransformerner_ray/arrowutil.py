@@ -28,7 +28,11 @@ there are none.
 an already-materialized Dataset at or below a byte cap to the driver as
 one table, so a wide operator can run its kernels once over every row
 instead of combine, Sort and complete.  Its choice is logged through
-the engine's one logger, ``logging.getLogger("ray_kg")``.
+the engine's one logger, ``logging.getLogger("ray_kg")``, and every
+caller passes the one cap, :data:`FOLD_MAX_BYTES`.
+
+:func:`triu_pairs` is the vectorized all-pairs-within-a-run index
+kernel that triple emission and every graph wedge enumeration share.
 """
 
 from __future__ import annotations
@@ -43,6 +47,17 @@ import pyarrow.compute as pc
 
 #: the engine's one logger: path choices and their reasons
 LOG = logging.getLogger("ray_kg")
+
+#: the one fold-or-exchange cap for :func:`driver_table`, shared by
+#: the KG build and the graph family: a materialized input of at most
+#: this many bytes folds on the driver, with no Sort.  Fold vs Sort
+#: path, emit_triples + canonical_entities, 4 CPUs: 0.03-0.05 vs
+#: 0.17-0.18 s at 0.8-1.2 MB linked (kgbench shapes, sf0.01), 0.09 vs
+#: 0.27 s at 8 MB (sf0.1), 0.23 vs 0.52 s at 25 MB, 0.75 vs 1.63 s at
+#: 82 MB (sf1; driver RSS +415 MB).  No crossover on 4 CPUs; with 8x
+#: the CPUs the Sort path's 19 ms/MB would meet the fold's 9 ms/MB near
+#: 25-30 MB, hence 32 MiB.
+FOLD_MAX_BYTES = 32 << 20
 
 
 def from_pandas_clean(df: "pd.DataFrame", **kwargs) -> pa.Table:
@@ -170,13 +185,14 @@ def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
 
     The rows come back only when ``ds`` is a ``MaterializedDataset`` of
     at most ``max_bytes`` (``size_bytes()``, Ray's block-metadata sum,
-    so choosing runs nothing) holding at least one row; the caller then
-    folds them with its own kernels and skips the exchange.  A lazy
-    input, one above the cap, or one with no rows gives None and the
-    caller runs its exchange path, so nothing is executed just to
-    choose, and an empty input gets the exchange path's own result.
-    Blocks are fetched with ``ray.get(ds.to_arrow_refs())`` and joined
-    with ``concat_tables(promote_options="default")``.
+    so choosing runs nothing); the caller then folds them with its own
+    kernels and skips the exchange.  A lazy input or one above the cap
+    gives None and the caller runs its exchange path, so nothing is
+    executed just to choose.  A materialized input with no rows gives
+    its schema's empty table, so the fold returns a typed empty result;
+    with no schema (a map over no rows has none) it gives None.  Blocks
+    are fetched with ``ray.get(ds.to_arrow_refs())`` and joined with
+    ``concat_tables(promote_options="default")``.
 
     Null-key rule: the table holds every row, null keys included, and
     the fold sees exactly the rows its exchange path would; the kernels
@@ -189,14 +205,41 @@ def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
     from ray.data.dataset import MaterializedDataset
 
     size = ds.size_bytes() if isinstance(ds, MaterializedDataset) else None
-    fold = size is not None and size <= max_bytes and ds.count() > 0
+    rows = None if size is None else ds.count()
+    schema = ds.schema() if rows == 0 else None
+    empty = (schema.base_schema.empty_table()
+             if schema is not None
+             and isinstance(schema.base_schema, pa.Schema) else None)
+    fold = empty is not None or bool(rows) and size <= max_bytes
     LOG.info("%s: %s (size_bytes=%s, cap=%d)", op or "driver_table",
              "fold" if fold else "exchange",
              "lazy" if size is None else size, max_bytes)
     if not fold:
         return None
+    if empty is not None:
+        return empty
     return pa.concat_tables(ray.get(ds.to_arrow_refs()),
                             promote_options="default")
+
+
+def triu_pairs(starts: np.ndarray, counts: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """All (i<j) index pairs within each [start, start+count) run of a
+    sorted array.  Vectorized per distinct run length (lengths are few
+    next to the runs)."""
+    I, J = [], []
+    for c in np.unique(counts):
+        c = int(c)
+        if c < 2:
+            continue
+        ii, jj = np.triu_indices(c, k=1)
+        s = starts[counts == c]
+        I.append((s[:, None] + ii[None, :]).ravel())
+        J.append((s[:, None] + jj[None, :]).ravel())
+    if not I:
+        z = np.empty(0, dtype=np.int64)
+        return z, z
+    return np.concatenate(I), np.concatenate(J)
 
 
 def coalesced_sort(ds, key, *, descending=False,

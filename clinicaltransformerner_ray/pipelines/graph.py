@@ -1,38 +1,51 @@
-"""Graph algorithms over edge tables (KG co-occurrence, near-dup pairs).
+"""Graph analytics over edge tables (KG co-occurrence, near-dup pairs).
 
-  pagerank         fixed-point (integer) PageRank — ``iters`` synchronous
-                   rounds of r'_v = (15% of mass)/N + 85% * Σ r_u // deg_u
-  triangle_counts  per-node triangle counts over an UNBOUNDED node id
-                   space (degree-oriented wedge generation + closure
-                   join) — subgraph enumeration, the op pagerank's
-                   broadcast-node-state trick can't cover
-  common_neighbors link prediction: non-adjacent pairs sharing >= m
-                   neighbors, exact counts (per-center wedge counting
-                   + a NOT-EXISTS drop in one sorted pass)
-  jaccard_links    neighborhood-Jaccard refinement of common_neighbors:
-                   exact integer (intersection, union) per surviving
-                   pair via inclusion-exclusion over broadcast degrees
+Functions, by what they read:
+
+  triple table (subj, pred, obj; ``pred`` selects the edges):
+    pagerank, hits_scores, random_walks, local_bridges,
+    link_prediction_ra, degree_assortativity, link_negatives
+  distinct undirected pairs (``a < b``):
+    common_neighbors, jaccard_links, ktruss, label_propagation,
+    kcore, khop_reachability, modularity_report, and, over int64 node
+    ids, triangle_counts and clustering_coefficients
+
+One fold-or-exchange rule covers all sixteen.  Each materializes its
+input once and asks ``arrowutil.driver_table`` for it under the one cap,
+``arrowutil.FOLD_MAX_BYTES`` (the KG build's cap).  At or below the cap
+the edges come back as one driver-side Arrow table, and node state
+(degrees, adjacency, ranks, labels, alive sets, frontiers, stub sums) is
+computed on it with ``grouped_agg``, ``grouped_topk`` and numpy over
+sorted integer node codes: no per-round Ray tasks, no ``take_all``
+folds.  Above the cap:
+
+  - pagerank, triangle_counts, common_neighbors, jaccard_links,
+    clustering_coefficients, label_propagation and ktruss take their
+    distributed paths, which hold no per-node driver state (sorts on
+    the node or pair key), with outputs bit-identical to the fold
+    (``tests/test_graph_distributed.py`` forces both paths);
+  - the other nine have no distributed path and raise ValueError
+    naming the op, the input size and the cap.
+
+An empty input folds (its schema's empty table, or an empty table of
+the op's columns when it has no schema) and gives a typed empty result.
+Work that grows with wedges or walks rather than edges stays
+distributed on both paths: the (x, y) pair exchange of common_neighbors
+and ktruss, triangle wedge-close, walk emission, RA wedge emission and
+the per-edge map of local_bridges.  Every choice is logged through the
+``ray_kg`` logger.
 
 Why INTEGER fixed-point: float PageRank sums neighbor contributions in
 engine-dependent order, so a SQL oracle could never hash-match.  With
 ranks in units of 1e-12 of the total mass every operation is integer
 (floor division for the per-neighbor share, integer percent damping),
 sums commute exactly, and the unrolled-CTE DuckDB replica reproduces
-the distributed result bit-for-bit — the same trick as the engine's
-integer-cents aggregates, applied to an iterative algorithm (the
-kmeans precedent: `similarity.py::_kmeans_sql` unrolls Lloyd's).
+either path bit-for-bit (the kmeans precedent:
+`similarity.py::_kmeans_sql` unrolls Lloyd's).  The same holds for every
+other function here: integer counts and lexicographic tie-breaks only.
 
-Scale shape (the kmeans pattern): the NODE state is tiny — entity
-vocabulary is bounded by the lexicon, not the corpus — so ranks and
-degrees broadcast into every map task, while the EDGE table streams
-per iteration; each block emits integer partial sums per destination
-(O(entities) rows per block) and the driver folds partials with
-order-free integer addition.  Edges are materialized once (the
-deduped pair list is far smaller than the corpus — iterative lineage,
-the dup_clusters precedent).
-
-Overflow: per-node sums are bounded by the total mass 1e12; the 85x
-damping product peaks at 8.5e13 << 2^63.
+Overflow: per-node rank sums are bounded by the total mass 1e12; the
+85x damping product peaks at 8.5e13 << 2^63.
 """
 
 from __future__ import annotations
@@ -40,111 +53,225 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
+
+from clinicaltransformerner_ray.arrowutil import (
+    FOLD_MAX_BYTES, driver_table, grouped_agg, grouped_topk, triu_pairs)
 
 SCALE = 10 ** 12
 
+#: the columns a triple-table op reads, and a pair-table op
+_TRIPLE_COLS = ["subj", "pred", "obj"]
+_PAIR_COLS = ["subj", "obj"]
 
-def pagerank(
-    triples: rd.Dataset,
-    *,
-    iters: int = 5,
-    damping_pct: int = 85,
-    broadcast_edges_max: int = 1 << 22,
-):
+
+# -- shared kernels ----------------------------------------------------------
+
+def _fold_edges(src, op: str, cols: list[str]) -> pa.Table | None:
+    """``cols`` of the materialized input ``src`` as one driver table
+    (``driver_table`` under ``FOLD_MAX_BYTES``), or None above the cap.
+    An input with no rows always folds: with no schema (a map over no
+    rows has none) it gives an empty string table of ``cols``, which
+    every caller casts or filters."""
+    tbl = driver_table(src, FOLD_MAX_BYTES, op=op)
+    if tbl is not None:
+        return tbl.select(cols)
+    if src.count():
+        return None
+    return pa.table({c: pa.array([], pa.string()) for c in cols})
+
+
+def _edge_table(ds: rd.Dataset, op: str, cols: list[str]) -> pa.Table:
+    """The driver edge table of an op with no distributed path: ``ds``
+    materialized, then :func:`_fold_edges`.  Above ``FOLD_MAX_BYTES``
+    raises ValueError naming the op, the input size and the cap, so the
+    driver never holds an unbounded fold."""
+    src = ds.materialize()
+    tbl = _fold_edges(src, op, cols)
+    if tbl is None:
+        raise ValueError(
+            f"{op}: the edge input is {src.size_bytes()} bytes, above the "
+            f"driver fold cap FOLD_MAX_BYTES={FOLD_MAX_BYTES}, and {op} "
+            "has no distributed path")
+    return tbl
+
+
+def _norm(batch: pa.Table, a_col: str, b_col: str, typ: pa.DataType,
+          names: tuple[str, str] = ("a", "b")) -> pa.Table:
+    """The (``a_col``, ``b_col``) edge columns cast to ``typ``, named
+    ``names``."""
+    return pa.table({names[0]: batch.column(a_col).cast(typ),
+                     names[1]: batch.column(b_col).cast(typ)})
+
+
+def _bidir(batch: pa.Table, names: tuple[str, str] = ("a", "b"), *,
+           pred: str | None = None, a: str = "subj",
+           b: str = "obj") -> pa.Table:
+    """Both orientations of every (``a``, ``b``) row, named ``names``:
+    the rows as given, then reversed.  ``pred`` keeps only the rows of
+    that predicate first."""
+    if pred is not None:
+        batch = batch.filter(pc.equal(batch.column("pred"), pred))
+    x = batch.column(a).combine_chunks()
+    y = batch.column(b).combine_chunks()
+    return pa.table({names[0]: pa.concat_arrays([x, y]),
+                     names[1]: pa.concat_arrays([y, x])})
+
+
+def _ones(n: int) -> pa.Array:
+    return pa.array(np.ones(n, np.int64))
+
+
+def _degrees(batch: pa.Table, ends: tuple[str, ...] = ("a",),
+             node: str = "node", d: str = "d") -> pa.Table:
+    """(``node``, ``d``) occurrence counts of the values of the ``ends``
+    columns; a batch that already has ``d`` is a set of such partials,
+    summed per node.  One kernel for the degree partial and combine."""
+    if d not in batch.column_names:
+        x = pa.concat_arrays([batch.column(c).combine_chunks()
+                              for c in ends])
+        batch = pa.table({node: x, d: _ones(len(x))})
+    return grouped_agg(batch, [node], [(d, "sum")])
+
+
+def _degrees_ds(ds: rd.Dataset, ends: tuple[str, ...], node: str,
+                d: str) -> rd.Dataset:
+    """:func:`_degrees` as combine -> sort(node) -> combine: the
+    distributed paths' degree table, with no per-node driver state."""
+    kw = {"ends": ends, "node": node, "d": d}
+    return (ds.map_batches(_degrees, fn_kwargs=kw, batch_format="pyarrow",
+                           batch_size=1 << 19)
+            .sort(node)
+            .map_batches(_degrees, fn_kwargs=kw, batch_format="pyarrow",
+                         batch_size=None))
+
+
+def _encode(*cols) -> tuple[pa.Array, list[np.ndarray]]:
+    """The sorted distinct values of ``cols`` (binary order, which is
+    Python's and DuckDB's string order) and each column's int64 codes
+    into them, so code order is value order."""
+    nodes = pc.unique(pa.chunked_array(
+        [ch for c in cols for ch in c.chunks], cols[0].type))
+    nodes = nodes.take(pc.sort_indices(nodes))
+    return nodes, [pc.index_in(c, value_set=nodes)
+                   .to_numpy(zero_copy_only=False).astype(np.int64)
+                   for c in cols]
+
+
+def _run_starts(col) -> np.ndarray:
+    """True at the first row of each run of equal values of ``col``."""
+    n = len(col)
+    starts = np.ones(n, dtype=bool)
+    if n > 1:
+        starts[1:] = pc.not_equal(col.slice(1), col.slice(0, n - 1)
+                                  ).to_numpy(zero_copy_only=False)
+    return starts
+
+
+def _wedges(batch: pa.Table, u: str = "u", v: str = "v") -> pa.Table:
+    """Every unordered pair of ``v`` neighbors of each ``u`` center, as
+    (c, p, q) rows with p < q in binary order: one ``sort_by`` and
+    :func:`arrowutil.triu_pairs` over the center runs.  Each center's
+    rows must all be in ``batch`` (a center-sorted block or cut)."""
+    t = batch.select([u, v]).sort_by([(u, "ascending"), (v, "ascending")])
+    starts = np.flatnonzero(_run_starts(t.column(u)))
+    i, j = triu_pairs(starts, np.diff(np.append(starts, t.num_rows)))
+    i, j = pa.array(i), pa.array(j)
+    return pa.table({"c": t.column(u).take(i), "p": t.column(v).take(i),
+                     "q": t.column(v).take(j)})
+
+
+def _wedge_counts(batch: pa.Table) -> pa.Table:
+    """Per-block (x, y, n, kind=1) wedge-pair counts over a block of
+    (u, v) rows holding each center whole: the first exchange's output
+    in common_neighbors and ktruss."""
+    w = _wedges(batch)
+    g = grouped_agg(pa.table({"x": w.column("p"), "y": w.column("q"),
+                              "n": _ones(w.num_rows)}),
+                    ["x", "y"], [("n", "sum")])
+    return g.append_column("kind", _ones(g.num_rows))
+
+
+def _direct_rows(batch: pa.Table) -> pa.Table:
+    """Edge (a, b) rows as (x, y, n=0, kind=0), to union with
+    :func:`_wedge_counts` output on the (x, y) composite."""
+    z = pa.array(np.zeros(batch.num_rows, np.int64))
+    return pa.table({"x": batch.column("a"), "y": batch.column("b"),
+                     "n": z, "kind": z})
+
+
+def _center_blocks(t: pa.Table, key: str) -> list[pa.Table]:
+    """``t`` sorted on ``key`` and cut into at most 64 blocks of about
+    4096 rows, only at ``key`` boundaries, so each block holds every
+    row of its centers and a per-center map needs no Sort (CLAUDE.md
+    round-3 #2)."""
+    t = t.sort_by([(key, "ascending")])
+    n = t.num_rows
+    first = np.maximum.accumulate(
+        np.where(_run_starts(t.column(key)), np.arange(n), 0))
+    n_blocks = max(1, min(64, n // 4096))
+    cuts = sorted({0, n} | {int(first[k * n // n_blocks])
+                            for k in range(1, n_blocks)})
+    return [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])
+            if hi > lo]
+
+
+def _adjacency(tbl: pa.Table, pred: str) -> dict[str, list[str]]:
+    """Each node's sorted distinct neighbors over the ``pred`` rows of a
+    triple table, both orientations, keyed in sorted node order."""
+    e = grouped_agg(_bidir(tbl, pred=pred), ["a", "b"], []).sort_by(
+        [("a", "ascending"), ("b", "ascending")])
+    a, b = e.column("a").to_pylist(), e.column("b").to_pylist()
+    starts = np.flatnonzero(_run_starts(e.column("a"))).tolist()
+    return {a[s]: b[s:t] for s, t in zip(starts, starts[1:] + [len(a)])}
+
+
+def _empty(**cols: pa.DataType) -> pa.Table:
+    return pa.table({c: pa.array([], t) for c, t in cols.items()})
+
+
+# -- ranks -------------------------------------------------------------------
+
+def pagerank(triples: rd.Dataset, *, iters: int = 5,
+             damping_pct: int = 85):
     """PageRank over the undirected co-occurrence graph in the triple
     table (rows with ``pred == 'co_occurs'``; each pair is one
-    undirected edge, walked in both directions).
+    undirected edge, walked in both directions): ``iters`` synchronous
+    rounds of r'_v = (15% of mass)/N + 85% * sum r_u // deg_u, in units
+    of 1e-12 of the total mass.
 
-    Two auto-selected paths with BIT-IDENTICAL integer outputs (the
-    `_triangles_broadcast` precedent):
-
-    - edge count <= ``broadcast_edges_max``: node state (degrees +
-      ranks) folds on the driver and broadcasts into each map task —
-      right for lexicon-bounded KG graphs, O(entities) driver memory.
-      Returns a small pa.Table (entity_id, rank_e12 BIGINT), rank in
-      units of 1e-12 of the total mass, bit-exact vs the unrolled SQL.
-    - above the cap (unbounded node spaces — doc-pair graphs, open
-      KGs): NO per-node driver state; degrees and ranks live as
-      Datasets and every iteration is two sorts (attach rank/deg to
-      edges by src via union-sort-merge, then per-dst integer partial
-      sums + rejoin with degrees in one sorted pass).  Returns the
-      rank Dataset (entity_id, rank_e12).  Integer arithmetic makes
-      the two paths exactly equal (order-free sums; verified by
-      tests/test_graph_distributed.py)."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        co = df[df["pred"] == "co_occurs"]
-        src = np.concatenate([co["subj"].to_numpy(),
-                              co["obj"].to_numpy()])
-        dst = np.concatenate([co["obj"].to_numpy(),
-                              co["subj"].to_numpy()])
-        return pa.table({
-            "src": pa.array(src.tolist(), pa.string()),
-            "dst": pa.array(dst.tolist(), pa.string()),
-        })
-
-    # deduped pair list << corpus; iterating over it justifies the one
-    # materialize (dup_clusters precedent)
-    edges = triples.map_batches(
-        explode, batch_format="pyarrow", batch_size=1 << 19,
-    ).materialize()
-    if edges.count() > broadcast_edges_max:
+    Fold (the module rule): degrees and ranks are numpy arrays over
+    sorted node codes, each round one ``np.add.at`` of integer shares;
+    returns a pa.Table (entity_id, rank_e12 BIGINT).  Exchange: NO
+    per-node driver state, every round two sorts
+    (:func:`_pagerank_distributed`); returns the rank Dataset.  Integer
+    arithmetic makes the two paths exactly equal."""
+    src = triples.materialize()
+    tbl = _fold_edges(src, "pagerank", _TRIPLE_COLS)
+    if tbl is None:
+        edges = src.map_batches(
+            _bidir, fn_args=(("src", "dst"),), fn_kwargs={"pred": "co_occurs"},
+            batch_format="pyarrow", batch_size=1 << 19).materialize()
         return _pagerank_distributed(edges, iters=iters,
                                      damping_pct=damping_pct)
 
-    # node state is lexicon-bounded: collect degrees once (tiny)
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("src", sort=False).size().reset_index(name="d")
-        return pa.table({
-            "entity_id": pa.array(g["src"].tolist(), pa.string()),
-            "d": pa.array(np.asarray(g["d"], np.int64), pa.int64()),
-        })
-
-    deg: dict[str, int] = {}
-    for r in edges.map_batches(deg_partial, batch_format="pyarrow",
-                               batch_size=1 << 19).take_all():
-        deg[r["entity_id"]] = deg.get(r["entity_id"], 0) + r["d"]
-    nodes = sorted(deg)
+    ed = _bidir(tbl, pred="co_occurs")
+    nodes, (s, d) = _encode(ed.column("a"), ed.column("b"))
     n = len(nodes)
     if n == 0:
-        return pa.table({"entity_id": pa.array([], pa.string()),
-                         "rank_e12": pa.array([], pa.int64())})
-
+        return _empty(entity_id=pa.string(), rank_e12=pa.int64())
+    deg = np.bincount(s, minlength=n)
     base = (SCALE * (100 - damping_pct) // 100) // n
-    ranks = {v: SCALE // n for v in nodes}
-
+    rank = np.full(n, SCALE // n, np.int64)
     for _ in range(iters):
-        r_now = dict(ranks)  # rebind for the closure
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            share = np.asarray(
-                [r_now[s] // deg[s] for s in df["src"]],
-                dtype=np.int64)
-            g = (pd.DataFrame({"dst": df["dst"].to_numpy(),
-                               "s": share})
-                 .groupby("dst", sort=False)["s"].sum().reset_index())
-            return pa.table({
-                "dst": pa.array(g["dst"].tolist(), pa.string()),
-                "s": pa.array(np.asarray(g["s"], np.int64),
-                              pa.int64()),
-            })
-
-        sums = {v: 0 for v in nodes}
-        # integer partial sums commute — take_all order is irrelevant
-        for r in edges.map_batches(contrib, batch_format="pyarrow",
-                                   batch_size=1 << 19).take_all():
-            sums[r["dst"]] += r["s"]
-        ranks = {v: base + damping_pct * sums[v] // 100 for v in nodes}
-
-    return pa.table({
-        "entity_id": pa.array(nodes, pa.string()),
-        "rank_e12": pa.array([ranks[v] for v in nodes], pa.int64()),
-    })
+        sums = np.zeros(n, np.int64)
+        np.add.at(sums, d, rank[s] // deg[s])  # integer: order-free
+        rank = base + damping_pct * sums // 100
+    return pa.table({"entity_id": nodes,
+                     "rank_e12": pa.array(rank, pa.int64())})
 
 
 def _pagerank_distributed(
@@ -174,30 +301,12 @@ def _pagerank_distributed(
 
     Each iteration's state is materialized (iterative lineage
     truncation, the dup_clusters precedent).  Output: Dataset
-    (entity_id, rank_e12), bit-identical to the broadcast path."""
-    empty = pa.table({"entity_id": pa.array([], pa.string()),
-                      "rank_e12": pa.array([], pa.int64())})
-
-    def deg_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "d" not in df.columns:
-            df = pd.DataFrame({"node": df["src"].to_numpy(),
-                               "d": np.int64(1)})
-        g = df.groupby("node", sort=False)["d"].sum().reset_index()
-        return pa.table({
-            "node": pa.array(g["node"].tolist(), pa.string()),
-            "d": pa.array(np.asarray(g["d"], np.int64), pa.int64()),
-        })
-
-    deg = (edges.map_batches(deg_combine, batch_format="pyarrow",
-                             batch_size=1 << 19)
-           .sort("node")
-           .map_batches(deg_combine, batch_format="pyarrow",
-                        batch_size=None)
-           .materialize())
+    (entity_id, rank_e12), bit-identical to the fold."""
+    deg = _degrees_ds(edges, ("src",), "node", "d").materialize()
     n = deg.count()
     if n == 0:
-        return rd.from_arrow(empty)
+        return rd.from_arrow(_empty(entity_id=pa.string(),
+                                    rank_e12=pa.int64()))
     base = (SCALE * (100 - damping_pct) // 100) // n
     r0 = SCALE // n
 
@@ -312,6 +421,8 @@ def _pagerank_distributed(
     return state.map_batches(final, batch_format="pyarrow")
 
 
+# -- triangles and clustering ------------------------------------------------
+
 def _orient_fwd(a: np.ndarray, b: np.ndarray,
                 da: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Degree-orientation predicate shared by BOTH triangle paths
@@ -320,101 +431,52 @@ def _orient_fwd(a: np.ndarray, b: np.ndarray,
     return (da < db) | ((da == db) & (a < b))
 
 
-def _wedge_arrays(df: pd.DataFrame):
-    """Per-src out-neighbor pair emission shared by BOTH triangle
-    paths: (p, q, anchor) int64 arrays, p < q in canonical id order,
-    one row per unordered out-neighbor pair of each src."""
-    o_p, o_q, o_s = [], [], []
-    for s, g in df.groupby("src", sort=False):
-        nb = np.sort(g["dst"].to_numpy())  # canonical id order
-        if len(nb) < 2:
-            continue
-        i, j = np.triu_indices(len(nb), k=1)
-        o_p.append(nb[i])
-        o_q.append(nb[j])
-        o_s.append(np.full(len(i), s, np.int64))
-    if not o_p:
-        z = np.array([], np.int64)
-        return z, z, z
-    return (np.concatenate(o_p), np.concatenate(o_q),
-            np.concatenate(o_s))
+def _corner_counts(hit: pa.Table) -> pa.Table:
+    """(node, n) triangle credits from closed (c, p, q) wedges: each
+    closed wedge is one triangle and credits all three corners."""
+    nodes = pa.concat_arrays([hit.column(c).combine_chunks()
+                              for c in ("c", "p", "q")])
+    return grouped_agg(pa.table({"node": nodes, "n": _ones(len(nodes))}),
+                       ["node"], [("n", "sum")])
 
 
-def _triangles_broadcast(ed: rd.Dataset, out_col: str) -> rd.Dataset:
-    """Broadcast-small-side triangle path (see :func:`triangle_counts`):
-    the caller guarantees the edge table fits driver/worker memory.
-    Degrees, orientation and src-grouping are vectorized on the
-    collected edges (blocks cut only at src boundaries, so NO wide op
-    remains), the canonical pair table ships once via ``ray.put``, and
-    each block does wedge emission with IMMEDIATE closure against the
-    broadcast pairs — the O(sum out-deg^2) wedge work is the only
-    distributed stage, which is exactly the part that grows past any
-    single machine."""
-    import ray
-
-    pdf = ed.to_pandas()  # small side by contract (broadcast_edges_max)
-    empty = pa.table({out_col: pa.array([], pa.int64()),
-                      "n_triangles": pa.array([], pa.int64())})
-    if pdf.empty:
-        return rd.from_arrow(empty)
-
-    deg = pd.concat([pdf["a"], pdf["b"]]).value_counts()
-    a = pdf["a"].to_numpy()
-    b = pdf["b"].to_numpy()
-    da = pdf["a"].map(deg).to_numpy(dtype=np.int64)
-    db = pdf["b"].map(deg).to_numpy(dtype=np.int64)
-    fwd = _orient_fwd(a, b, da, db)
-    src = np.where(fwd, a, b)
-    dst = np.where(fwd, b, a)
-    # pre-group by src ON THE DRIVER (it already holds the edges by
-    # contract), cutting blocks only at src boundaries — no Dataset
-    # sort needed at all, the one remaining wide op disappears
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    n_blocks = max(1, min(64, len(src) // 4096))
-    cuts = [0]
-    for pos in range(1, n_blocks):
-        c = np.searchsorted(src, src[min(pos * len(src) // n_blocks,
-                                         len(src) - 1)], side="left")
-        if c > cuts[-1]:
-            cuts.append(int(c))
-    cuts.append(len(src))
-    blocks = [pa.table({"src": pa.array(src[lo:hi], pa.int64()),
-                        "dst": pa.array(dst[lo:hi], pa.int64())})
-              for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-    pairs_ref = ray.put(pdf)
+def _triangles_fold(ed: pa.Table, out_col: str) -> pa.Table:
+    """Triangle counts of the distinct int64 (a, b) edge table ``ed``
+    held on the driver (see :func:`triangle_counts`).  Degrees,
+    orientation and src-grouped block cuts are numpy on the driver, the
+    edge table ships once via ``ray.put``, and each block runs wedge
+    emission with IMMEDIATE closure against it: the O(sum out-deg^2)
+    wedge work is the only distributed stage, which is exactly the part
+    that grows past any single machine."""
+    m = ed.num_rows
+    if m == 0:
+        return _empty(**{out_col: pa.int64(), "n_triangles": pa.int64()})
+    a = ed.column("a").to_numpy()
+    b = ed.column("b").to_numpy()
+    _, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    deg = np.bincount(inv)
+    fwd = _orient_fwd(a, b, deg[inv[:m]], deg[inv[m:]])
+    oriented = pa.table({"src": np.where(fwd, a, b),
+                         "dst": np.where(fwd, b, a)})
+    pairs_ref = ray.put(ed)
 
     def wedge_close(batch: pa.Table) -> pa.Table:
-        w_p, w_q, w_s = _wedge_arrays(batch.to_pandas())
-        if not len(w_p):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        wdf = pd.DataFrame({"a": w_p, "b": w_q, "s": w_s})
-        # one merge per block against the broadcast pair table
-        hit = wdf.merge(ray.get(pairs_ref), on=["a", "b"])
-        nodes = np.concatenate([hit["s"].to_numpy(),
-                                hit["a"].to_numpy(),
-                                hit["b"].to_numpy()])
-        g = (pd.DataFrame({"node": nodes, "n": np.int64(1)})
-             .groupby("node", sort=False)["n"].sum().reset_index())
-        return pa.table({
-            "node": pa.array(g["node"].to_numpy(), pa.int64()),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-        })
+        hit = _wedges(batch, "src", "dst").join(
+            ray.get(pairs_ref), keys=["p", "q"], right_keys=["a", "b"],
+            join_type="inner")
+        return _corner_counts(hit)
 
-    counts: dict[int, int] = {}
-    # O(triangle-nodes x blocks) partials; node count <= 2E fits the
-    # driver by the same contract that allowed the broadcast
-    for r in (rd.from_arrow(blocks)
-              .map_batches(wedge_close, batch_format="pyarrow",
-                           batch_size=None)
-              .take_all()):
-        counts[r["node"]] = counts.get(r["node"], 0) + r["n"]
-    nodes = sorted(counts)
-    return rd.from_arrow(pa.table({
-        out_col: pa.array(nodes, pa.int64()),
-        "n_triangles": pa.array([counts[n] for n in nodes], pa.int64()),
-    }))
+    parts = (rd.from_arrow(_center_blocks(oriented, "src"))
+             .map_batches(wedge_close, batch_format="pyarrow",
+                          batch_size=None))
+    # O(triangle nodes x blocks) partials, bounded by the folded edges
+    blocks = [t for t in ray.get(parts.to_arrow_refs()) if t.num_columns]
+    counts = grouped_agg(
+        pa.concat_tables(blocks) if blocks
+        else _empty(node=pa.int64(), n=pa.int64()),
+        ["node"], [("n", "sum")]).sort_by("node")
+    return pa.table({out_col: counts.column("node"),
+                     "n_triangles": counts.column("n")})
 
 
 def triangle_counts(
@@ -423,7 +485,6 @@ def triangle_counts(
     a_col: str = "doc_a",
     b_col: str = "doc_b",
     out_col: str = "node_id",
-    broadcast_edges_max: int = 1 << 22,
 ) -> rd.Dataset:
     """Per-node triangle counts over DISTINCT undirected edges
     (``a_col < b_col``, int64 node ids) — e.g. the near-dup pair graph,
@@ -432,21 +493,16 @@ def triangle_counts(
 
     Classic distributed triangle enumeration (Cohen's MR scheme) in the
     engine's union -> sort(key) -> per-block-merge join shape (no
-    Dataset.join, per CLAUDE.md rule 5).  The edge table is normalized
-    and materialized ONCE — it is read three times downstream and is
-    the dedup output, far smaller than the corpus (the dup_clusters
-    iterative-lineage precedent) — then one of two paths runs:
+    Dataset.join, per CLAUDE.md rule 5).  The input is materialized
+    ONCE (the edge table is read three times downstream and is the
+    dedup output, far smaller than the corpus — the dup_clusters
+    iterative-lineage precedent).
 
-    BROADCAST path (edge count <= ``broadcast_edges_max``): the engine's
-    broadcast-small-side join rule.  Degrees, orientation and
-    src-grouped block cuts happen on the driver (which holds the edges
-    by contract), the (p, q) pair table ships once via ``ray.put``,
-    and each block runs wedge emission + immediate closure against the
-    broadcast pairs — ZERO wide ops.  The distributed work is the part
-    that cannot fit anywhere: the wedge explosion (sum of out-deg^2,
-    up to ~E^1.5).
+    Fold (the module rule): :func:`_triangles_fold` — degrees,
+    orientation and block cuts on the driver, wedge-close against the
+    broadcast edge table in parallel, ZERO wide ops.
 
-    DISTRIBUTED path (bigger graphs): nothing broadcasts —
+    Exchange: nothing broadcasts —
       1. degrees        combine/sort/combine endpoint counts
       2. annotate       two sort-merge passes attach deg(a), deg(b) to
                         every edge (union with the degree table, sort on
@@ -466,41 +522,18 @@ def triangle_counts(
     Both paths are output-identical (asserted in tests).  Output:
     (``out_col``, n_triangles) — only nodes in >= 1 triangle, matching
     the SQL oracle's GROUP BY."""
+    src = edges.materialize()
+    tbl = _fold_edges(src, "triangle_counts", [a_col, b_col])
+    if tbl is not None:
+        return rd.from_arrow(_triangles_fold(
+            _norm(tbl, a_col, b_col, pa.int64()), out_col))
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": batch.column(a_col).cast(pa.int64()),
-            "b": batch.column(b_col).cast(pa.int64()),
-        })
-
-    # read 3x downstream (degrees / wedges / closure): materialize so
-    # an expensive upstream (e.g. the ngram-Jaccard join) runs once
-    ed = edges.map_batches(norm, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-
-    if ed.count() <= broadcast_edges_max:
-        return _triangles_broadcast(ed, out_col)
+    ed = src.map_batches(_norm, fn_args=(a_col, b_col, pa.int64()),
+                         batch_format="pyarrow",
+                         batch_size=1 << 19).materialize()
 
     # -- 1. degrees: one row per (node, partial) per block ------------
-    def deg_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "deg" not in df.columns:
-            df = pd.DataFrame({
-                "node": np.concatenate([df["a"].to_numpy(),
-                                        df["b"].to_numpy()]),
-                "deg": np.int64(1),
-            })
-        g = df.groupby("node", sort=False)["deg"].sum().reset_index()
-        return pa.table({
-            "node": pa.array(g["node"].to_numpy(), pa.int64()),
-            "deg": pa.array(np.asarray(g["deg"], np.int64), pa.int64()),
-        })
-
-    deg = (ed.map_batches(deg_combine, batch_format="pyarrow",
-                          batch_size=1 << 19)
-           .sort("node")
-           .map_batches(deg_combine, batch_format="pyarrow",
-                        batch_size=None))
+    deg = _degrees_ds(ed, ("a", "b"), "node", "deg")
 
     # -- 2. annotate: sort-merge the degree table onto each endpoint --
     def _tag(src: rd.Dataset, key: str, other: str) -> rd.Dataset:
@@ -567,13 +600,10 @@ def triangle_counts(
         })
 
     def wedges(batch: pa.Table) -> pa.Table:
-        p, q, anchor = _wedge_arrays(batch.to_pandas())
-        return pa.table({
-            "p": pa.array(p, pa.int64()),
-            "q": pa.array(q, pa.int64()),
-            "anchor": pa.array(anchor, pa.int64()),
-            "kind": pa.array(np.ones(len(p), np.int64), pa.int64()),
-        })
+        w = _wedges(batch, "src", "dst")
+        return pa.table({"p": w.column("p"), "q": w.column("q"),
+                         "anchor": w.column("c"),
+                         "kind": _ones(w.num_rows)})
 
     wed = (p2.map_batches(orient, batch_format="pyarrow",
                           batch_size=1 << 19)
@@ -588,27 +618,17 @@ def triangle_counts(
 
     # -- 5. closure join + per-corner credit --------------------------
     def close(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        hit = df[df["kind"] == 1].merge(
-            df.loc[df["kind"] == 0, ["p", "q"]], on=["p", "q"])
-        nodes = np.concatenate([hit["anchor"].to_numpy(),
-                                hit["p"].to_numpy(),
-                                hit["q"].to_numpy()])
-        g = (pd.DataFrame({"node": nodes, "n": np.int64(1)})
-             .groupby("node", sort=False)["n"].sum().reset_index())
-        return pa.table({
-            "node": pa.array(g["node"].to_numpy(), pa.int64()),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-        })
+        kind = batch.column("kind")
+        hit = batch.filter(pc.equal(kind, 1)).join(
+            batch.filter(pc.equal(kind, 0)).select(["p", "q"]),
+            keys=["p", "q"], join_type="inner")
+        return _corner_counts(hit.rename_columns(
+            ["c" if c == "anchor" else c for c in hit.column_names]))
 
     def count_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("node", sort=False)["n"].sum().reset_index()
-        return pa.table({
-            out_col: pa.array(g["node"].to_numpy(), pa.int64()),
-            "n_triangles": pa.array(np.asarray(g["n"], np.int64),
-                                    pa.int64()),
-        })
+        g = grouped_agg(batch, ["node"], [("n", "sum")])
+        return pa.table({out_col: g.column("node"),
+                         "n_triangles": g.column("n")})
 
     return (ed.map_batches(edge_keys, batch_format="pyarrow",
                            batch_size=1 << 19)
@@ -620,6 +640,100 @@ def triangle_counts(
                          batch_size=None))
 
 
+def clustering_coefficients(
+    edges: rd.Dataset,
+    *,
+    a_col: str = "doc_a",
+    b_col: str = "doc_b",
+    out_col: str = "node_id",
+    scale_bp: int = 10_000,
+) -> rd.Dataset:
+    """Local clustering coefficient per node of degree >= 2 over the
+    DISTINCT undirected edge table: ``coeff = 2*T(v) / (d(v)*(d(v)-1))``.
+
+    Exactness contract: the output is (n_triangles, degree) as exact
+    integers plus ``coeff_bp = (2*scale_bp*T) // (d*(d-1))`` — operands
+    are non-negative, so numpy floor division == DuckDB ``//``
+    truncation (CLAUDE.md round-3 rule) and the SQL oracle matches
+    bitwise.  No float ever enters the pipeline.
+
+    Fold (the module rule): :func:`_triangles_fold` and numpy degrees on
+    the one driver table.  Exchange: the normalized edge table is
+    materialized ONCE (it feeds both the triangle enumeration and the
+    degree count — Ray does no common-subexpression elimination);
+    triangles come from :func:`triangle_counts`, degrees from a
+    combine/sort/combine, and the two per-node tables meet in a final
+    sort-merge on the single node key where the per-block pandas
+    left-merge fills triangle-free nodes with 0."""
+
+    def coefficients(node, dg, nt) -> pa.Table:
+        keep = dg >= 2
+        node, dg, nt = node[keep], dg[keep], nt[keep]
+        return pa.table({
+            out_col: pa.array(node, pa.int64()),
+            "n_triangles": pa.array(nt, pa.int64()),
+            "degree": pa.array(dg, pa.int64()),
+            "coeff_bp": pa.array((2 * scale_bp * nt) // (dg * (dg - 1)),
+                                 pa.int64()),
+        })
+
+    src = edges.materialize()
+    tbl = _fold_edges(src, "clustering_coefficients", [a_col, b_col])
+    if tbl is not None:
+        ed = _norm(tbl, a_col, b_col, pa.int64())
+        tri = _triangles_fold(ed, "node")
+        node, dg = np.unique(np.concatenate(
+            [ed.column("a").to_numpy(), ed.column("b").to_numpy()]),
+            return_counts=True)
+        nt = (tri.column("n_triangles")
+              .take(pc.index_in(pa.array(node), value_set=tri.column("node")
+                                .combine_chunks()))
+              .fill_null(0).to_numpy(zero_copy_only=False))
+        return rd.from_arrow(coefficients(node, dg.astype(np.int64),
+                                          nt.astype(np.int64)))
+
+    ed = src.map_batches(_norm, fn_args=(a_col, b_col, pa.int64()),
+                         batch_format="pyarrow",
+                         batch_size=1 << 19).materialize()
+    tri = triangle_counts(ed, a_col="a", b_col="b", out_col="node")
+    deg = _degrees_ds(ed, ("a", "b"), "node", "deg")
+
+    def tag_deg(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        return pa.table({
+            "node": batch.column("node"),
+            "val": batch.column("deg"),
+            "side": pa.array(np.zeros(n, np.int8), pa.int8()),
+        })
+
+    def tag_tri(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        return pa.table({
+            "node": batch.column("node").cast(pa.int64()),
+            "val": batch.column("n_triangles").cast(pa.int64()),
+            "side": pa.array(np.ones(n, np.int8), pa.int8()),
+        })
+
+    def finish(batch: pa.Table) -> pa.Table:
+        df = batch.to_pandas()
+        d = df[df["side"] == 0][["node", "val"]].rename(
+            columns={"val": "degree"})
+        t = df[df["side"] == 1][["node", "val"]].rename(
+            columns={"val": "n_triangles"})
+        j = d.merge(t, on="node", how="left")
+        return coefficients(
+            j["node"].to_numpy(dtype=np.int64),
+            j["degree"].to_numpy(dtype=np.int64),
+            j["n_triangles"].fillna(0).to_numpy(dtype=np.int64))
+
+    return (deg.map_batches(tag_deg, batch_format="pyarrow")
+            .union(tri.map_batches(tag_tri, batch_format="pyarrow"))
+            .sort("node")
+            .map_batches(finish, batch_format="pyarrow", batch_size=None))
+
+
+# -- common neighbors --------------------------------------------------------
+
 def common_neighbors(
     edges: rd.Dataset,
     *,
@@ -627,7 +741,6 @@ def common_neighbors(
     b_col: str = "obj",
     min_common: int = 2,
     node_type: pa.DataType = pa.string(),
-    broadcast_edges_max: int = 1 << 22,
 ) -> rd.Dataset:
     """Common-neighbor link prediction: pairs of nodes NOT directly
     connected that share >= ``min_common`` neighbors, with the exact
@@ -642,135 +755,60 @@ def common_neighbors(
     pre-filter on degree (the ngram max_df precedent: an opt-in cap
     diverges from the exact oracle, so it is not a default here).
 
-    The normalized edge table is MATERIALIZED once — it feeds both the
-    wedge and the direct-pair branches, and Ray does no common-
-    subexpression elimination (the triangle_counts rule), so without
-    it an expensive upstream (the flagship triple dedup) would run
-    twice.  Small edge tables (<= ``broadcast_edges_max``, e.g. the
-    lexicon-bounded KG) then take a pre-grouped path: the driver cuts
-    wedge blocks at center boundaries itself, removing the sort on the
-    low-cardinality center key (the kg_degrees pathology).  The second
-    exchange keys on the much-wider (x, y) wedge pairs in both paths.
-
-    Shape (distributed path): two sorts.  (1) both-direction rows
-    sorted on the center (equal keys land whole) -> per-block
-    wedge-pair partial counts; (2) partials UNIONED with the
-    direct-edge rows, sorted on the full (x, y) composite (equal
-    composites land whole) -> per-block final sum + NOT-EXISTS drop of
-    directly-connected pairs.  The (x, y) exchange stays distributed
-    in BOTH paths: wedge-pair counts are bounded by sum deg^2, which
-    no driver may hold (a 4M-edge star is 10^12 wedges).
+    Shape: two exchanges.  (1) both-direction (u, v) rows grouped by
+    center -> per-block wedge-pair partial counts (:func:`_wedge_counts`);
+    (2) partials UNIONED with the direct-edge rows, sorted on the full
+    (x, y) composite (equal composites land whole) -> per-block final
+    sum + NOT-EXISTS drop of directly-connected pairs.  On the fold
+    path the driver cuts the center blocks itself
+    (:func:`_center_blocks`), removing the sort on the low-cardinality
+    center key (the kg_degrees pathology); the exchange path sorts on
+    the center.  The (x, y) exchange stays distributed on BOTH paths:
+    wedge-pair counts are bounded by sum deg^2, which no driver may
+    hold (a 4M-edge star is 10^12 wedges).
 
     Output: (``a_col``, ``b_col``, n_common) for surviving pairs."""
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": batch.column(a_col).cast(node_type),
-            "b": batch.column(b_col).cast(node_type),
-        })
-
-    # read twice (wedge + direct branches): materialize once
-    ed = edges.map_batches(norm, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-
-    def both(batch: pa.Table) -> pa.Table:
-        a, b = batch.column("a"), batch.column("b")
-        return pa.table({
-            "u": pa.concat_arrays([a.combine_chunks(),
-                                   b.combine_chunks()]),
-            "v": pa.concat_arrays([b.combine_chunks(),
-                                   a.combine_chunks()]),
-        })
-
-    def wedge_partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        o_x, o_y = [], []
-        for _, g in df.groupby("u", sort=False):
-            nb = np.sort(g["v"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            o_x.append(nb[i])
-            o_y.append(nb[j])
-        if o_x:
-            g = (pd.DataFrame({"x": np.concatenate(o_x),
-                               "y": np.concatenate(o_y),
-                               "n": np.int64(1)})
-                 .groupby(["x", "y"], sort=False)["n"].sum()
-                 .reset_index())
-        else:
-            g = pd.DataFrame({"x": [], "y": [], "n": []})
-        return pa.table({
-            "x": pa.array(g["x"].tolist(), node_type),
-            "y": pa.array(g["y"].tolist(), node_type),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-            "kind": pa.array(np.ones(len(g), np.int64), pa.int64()),
-        })
-
-    def direct(batch: pa.Table) -> pa.Table:
-        z = pa.array([0] * batch.num_rows, pa.int64())
-        return pa.table({
-            # already cast to node_type by norm — both union sides
-            # carry identical x/y schemas
-            "x": batch.column("a"), "y": batch.column("b"),
-            "n": z, "kind": z,
-        })
-
     def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        w = df[df["kind"] == 1]
-        g = (w.groupby(["x", "y"], sort=False)["n"].sum()
-             .reset_index())
-        d = df.loc[df["kind"] == 0, ["x", "y"]]
-        g = g.merge(d, on=["x", "y"], how="left", indicator=True)
-        g = g[(g["_merge"] == "left_only") & (g["n"] >= min_common)]
-        return pa.table({
-            a_col: pa.array(g["x"].tolist(), node_type),
-            b_col: pa.array(g["y"].tolist(), node_type),
-            "n_common": pa.array(np.asarray(g["n"], np.int64),
-                                 pa.int64()),
-        })
+        kind = batch.column("kind")
+        g = grouped_agg(batch.filter(pc.equal(kind, 1)),
+                        ["x", "y"], [("n", "sum")])
+        g = g.join(batch.filter(pc.equal(kind, 0)).select(["x", "y"]),
+                   keys=["x", "y"], join_type="left anti")
+        g = g.filter(pc.greater_equal(g.column("n"), min_common))
+        return pa.table({a_col: g.column("x"), b_col: g.column("y"),
+                         "n_common": g.column("n")})
 
-    if ed.count() <= broadcast_edges_max:
-        # pre-group on the driver (it can hold the edges by contract):
-        # blocks cut only at center boundaries — no center sort at all
-        pdf = ed.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(pa.table({
-                a_col: pa.array([], node_type),
-                b_col: pa.array([], node_type),
-                "n_common": pa.array([], pa.int64()),
-            }))
-        u = np.concatenate([pdf["a"].to_numpy(), pdf["b"].to_numpy()])
-        v = np.concatenate([pdf["b"].to_numpy(), pdf["a"].to_numpy()])
-        order = np.argsort(u, kind="stable")
-        u, v = u[order], v[order]
-        n_blocks = max(1, min(64, len(u) // 4096))
-        cuts = [0]
-        for pos in range(1, n_blocks):
-            c = int(np.searchsorted(
-                u, u[min(pos * len(u) // n_blocks, len(u) - 1)],
-                side="left"))
-            if c > cuts[-1]:
-                cuts.append(c)
-        cuts.append(len(u))
-        blocks = [pa.table({"u": pa.array(u[lo:hi].tolist(), node_type),
-                            "v": pa.array(v[lo:hi].tolist(), node_type)})
-                  for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-        centered = rd.from_arrow(blocks)
+    src = edges.materialize()
+    tbl = _fold_edges(src, "common_neighbors", [a_col, b_col])
+    if tbl is not None:
+        ed = _norm(tbl, a_col, b_col, node_type)
+        if ed.num_rows == 0:
+            return rd.from_arrow(_empty(**{a_col: node_type,
+                                           b_col: node_type,
+                                           "n_common": pa.int64()}))
+        centered = rd.from_arrow(
+            _center_blocks(_bidir(ed, ("u", "v"), a="a", b="b"), "u"))
+        direct = rd.from_arrow(_direct_rows(ed))
     else:
-        centered = (ed.map_batches(both, batch_format="pyarrow",
-                                   batch_size=1 << 19)
-                    .sort("u"))
+        # read twice (wedge + direct branches): materialize once
+        ed = src.map_batches(_norm, fn_args=(a_col, b_col, node_type),
+                             batch_format="pyarrow",
+                             batch_size=1 << 19).materialize()
+        centered = ed.map_batches(
+            _bidir, fn_args=(("u", "v"),), fn_kwargs={"a": "a", "b": "b"},
+            batch_format="pyarrow", batch_size=1 << 19).sort("u")
+        direct = ed.map_batches(_direct_rows, batch_format="pyarrow",
+                                batch_size=1 << 19)
 
-    partials = centered.map_batches(wedge_partials,
-                                    batch_format="pyarrow",
-                                    batch_size=None)
-    return (partials.union(ed.map_batches(
-                direct, batch_format="pyarrow", batch_size=1 << 19))
+    # materialized before the exchange, which is a barrier anyway: fed by
+    # the lazy map, the union -> Sort stalled about 10 s under a 768 MiB
+    # object store (kg_dense: 1.3M partial rows, 47 MB) against 0.4 s
+    partials = centered.map_batches(_wedge_counts, batch_format="pyarrow",
+                                    batch_size=None).materialize()
+    return (partials.union(direct)
             .sort(["x", "y"])
-            .map_batches(finish, batch_format="pyarrow",
-                         batch_size=None))
+            .map_batches(finish, batch_format="pyarrow", batch_size=None))
 
 
 def jaccard_links(
@@ -780,7 +818,6 @@ def jaccard_links(
     b_col: str = "obj",
     min_common: int = 2,
     node_type: pa.DataType = pa.string(),
-    broadcast_edges_max: int = 1 << 22,
 ) -> rd.Dataset:
     """Neighborhood-Jaccard link scoring: :func:`common_neighbors`
     survivors annotated with both endpoint degrees and the exact
@@ -793,68 +830,42 @@ def jaccard_links(
     union_size = deg_a + deg_b - n_common by inclusion-exclusion over
     distinct neighbor sets.
 
-    Two auto-selected degree paths with identical outputs (the
-    `_triangles_broadcast` precedent): at or below
-    ``broadcast_edges_max`` edge rows, degrees fold on the driver and
-    broadcast into one stateless annotation map (right for
-    lexicon-bounded node spaces); above it, NO per-node driver state —
-    degrees are computed combine/sort/combine and attached to the
-    surviving pairs by two union-sort-merge passes (sort on a, fill
-    deg_a per block; sort on b, fill deg_b), exactly the
-    kg_components sorted-completion shape.
+    Fold (the module rule): degrees are one ``grouped_agg`` over the
+    driver table, looked up per surviving pair in one stateless map.
+    Exchange: NO per-node driver state — degrees are computed
+    combine/sort/combine and attached to the surviving pairs by two
+    union-sort-merge passes (:func:`_jaccard_annotate_distributed`).
 
     Output: (a_col, b_col, n_common, deg_a, deg_b, union_size)."""
-
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            a_col: batch.column(a_col).cast(node_type),
-            b_col: batch.column(b_col).cast(node_type),
-        })
-
-    # feeds BOTH the wedge pipeline and the degree fold: materialize
-    # once (Ray does no CSE — the triangle_counts rule)
-    ed = edges.map_batches(norm, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-    cn = common_neighbors(ed, a_col=a_col, b_col=b_col,
-                          min_common=min_common, node_type=node_type,
-                          broadcast_edges_max=broadcast_edges_max)
-
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (pd.DataFrame({
-                "e": np.concatenate([df[a_col].to_numpy(),
-                                     df[b_col].to_numpy()]),
-                "d": np.int64(1)})
-             .groupby("e", sort=False)["d"].sum().reset_index())
-        return pa.table({
-            "e": pa.array(g["e"].tolist(), node_type),
-            "d": pa.array(np.asarray(g["d"], np.int64), pa.int64()),
-        })
-
-    if ed.count() > broadcast_edges_max:
+    src = edges.materialize()
+    tbl = _fold_edges(src, "jaccard_links", [a_col, b_col])
+    cn = common_neighbors(src, a_col=a_col, b_col=b_col,
+                          min_common=min_common, node_type=node_type)
+    if tbl is None:
+        ed = src.map_batches(_norm,
+                             fn_args=(a_col, b_col, node_type, (a_col, b_col)),
+                             batch_format="pyarrow",
+                             batch_size=1 << 19).materialize()
         return _jaccard_annotate_distributed(
-            ed, cn, a_col=a_col, b_col=b_col, node_type=node_type,
-            deg_partial=deg_partial)
+            ed, cn, a_col=a_col, b_col=b_col, node_type=node_type)
 
-    deg: dict = {}
-    for r in ed.map_batches(deg_partial, batch_format="pyarrow",
-                            batch_size=1 << 19).take_all():
-        deg[r["e"]] = deg.get(r["e"], 0) + r["d"]
+    deg = _degrees(_norm(tbl, a_col, b_col, node_type), ("a", "b"))
+    nodes = deg.column("node").combine_chunks()
+    dvals = deg.column("d")
+    if not len(nodes):  # no pairs: a map over them would drop the schema
+        return rd.from_arrow(_empty(**{
+            a_col: node_type, b_col: node_type, "n_common": pa.int64(),
+            "deg_a": pa.int64(), "deg_b": pa.int64(),
+            "union_size": pa.int64()}))
 
     def annotate(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        da = df[a_col].map(deg).to_numpy(dtype=np.int64) \
-            if len(df) else np.array([], np.int64)
-        db = df[b_col].map(deg).to_numpy(dtype=np.int64) \
-            if len(df) else np.array([], np.int64)
-        nc = np.asarray(df["n_common"], np.int64)
+        da = dvals.take(pc.index_in(batch.column(a_col), value_set=nodes))
+        db = dvals.take(pc.index_in(batch.column(b_col), value_set=nodes))
+        nc = batch.column("n_common")
         return pa.table({
-            a_col: pa.array(df[a_col].tolist(), node_type),
-            b_col: pa.array(df[b_col].tolist(), node_type),
-            "n_common": pa.array(nc, pa.int64()),
-            "deg_a": pa.array(da, pa.int64()),
-            "deg_b": pa.array(db, pa.int64()),
-            "union_size": pa.array(da + db - nc, pa.int64()),
+            a_col: batch.column(a_col), b_col: batch.column(b_col),
+            "n_common": nc, "deg_a": da, "deg_b": db,
+            "union_size": pc.subtract(pc.add(da, db), nc),
         })
 
     return cn.map_batches(annotate, batch_format="pyarrow",
@@ -868,32 +879,18 @@ def _jaccard_annotate_distributed(
     a_col: str,
     b_col: str,
     node_type: pa.DataType,
-    deg_partial,
 ) -> rd.Dataset:
     """Large-graph degree annotation for :func:`jaccard_links`: NO
     per-node driver state.  Degrees become a Dataset
-    (combine/sort/combine, the _pagerank_distributed shape) and are
-    attached to the surviving (a, b, n_common) pairs by two
-    union-sort-merge passes — sort on the a endpoint filling deg_a per
-    block, then sort on the b endpoint filling deg_b — relying only on
-    Ray's equal-keys-land-whole range-partitioner invariant.  Every
-    pair endpoint is a wedge leaf, hence a graph node with a degree
-    row, so the per-block merges are total."""
-
-    def deg_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("e", sort=False)["d"].sum().reset_index()
-        return pa.table({
-            "e": pa.array(g["e"].tolist(), node_type),
-            "d": pa.array(np.asarray(g["d"], np.int64), pa.int64()),
-        })
-
-    deg = (ed.map_batches(deg_partial, batch_format="pyarrow",
-                          batch_size=1 << 19)
-           .sort("e")
-           .map_batches(deg_combine, batch_format="pyarrow",
-                        batch_size=None)
-           .materialize())  # consumed by BOTH fill passes (no CSE)
+    (:func:`_degrees_ds`) and are attached to the surviving
+    (a, b, n_common) pairs by two union-sort-merge passes — sort on the
+    a endpoint filling deg_a per block, then sort on the b endpoint
+    filling deg_b — relying only on Ray's equal-keys-land-whole
+    range-partitioner invariant.  Every pair endpoint is a wedge leaf,
+    hence a graph node with a degree row, so the per-block merges are
+    total."""
+    # consumed by BOTH fill passes (no CSE)
+    deg = _degrees_ds(ed, (a_col, b_col), "e", "d").materialize()
 
     def pair_rows_a(batch: pa.Table) -> pa.Table:
         m = batch.num_rows
@@ -988,6 +985,8 @@ def _jaccard_annotate_distributed(
                          batch_size=None))
 
 
+# -- traversal and peeling ---------------------------------------------------
+
 def khop_reachability(
     pairs: rd.Dataset,
     *,
@@ -1001,13 +1000,9 @@ def khop_reachability(
     within 3 hops of these nodes"), the traversal shape the
     components/pagerank family doesn't cover.
 
-    Scale shape (the pagerank precedent): node STATE is
-    lexicon-bounded — visited/frontier sets broadcast into each map
-    task — while the EDGE table streams once per round; each block
-    emits its DISTINCT frontier-adjacent targets (O(entities) per
-    block, never O(edges)), and the driver folds set unions.  Edges
-    are materialized once because the lazy lineage is consumed
-    ``max_hops + 1`` times (the engine's no-CSE rule).
+    Fold only (the module rule; ValueError above the cap): hop
+    distances and the frontier are numpy arrays over sorted node codes,
+    each round one boolean gather over the edge codes.
 
     Output: small pa.Table (entity_id, hops BIGINT), unreached
     entities omitted.
@@ -1017,56 +1012,21 @@ def khop_reachability(
     Reachability itself is duplicate-insensitive, but the shared
     oracle applies SELECT DISTINCT; route any non-distinct edge source
     through a dedup first (same rule as kcore / label_propagation)."""
-
-    def bidir(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.table({
-            "a": pa.array(df["subj"].tolist() + df["obj"].tolist(),
-                          pa.string()),
-            "b": pa.array(df["obj"].tolist() + df["subj"].tolist(),
-                          pa.string()),
-        })
-
-    ed = pairs.map_batches(bidir, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-
-    def seed_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        nodes = pd.unique(df["a"])
-        keep = [n for n in nodes if n.endswith(seed_suffix)]
-        return pa.table({"v": pa.array(keep, pa.string())})
-
-    seeds = set()
-    for row in ed.map_batches(seed_partial, batch_format="pyarrow",
-                              batch_size=1 << 19).take_all():
-        seeds.add(row["v"])  # O(entities) driver fold
-
-    hops: dict[str, int] = {v: 0 for v in sorted(seeds)}
-    frontier = set(seeds)
+    ed = _bidir(_edge_table(pairs, "khop_reachability", _PAIR_COLS))
+    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    frontier = pc.ends_with(nodes, pattern=seed_suffix).to_numpy(
+        zero_copy_only=False)
+    hops = np.where(frontier, 0, -1)
     for d in range(1, max_hops + 1):
-        if not frontier:
+        if not frontier.any():
             break
-        fr = frontier  # captured (lexicon-bounded) broadcast
-
-        def expand(batch: pa.Table, _fr=fr) -> pa.Table:
-            df = batch.to_pandas()
-            hit = df[df["a"].isin(_fr)]
-            return pa.table({
-                "v": pa.array(pd.unique(hit["b"]), pa.string())})
-
-        reached = set()
-        for row in ed.map_batches(expand, batch_format="pyarrow",
-                                  batch_size=1 << 19).take_all():
-            reached.add(row["v"])
-        frontier = reached - hops.keys()
-        for v in sorted(frontier):
-            hops[v] = d
-
-    items = sorted(hops.items())
-    return pa.table({
-        "entity_id": pa.array([k for k, _ in items], pa.string()),
-        "hops": pa.array([v for _, v in items], pa.int64()),
-    })
+        reached = np.zeros(len(nodes), dtype=bool)
+        reached[b[frontier[a]]] = True
+        frontier = reached & (hops < 0)
+        hops[frontier] = d
+    keep = np.flatnonzero(hops >= 0)
+    return pa.table({"entity_id": nodes.take(pa.array(keep)),
+                     "hops": pa.array(hops[keep], pa.int64())})
 
 
 def kcore(
@@ -1094,167 +1054,34 @@ def kcore(
     DISTINCT), so a duplicated edge would silently inflate them; route
     any non-distinct edge source through a dedup first.
 
-    Scale shape (the pagerank/khop precedent): node state — the alive
-    set — is lexicon-bounded and broadcast per round; the edge table
-    streams once per round emitting per-block partial degree counts
-    (O(entities) rows per block), folded on the driver.  Edges
-    materialize once (consumed up to rounds+1 times; no-CSE rule).
+    Fold only (the module rule; ValueError above the cap): the alive
+    set is a boolean array over sorted node codes and each round's
+    degrees one ``np.bincount`` over the edges with both ends alive.
 
     Output: small pa.Table (entity_id, core_degree BIGINT)."""
+    ed = _bidir(_edge_table(pairs, "kcore", _PAIR_COLS))
+    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    n = len(nodes)
 
-    def bidir(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.table({
-            "a": pa.array(df["subj"].tolist() + df["obj"].tolist(),
-                          pa.string()),
-            "b": pa.array(df["obj"].tolist() + df["subj"].tolist(),
-                          pa.string()),
-        })
+    def degrees(alive: np.ndarray | None) -> np.ndarray:
+        keep = slice(None) if alive is None else alive[a] & alive[b]
+        return np.bincount(a[keep], minlength=n)
 
-    ed = pairs.map_batches(bidir, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-
-    def fold_degrees(alive: set | None) -> dict[str, int]:
-        def partial(batch: pa.Table, _al=alive) -> pa.Table:
-            df = batch.to_pandas()
-            if _al is not None:
-                df = df[df["a"].isin(_al) & df["b"].isin(_al)]
-            g = df.groupby("a", sort=False).size().reset_index(name="c")
-            return pa.table({
-                "v": pa.array(g["a"].tolist(), pa.string()),
-                "c": pa.array(np.asarray(g["c"], np.int64), pa.int64()),
-            })
-
-        deg: dict[str, int] = {}
-        for row in ed.map_batches(partial, batch_format="pyarrow",
-                                  batch_size=1 << 19).take_all():
-            deg[row["v"]] = deg.get(row["v"], 0) + row["c"]
-        return deg
-
-    alive: set | None = None
+    alive = None
     for _ in range(rounds):
-        deg = fold_degrees(alive)
-        new_alive = {v for v, c in deg.items() if c >= k}
-        if alive is not None and new_alive == alive:
+        deg = degrees(alive)
+        new_alive = (deg >= k) & (deg > 0)
+        if alive is not None and (new_alive == alive).all():
             break  # fixed point — remaining rounds are no-ops
         alive = new_alive
 
-    final_deg = fold_degrees(alive)
-    items = sorted(final_deg.items())
-    return pa.table({
-        "entity_id": pa.array([v for v, _ in items], pa.string()),
-        "core_degree": pa.array([c for _, c in items], pa.int64()),
-    })
+    deg = degrees(alive)
+    keep = np.flatnonzero(deg > 0)
+    return pa.table({"entity_id": nodes.take(pa.array(keep)),
+                     "core_degree": pa.array(deg[keep], pa.int64())})
 
 
-def clustering_coefficients(
-    edges: rd.Dataset,
-    *,
-    a_col: str = "doc_a",
-    b_col: str = "doc_b",
-    out_col: str = "node_id",
-    scale_bp: int = 10_000,
-    broadcast_edges_max: int = 1 << 22,
-) -> rd.Dataset:
-    """Local clustering coefficient per node of degree >= 2 over the
-    DISTINCT undirected edge table: ``coeff = 2*T(v) / (d(v)*(d(v)-1))``.
-
-    Exactness contract: the output is (n_triangles, degree) as exact
-    integers plus ``coeff_bp = (2*scale_bp*T) // (d*(d-1))`` — operands
-    are non-negative, so numpy floor division == DuckDB ``//``
-    truncation (CLAUDE.md round-3 rule) and the SQL oracle matches
-    bitwise.  No float ever enters the pipeline.
-
-    Shape: the normalized edge table is materialized ONCE (it feeds
-    both the triangle enumeration and the degree count — Ray does no
-    common-subexpression elimination, so an unmaterialized lineage
-    would run the upstream pair join twice); triangles come from
-    :func:`triangle_counts` (degree-oriented wedges), degrees from a
-    combine/sort/combine, and the two small per-node tables meet in a
-    final sort-merge on the single node key where the per-block pandas
-    left-merge fills triangle-free nodes with 0."""
-
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": batch.column(a_col).cast(pa.int64()),
-            "b": batch.column(b_col).cast(pa.int64()),
-        })
-
-    ed = edges.map_batches(norm, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-
-    tri = triangle_counts(ed, a_col="a", b_col="b", out_col="node",
-                          broadcast_edges_max=broadcast_edges_max)
-
-    def deg_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "deg" not in df.columns:
-            df = pd.DataFrame({
-                "node": np.concatenate([df["a"].to_numpy(),
-                                        df["b"].to_numpy()]),
-                "deg": np.int64(1),
-            })
-        g = df.groupby("node", sort=False)["deg"].sum().reset_index()
-        return pa.table({
-            "node": pa.array(g["node"].to_numpy(), pa.int64()),
-            "deg": pa.array(np.asarray(g["deg"], np.int64), pa.int64()),
-        })
-
-    deg = (ed.map_batches(deg_combine, batch_format="pyarrow",
-                          batch_size=1 << 19)
-           .sort("node")
-           .map_batches(deg_combine, batch_format="pyarrow",
-                        batch_size=None))
-
-    def tag_deg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "node": batch.column("node"),
-            "val": batch.column("deg"),
-            "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-        })
-
-    def tag_tri(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "node": batch.column("node").cast(pa.int64()),
-            "val": batch.column("n_triangles").cast(pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-        })
-
-    def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        d = df[df["side"] == 0][["node", "val"]].rename(
-            columns={"val": "degree"})
-        t = df[df["side"] == 1][["node", "val"]].rename(
-            columns={"val": "n_triangles"})
-        j = d.merge(t, on="node", how="left")
-        j["n_triangles"] = (j["n_triangles"].fillna(0)
-                            .to_numpy(dtype=np.int64))
-        j = j[j["degree"] >= 2]
-        dg = j["degree"].to_numpy(dtype=np.int64)
-        nt = j["n_triangles"].to_numpy(dtype=np.int64)
-        bp = (2 * scale_bp * nt) // (dg * (dg - 1))
-        return pa.table({
-            out_col: pa.array(j["node"].to_numpy(dtype=np.int64),
-                              pa.int64()),
-            "n_triangles": pa.array(nt, pa.int64()),
-            "degree": pa.array(dg, pa.int64()),
-            "coeff_bp": pa.array(bp, pa.int64()),
-        })
-
-    return (deg.map_batches(tag_deg, batch_format="pyarrow")
-            .union(tri.map_batches(tag_tri, batch_format="pyarrow"))
-            .sort("node")
-            .map_batches(finish, batch_format="pyarrow", batch_size=None))
-
-
-def label_propagation(
-    pairs: rd.Dataset,
-    *,
-    rounds: int = 4,
-    broadcast_edges_max: int = 1 << 22,
-):
+def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
     """Synchronous label-propagation community detection over the
     undirected co-occurrence graph, ``rounds`` fixed iterations.
 
@@ -1268,23 +1095,15 @@ def label_propagation(
     fixed-unroll trick); isolated fixed points mean extra SQL rounds
     are harmless.
 
-    Two auto-selected paths with BIT-IDENTICAL outputs (the pagerank
-    precedent — integer votes + lexicographic tie-break are order-free):
-
-    - edge count <= ``broadcast_edges_max``: node state is
-      lexicon-bounded — the label map broadcasts into each map task —
-      while the EDGE table streams once per round; each block emits
-      per-(node, neighbor-label) COUNT partials (O(entities x labels
-      seen) per block, never O(edges)) and the driver folds integer
-      counts then takes the per-node (count DESC, label ASC) argmax.
-      Returns a small pa.Table (entity_id, community).  The broadcast
-      path may early-exit at a fixed point, where extra rounds are
-      no-ops on both paths.
-    - above the cap: NO per-node driver state — labels live as a
-      Dataset and each round is two sorts (attach each neighbor's
-      current label to edges by the label-owner endpoint, then
-      per-node vote sum + argmax in a second sorted pass).  Returns
-      the community Dataset (entity_id, community).
+    Fold (the module rule): labels are sorted node codes, so code order
+    is label order; each round is one ``grouped_agg`` of
+    (voter, neighbor label) votes and a k=1 ``grouped_topk`` cut under
+    (count DESC, label ASC).  Returns a small pa.Table (entity_id,
+    community); it may exit early at a fixed point, where extra rounds
+    are no-ops on both paths.  Exchange: NO per-node driver state
+    (:func:`_lpa_distributed`); returns the community Dataset.
+    Integer votes and a lexicographic tie-break make the two paths
+    bit-identical.
 
     Precondition: ``pairs`` must be DISTINCT (subj, obj) rows — the
     flagship triple table guarantees this per (subj, pred, obj) dedup.
@@ -1292,68 +1111,31 @@ def label_propagation(
     applies SELECT DISTINCT), so a duplicated edge would skew the
     per-node vote; route any non-distinct edge source through a dedup
     first."""
-
-    def bidir(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.table({
-            "a": pa.array(df["subj"].tolist() + df["obj"].tolist(),
-                          pa.string()),
-            "b": pa.array(df["obj"].tolist() + df["subj"].tolist(),
-                          pa.string()),
-        })
-
-    # consumed once per round + once for the node set: materialize
-    ed = pairs.map_batches(bidir, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-    if ed.count() > broadcast_edges_max:
+    src = pairs.materialize()
+    tbl = _fold_edges(src, "label_propagation", _PAIR_COLS)
+    if tbl is None:
+        # consumed once per round + once for the node set: materialize
+        ed = src.map_batches(_bidir, batch_format="pyarrow",
+                             batch_size=1 << 19).materialize()
         return _lpa_distributed(ed, rounds=rounds)
 
-    def node_partial(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "v": pa.array(pd.unique(batch.to_pandas()["a"]),
-                          pa.string())})
-
-    labels: dict[str, str] = {}
-    for row in ed.map_batches(node_partial, batch_format="pyarrow",
-                              batch_size=1 << 19).take_all():
-        labels[row["v"]] = row["v"]  # O(entities) driver fold
-
+    ed = _bidir(tbl)
+    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    voter = pa.array(a)
+    lab = np.arange(len(nodes))
     for _ in range(rounds):
-        lab = labels  # captured (lexicon-bounded) broadcast
-
-        def count_partial(batch: pa.Table, _lab=lab) -> pa.Table:
-            df = batch.to_pandas()
-            g = (pd.DataFrame({
-                    "v": df["a"].to_numpy(),
-                    "nl": df["b"].map(_lab).to_numpy(),
-                 })
-                 .groupby(["v", "nl"], sort=False)
-                 .size().reset_index(name="c"))
-            return pa.table({
-                "v": pa.array(g["v"].tolist(), pa.string()),
-                "nl": pa.array(g["nl"].tolist(), pa.string()),
-                "c": pa.array(g["c"].to_numpy(dtype=np.int64),
-                              pa.int64()),
-            })
-
-        acc: dict[str, dict[str, int]] = {}
-        for row in ed.map_batches(count_partial, batch_format="pyarrow",
-                                  batch_size=1 << 19).take_all():
-            d = acc.setdefault(row["v"], {})
-            d[row["nl"]] = d.get(row["nl"], 0) + row["c"]
-        new = {}
-        for v, d in acc.items():
-            # (count DESC, label ASC) argmax
-            new[v] = min(d.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        if new == labels:
+        votes = grouped_agg(pa.table({"v": voter, "nl": lab[b],
+                                      "c": _ones(len(a))}),
+                            ["v", "nl"], [("c", "sum")])
+        best = grouped_topk(votes, ["v"], [("c", "descending"),
+                                           ("nl", "ascending")], 1)
+        new = lab.copy()
+        new[best.column("v").to_numpy()] = best.column("nl").to_numpy()
+        if (new == lab).all():
             break  # fixed point: extra SQL rounds are no-ops
-        labels = new
-
-    items = sorted(labels.items())
-    return pa.table({
-        "entity_id": pa.array([k for k, _ in items], pa.string()),
-        "community": pa.array([v for _, v in items], pa.string()),
-    })
+        lab = new
+    return pa.table({"entity_id": nodes,
+                     "community": nodes.take(pa.array(lab))})
 
 
 def _lpa_distributed(ed: rd.Dataset, *, rounds: int) -> rd.Dataset:
@@ -1372,8 +1154,8 @@ def _lpa_distributed(ed: rd.Dataset, *, rounds: int) -> rd.Dataset:
          per (voter, label) then the (count DESC, label ASC) argmax
          rebuilds the state row.  Integer votes + lexicographic
          tie-break are order-free, so the result is bit-identical to
-         the broadcast fold (no early exit here: the broadcast path
-         exits only at a fixed point, where extra rounds are no-ops).
+         the driver fold (no early exit here: the fold exits only at a
+         fixed point, where extra rounds are no-ops).
 
     Output: Dataset (entity_id, community)."""
 
@@ -1486,7 +1268,6 @@ def ktruss(
     a_col: str = "subj",
     b_col: str = "obj",
     node_type: pa.DataType = pa.string(),
-    broadcast_edges_max: int = 1 << 22,
 ) -> rd.Dataset:
     """k-truss peel over DISTINCT undirected edges (``a < b``): keep
     edges supported by >= k-2 triangles, recompute support on the
@@ -1495,17 +1276,16 @@ def ktruss(
     both engines, and before convergence both report the same
     partially-peeled set for the same round count).
 
-    Two auto-selected paths with BIT-IDENTICAL outputs (integer
-    supports — the _triangles_broadcast precedent): at or below
-    ``broadcast_edges_max`` edges the peel runs on the driver (six
-    wide ops per call are pure overhead on a lexicon-bounded graph);
-    above it, per round, the common_neighbors wedge machinery with
-    INNER (not anti) edge semantics: both-direction rows sorted on the
-    center -> per-block wedge-pair partials; partials UNIONED with the
-    current edge rows sorted on the (x, y) composite -> per-block
-    support sum, keep edges present with support >= k-2.  Each round's
-    survivor set is materialized (iterative lineage truncation).
-    Integer supports make the SQL unroll bit-exact.
+    Fold (the module rule): the peel runs on the driver table with
+    per-edge neighbor-set intersections (six wide ops per call are pure
+    overhead on a lexicon-bounded graph).  Exchange, per round, the
+    common_neighbors wedge machinery with INNER (not anti) edge
+    semantics: both-direction rows sorted on the center -> per-block
+    wedge-pair partials; partials UNIONED with the current edge rows
+    sorted on the (x, y) composite -> per-block support sum, keep edges
+    present with support >= k-2.  Each round's survivor set is
+    materialized (iterative lineage truncation).  Integer supports make
+    the two paths and the SQL unroll bit-exact.
 
     Per-center wedge cost is deg^2 (full neighbor set, like
     common_neighbors); pre-filter hub degrees before calling this on
@@ -1513,21 +1293,12 @@ def ktruss(
 
     Output: (``a_col``, ``b_col``, support) for the final survivors."""
     thr = k - 2
-
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "a": batch.column(a_col).cast(node_type),
-            "b": batch.column(b_col).cast(node_type),
-        })
-
-    cur = edges.map_batches(norm, batch_format="pyarrow",
-                            batch_size=1 << 19).materialize()
-    if cur.count() <= broadcast_edges_max:
-        # lexicon-bounded graph (the _triangles_broadcast contract):
-        # six wide ops per call are pure overhead when the edges fit
-        # on the driver — run the identical integer peel locally.
-        pdf = cur.to_pandas()
-        cur_set = list(zip(pdf["a"].tolist(), pdf["b"].tolist()))
+    src = edges.materialize()
+    tbl = _fold_edges(src, "ktruss", [a_col, b_col])
+    if tbl is not None:
+        ed = _norm(tbl, a_col, b_col, node_type)
+        cur_set = list(zip(ed.column("a").to_pylist(),
+                           ed.column("b").to_pylist()))
         sup: dict = {}
         for _ in range(rounds):
             adj: dict = {}
@@ -1543,74 +1314,29 @@ def ktruss(
             "support": pa.array([sup[e] for e in cur_set], pa.int64()),
         }))
 
-    def both(batch: pa.Table) -> pa.Table:
-        a, b = batch.column("a"), batch.column("b")
-        return pa.table({
-            "u": pa.concat_arrays([a.combine_chunks(),
-                                   b.combine_chunks()]),
-            "v": pa.concat_arrays([b.combine_chunks(),
-                                   a.combine_chunks()]),
-        })
-
-    def wedge_partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        o_x, o_y = [], []
-        for _, g in df.groupby("u", sort=False):
-            nb = np.sort(g["v"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            o_x.append(nb[i])
-            o_y.append(nb[j])
-        if o_x:
-            g = (pd.DataFrame({"x": np.concatenate(o_x),
-                               "y": np.concatenate(o_y),
-                               "n": np.int64(1)})
-                 .groupby(["x", "y"], sort=False)["n"].sum()
-                 .reset_index())
-        else:
-            g = pd.DataFrame({"x": [], "y": [], "n": []})
-        return pa.table({
-            "x": pa.array(g["x"].tolist(), node_type),
-            "y": pa.array(g["y"].tolist(), node_type),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-            "kind": pa.array(np.ones(len(g), np.int64), pa.int64()),
-        })
-
-    def direct(batch: pa.Table) -> pa.Table:
-        z = pa.array([0] * batch.num_rows, pa.int64())
-        return pa.table({
-            "x": batch.column("a"), "y": batch.column("b"),
-            "n": z, "kind": z,
-        })
-
     def keep_supported(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        d = df.loc[df["kind"] == 0, ["x", "y"]]
-        if d.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"a": pa.array([], node_type),
-                             "b": pa.array([], node_type),
-                             "support": z})
-        w = (df[df["kind"] == 1].groupby(["x", "y"], sort=False)
-             ["n"].sum().reset_index())
-        g = d.merge(w, on=["x", "y"], how="left").fillna({"n": 0})
-        g = g[g["n"] >= thr]
-        return pa.table({
-            "a": pa.array(g["x"].tolist(), node_type),
-            "b": pa.array(g["y"].tolist(), node_type),
-            "support": pa.array(g["n"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-        })
+        kind = batch.column("kind")
+        w = grouped_agg(batch.filter(pc.equal(kind, 1)),
+                        ["x", "y"], [("n", "sum")])
+        g = batch.filter(pc.equal(kind, 0)).select(["x", "y"]).join(
+            w, keys=["x", "y"], join_type="left outer")
+        n = g.column("n").fill_null(0)
+        g = g.filter(pc.greater_equal(n, thr))
+        return pa.table({"a": g.column("x"), "b": g.column("y"),
+                         "support": g.column("n").fill_null(0)})
 
+    cur = src.map_batches(_norm, fn_args=(a_col, b_col, node_type),
+                          batch_format="pyarrow",
+                          batch_size=1 << 19).materialize()
     last = None
     for r in range(rounds):
-        sup = (cur.map_batches(both, batch_format="pyarrow",
-                               batch_size=1 << 19)
+        sup = (cur.map_batches(_bidir, fn_args=(("u", "v"),),
+                               fn_kwargs={"a": "a", "b": "b"},
+                               batch_format="pyarrow", batch_size=1 << 19)
                .sort("u")
-               .map_batches(wedge_partials, batch_format="pyarrow",
+               .map_batches(_wedge_counts, batch_format="pyarrow",
                             batch_size=None))
-        last = (sup.union(cur.map_batches(direct,
+        last = (sup.union(cur.map_batches(_direct_rows,
                                           batch_format="pyarrow"))
                 .sort(["x", "y"])
                 .map_batches(keep_supported, batch_format="pyarrow",
@@ -1632,6 +1358,8 @@ def ktruss(
     return last.map_batches(rename, batch_format="pyarrow")
 
 
+# -- fold-only analytics -----------------------------------------------------
+
 def link_negatives(triples: rd.Dataset) -> rd.Dataset:
     """Link-prediction negative sampling (TransE-family training prep,
     Bordes et al. 2013): for every positive triple (s, p, o) emit ONE
@@ -1646,29 +1374,22 @@ def link_negatives(triples: rd.Dataset) -> rd.Dataset:
     runs and engines with no RNG state (the `mlm_mask_plan` rule).
     Requires n >= 2 endpoints for neg_obj != obj to be guaranteed.
 
-    Shape: the vocabulary is LEXICON-BOUNDED (the degrees/pagerank
-    driver-fold precedent) — one streaming pass folds per-block
-    distinct endpoints on the driver, ``ray.put`` broadcasts the
-    sorted array, and one stateless pass corrupts every triple
+    Shape: the vocabulary comes from the driver edge table (fold only,
+    the module rule; ValueError above the cap), ``ray.put`` broadcasts
+    the sorted array, and one stateless pass corrupts every triple
     block-locally.  Zero wide ops.
 
     Output: (subj, pred, obj, neg_obj)."""
-    import ray
-
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
 
-    def ends(batch: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([
-            np.asarray(batch.column("subj").to_pylist(), object),
-            np.asarray(batch.column("obj").to_pylist(), object)]))
-        return pa.table({"e": pa.array(u.tolist(), pa.string())})
-
-    vocab: set[str] = set()
-    for r in triples.map_batches(ends, batch_format="pyarrow",
-                                 batch_size=1 << 19).take_all():
-        vocab.add(r["e"])
-    arr = np.asarray(sorted(vocab), dtype=object)
+    tm = triples.materialize()  # vocabulary + corrupt pass, no CSE
+    tbl = _edge_table(tm, "link_negatives", _PAIR_COLS)
+    arr = np.asarray(_encode(tbl.column("subj"), tbl.column("obj"))[0]
+                     .to_pylist(), dtype=object)
     n = len(arr)
+    if n == 0:
+        return rd.from_arrow(_empty(subj=pa.string(), pred=pa.string(),
+                                    obj=pa.string(), neg_obj=pa.string()))
     vref = ray.put(arr)
 
     def corrupt(batch: pa.Table) -> pa.Table:
@@ -1693,7 +1414,7 @@ def link_negatives(triples: rd.Dataset) -> rd.Dataset:
             "neg_obj": pa.array(neg.tolist(), pa.string()),
         })
 
-    return triples.map_batches(corrupt, batch_format="pyarrow")
+    return tm.map_batches(corrupt, batch_format="pyarrow")
 
 
 def degree_assortativity(triples: rd.Dataset,
@@ -1708,68 +1429,22 @@ def degree_assortativity(triples: rd.Dataset,
     float ever enters and the verdict (assortative / neutral /
     disassortative) is deterministic on both engines.
 
-    Shape: one lexicon-bounded degree fold on the driver (the
-    kg_degrees shape), ``ray.put`` broadcast, then ONE streaming pass
-    over the edge stream folding five integers per block — zero wide
-    ops.
+    Fold only (the module rule; ValueError above the cap): degrees are
+    one ``np.bincount`` over node codes, the stub sums numpy int64
+    sums over the edges.
 
     Output pa.Table, one row: (n_stubs, s_x, s_xy, s_xx, num, den,
     assortative)."""
-    import ray
-
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        d = pd.DataFrame({
-            "entity_id": np.concatenate([df["subj"].to_numpy(),
-                                         df["obj"].to_numpy()]),
-            "degree": np.int64(1),
-        })
-        g = (d.groupby("entity_id", sort=False)["degree"]
-             .sum().reset_index())
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(),
-                                  pa.string()),
-            "degree": pa.array(g["degree"].to_numpy(np.int64),
-                               pa.int64()),
-        })
-
-    tm = triples.materialize()  # consumed twice; no CSE in Ray
-    deg: dict[str, int] = {}
-    for r in tm.map_batches(deg_partial, batch_format="pyarrow",
-                            batch_size=1 << 19).take_all():
-        deg[r["entity_id"]] = deg.get(r["entity_id"], 0) \
-            + int(r["degree"])
-    dref = ray.put(deg)
-
-    def stub_partials(batch: pa.Table) -> pa.Table:
-        dd = ray.get(dref)
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"n": z, "sx": z, "sxy": z, "sxx": z})
-        da = df["subj"].map(dd).to_numpy(np.int64)
-        db = df["obj"].map(dd).to_numpy(np.int64)
-        # both orientations: Σ over stubs
-        n = 2 * len(df)
-        sx = int((da + db).sum())
-        sxy = int(2 * (da * db).sum())
-        sxx = int((da * da + db * db).sum())
-        return pa.table({
-            "n": pa.array([n], pa.int64()),
-            "sx": pa.array([sx], pa.int64()),
-            "sxy": pa.array([sxy], pa.int64()),
-            "sxx": pa.array([sxx], pa.int64()),
-        })
-
-    n = sx = sxy = sxx = 0
-    for r in tm.map_batches(stub_partials, batch_format="pyarrow",
-                            batch_size=None).take_all():
-        n += int(r["n"])
-        sx += int(r["sx"])
-        sxy += int(r["sxy"])
-        sxx += int(r["sxx"])
+    co = _edge_table(triples, "degree_assortativity", _TRIPLE_COLS)
+    co = co.filter(pc.equal(co.column("pred"), pred))
+    _, (s, o) = _encode(co.column("subj"), co.column("obj"))
+    deg = np.bincount(np.concatenate([s, o]))
+    da, db = deg[s], deg[o]
+    # both orientations: Σ over stubs
+    n = 2 * co.num_rows
+    sx = int((da + db).sum())
+    sxy = int(2 * (da * db).sum())
+    sxx = int((da * da + db * db).sum())
     # over stubs Σy == Σx, so num = n*Σxy - (Σx)²
     num = n * sxy - sx * sx
     den = n * sxx - sx * sx
@@ -1795,12 +1470,11 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
     co-occurrence graph A is symmetric, so hubs == authorities — the
     stored subj->obj orientation is used as-is, mirroring the oracle.
 
-    Shape: the graph is lexicon-bounded (the kg node-state rule), so
-    edges fold to a driver edge list once and the ``rounds``
-    iterations are two tiny driver matvecs; the distributed part is
-    the single streaming edge fold.  For bigger-than-lexicon graphs
-    the same recurrence runs as the pagerank-style distributed
-    gather (sort on endpoint), auto-selection left to the caller.
+    Fold only (the module rule): edge multiplicities are one
+    ``grouped_agg`` over the driver table and the ``rounds``
+    iterations two driver matvecs each.  There is no distributed path:
+    above ``FOLD_MAX_BYTES`` it raises ValueError naming the size and
+    the cap.
 
     Scores are exact Python ints until output.  Unnormalized HITS grows
     about as (max weighted degree)^(2 * rounds), and the output columns
@@ -1809,33 +1483,19 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
     cast.
 
     Output pa.Table (entity_id, hub, auth), sorted by entity_id."""
-
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        g = (df.groupby(["subj", "obj"], sort=False)
-             .size().reset_index(name="m"))
-        return pa.table({
-            "subj": pa.array(g["subj"].tolist(), pa.string()),
-            "obj": pa.array(g["obj"].tolist(), pa.string()),
-            "m": pa.array(g["m"].to_numpy(np.int64), pa.int64()),
-        })
-
-    edges: dict[tuple, int] = {}
-    for r in triples.map_batches(edge_partial, batch_format="pyarrow",
-                                 batch_size=1 << 19).take_all():
-        k = (r["subj"], r["obj"])
-        edges[k] = edges.get(k, 0) + int(r["m"])
-    nodes = sorted({a for a, _ in edges} | {b for _, b in edges})
-    idx = {e: i for i, e in enumerate(nodes)}
+    co = _edge_table(triples, "hits_scores", _TRIPLE_COLS)
+    co = co.filter(pc.equal(co.column("pred"), pred))
+    m = grouped_agg(pa.table({"subj": co.column("subj"),
+                              "obj": co.column("obj"),
+                              "m": _ones(co.num_rows)}),
+                    ["subj", "obj"], [("m", "sum")])
+    nodes, (src, dst) = _encode(m.column("subj"), m.column("obj"))
     n = len(nodes)
     if n == 0:
         z = pa.array([], pa.int64())
         return pa.table({"entity_id": pa.array([], pa.string()),
                          "hub": z, "auth": z})
-    src = np.asarray([idx[a] for a, _ in edges], np.int64)
-    dst = np.asarray([idx[b] for _, b in edges], np.int64)
-    mult = np.asarray(list(edges.values()), np.int64)
+    mult = m.column("m").to_numpy()
     h = np.ones(n, dtype=object)  # python ints: no overflow ever
     a = np.zeros(n, dtype=object)
     for _ in range(rounds):
@@ -1849,7 +1509,7 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
             f"hits_scores: a score reached {top} after {rounds} rounds, "
             "past the int64 output bound 2^63 - 1; lower rounds")
     return pa.table({
-        "entity_id": pa.array(nodes, pa.string()),
+        "entity_id": nodes,
         "hub": pa.array([int(v) for v in h], pa.int64()),
         "auth": pa.array([int(v) for v in a], pa.int64()),
     })
@@ -1867,45 +1527,20 @@ def random_walks(triples: rd.Dataset, *, pred: str = "co_occurs",
     identical list index.  Walks stop early at sink nodes (absent
     steps, inner-join semantics).
 
-    Shape: the adjacency is lexicon-bounded -> ONE streaming edge
-    fold builds sorted neighbor lists on the driver, ``ray.put``
+    Shape: sorted neighbor lists come from the driver edge table (fold
+    only, the module rule; ValueError above the cap), ``ray.put``
     broadcasts them, and walk emission is a ``map_batches`` over the
-    node list (embarrassingly parallel; at web scale the same
-    recurrence runs as ``walk_len`` sort-merge self-joins, the
-    documented fallback family).
+    node list (embarrassingly parallel).
 
     Output: (start, step, node) with step 1-based."""
-    import ray
-
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
 
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        g = pd.DataFrame({
-            "a": np.concatenate([df["subj"].to_numpy(),
-                                 df["obj"].to_numpy()]),
-            "b": np.concatenate([df["obj"].to_numpy(),
-                                 df["subj"].to_numpy()]),
-        }).drop_duplicates()
-        return pa.table({
-            "a": pa.array(g["a"].tolist(), pa.string()),
-            "b": pa.array(g["b"].tolist(), pa.string()),
-        })
-
-    adj: dict[str, set] = {}
-    for r in triples.map_batches(edge_partial, batch_format="pyarrow",
-                                 batch_size=1 << 19).take_all():
-        adj.setdefault(r["a"], set()).add(r["b"])
-    nbrs = {k: sorted(v) for k, v in adj.items()}
+    nbrs = _adjacency(_edge_table(triples, "random_walks", _TRIPLE_COLS),
+                      pred)
+    if not nbrs:
+        return rd.from_arrow(_empty(start=pa.string(), step=pa.int64(),
+                                    node=pa.string()))
     aref = ray.put(nbrs)
-    nodes = sorted(nbrs)
-    if not nodes:
-        return rd.from_arrow(pa.table({
-            "start": pa.array([], pa.string()),
-            "step": pa.array([], pa.int64()),
-            "node": pa.array([], pa.string()),
-        }))
 
     def walk(batch: pa.Table) -> pa.Table:
         nb = ray.get(aref)
@@ -1929,7 +1564,7 @@ def random_walks(triples: rd.Dataset, *, pred: str = "co_occurs",
         })
 
     starts = rd.from_arrow(pa.table({
-        "start": pa.array(nodes, pa.string())}))
+        "start": pa.array(list(nbrs), pa.string())}))
     return starts.map_batches(walk, batch_format="pyarrow")
 
 
@@ -1941,41 +1576,27 @@ def local_bridges(triples: rd.Dataset,
     (Granovetter via Easley-Kleinberg ch. 3).  Reported per edge with
     the exact common-neighbor count.
 
-    Shape: the adjacency is lexicon-bounded -> one streaming edge
-    fold + ``ray.put`` broadcast, then ONE map_batches pass over the
-    edge stream computing set intersections per edge (C-speed set
-    ops, the postings-loop pattern).  Zero wide ops.
+    Shape: the adjacency comes from the driver edge table (fold only,
+    the module rule; ValueError above the cap) and ships once via
+    ``ray.put``; ONE map_batches pass over the edge stream computes set
+    intersections per edge (C-speed set ops, the postings-loop
+    pattern).  Zero wide ops.
 
     Output: (subj, obj, n_common, is_bridge)."""
-    import ray
-
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        g = pd.DataFrame({
-            "a": np.concatenate([df["subj"].to_numpy(),
-                                 df["obj"].to_numpy()]),
-            "b": np.concatenate([df["obj"].to_numpy(),
-                                 df["subj"].to_numpy()]),
-        }).drop_duplicates()
-        return pa.table({
-            "a": pa.array(g["a"].tolist(), pa.string()),
-            "b": pa.array(g["b"].tolist(), pa.string()),
-        })
-
-    tm = triples.materialize()  # adjacency fold + edge pass, no CSE
-    adj: dict[str, set] = {}
-    for r in tm.map_batches(edge_partial, batch_format="pyarrow",
-                            batch_size=1 << 19).take_all():
-        adj.setdefault(r["a"], set()).add(r["b"])
+    tm = triples.materialize()  # adjacency + edge pass, no CSE
+    adj = {v: set(nb) for v, nb in _adjacency(
+        _edge_table(tm, "local_bridges", _TRIPLE_COLS), pred).items()}
+    if not adj:
+        return rd.from_arrow(_empty(subj=pa.string(), obj=pa.string(),
+                                    n_common=pa.int64(),
+                                    is_bridge=pa.int64()))
     aref = ray.put(adj)
 
     def per_edge(batch: pa.Table) -> pa.Table:
         nb = ray.get(aref)
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        subj = df["subj"].tolist()
-        obj = df["obj"].tolist()
+        batch = batch.filter(pc.equal(batch.column("pred"), pred))
+        subj = batch.column("subj").to_pylist()
+        obj = batch.column("obj").to_pylist()
         n_common = np.asarray(
             [len((nb.get(a, set()) & nb.get(b, set()))
                  - {a, b}) for a, b in zip(subj, obj)], np.int64)
@@ -1999,36 +1620,20 @@ def link_prediction_ra(triples: rd.Dataset, *,
     — the fixed-point integer form of Σ 1/deg(z), exact on both
     engines (non-negative floor division, no logs or floats).
 
-    Shape: adjacency + degrees fold once (lexicon-bounded, the kg
-    node-state rule) and broadcast; wedge pairs emit per-center from
-    a map over the node list, combine, ONE pair sort, per-block sum +
-    non-adjacency filter.
+    Shape: sorted neighbor lists come from the driver edge table (fold
+    only, the module rule; ValueError above the cap) and broadcast;
+    wedge pairs emit per-center from a map over the node list, ONE pair
+    sort, per-block sum + non-adjacency filter.
 
     Output: (a, b, n_common, ra_fp) with a < b, sorted."""
-    import ray
-
-    def edge_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == pred]
-        g = pd.DataFrame({
-            "a": np.concatenate([df["subj"].to_numpy(),
-                                 df["obj"].to_numpy()]),
-            "b": np.concatenate([df["obj"].to_numpy(),
-                                 df["subj"].to_numpy()]),
-        }).drop_duplicates()
-        return pa.table({
-            "a": pa.array(g["a"].tolist(), pa.string()),
-            "b": pa.array(g["b"].tolist(), pa.string()),
-        })
-
-    adj: dict[str, set] = {}
-    for r in triples.map_batches(edge_partial, batch_format="pyarrow",
-                                 batch_size=1 << 19).take_all():
-        adj.setdefault(r["a"], set()).add(r["b"])
-    nbrs = {k: sorted(v) for k, v in adj.items()}
+    nbrs = _adjacency(
+        _edge_table(triples, "link_prediction_ra", _TRIPLE_COLS), pred)
+    if not nbrs:
+        return rd.from_arrow(_empty(a=pa.string(), b=pa.string(),
+                                    n_common=pa.int64(), ra_fp=pa.int64()))
     aref = ray.put(nbrs)
     centers = rd.from_arrow(pa.table({
-        "z": pa.array(sorted(nbrs), pa.string())}))
+        "z": pa.array(list(nbrs), pa.string())}))
 
     def wedge_pairs(batch: pa.Table) -> pa.Table:
         nb = ray.get(aref)
@@ -2053,22 +1658,10 @@ def link_prediction_ra(triples: rd.Dataset, *,
         })
 
     def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string()),
-                             "n_common": z, "ra_fp": z})
-        g = (df.groupby(["a", "b"], sort=False)["w"]
-             .agg(["size", "sum"]).reset_index())
-        return pa.table({
-            "a": pa.array(g["a"].tolist(), pa.string()),
-            "b": pa.array(g["b"].tolist(), pa.string()),
-            "n_common": pa.array(g["size"].to_numpy(np.int64),
-                                 pa.int64()),
-            "ra_fp": pa.array(g["sum"].to_numpy(np.int64),
-                              pa.int64()),
-        })
+        g = grouped_agg(batch.append_column("n_common",
+                                            _ones(batch.num_rows)),
+                        ["a", "b"], [("n_common", "sum"), ("w", "sum")])
+        return g.rename_columns(["a", "b", "n_common", "ra_fp"])
 
     pairs = centers.map_batches(wedge_pairs, batch_format="pyarrow")
     return pairs.sort(["a", "b"]).map_batches(
@@ -2085,69 +1678,34 @@ def modularity_report(pairs: rd.Dataset,
     partition-quality functional).  The number that says whether the
     LPA communities are real structure or noise.
 
-    Shape: the community map is lexicon-bounded -> ``ray.put``
-    broadcast; ONE streaming pass over the distinct edge stream folds
-    per-community (in-edge, endpoint-degree) integer partials on the
-    driver.  Zero wide ops.
+    Fold only (the module rule; ValueError above the cap): the
+    community map and per-community (in-edge, endpoint-degree) counts
+    are computed once over the driver edge table.
 
     Output pa.Table (community, n_nodes, in_edges, deg_sum,
     q_num_part), sorted by community."""
-    import ray
-
+    df = _edge_table(pairs, "modularity_report", _PAIR_COLS).to_pandas()
     lab = dict(zip(communities.column("entity_id").to_pylist(),
                    communities.column("community").to_pylist()))
-    lref = ray.put(lab)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        lb = ray.get(lref)
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"community": pa.array([], pa.string()),
-                             "in_edges": z, "deg_sum": z, "m": z})
-        ca = df["subj"].map(lb)
-        cb = df["obj"].map(lb)
-        in_counts = ca[(ca == cb).to_numpy()].value_counts()
-        deg_counts = pd.concat([ca, cb]).value_counts()
-        ks = sorted(deg_counts.index)
-        # the block's edge count rides on a null-community sentinel row
-        # (the association_stats "" idiom): it exists even when no
-        # endpoint maps to a community, and no real community is null
-        return pa.table({
-            "community": pa.array(ks + [None], pa.string()),
-            "in_edges": pa.array(
-                [int(in_counts.get(k, 0)) for k in ks] + [0], pa.int64()),
-            "deg_sum": pa.array(
-                [int(deg_counts[k]) for k in ks] + [0], pa.int64()),
-            "m": pa.array([0] * len(ks) + [len(df)], pa.int64()),
-        })
-
-    acc: dict[str, list] = {}
-    m = 0
-    for r in pairs.map_batches(partials, batch_format="pyarrow",
-                               batch_size=None).take_all():
-        if r["community"] is None:
-            m += int(r["m"])
-            continue
-        a = acc.setdefault(r["community"], [0, 0])
-        a[0] += int(r["in_edges"])
-        a[1] += int(r["deg_sum"])
+    ca = df["subj"].map(lab)
+    cb = df["obj"].map(lab)
+    in_counts = ca[(ca == cb).to_numpy()].value_counts()
+    deg_counts = pd.concat([ca, cb]).value_counts()
+    m = len(df)
     n_nodes: dict[str, int] = {}
     for c in communities.column("community").to_pylist():
-        # a null community leaves its node unmapped, as in the partials
+        # a null community leaves its node unmapped, as in the edge map
         if c is not None:
             n_nodes[c] = n_nodes.get(c, 0) + 1
     # communities with no incident edge still appear (all-zero row)
-    for c in n_nodes:
-        acc.setdefault(c, [0, 0])
-    ks = sorted(acc)
+    ks = sorted(set(deg_counts.index) | set(n_nodes))
+    in_e = [int(in_counts.get(k, 0)) for k in ks]
+    deg_s = [int(deg_counts.get(k, 0)) for k in ks]
     return pa.table({
         "community": pa.array(ks, pa.string()),
-        "n_nodes": pa.array([n_nodes.get(k, 0) for k in ks],
-                            pa.int64()),
-        "in_edges": pa.array([acc[k][0] for k in ks], pa.int64()),
-        "deg_sum": pa.array([acc[k][1] for k in ks], pa.int64()),
+        "n_nodes": pa.array([n_nodes.get(k, 0) for k in ks], pa.int64()),
+        "in_edges": pa.array(in_e, pa.int64()),
+        "deg_sum": pa.array(deg_s, pa.int64()),
         "q_num_part": pa.array(
-            [4 * m * acc[k][0] - acc[k][1] * acc[k][1] for k in ks],
-            pa.int64()),
+            [4 * m * i - d * d for i, d in zip(in_e, deg_s)], pa.int64()),
     })

@@ -50,7 +50,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    driver_table, from_pandas_clean, grouped_agg)
+    FOLD_MAX_BYTES, driver_table, from_pandas_clean, grouped_agg,
+    triu_pairs)
 
 import ray.data as rd
 
@@ -149,15 +150,6 @@ def link_mentions(
     return map_stage(mentions, EntityLinker, {"alias_rows": alias_rows},
                      batch_size=batch_size)
 
-
-#: fold-or-exchange cap: a materialized input of at most this many bytes
-#: folds on the driver, with no Sort.  Fold vs Sort path, emit_triples +
-#: canonical_entities, 4 CPUs: 0.03-0.05 vs 0.17-0.18 s at 0.8-1.2 MB
-#: linked (kgbench shapes, sf0.01), 0.09 vs 0.27 s at 8 MB (sf0.1), 0.23
-#: vs 0.52 s at 25 MB, 0.75 vs 1.63 s at 82 MB (sf1; driver RSS +415 MB).
-#: No crossover on 4 CPUs; with 8x the CPUs the Sort path's 19 ms/MB
-#: would meet the fold's 9 ms/MB near 25-30 MB, hence 32 MiB.
-FOLD_MAX_BYTES = 32 << 20
 
 #: combiner coalescing width: map_batches with a large batch_size merges
 #: many upstream blocks per combine call, shrinking what the sort moves
@@ -325,25 +317,6 @@ def _sorted_factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq[order], rank[codes]
 
 
-def _triu_pairs(starts: np.ndarray, counts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """All (i<j) index pairs within each [start, start+count) group.
-    Vectorized per distinct group size (sizes are tiny and few)."""
-    I, J = [], []
-    for c in np.unique(counts):
-        c = int(c)
-        if c < 2:
-            continue
-        ii, jj = np.triu_indices(c, k=1)
-        s = starts[counts == c]
-        I.append((s[:, None] + ii[None, :]).ravel())
-        J.append((s[:, None] + jj[None, :]).ravel())
-    if not I:
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    return np.concatenate(I), np.concatenate(J)
-
-
 def _cross_pairs(s1: np.ndarray, c1: np.ndarray,
                  s2: np.ndarray, c2: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +387,7 @@ def _block_pairs(batch: pa.Table) -> pa.Table:
         k_ng, return_index=True, return_counts=True)
     # co_occurs: all (i<j) entity pairs within a turn (rows within
     # a key group are ent-code-sorted = string-sorted)
-    I_co, J_co = _triu_pairs(starts, counts)
+    I_co, J_co = triu_pairs(starts, counts)
     # follows: non-ghost turn t against ALL rows of turn t+1
     ak, astarts, acounts = np.unique(
         key, return_index=True, return_counts=True)

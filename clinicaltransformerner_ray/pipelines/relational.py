@@ -61,6 +61,14 @@ from clinicaltransformerner_ray.pipelines.events import _round_half_away
 
 _US_PER_DAY = 86_400_000_000
 
+#: supplier rows at or below which ``top_supplier`` folds its per-supplier
+#: revenue on the driver (zero wide ops); above it, the sorted chain
+TOP_SUPPLIER_FOLD_ROWS = 1 << 20
+
+#: surviving dimension keys at or below which ``market_share`` broadcasts
+#: them (zero wide ops); above it, the 3-hop co-partition sort chain
+MARKET_SHARE_FOLD_KEYS = 1 << 22
+
 
 def _ts_us(iso_date: str) -> int:
     return int(pd.Timestamp(iso_date).value // 1000)
@@ -2334,14 +2342,13 @@ def top_supplier(
     *,
     date_from: str = "1996-01-01",
     date_to: str = "1996-04-01",
-    broadcast_suppliers_max: int = 1 << 20,
 ) -> rd.Dataset:
     """TPC-H Q15-shaped GLOBAL-MAX selection: the supplier(s) whose
     windowed revenue equals the corpus-wide maximum — a groupwise
     aggregate, a global max over it, and an equality join back (Q15's
     revenue view + its correlated ``= max(total_revenue)``).
 
-    Scale shape, auto-selected by ``broadcast_suppliers_max`` (the
+    Scale shape, auto-selected by ``TOP_SUPPLIER_FOLD_ROWS`` (the
     market_share precedent): the aggregate is supplier-bounded, so
     when the supplier dim fits the cap the whole query is ONE
     streaming pass over lineitem — per-block (suppkey, rev) integer
@@ -2387,7 +2394,7 @@ def top_supplier(
     })
 
     n_supp = supplier.count()
-    if n_supp <= broadcast_suppliers_max:
+    if n_supp <= TOP_SUPPLIER_FOLD_ROWS:
         # ---- broadcast-fold path: one streaming pass, zero wide ops
         parts = lineitem.map_batches(rev_partials,
                                      batch_format="pyarrow",
@@ -2525,7 +2532,6 @@ def market_share(
     *,
     target_nation: str = "NATION_3",
     region: str = "ASIA",
-    broadcast_keys_max: int = 1 << 22,
 ) -> pa.Table:
     """TPC-H Q8-shaped national MARKET SHARE: per order year, the
     fraction of revenue sold into ``region`` that was supplied by
@@ -2533,8 +2539,8 @@ def market_share(
     at the fact side, customer region as the filter) with a
     share-of-total output.
 
-    Scale shape, auto-selected by ``broadcast_keys_max`` (the
-    ``broadcast_edges_max`` precedent): when the region-qualified
+    Scale shape, auto-selected by ``MARKET_SHARE_FOLD_KEYS`` (the
+    top_supplier precedent): when the region-qualified
     order set and the supplier dim fit the cap, the dimension chain
     BROADCASTS — region custkeys and target suppkeys are fetched by
     distributed filters (tiny survivors, the load_queries pattern),
@@ -2566,7 +2572,7 @@ def market_share(
             return batch.select([key_col]).filter(pa.array(m))
 
         parts = ds.map_batches(f, batch_format="pyarrow").take_all()
-        if len(parts) > broadcast_keys_max:
+        if len(parts) > MARKET_SHARE_FOLD_KEYS:
             return None
         return np.sort(np.asarray([r[key_col] for r in parts],
                                   np.int64))
@@ -2591,7 +2597,7 @@ def market_share(
 
         qual = orders.map_batches(o_qual,
                                   batch_format="pyarrow").take_all()
-        if len(qual) <= broadcast_keys_max:
+        if len(qual) <= MARKET_SHARE_FOLD_KEYS:
             ok = np.asarray([r["okey"] for r in qual], np.int64)
             yv = np.asarray([r["yr"] for r in qual], np.int64)
             order_ix = np.argsort(ok, kind="stable")

@@ -86,18 +86,23 @@ def test_fold_equals_exchange_mega_conversation(monkeypatch, ray_session,
 
 @pytest.mark.parametrize("op", OPS)
 def test_fold_equals_exchange_empty(monkeypatch, linked, op):
-    """A materialized input with no rows takes the exchange path on
-    either cap (``pa.concat_tables([])`` never runs) and gives no
-    rows."""
+    """A materialized input with no rows folds on either cap: the
+    selector hands back its schema's empty table (``concat_tables([])``
+    never runs), so the op gives a typed empty result, with the schema
+    of its output on real rows."""
     import ray
     import ray.data as rd
 
     from clinicaltransformerner_ray.arrowutil import driver_table
 
     empty = ray.get(linked.to_arrow_refs()[0]).slice(0, 0)
-    assert driver_table(rd.from_arrow(empty), 1 << 40) is None
+    for cap in (1 << 40, 0):
+        got = driver_table(rd.from_arrow(empty), cap)
+        assert got is not None and got.equals(empty)
     out = _assert_parity(monkeypatch, op, rd.from_arrow(empty))
-    assert out is None or out.num_rows == 0
+    assert out is not None and out.num_rows == 0
+    ref, _ = _both_paths(monkeypatch, op, linked)
+    assert out.schema.equals(ref[0], check_metadata=True)
 
 
 @pytest.mark.parametrize("op", OPS)

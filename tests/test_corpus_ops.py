@@ -732,7 +732,7 @@ def _brute_triangles(edges):
 
 
 @pytest.mark.parametrize("case", ["random", "hub", "clique", "empty"])
-def test_triangle_counts_brute_force(ray_session, case):
+def test_triangle_counts_brute_force(ray_session, monkeypatch, case):
     """triangle_counts == itertools brute force on: a seeded random
     graph, a hub star + one closing rim (exercises degree orientation —
     the hub must NOT anchor wedges), a 7-clique (C(7,3) triangles,
@@ -741,6 +741,7 @@ def test_triangle_counts_brute_force(ray_session, case):
     import pyarrow as pa
     import ray.data as rd
 
+    from clinicaltransformerner_ray.pipelines import graph
     from clinicaltransformerner_ray.pipelines.graph import triangle_counts
 
     if case == "random":
@@ -763,11 +764,12 @@ def test_triangle_counts_brute_force(ray_session, case):
     })
     want = _brute_triangles(edges)
     # several input blocks so combine/sort/per-block paths are real;
-    # max=0 forces the 6-sort distributed path, default the broadcast
-    # path — both must match brute force (and hence each other)
-    for bmax in (1 << 22, 0):
-        got = triangle_counts(rd.from_arrow(tbl).repartition(4),
-                              broadcast_edges_max=bmax).to_pandas()
+    # cap 0 forces the 6-sort distributed path, the default cap the
+    # driver fold — both must match brute force (and hence each other)
+    for cap in (graph.FOLD_MAX_BYTES, 0):
+        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        got = triangle_counts(
+            rd.from_arrow(tbl).repartition(4)).to_pandas()
         if case == "empty":
             # a triangle-free graph yields zero rows (the distributed
             # path drops the schema with it when every block is empty)
@@ -1054,13 +1056,14 @@ def test_token_collocations_oracle_parity_small(ray_session):
                                   check_dtype=False)
 
 
-def test_clustering_coefficients_brute_force(ray_session):
+def test_clustering_coefficients_brute_force(ray_session, monkeypatch):
     """Square + diagonal + tail: coefficients 2/3, 1, 1/3 and an exact
     0 for a triangle-free degree-2 node; degree-1 nodes excluded; the
-    broadcast and distributed triangle paths agree."""
+    driver fold and the distributed path agree."""
     import pyarrow as pa
     import ray.data as rd
 
+    from clinicaltransformerner_ray.pipelines import graph
     from clinicaltransformerner_ray.pipelines.graph import (
         clustering_coefficients)
 
@@ -1072,13 +1075,13 @@ def test_clustering_coefficients_brute_force(ray_session):
         1: (2, 3, 6666), 2: (1, 2, 10000), 3: (2, 3, 6666),
         4: (1, 3, 3333), 5: (0, 2, 0),
     }
-    for bmax in (1 << 22, 0):  # broadcast path, then distributed path
-        out = clustering_coefficients(
-            rd.from_arrow(edges), broadcast_edges_max=bmax).to_pandas()
+    for cap in (graph.FOLD_MAX_BYTES, 0):  # fold, then distributed path
+        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        out = clustering_coefficients(rd.from_arrow(edges)).to_pandas()
         got = {int(r.node_id): (int(r.n_triangles), int(r.degree),
                                 int(r.coeff_bp))
                for r in out.itertuples()}
-        assert got == want, f"broadcast_edges_max={bmax}"
+        assert got == want, f"FOLD_MAX_BYTES={cap}"
 
 
 def test_weighted_sample_size_bias(ray_session):

@@ -519,13 +519,15 @@ def test_idle_rich_customers_semantics(ray_session):
     assert (r.c_mktsegment, r.n_custs, r.sum_acctbal_cents) == ("B", 1, 300)
 
 
-def test_market_share_broadcast_matches_sorted_path(ray_session):
+def test_market_share_broadcast_matches_sorted_path(ray_session,
+                                                   monkeypatch):
     """Forced-path bit-parity (the graph-family precedent): the
-    zero-sort broadcast path (dims under broadcast_keys_max) and the
+    zero-sort broadcast path (dims under MARKET_SHARE_FOLD_KEYS) and the
     3-hop co-partition sort chain must produce identical tables."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from clinicaltransformerner_ray.pipelines import relational
     from clinicaltransformerner_ray.pipelines.relational import (
         _nation_region_map, market_share)
 
@@ -544,19 +546,21 @@ def test_market_share_broadcast_matches_sorted_path(ray_session):
 
     nm = _nation_region_map(SF)
     bcast = market_share(*args(), nation_map=nm)
-    sorted_path = market_share(*args(), nation_map=nm,
-                               broadcast_keys_max=0)
+    monkeypatch.setattr(relational, "MARKET_SHARE_FOLD_KEYS", 0)
+    sorted_path = market_share(*args(), nation_map=nm)
     assert bcast.equals(sorted_path)
     assert bcast.num_rows > 0
 
 
-def test_top_supplier_broadcast_matches_sorted_path(ray_session):
+def test_top_supplier_broadcast_matches_sorted_path(ray_session,
+                                                   monkeypatch):
     """Forced-path bit-parity: the zero-wide-op broadcast fold
-    (supplier dim under broadcast_suppliers_max) and the sorted
+    (supplier dim under TOP_SUPPLIER_FOLD_ROWS) and the sorted
     co-partition chain must produce identical tables."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
+    from clinicaltransformerner_ray.pipelines import relational
     from clinicaltransformerner_ray.pipelines.relational import (
         top_supplier)
 
@@ -572,8 +576,8 @@ def test_top_supplier_broadcast_matches_sorted_path(ray_session):
         ]
 
     a = _canon(top_supplier(*args()).to_pandas())
-    b = _canon(top_supplier(
-        *args(), broadcast_suppliers_max=0).to_pandas())
+    monkeypatch.setattr(relational, "TOP_SUPPLIER_FOLD_ROWS", 0)
+    b = _canon(top_supplier(*args()).to_pandas())
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
 

@@ -3,11 +3,15 @@
 Mirrors the driver compare: sort columns by name, sort rows, hash values.
 Usage: python tools/driver_sim.py [sf_dir] [query ...]
 
+Each query argument is an exact name or an ``fnmatch`` pattern, so
+``'kg_*'`` runs one family.
+
 The last stdout line is one JSON object: the PASS/ROWS_ONLY/BAD counts
 and ``results``, each query's status, rows, seconds and the md5 of its
 canonical (column- and row-sorted) output, so a diff of two runs' last
 lines shows what a change moved.
 """
+import fnmatch
 import hashlib
 import json
 import os
@@ -77,7 +81,7 @@ def safe_hash(df) -> str | None:
 results = {}
 n_pass = n_rows_only = n_bad = 0
 for name, fn in qs.items():
-    if ONLY and name not in ONLY:
+    if ONLY and not any(fnmatch.fnmatchcase(name, q) for q in ONLY):
         continue
     t0 = time.time()
     try:
