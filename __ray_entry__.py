@@ -40,13 +40,30 @@ def _co_pairs(batch):
     """Shared projection: triple rows -> (subj, obj) co-occurrence
     pairs (used by the components and common-neighbors queries)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    df = batch.to_pandas()
-    co = df[df["pred"] == "co_occurs"]
-    return pa.table({
-        "subj": pa.array(co["subj"].tolist(), pa.string()),
-        "obj": pa.array(co["obj"].tolist(), pa.string()),
-    })
+    co = batch.filter(pc.equal(batch.column("pred"), "co_occurs"))
+    return pa.table({"subj": co.column("subj").cast(pa.string()),
+                     "obj": co.column("obj").cast(pa.string())})
+
+
+def _co_vocab(sf_dir: str, op: str):
+    """The distinct co-occurrence pairs of the flagship triple table as
+    one driver table (``agg_fold``: lexicon-bounded, checked against the
+    fold cap), and its endpoints' sorted dense int64 codes
+    (``sorted_codes``, so code order is entity order): the
+    (entities, subj codes, obj codes) that the component and triangle
+    queries run their int64 kernels on."""
+    import pyarrow as pa
+
+    from clinicaltransformerner_ray.arrowutil import agg_fold, sorted_codes
+
+    empty = pa.table({c: pa.array([], pa.string()) for c in ("subj", "obj")})
+    pairs = agg_fold(_kg(sf_dir)["triples"].map_batches(
+        _co_pairs, batch_format="pyarrow", batch_size=1 << 19),
+        ["subj", "obj"], [], op=op, empty=empty)
+    ents, (a, b) = sorted_codes(pairs.column("subj"), pairs.column("obj"))
+    return ents, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -104,46 +121,31 @@ def _q_kg_negatives(sf_dir: str):
 def _q_kg_degrees(sf_dir: str):
     """Graph statistics chained off the flagship's triple table:
     undirected co-occurrence degree per entity (each triple contributes
-    one endpoint row per side).  Combine/sort/combine over the already
-    pair-deduped triples — demonstrates pipeline chaining; the oracle
+    one endpoint row per side).  Per-batch endpoint counts over the
+    already pair-deduped triples fold on the driver (``agg_fold``: node
+    state is lexicon-bounded, and a sort on so few distinct keys is the
+    repo's own documented low-cardinality pathology); the oracle
     extends the triples SQL with a UNION ALL endpoint explode."""
     import numpy as np
     import pyarrow as pa
 
-    triples = _kg(sf_dir)["triples"]
+    from clinicaltransformerner_ray.arrowutil import agg_fold, grouped_agg
 
     def combine(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+        co = _co_pairs(batch)
+        ends = pa.concat_arrays([co.column("subj").combine_chunks(),
+                                 co.column("obj").combine_chunks()])
+        return grouped_agg(pa.table({
+            "entity_id": ends,
+            "degree": pa.array(np.ones(len(ends), np.int64))}),
+            ["entity_id"], [("degree", "sum")])
 
-        co = batch.to_pandas()
-        co = co[co["pred"] == "co_occurs"]
-        df = pd.DataFrame({
-            "entity_id": np.concatenate([co["subj"].to_numpy(),
-                                         co["obj"].to_numpy()]),
-            "degree": np.int64(1),
-        })
-        g = (df.groupby("entity_id", sort=False)["degree"]
-             .sum().reset_index())
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(),
-                                  pa.string()),
-            "degree": pa.array(np.asarray(g["degree"], np.int64),
-                               pa.int64()),
-        })
-
-    # node state is lexicon-bounded (~10^2 entities), so partial
-    # counts fold on the driver (pagerank's degree-collection shape)
-    # — a sort on so few distinct keys is the repo's own documented
-    # low-cardinality pathology.  take_all is O(entities x blocks).
-    deg: dict[str, int] = {}
-    for r in triples.map_batches(combine, batch_format="pyarrow",
-                                 batch_size=1 << 19).take_all():
-        deg[r["entity_id"]] = deg.get(r["entity_id"], 0) + r["degree"]
-    ents = sorted(deg)
-    return pa.table({
-        "entity_id": pa.array(ents, pa.string()),
-        "degree": pa.array([deg[e] for e in ents], pa.int64()),
-    })
+    return agg_fold(
+        _kg(sf_dir)["triples"].map_batches(
+            combine, batch_format="pyarrow", batch_size=1 << 19),
+        ["entity_id"], [("degree", "sum")], op="kg_degrees",
+        empty=combine(pa.table({c: pa.array([], pa.string())
+                                for c in ("subj", "pred", "obj")})))
 
 
 def _q_kg_pagerank(sf_dir: str):
@@ -206,53 +208,26 @@ def _q_kg_components(sf_dir: str):
     """Connected components over the co-occurrence graph — reuses the
     dedup engine's pointer-jumping label propagation (`dup_clusters`)
     by coding the lexicon-bounded entity vocabulary to dense ints in
-    SORTED order, so min-code == lexicographically-min entity and the
-    mapped-back result matches the SQL recursive-closure oracle
-    exactly.  Completes the graph family: components / degrees /
-    pagerank / triangles / association stats, all over the same edge
-    table."""
-    import numpy as np
-    import pandas as pd
+    SORTED order (:func:`_co_vocab`), so min-code ==
+    lexicographically-min entity and the mapped-back result matches
+    the SQL recursive-closure oracle exactly.  Completes the graph
+    family: components / degrees / pagerank / triangles / association
+    stats, all over the same edge table."""
     import pyarrow as pa
 
+    import ray.data as rd
+
+    from clinicaltransformerner_ray.arrowutil import agg_fold
     from clinicaltransformerner_ray.pipelines.dedup import dup_clusters
 
-    triples = _kg(sf_dir)["triples"]
-
-    # read twice (vocab fold + coded pairs); deduped pair list <<
-    # corpus — the dup_clusters iterative-lineage precedent
-    pairs = triples.map_batches(_co_pairs, batch_format="pyarrow",
-                                batch_size=1 << 19).materialize()
-
-    def vocab_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        u = pd.unique(pd.concat([df["subj"], df["obj"]]))
-        return pa.table({"e": pa.array(sorted(u), pa.string())})
-
-    vocab: set = set()
-    for r in pairs.map_batches(vocab_partial, batch_format="pyarrow",
-                               batch_size=1 << 19).take_all():
-        vocab.add(r["e"])
-    inv = sorted(vocab)
-    code = {e: i for i, e in enumerate(inv)}
-
-    def encode(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        return pa.table({
-            "doc_a": pa.array(df["subj"].map(code).to_numpy(
-                dtype=np.int64), pa.int64()),
-            "doc_b": pa.array(df["obj"].map(code).to_numpy(
-                dtype=np.int64), pa.int64()),
-        })
-
-    cl = dup_clusters(pairs.map_batches(
-        encode, batch_format="pyarrow", batch_size=1 << 19)).to_pandas()
-    inv_a = np.asarray(inv, dtype=object)
+    ents, a, b = _co_vocab(sf_dir, "kg_components")
+    cl = agg_fold(dup_clusters(rd.from_arrow(pa.table({
+        "doc_a": pa.array(a, pa.int64()),
+        "doc_b": pa.array(b, pa.int64())}))),
+        ["doc_id", "cluster_id"], [], op="kg_components")
     return pa.table({
-        "entity_id": pa.array(inv_a[cl["doc_id"].to_numpy()].tolist(),
-                              pa.string()),
-        "component_id": pa.array(
-            inv_a[cl["cluster_id"].to_numpy()].tolist(), pa.string()),
+        "entity_id": ents.take(cl.column("doc_id")),
+        "component_id": ents.take(cl.column("cluster_id")),
     })
 
 
@@ -339,47 +314,41 @@ def _q_kg_type_matrix(sf_dir: str):
     """Schema-level KG report: triple counts + evidence sums by
     (subj_type, pred, obj_type).  The lexicon-bounded entity->type map
     rides the task closure (broadcast, no join shuffle); the per-batch
-    partials are O(types^2 x preds) so the driver folds them (the
-    promo/khop precedent)."""
+    partials are O(types^2 x preds), so ``agg_fold`` folds them on the
+    driver (the promo/khop precedent).  Null-key rule: a triple whose
+    entity has no type drops, as the pandas groupby dropped it."""
+    import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as _pq
 
+    from clinicaltransformerner_ray.arrowutil import agg_fold, grouped_agg
+
     al = _pq.read_table(_paths(sf_dir)["aliases"],
-                        columns=["entity_id", "type"]).to_pandas()
-    tmap = dict(zip(al["entity_id"], al["type"]))
+                        columns=["entity_id", "type"])
+    tmap = grouped_agg(al, ["entity_id", "type"], [])
+    ids = tmap.column("entity_id").combine_chunks()
+    keys = ["subj_type", "pred", "obj_type"]
+    aggs = [("n_triples", "sum"), ("n_evidence", "sum")]
 
     def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
+        def typ(col: str):
+            return tmap.column("type").take(
+                pc.index_in(batch.column(col), value_set=ids))
 
-        df = batch.to_pandas()
-        g = (pd.DataFrame({
-                "subj_type": df["subj"].map(tmap).to_numpy(),
-                "pred": df["pred"].to_numpy(),
-                "obj_type": df["obj"].map(tmap).to_numpy(),
-                "nt": np.int64(1),
-                "ev": df["n_evidence"].to_numpy(dtype=np.int64),
-             })
-             .groupby(["subj_type", "pred", "obj_type"], sort=False)
-             .agg(nt=("nt", "sum"), ev=("ev", "sum")).reset_index())
-        return from_pandas_clean(g, preserve_index=False)
+        return grouped_agg(pa.table({
+            "subj_type": typ("subj"), "pred": batch.column("pred"),
+            "obj_type": typ("obj"),
+            "n_triples": pa.array(np.ones(batch.num_rows, np.int64)),
+            "n_evidence": batch.column("n_evidence").cast(pa.int64()),
+        }), keys, aggs)
 
-    acc: dict[tuple, list[int]] = {}
-    tri = _kg(sf_dir)["triples"].map_batches(
-        partial, batch_format="pyarrow", batch_size=1 << 19)
-    for r in tri.take_all():  # O(types^2 x preds x blocks) — tiny
-        k = (r["subj_type"], r["pred"], r["obj_type"])
-        a = acc.setdefault(k, [0, 0])
-        a[0] += r["nt"]
-        a[1] += r["ev"]
-    keys = sorted(acc)
-    return pa.table({
-        "subj_type": pa.array([k[0] for k in keys], pa.string()),
-        "pred": pa.array([k[1] for k in keys], pa.string()),
-        "obj_type": pa.array([k[2] for k in keys], pa.string()),
-        "n_triples": pa.array([acc[k][0] for k in keys], pa.int64()),
-        "n_evidence": pa.array([acc[k][1] for k in keys], pa.int64()),
-    })
+    return agg_fold(
+        _kg(sf_dir)["triples"].map_batches(
+            partial, batch_format="pyarrow", batch_size=1 << 19),
+        keys, aggs, op="kg_type_matrix",
+        empty=pa.table({c: pa.array([], pa.string()) for c in keys}
+                       | {c: pa.array([], pa.int64()) for c, _ in aggs}))
 
 
 def _q_kg_ktruss(sf_dir: str):
@@ -395,50 +364,25 @@ def _q_kg_ktruss(sf_dir: str):
 
 def _q_kg_triangles(sf_dir: str):
     """Per-ENTITY triangle counts over the co-occurrence graph: the
-    string ids get a driver-side SORTED dense coding (lexicon-bounded
-    — the kg_components precedent; exact, unlike hashing), the int64
-    triangle machinery runs (degree-oriented wedges + closure), and
-    the codes map back."""
+    string ids get a driver-side SORTED dense coding (:func:`_co_vocab`;
+    exact, unlike hashing), the int64 triangle machinery runs
+    (degree-oriented wedges + closure), and the codes map back."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
+    import ray.data as rd
+
+    from clinicaltransformerner_ray.arrowutil import agg_fold
     from clinicaltransformerner_ray.pipelines.graph import triangle_counts
 
-    pairs = _kg(sf_dir)["triples"].map_batches(
-        _co_pairs, batch_format="pyarrow", batch_size=1 << 19)
-    pairs = pairs.materialize()  # consumed twice (vocab fold + coding)
-
-    ents: set = set()
-    def vocab(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        u = pd.unique(pd.concat([df["subj"], df["obj"]]))
-        return pa.table({"e": pa.array(u.tolist(), pa.string())})
-    for r in pairs.map_batches(vocab, batch_format="pyarrow",
-                               batch_size=1 << 19).take_all():
-        ents.add(r["e"])  # O(lexicon) driver fold
-    code = {e: i for i, e in enumerate(sorted(ents))}
-    inv = {i: e for e, i in code.items()}
-
-    def encode(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        a = df["subj"].map(code).to_numpy(dtype=np.int64)
-        b = df["obj"].map(code).to_numpy(dtype=np.int64)
-        return pa.table({
-            "doc_a": pa.array(np.minimum(a, b), pa.int64()),
-            "doc_b": pa.array(np.maximum(a, b), pa.int64()),
-        })
-
-    tri = triangle_counts(
-        pairs.map_batches(encode, batch_format="pyarrow",
-                          batch_size=1 << 19),
-        out_col="node").to_pandas()
-    tri = tri.sort_values("node")
+    ents, a, b = _co_vocab(sf_dir, "kg_triangles")
+    tri = agg_fold(triangle_counts(rd.from_arrow(pa.table({
+        "doc_a": pa.array(np.minimum(a, b), pa.int64()),
+        "doc_b": pa.array(np.maximum(a, b), pa.int64())})),
+        out_col="node"), ["node", "n_triangles"], [], op="kg_triangles")
     return pa.table({
-        "entity_id": pa.array([inv[int(v)] for v in tri["node"]],
-                              pa.string()),
-        "n_triangles": pa.array(
-            tri["n_triangles"].to_numpy(dtype=np.int64), pa.int64()),
+        "entity_id": ents.take(tri.column("node")),
+        "n_triangles": tri.column("n_triangles").cast(pa.int64()),
     })
 
 
@@ -446,17 +390,13 @@ def _q_kg_degree_histogram(sf_dir: str):
     """Aggregate-of-aggregates: the degree DISTRIBUTION of the
     co-occurrence graph (degree -> n_entities).  The degrees table is
     lexicon-bounded and already driver-resident (the degrees query
-    returns a folded pa.Table), so the histogram is a plain fold."""
-    import pyarrow as pa
+    returns a folded pa.Table), so the histogram is one
+    ``grouped_agg``."""
+    from clinicaltransformerner_ray.arrowutil import grouped_agg
 
-    deg = _q_kg_degrees(sf_dir)
-    df = deg.to_pandas() if hasattr(deg, "to_pandas") else deg
-    g = (df.groupby("degree", sort=False).size()
-         .reset_index(name="n_entities").sort_values("degree"))
-    return pa.table({
-        "degree": pa.array(g["degree"].to_numpy(), pa.int64()),
-        "n_entities": pa.array(g["n_entities"].to_numpy(), pa.int64()),
-    })
+    return grouped_agg(_q_kg_degrees(sf_dir), ["degree"],
+                       [("entity_id", "count")]).rename_columns(
+        ["degree", "n_entities"]).sort_by("degree")
 
 
 def _q_kg_lpa(sf_dir: str):
@@ -486,74 +426,37 @@ def _q_kg_conv_entities(sf_dir: str):
     """Per-conversation entity statistics: distinct entities and
     entity-bearing turns per conv — the KG coverage report a corpus
     curator reads.  One sort on the high-cardinality conv_id (batch-
-    local pair dedup first, so the shuffle moves distinct pairs)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
+    local turn-entity distinct first, so the shuffle moves distinct
+    rows), then per block a distinct count of each.  Null-key rule: a
+    linked row with a null key counts toward nothing."""
+    from clinicaltransformerner_ray.pipelines.kg import (
+        _agg_distinct, _turn_entities)
 
-    linked = _kg(sf_dir)["linked"]
+    def per_block(batch):
+        return _agg_distinct(batch, ["conv_id"], [], [
+            ("n_entities", ["entity_id"]), ("n_entity_turns", ["turn_idx"])])
 
-    def local_pairs(batch: pa.Table) -> pa.Table:
-        df = (batch.select(["conv_id", "turn_idx", "entity_id"])
-              .to_pandas().drop_duplicates())
-        return pa.table({
-            "conv_id": pa.array(df["conv_id"].tolist(), pa.string()),
-            "turn_idx": pa.array(df["turn_idx"].to_numpy(
-                dtype=np.int64), pa.int64()),
-            "entity_id": pa.array(df["entity_id"].tolist(),
-                                  pa.string()),
-        })
-
-    def per_block(batch: pa.Table) -> pa.Table:
-        # no dedup needed: nunique ignores duplicate rows
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "conv_id": pa.array([], pa.string()),
-                "n_entities": pa.array([], pa.int64()),
-                "n_entity_turns": pa.array([], pa.int64()),
-            })
-        g = (df.groupby("conv_id", sort=False)
-             .agg(n_entities=("entity_id", "nunique"),
-                  n_entity_turns=("turn_idx", "nunique"))
-             .reset_index())
-        return pa.table({
-            "conv_id": pa.array(g["conv_id"].tolist(), pa.string()),
-            "n_entities": pa.array(
-                np.asarray(g["n_entities"], np.int64), pa.int64()),
-            "n_entity_turns": pa.array(
-                np.asarray(g["n_entity_turns"], np.int64), pa.int64()),
-        })
-
-    return (linked.map_batches(local_pairs, batch_format="pyarrow",
-                               batch_size=1 << 19)
+    return (_kg(sf_dir)["linked"]
+            .map_batches(_turn_entities, batch_format="pyarrow",
+                         batch_size=1 << 19)
             .sort("conv_id")
             .map_batches(per_block, batch_format="pyarrow",
                          batch_size=None))
 
 
 def _q_kg_turn_entities(sf_dir: str):
-    from clinicaltransformerner_ray.pipelines.kg import detect_mentions
+    """Distinct (conv_id, turn_idx, entity_id) rows of the linked
+    mentions: the turn-entity distinct as combine, one sort (equal keys
+    land whole per block) and per-block completion — no per-group
+    calls.  Null-key rule: a row with a null key drops."""
+    from clinicaltransformerner_ray.pipelines.kg import (
+        TE_KEYS, _combine_sort_combine, detect_mentions)
     from clinicaltransformerner_ray.sources.turns import load_alias_rows, read_turns
-    import pyarrow as pa
 
     alias_rows = load_alias_rows(sf_dir)
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
-    linked = detect_mentions(turns, alias_rows, emit="linked")
-
-    def dedup(batch: pa.Table) -> pa.Table:
-        df = batch.select(["conv_id", "turn_idx", "entity_id"]).to_pandas()
-        return from_pandas_clean(df.drop_duplicates(), preserve_index=False)
-
-    # exact distinct: batch-local combiner, one sort (equal keys land
-    # whole per block), block-local completion — no per-group calls
-    keys = ["conv_id", "turn_idx", "entity_id"]
-    return (
-        linked.map_batches(dedup, batch_format="pyarrow",
-                           batch_size=1 << 19)
-        .sort(keys)
-        .map_batches(dedup, batch_format="pyarrow", batch_size=None)
-    )
+    return _combine_sort_combine(
+        detect_mentions(turns, alias_rows, emit="linked"), TE_KEYS, [])
 
 
 def _q_kg_mention_spans(sf_dir: str):
@@ -2717,17 +2620,17 @@ def _q_kg_modularity(sf_dir: str):
     from clinicaltransformerner_ray.pipelines.graph import (
         modularity_report)
 
+    from clinicaltransformerner_ray.arrowutil import agg_fold
+
     kg = _kg(sf_dir)
     pairs = kg["triples"].map_batches(
         _co_pairs, batch_format="pyarrow", batch_size=1 << 19)
-    ents = kg["entities"].to_pandas() if hasattr(
-        kg["entities"], "to_pandas") else kg["entities"]
-    comm = pa.table({
-        "entity_id": pa.array(ents["entity_id"].tolist(),
-                              pa.string()),
-        "community": pa.array(ents["type"].tolist(), pa.string()),
-    })
-    return modularity_report(pairs, comm)
+    comm = agg_fold(kg["entities"], ["entity_id", "type"], [],
+                    op="kg_modularity", empty=pa.table({
+                        c: pa.array([], pa.string())
+                        for c in ("entity_id", "type")}))
+    return modularity_report(pairs, comm.rename_columns(
+        ["entity_id", "community"]))
 
 
 def _q_events_pareto(sf_dir: str):

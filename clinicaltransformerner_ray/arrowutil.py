@@ -31,6 +31,16 @@ instead of combine, Sort and complete.  Its choice is logged through
 the engine's one logger, ``logging.getLogger("ray_kg")``, and every
 caller passes the one cap, :data:`FOLD_MAX_BYTES`.
 
+:func:`agg_fold` is the one keyed driver fold: a running
+:func:`grouped_agg` over a Dataset's blocks whose accumulator is checked
+against :data:`FOLD_MAX_BYTES`, for results that are bounded by a
+lexicon rather than by the corpus (per-entity counts, a type matrix, a
+vocabulary).
+
+:func:`sorted_codes` is the one sorted dense string coding: int64 codes
+whose order is the strings' binary order.  Triple emission, the graph
+family and the KG component/triangle queries share it.
+
 :func:`triu_pairs` is the vectorized all-pairs-within-a-run index
 kernel that triple emission and every graph wedge enumeration share.
 """
@@ -152,7 +162,8 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
     every candidate of its groups and the per-block cut is final.
     Returns a Dataset.
 
-    Without keys: a running driver fold over ``iter_batches``,
+    Without keys: a running driver fold over ``iter_batches``
+    (:func:`_running_fold`, shared with :func:`agg_fold`),
     ``acc = grouped_topk(concat([acc, block]), [], order, k)``, which
     holds at most ``k`` rows plus one block and runs no exchange (the
     single-driver degenerate of a tree fold).  Returns a ``pa.Table``;
@@ -165,19 +176,68 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
             grouped_topk, fn_args=(list(keys), list(order), k),
             fn_kwargs={"rank": rank}, batch_format="pyarrow",
             batch_size=None)
+    acc = _running_fold(
+        ds, lambda t: grouped_topk(t, [], order, k), "topk_complete")
+    return grouped_topk(acc, [], order, k, rank=rank)
+
+
+def _running_fold(ds, step, op: str,
+                  empty: pa.Table | None = None) -> pa.Table:
+    """``acc = step(concat([acc, block]))`` over every non-empty block of
+    ``ds``, on the driver, with no exchange: the single-driver degenerate
+    of a tree fold, shared by :func:`topk_complete` and :func:`agg_fold`.
+    ``step`` must be order-free and idempotent, so any block split gives
+    the same answer.  An input with no rows gives ``step`` of its
+    schema's empty table, or of ``empty`` when it has no schema (a map
+    over no rows has none: no UDF ever ran to give one), cut to no rows;
+    with neither it raises ValueError."""
     acc = None
     for blk in ds.iter_batches(batch_format="pyarrow", batch_size=None):
         if blk.num_rows:  # a Sort's empty blocks carry no schema
-            acc = grouped_topk(blk if acc is None
-                               else pa.concat_tables([acc, blk]),
-                               [], order, k)
-    if acc is None:  # no block: only a UDF's empty output has a schema
+            acc = step(blk if acc is None else pa.concat_tables(
+                [acc, blk], promote_options="permissive"))
+    if acc is None:
         schema = ds.schema()
-        if schema is None:
-            raise ValueError("topk_complete: the input has no rows and "
-                             "no schema to build an empty result from")
-        acc = schema.base_schema.empty_table()
-    return grouped_topk(acc, [], order, k, rank=rank)
+        if schema is not None:
+            empty = schema.base_schema.empty_table()
+        elif empty is None:
+            raise ValueError(f"{op}: the input has no rows and no schema "
+                             "to build an empty result from")
+        acc = step(empty).slice(0, 0)
+    return acc
+
+
+def agg_fold(ds, keys: list[str], aggs: list[tuple[str, str]], *,
+             op: str, empty: pa.Table | None = None) -> pa.Table:
+    """:func:`grouped_agg` of every row of ``ds``, as one driver table
+    sorted by ``keys``: a running fold ``acc = grouped_agg(concat([acc,
+    block]), keys, aggs)`` over ``iter_batches``, so the driver holds
+    the accumulator plus one block and no exchange runs.  Blocks are
+    partial rows (``keys`` plus one column per ``aggs`` entry, with
+    order-free funcs), as for :func:`grouped_agg`; ``aggs=[]`` gives the
+    distinct ``keys`` rows and ``keys=[]`` one global row.
+
+    The fold is for results bounded by a lexicon, not by the corpus.
+    That bound is checked: when the accumulator grows past
+    :data:`FOLD_MAX_BYTES` the fold raises ValueError naming ``op``, the
+    size and the cap, so the driver never holds an unbounded fold.  An
+    input with no rows gives a typed empty table: from its schema, or
+    from ``empty`` (the partial rows' empty table) when a map over no
+    rows left it none; ValueError when there is neither.
+
+    Null-key rule: as in :func:`grouped_agg`, rows with a null in any
+    key column are dropped."""
+
+    def step(t: pa.Table) -> pa.Table:
+        acc = grouped_agg(t, keys, aggs)
+        if acc.nbytes > FOLD_MAX_BYTES:
+            raise ValueError(
+                f"{op}: the driver fold holds {acc.nbytes} bytes, above "
+                f"the cap FOLD_MAX_BYTES={FOLD_MAX_BYTES}")
+        return acc
+
+    acc = _running_fold(ds, step, op, empty)
+    return acc.sort_by([(c, "ascending") for c in keys]) if keys else acc
 
 
 def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
@@ -220,6 +280,20 @@ def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
         return empty
     return pa.concat_tables(ray.get(ds.to_arrow_refs()),
                             promote_options="default")
+
+
+def sorted_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:
+    """The sorted distinct values of ``cols`` (ChunkedArrays of one
+    type) and each column's int64 codes into them.  Values sort in
+    binary order, which is Python's and DuckDB's string order, so code
+    order is value order.  A null value gets no code (``index_in`` gives
+    null); callers drop null rows first."""
+    values = pc.unique(pa.chunked_array(
+        [ch for c in cols for ch in c.chunks], cols[0].type))
+    values = values.take(pc.sort_indices(values))
+    return values, [pc.index_in(c, value_set=values)
+                    .to_numpy(zero_copy_only=False).astype(np.int64)
+                    for c in cols]
 
 
 def triu_pairs(starts: np.ndarray, counts: np.ndarray

@@ -31,8 +31,9 @@ An empty input folds (its schema's empty table, or an empty table of
 the op's columns when it has no schema) and gives a typed empty result.
 Work that grows with wedges or walks rather than edges stays
 distributed on both paths: the (x, y) pair exchange of common_neighbors
-and ktruss, triangle wedge-close, walk emission, RA wedge emission and
-the per-edge map of local_bridges.  Every choice is logged through the
+and ktruss, triangle wedge-close, walk emission and the per-edge map of
+local_bridges; link_prediction_ra folds its wedges on the driver, over
+int64 node codes.  Every choice is logged through the
 ``ray_kg`` logger.
 
 Why INTEGER fixed-point: float PageRank sums neighbor contributions in
@@ -59,7 +60,8 @@ import ray
 import ray.data as rd
 
 from clinicaltransformerner_ray.arrowutil import (
-    FOLD_MAX_BYTES, driver_table, grouped_agg, grouped_topk, triu_pairs)
+    FOLD_MAX_BYTES, driver_table, grouped_agg, grouped_topk, sorted_codes,
+    triu_pairs)
 
 SCALE = 10 ** 12
 
@@ -147,18 +149,6 @@ def _degrees_ds(ds: rd.Dataset, ends: tuple[str, ...], node: str,
             .sort(node)
             .map_batches(_degrees, fn_kwargs=kw, batch_format="pyarrow",
                          batch_size=None))
-
-
-def _encode(*cols) -> tuple[pa.Array, list[np.ndarray]]:
-    """The sorted distinct values of ``cols`` (binary order, which is
-    Python's and DuckDB's string order) and each column's int64 codes
-    into them, so code order is value order."""
-    nodes = pc.unique(pa.chunked_array(
-        [ch for c in cols for ch in c.chunks], cols[0].type))
-    nodes = nodes.take(pc.sort_indices(nodes))
-    return nodes, [pc.index_in(c, value_set=nodes)
-                   .to_numpy(zero_copy_only=False).astype(np.int64)
-                   for c in cols]
 
 
 def _run_starts(col) -> np.ndarray:
@@ -259,7 +249,7 @@ def pagerank(triples: rd.Dataset, *, iters: int = 5,
                                      damping_pct=damping_pct)
 
     ed = _bidir(tbl, pred="co_occurs")
-    nodes, (s, d) = _encode(ed.column("a"), ed.column("b"))
+    nodes, (s, d) = sorted_codes(ed.column("a"), ed.column("b"))
     n = len(nodes)
     if n == 0:
         return _empty(entity_id=pa.string(), rank_e12=pa.int64())
@@ -1013,7 +1003,7 @@ def khop_reachability(
     oracle applies SELECT DISTINCT; route any non-distinct edge source
     through a dedup first (same rule as kcore / label_propagation)."""
     ed = _bidir(_edge_table(pairs, "khop_reachability", _PAIR_COLS))
-    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    nodes, (a, b) = sorted_codes(ed.column("a"), ed.column("b"))
     frontier = pc.ends_with(nodes, pattern=seed_suffix).to_numpy(
         zero_copy_only=False)
     hops = np.where(frontier, 0, -1)
@@ -1060,7 +1050,7 @@ def kcore(
 
     Output: small pa.Table (entity_id, core_degree BIGINT)."""
     ed = _bidir(_edge_table(pairs, "kcore", _PAIR_COLS))
-    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    nodes, (a, b) = sorted_codes(ed.column("a"), ed.column("b"))
     n = len(nodes)
 
     def degrees(alive: np.ndarray | None) -> np.ndarray:
@@ -1120,7 +1110,7 @@ def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
         return _lpa_distributed(ed, rounds=rounds)
 
     ed = _bidir(tbl)
-    nodes, (a, b) = _encode(ed.column("a"), ed.column("b"))
+    nodes, (a, b) = sorted_codes(ed.column("a"), ed.column("b"))
     voter = pa.array(a)
     lab = np.arange(len(nodes))
     for _ in range(rounds):
@@ -1384,7 +1374,7 @@ def link_negatives(triples: rd.Dataset) -> rd.Dataset:
 
     tm = triples.materialize()  # vocabulary + corrupt pass, no CSE
     tbl = _edge_table(tm, "link_negatives", _PAIR_COLS)
-    arr = np.asarray(_encode(tbl.column("subj"), tbl.column("obj"))[0]
+    arr = np.asarray(sorted_codes(tbl.column("subj"), tbl.column("obj"))[0]
                      .to_pylist(), dtype=object)
     n = len(arr)
     if n == 0:
@@ -1437,7 +1427,7 @@ def degree_assortativity(triples: rd.Dataset,
     assortative)."""
     co = _edge_table(triples, "degree_assortativity", _TRIPLE_COLS)
     co = co.filter(pc.equal(co.column("pred"), pred))
-    _, (s, o) = _encode(co.column("subj"), co.column("obj"))
+    _, (s, o) = sorted_codes(co.column("subj"), co.column("obj"))
     deg = np.bincount(np.concatenate([s, o]))
     da, db = deg[s], deg[o]
     # both orientations: Σ over stubs
@@ -1489,7 +1479,7 @@ def hits_scores(triples: rd.Dataset, *, pred: str = "co_occurs",
                               "obj": co.column("obj"),
                               "m": _ones(co.num_rows)}),
                     ["subj", "obj"], [("m", "sum")])
-    nodes, (src, dst) = _encode(m.column("subj"), m.column("obj"))
+    nodes, (src, dst) = sorted_codes(m.column("subj"), m.column("obj"))
     n = len(nodes)
     if n == 0:
         z = pa.array([], pa.int64())
@@ -1620,52 +1610,33 @@ def link_prediction_ra(triples: rd.Dataset, *,
     — the fixed-point integer form of Σ 1/deg(z), exact on both
     engines (non-negative floor division, no logs or floats).
 
-    Shape: sorted neighbor lists come from the driver edge table (fold
-    only, the module rule; ValueError above the cap) and broadcast;
-    wedge pairs emit per-center from a map over the node list, ONE pair
-    sort, per-block sum + non-adjacency filter.
+    Fold only (the module rule; ValueError above the cap), all on the
+    driver edge table over sorted node codes: the distinct bidirected
+    edges give each center's degree and, through :func:`_wedges`, its
+    (p, q) neighbor pairs, each weighted ``2^20 // deg(center)``; one
+    ``grouped_agg`` on (p, q) sums them, and a left-anti join against
+    the edges drops adjacent pairs.  The driver holds all sum C(deg, 2)
+    wedges at once, three int64 codes each: the cap bounds the edges,
+    not the wedges (kg_dense: 18k edges, 1.6M wedges, 0.2-0.3 s).
 
     Output: (a, b, n_common, ra_fp) with a < b, sorted."""
-    nbrs = _adjacency(
-        _edge_table(triples, "link_prediction_ra", _TRIPLE_COLS), pred)
-    if not nbrs:
-        return rd.from_arrow(_empty(a=pa.string(), b=pa.string(),
-                                    n_common=pa.int64(), ra_fp=pa.int64()))
-    aref = ray.put(nbrs)
-    centers = rd.from_arrow(pa.table({
-        "z": pa.array(list(nbrs), pa.string())}))
-
-    def wedge_pairs(batch: pa.Table) -> pa.Table:
-        nb = ray.get(aref)
-        out_a, out_b, out_s = [], [], []
-        for z in batch.column("z").to_pylist():
-            ns = nb[z]
-            if len(ns) < 2:
-                continue
-            w = (1 << 20) // len(ns)
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    u, v = ns[i], ns[j]
-                    if v in nb.get(u, ()):  # adjacent: not a candidate
-                        continue
-                    out_a.append(u)
-                    out_b.append(v)
-                    out_s.append(w)
-        return pa.table({
-            "a": pa.array(out_a, pa.string()),
-            "b": pa.array(out_b, pa.string()),
-            "w": pa.array(np.asarray(out_s, np.int64), pa.int64()),
-        })
-
-    def complete(batch: pa.Table) -> pa.Table:
-        g = grouped_agg(batch.append_column("n_common",
-                                            _ones(batch.num_rows)),
-                        ["a", "b"], [("n_common", "sum"), ("w", "sum")])
-        return g.rename_columns(["a", "b", "n_common", "ra_fp"])
-
-    pairs = centers.map_batches(wedge_pairs, batch_format="pyarrow")
-    return pairs.sort(["a", "b"]).map_batches(
-        complete, batch_format="pyarrow", batch_size=None)
+    e = grouped_agg(_bidir(_edge_table(triples, "link_prediction_ra",
+                                       _TRIPLE_COLS), ("u", "v"), pred=pred),
+                    ["u", "v"], [])
+    nodes, (u, v) = sorted_codes(e.column("u"), e.column("v"))
+    e = pa.table({"u": u, "v": v})
+    w = _wedges(e)
+    c = w.column("c").to_numpy()
+    g = grouped_agg(pa.table({
+        "a": w.column("p"), "b": w.column("q"), "n_common": _ones(len(c)),
+        "ra_fp": (1 << 20) // np.bincount(u, minlength=len(nodes))[c],
+    }), ["a", "b"], [("n_common", "sum"), ("ra_fp", "sum")])
+    g = g.join(e, ["a", "b"], right_keys=["u", "v"],
+               join_type="left anti").sort_by(
+        [("a", "ascending"), ("b", "ascending")])
+    return rd.from_arrow(pa.table({
+        "a": nodes.take(g.column("a")), "b": nodes.take(g.column("b")),
+        "n_common": g.column("n_common"), "ra_fp": g.column("ra_fp")}))
 
 
 def modularity_report(pairs: rd.Dataset,

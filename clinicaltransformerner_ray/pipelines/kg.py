@@ -37,9 +37,25 @@ tagger runs as a stateless task map over a per-process stage cache
 (``stages/stage_map.py``), so no stage reserves CPUs and nothing sizes a
 pool.
 
-Downstream analytics chained off the flagship tables:
-`association_stats` (integer PMI numerators per co-occurring pair),
-plus `graph.pagerank` / `graph.triangle_counts` over the edge table.
+Downstream analytics chained off the flagship tables
+(`association_stats`, `mention_ts_join`, `mention_timeline`,
+`entity_daily`, `kg_report`, `near_cooccurrence`, `entity_salience`,
+`entity_trend`, plus `conversation_stats` straight off the turns) call
+three shared Arrow kernels and no pandas:
+
+  - :func:`_turn_entities`, the one distinct of (conv_id, turn_idx,
+    entity_id) rows (``grouped_agg`` with no aggregates);
+  - keyed sums, minima, maxima and distinct counts over
+    high-cardinality keys through :func:`_combine_sort_combine` or one
+    sort and a per-block :func:`_agg_distinct`, with per-block merges
+    as Arrow joins inside the block;
+  - lexicon-bounded results (per-entity counts, the day maximum) folded
+    on the driver by ``arrowutil.agg_fold``, which raises ValueError
+    above ``FOLD_MAX_BYTES``.
+
+Each follows the ``grouped_agg`` null-key rule: a row with a null key
+counts toward nothing.  The graph family (``graph.py``) reads the edge
+table.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    FOLD_MAX_BYTES, driver_table, from_pandas_clean, grouped_agg,
+    FOLD_MAX_BYTES, agg_fold, driver_table, grouped_agg, sorted_codes,
     triu_pairs)
 
 import ray.data as rd
@@ -251,12 +267,27 @@ def mention_counts(mentions: rd.Dataset) -> rd.Dataset:
         keys, aggs)
 
 
+#: the key of a turn-entity row: one linked entity in one turn
+TE_KEYS = ["conv_id", "turn_idx", "entity_id"]
+
+
+def _turn_entities(batch: pa.Table) -> pa.Table:
+    """The distinct (conv_id, turn_idx, entity_id) rows of ``batch``: one
+    :func:`arrowutil.grouped_agg` with no aggregates.  Idempotent, so it
+    serves as the batch-local combiner and as the per-block completion.
+    Null-key rule: a row with a null key drops (pandas
+    ``drop_duplicates`` would keep it)."""
+    return grouped_agg(batch, TE_KEYS, [])
+
+
 def _bucketed_turn_entities(
     linked: rd.Dataset, span: int, n_buckets: int
 ) -> rd.Dataset:
-    """Batch-local distinct (combiner — idempotent, so block alignment is
-    irrelevant) of (conv_id, turn_idx, entity_id), tagged with a coarse
-    bucket key ``(hash(conv_id) + turn_idx // span) % n_buckets``.
+    """Batch-local :func:`_turn_entities` (a combiner: idempotent, so
+    block alignment is irrelevant), tagged with a coarse bucket key
+    ``(hash(conv_id) + turn_idx // span) % n_buckets``.  The conv_id
+    hash is pandas' ``hash_pandas_object``, the one pandas call left
+    here: Arrow has no stable hash kernel.
 
     Skew salting: a mega-conversation spreads across its turn spans, so
     no single bucket inherits a whole hot conv_id.  Turns at a span
@@ -265,29 +296,26 @@ def _bucketed_turn_entities(
     to unsalted."""
 
     def dedup_and_bucket(batch: pa.Table) -> pa.Table:
-        df = batch.select(["conv_id", "turn_idx", "entity_id"]).to_pandas()
-        df = df.drop_duplicates()
+        te = _turn_entities(batch)
         # ALL bucket arithmetic stays in uint64: h is uint64 and numpy
         # promotes uint64 + int64 to float64, which absorbs the span
         # offset for ~all hashes (salting silently a no-op) and can
         # round a ghost into the wrong bucket.  uint64 wraparound is
         # harmless because n_buckets divides 2**64.
-        nb = np.uint64(n_buckets)
-        h = pd.util.hash_pandas_object(df["conv_id"], index=False).to_numpy()
-        spans = (df["turn_idx"] // span).to_numpy().astype(np.uint64)
-        df["ghost"] = False
-        df["bucket"] = ((h + spans) % nb).astype(np.int64)
-        border_mask = (df["turn_idx"] % span == 0) & (df["turn_idx"] > 0)
-        border = df[border_mask].copy()
-        border["ghost"] = True
-        # same uint64 expression evaluated at span-1, so the ghost lands
-        # in exactly the bucket the previous span's turns computed
-        border["bucket"] = (
-            (h[border_mask.to_numpy()] + spans[border_mask.to_numpy()]
-             - np.uint64(1)) % nb
-        ).astype(np.int64)
-        out = pd.concat([df, border], ignore_index=True)
-        tbl = from_pandas_clean(out, preserve_index=False)
+        h = pd.util.hash_pandas_object(
+            te.column("conv_id").to_pandas(), index=False).to_numpy()
+        turn = te.column("turn_idx").to_numpy()
+        spans = (turn // span).astype(np.uint64)
+        border = (turn % span == 0) & (turn > 0)
+        # the ghost's bucket is the same uint64 expression evaluated at
+        # span-1, so it lands where the previous span's turns computed
+        bucket = np.concatenate(
+            [h + spans, h[border] + spans[border] - np.uint64(1)]
+        ) % np.uint64(n_buckets)
+        tbl = pa.concat_tables([te, te.filter(pa.array(border))])
+        tbl = tbl.append_column("ghost", pa.array(
+            np.arange(tbl.num_rows) >= te.num_rows)).append_column(
+            "bucket", pa.array(bucket.astype(np.int64)))
         # yield in chunks: the downstream sort emits one output
         # partition per INPUT block, and block_pairs' heavy merges run
         # one task per sorted block — coalescing to 512k-row combiner
@@ -301,20 +329,6 @@ def _bucketed_turn_entities(
     # sort's task count (and its fixed scheduling cost) low
     return linked.map_batches(
         dedup_and_bucket, batch_format="pyarrow", batch_size=COMBINE_BATCH)
-
-
-def _sorted_factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted uniques, codes in sorted-unique order) — code comparisons
-    equal lexicographic string comparisons.  pd.factorize hashes (fast);
-    only the SMALL unique set is sorted, never the row array (np.unique
-    on big string arrays sorts rows with python comparisons — measured
-    hot spot)."""
-    codes, uniq = pd.factorize(arr)
-    uniq = np.asarray(uniq)
-    order = np.argsort(uniq)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    return uniq[order], rank[codes]
 
 
 def _cross_pairs(s1: np.ndarray, c1: np.ndarray,
@@ -353,22 +367,20 @@ def _block_pairs(batch: pa.Table) -> pa.Table:
     """Pair emission over (conv_id, turn_idx, entity_id, ghost) rows
     holding every turn whole plus its next turn: one bucket-sorted block
     on the exchange path, the whole table on the fold path.  Pure
-    integer index arithmetic: conv/entity strings encode ONCE (sorted
-    uniques, so code comparisons == lexicographic string comparisons),
-    turns key as ``conv_code * 2^33 + turn_idx``, and both joins
-    (same-turn co_occurs, turn+1 follows) become searchsorted +
-    vectorized cross-product expansion.  Replaced the original
-    string-keyed pandas merges (measured 10x CPU of this path at sf10).
-    A row with a null key gives no pair (pandas would factorize the null
-    to -1, aliasing another conversation)."""
-    g = batch.drop_null().to_pandas()
-    if g.empty:
+    integer index arithmetic: conv/entity strings encode ONCE
+    (:func:`arrowutil.sorted_codes`, so code comparisons ==
+    lexicographic string comparisons), turns key as
+    ``conv_code * 2^33 + turn_idx``, and both joins (same-turn
+    co_occurs, turn+1 follows) become searchsorted + vectorized
+    cross-product expansion.  A row with a null key gives no pair."""
+    t = batch.drop_null()
+    if not t.num_rows:
         return _PARTIAL_TRIPLES_EMPTY
-    conv_uniq, conv_code = _sorted_factorize(g["conv_id"].to_numpy())
-    ent_uniq, ent_code = _sorted_factorize(g["entity_id"].to_numpy())
-    turn = g["turn_idx"].to_numpy().astype(np.int64)
-    ghost = g["ghost"].to_numpy()
-    key = conv_code.astype(np.int64) * (np.int64(1) << 33) + turn
+    convs, (conv_code,) = sorted_codes(t.column("conv_id"))
+    ents, (ent_code,) = sorted_codes(t.column("entity_id"))
+    turn = t.column("turn_idx").to_numpy().astype(np.int64)
+    ghost = t.column("ghost").to_numpy()
+    key = conv_code * (np.int64(1) << 33) + turn
     # finish the distinct the combiner started; a ghost copy and
     # its original can share a block, so dedup IGNORES the ghost
     # flag, preferring the original (lexsort puts ghost=False first)
@@ -401,20 +413,18 @@ def _block_pairs(batch: pa.Table) -> pa.Table:
     n_co, n = len(I_co), len(I_co) + len(I_fo)
     if n == 0:
         return _PARTIAL_TRIPLES_EMPTY
+
+    def take(values: pa.Array, *codes: np.ndarray) -> pa.Array:
+        return values.take(pa.array(np.concatenate(codes)))
+
     return pa.table({
-        "subj": pa.array(np.concatenate(
-            [ent_uniq[e_ng[I_co]], ent_uniq[e_ng[I_fo]]]), pa.string()),
+        "subj": take(ents, e_ng[I_co], e_ng[I_fo]),
         "pred": pa.array([CO_OCCURS] * n_co + [FOLLOWS] * (n - n_co),
                          pa.string()),
-        "obj": pa.array(np.concatenate(
-            [ent_uniq[e_ng[J_co]], ent_uniq[ent_code[J_fo]]]),
-            pa.string()),
+        "obj": take(ents, e_ng[J_co], ent_code[J_fo]),
         "n_evidence": pa.array(np.ones(n, np.int64)),
-        "first_conv_id": pa.array(np.concatenate(
-            [conv_uniq[c_ng[I_co]], conv_uniq[c_ng[I_fo]]]),
-            pa.string()),
-        "first_turn_idx": pa.array(
-            np.concatenate([t_ng[I_co], t_ng[I_fo]]).astype(np.int64)),
+        "first_conv_id": take(convs, c_ng[I_co], c_ng[I_fo]),
+        "first_turn_idx": pa.array(np.concatenate([t_ng[I_co], t_ng[I_fo]])),
     })
 
 
@@ -576,6 +586,29 @@ def kg_pipeline(
     }
 
 
+def _agg_distinct(t: pa.Table, keys: list[str],
+                  aggs: list[tuple[str, str]],
+                  distinct: list[tuple[str, list[str]]]) -> pa.Table:
+    """``grouped_agg(t, keys, aggs)`` plus one int64 column per ``(name,
+    cols)`` entry of ``distinct``: the number of distinct ``cols`` value
+    tuples per key (pandas ``nunique``), each a ``grouped_agg`` distinct
+    on ``keys + cols`` followed by a count.  Sorted by ``keys``.
+
+    Null-key rule: a row with a null key drops, and a null in ``cols``
+    is not counted (as ``nunique`` skips NaN)."""
+    out = grouped_agg(t, keys, aggs)
+    for name, cols in distinct:
+        n = grouped_agg(grouped_agg(t, keys + cols, []), keys,
+                        [(cols[0], "count")])
+        out = out.join(n.rename_columns(keys + [name]), keys,
+                       use_threads=False)
+    return out.sort_by([(k, "ascending") for k in keys])
+
+
+def _int64s(n: int, value: int = 1) -> pa.Array:
+    return pa.array(np.full(n, value, np.int64))
+
+
 def association_stats(
     linked: rd.Dataset,
     triples: rd.Dataset,
@@ -592,73 +625,58 @@ def association_stats(
       n_subj/n_obj  turns containing the entity at all
       n_turns   turns containing >= 1 linked entity (global)
 
-    Shape: ONE sort of the distinct (conv, turn, entity) partials on
+    Shape: ONE sort of the :func:`_turn_entities` partials on
     (conv_id, turn_idx) ALONE — a turn's rows land whole per block
     (equal keys never split; sorting on the 3-key composite would
     split a turn across blocks and double-count it), so per-block
-    dedup, per-entity distinct-turn partials AND the distinct-turn
+    distinct, per-entity distinct-turn counts AND the distinct-turn
     total are all exact.  Entity vocabulary is lexicon-bounded, so the
-    partials fold on the driver (the pagerank precedent) and broadcast
-    into the final annotate pass; the corpus-scale triple table
+    per-block counts fold on the driver (:func:`arrowutil.agg_fold`)
+    and ride the final annotate pass; the corpus-scale triple table
     streams.
+
+    Null-key rule: a linked row with a null conv_id, turn_idx or
+    entity_id counts toward nothing (pandas ``drop_duplicates`` kept it
+    and counted its turn in n_turns).
 
     Output: (subj, obj, n_co, n_subj, n_obj, n_turns) — all int64."""
 
-    def local_dedup(batch: pa.Table) -> pa.Table:
-        df = (batch.select(["conv_id", "turn_idx", "entity_id"])
-              .to_pandas().drop_duplicates())
-        return pa.table({
-            "conv_id": pa.array(df["conv_id"].tolist(), pa.string()),
-            "turn_idx": pa.array(df["turn_idx"].to_numpy(dtype=np.int64),
-                                 pa.int64()),
-            "entity_id": pa.array(df["entity_id"].tolist(), pa.string()),
-        })
-
-    def block_partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        g = (df.groupby("entity_id", sort=False)
-             .size().reset_index(name="n"))
-        n_turns = len(df[["conv_id", "turn_idx"]].drop_duplicates())
+    def block_counts(batch: pa.Table) -> pa.Table:
+        te = _turn_entities(batch)
+        n_turns = grouped_agg(te, ["conv_id", "turn_idx"], []).num_rows
         # "" is the distinct-turn-total sentinel (entity ids are
         # E-prefixed, so it cannot collide)
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist() + [""],
-                                  pa.string()),
-            "n": pa.array(list(np.asarray(g["n"], np.int64))
-                          + [np.int64(n_turns)], pa.int64()),
-        })
+        return pa.concat_tables([
+            grouped_agg(te, ["entity_id"], [("turn_idx", "count")])
+            .rename_columns(["entity_id", "n"]),
+            pa.table({"entity_id": pa.array([""], pa.string()),
+                      "n": _int64s(1, n_turns)})])
 
-    ent_turns: dict[str, int] = {}
-    n_turns = 0
-    # O(entities x blocks) rows — driver fold, order-free integer sums
-    for r in (linked.map_batches(local_dedup, batch_format="pyarrow",
-                                 batch_size=COMBINE_BATCH)
-              .sort(["conv_id", "turn_idx"])
-              .map_batches(block_partials, batch_format="pyarrow",
-                           batch_size=None)
-              .take_all()):
-        if r["entity_id"] == "":
-            n_turns += r["n"]
-        else:
-            ent_turns[r["entity_id"]] = (
-                ent_turns.get(r["entity_id"], 0) + r["n"])
+    counts = agg_fold(
+        linked.map_batches(_turn_entities, batch_format="pyarrow",
+                           batch_size=COMBINE_BATCH)
+        .sort(["conv_id", "turn_idx"])
+        .map_batches(block_counts, batch_format="pyarrow", batch_size=None),
+        ["entity_id"], [("n", "sum")], op="association_stats",
+        empty=block_counts(pa.table({c: pa.array([], pa.string())
+                                     for c in TE_KEYS})))
+    total = pc.equal(counts.column("entity_id"), "")
+    n_turns = pc.sum(counts.filter(total).column("n")).as_py() or 0
+    ents = counts.filter(pc.invert(total))
+    ent_ids = ents.column("entity_id").combine_chunks()
 
     def annotate(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["pred"] == "co_occurs"]
+        co = batch.filter(pc.equal(batch.column("pred"), CO_OCCURS))
+
+        def n_of(col: str):
+            return ents.column("n").take(
+                pc.index_in(co.column(col), value_set=ent_ids))
+
         return pa.table({
-            "subj": pa.array(df["subj"].tolist(), pa.string()),
-            "obj": pa.array(df["obj"].tolist(), pa.string()),
-            "n_co": pa.array(df["n_evidence"].to_numpy(dtype=np.int64),
-                             pa.int64()),
-            "n_subj": pa.array(
-                df["subj"].map(ent_turns).to_numpy(dtype=np.int64),
-                pa.int64()),
-            "n_obj": pa.array(
-                df["obj"].map(ent_turns).to_numpy(dtype=np.int64),
-                pa.int64()),
-            "n_turns": pa.array(
-                np.full(len(df), n_turns, np.int64), pa.int64()),
+            "subj": co.column("subj"), "obj": co.column("obj"),
+            "n_co": co.column("n_evidence").cast(pa.int64()),
+            "n_subj": n_of("subj"), "n_obj": n_of("obj"),
+            "n_turns": _int64s(co.num_rows, n_turns),
         })
 
     return triples.map_batches(annotate, batch_format="pyarrow",
@@ -669,64 +687,52 @@ def mention_ts_join(linked: rd.Dataset,
                     turns_ts: rd.Dataset) -> rd.Dataset:
     """The mentions⋈turns timestamp sort-merge join SHARED by
     :func:`mention_timeline` and :func:`entity_daily` (and computed
-    once by :func:`kg_report`): mention rows pre-aggregate
-    batch-locally to (conv_id, turn_idx, entity_id, cnt) partials,
-    turn rows project to (conv_id, turn_idx, us); ONE sort on the
-    high-cardinality composite co-locates each partial with its
-    unique turn row (Ray's range partitioner never splits equal
-    keys), and a per-block pandas inner merge attaches us.
+    once by :func:`kg_report`): mention rows become (conv_id, turn_idx,
+    entity_id, cnt=1) partials and turn rows (conv_id, turn_idx, us),
+    told apart by a ``side`` key, and one :func:`_combine_sort_combine`
+    sums ``cnt`` per (conv_id, turn_idx, entity_id) on both sides of
+    ONE sort on the high-cardinality (conv_id, turn_idx) composite.
+    That sort co-locates each mention partial with its unique turn row
+    (Ray's range partitioner never splits equal keys), and a per-block
+    Arrow inner join attaches us.
 
-    Output: (entity_id, conv_id, turn_idx, cnt, us)."""
+    Null-key rule: a mention or turn row with a null key drops, as the
+    pandas groupby and merge dropped it.
 
-    def ment_partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["conv_id", "turn_idx", "entity_id"]).to_pandas()
-        g = (df.groupby(["conv_id", "turn_idx", "entity_id"], sort=False)
-             .size().reset_index(name="cnt"))
-        n = len(g)
-        return pa.table({
-            "conv_id": pa.array(g["conv_id"].tolist(), pa.string()),
-            "turn_idx": pa.array(
-                g["turn_idx"].to_numpy(dtype=np.int64), pa.int64()),
-            "entity_id": pa.array(g["entity_id"].tolist(), pa.string()),
-            "cnt": pa.array(g["cnt"].to_numpy(dtype=np.int64), pa.int64()),
-            "us": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-        })
+    Output: (entity_id, conv_id, turn_idx, cnt, us), one row per
+    (entity_id, conv_id, turn_idx) with a turn row."""
 
-    def turn_rows(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table, side: int) -> pa.Table:
         n = batch.num_rows
         return pa.table({
             "conv_id": batch.column("conv_id"),
             "turn_idx": batch.column("turn_idx").cast(pa.int64()),
-            "entity_id": pa.array([""] * n, pa.string()),
-            "cnt": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "us": batch.column("ts").cast(pa.int64()),
-            "side": pa.array(np.zeros(n, np.int8), pa.int8()),
+            "entity_id": (batch.column("entity_id") if side
+                          else pa.array([""] * n, pa.string())),
+            "side": pa.array(np.full(n, side, np.int8)),
+            "cnt": _int64s(n, side),
+            "us": (_int64s(n, 0) if side
+                   else batch.column("ts").cast(pa.int64())),
         })
 
     def attach_ts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        m = df[df["side"] == 1]
-        t = df[df["side"] == 0]
-        j = m.merge(
-            t[["conv_id", "turn_idx", "us"]].rename(columns={"us": "tus"}),
-            on=["conv_id", "turn_idx"], how="inner")
-        return pa.table({
-            "entity_id": pa.array(j["entity_id"].tolist(), pa.string()),
-            "conv_id": pa.array(j["conv_id"].tolist(), pa.string()),
-            "turn_idx": pa.array(
-                j["turn_idx"].to_numpy(dtype=np.int64), pa.int64()),
-            "cnt": pa.array(j["cnt"].to_numpy(dtype=np.int64), pa.int64()),
-            "us": pa.array(j["tus"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+        side = batch.column("side")
+        ments = batch.filter(pc.equal(side, 1)).select(
+            ["conv_id", "turn_idx", "entity_id", "cnt"])
+        turns = batch.filter(pc.equal(side, 0)).select(
+            ["conv_id", "turn_idx", "us"])
+        return ments.join(turns, ["conv_id", "turn_idx"],
+                          join_type="inner", use_threads=False).select(
+            ["entity_id", "conv_id", "turn_idx", "cnt", "us"])
 
-    partials = linked.map_batches(
-        ment_partial, batch_format="pyarrow", batch_size=COMBINE_BATCH)
-    tt = turns_ts.map_batches(turn_rows, batch_format="pyarrow")
-    return (partials.union(tt)
-            .sort(["conv_id", "turn_idx"])
-            .map_batches(attach_ts, batch_format="pyarrow",
-                         batch_size=None))
+    both = linked.map_batches(rows, fn_args=(1,), batch_format="pyarrow"
+                              ).union(turns_ts.map_batches(
+                                  rows, fn_args=(0,),
+                                  batch_format="pyarrow"))
+    return _combine_sort_combine(
+        both, ["conv_id", "turn_idx", "entity_id", "side"],
+        [("cnt", "sum"), ("us", "max")],
+        sort_keys=["conv_id", "turn_idx"], finalize=attach_ts)
 
 
 def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,
@@ -736,14 +742,10 @@ def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,
     microseconds) plus the active span.
 
     The tagger drops non-key turn columns, so the timestamp comes back
-    via a sort-merge join: mention rows pre-aggregate batch-locally to
-    (conv_id, turn_idx, entity_id, cnt) partials (shrinking what the
-    shuffle moves), turn rows project to (conv_id, turn_idx, us); ONE
-    sort on the high-cardinality composite (conv_id, turn_idx)
-    co-locates each partial with its unique turn row (Ray's range
-    partitioner never splits equal keys across blocks), a per-block
-    pandas merge attaches us, then ONE sort on entity_id + block-local
-    completion computes the distinct counts and min/max exactly.
+    via :func:`mention_ts_join`; then ONE sort on entity_id and a
+    per-block :func:`_agg_distinct` compute the sums, min/max and
+    distinct counts exactly (an entity's rows are whole in one block).
+    Null-key rule: as in :func:`mention_ts_join`.
 
     All outputs are exact integers (epoch micros, counts), so the
     DuckDB oracle matches bitwise.  Reference analog: the mention
@@ -753,41 +755,21 @@ def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,
     """
 
     def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "entity_id": pa.array([], pa.string()),
-                "n_mentions": pa.array([], pa.int64()),
-                "n_turns": pa.array([], pa.int64()),
-                "n_convs": pa.array([], pa.int64()),
-                "first_us": pa.array([], pa.int64()),
-                "last_us": pa.array([], pa.int64()),
-                "span_us": pa.array([], pa.int64()),
-            })
-        # composite turn key only drives nunique — any injective encoding
-        df["tk"] = df["conv_id"] + "#" + df["turn_idx"].astype(str)
-        g = (df.groupby("entity_id", sort=False)
-             .agg(n_mentions=("cnt", "sum"),
-                  n_turns=("tk", "nunique"),
-                  n_convs=("conv_id", "nunique"),
-                  first_us=("us", "min"),
-                  last_us=("us", "max"))
-             .reset_index())
+        us = batch.column("us")
+        g = _agg_distinct(
+            batch.append_column("first_us", us).append_column("last_us", us),
+            ["entity_id"],
+            [("cnt", "sum"), ("first_us", "min"), ("last_us", "max")],
+            [("n_turns", ["conv_id", "turn_idx"]), ("n_convs", ["conv_id"])])
         return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(), pa.string()),
-            "n_mentions": pa.array(
-                g["n_mentions"].to_numpy(dtype=np.int64), pa.int64()),
-            "n_turns": pa.array(
-                g["n_turns"].to_numpy(dtype=np.int64), pa.int64()),
-            "n_convs": pa.array(
-                g["n_convs"].to_numpy(dtype=np.int64), pa.int64()),
-            "first_us": pa.array(
-                g["first_us"].to_numpy(dtype=np.int64), pa.int64()),
-            "last_us": pa.array(
-                g["last_us"].to_numpy(dtype=np.int64), pa.int64()),
-            "span_us": pa.array(
-                (g["last_us"] - g["first_us"]).to_numpy(dtype=np.int64),
-                pa.int64()),
+            "entity_id": g.column("entity_id"),
+            "n_mentions": g.column("cnt"),
+            "n_turns": g.column("n_turns"),
+            "n_convs": g.column("n_convs"),
+            "first_us": g.column("first_us"),
+            "last_us": g.column("last_us"),
+            "span_us": pc.subtract(g.column("last_us"),
+                                   g.column("first_us")),
         })
 
     j = joined if joined is not None else \
@@ -802,61 +784,35 @@ def conversation_stats(turns: rd.Dataset) -> rd.Dataset:
     and the conversation's epoch-us time span — the corpus-triage
     report a pipeline runs BEFORE any model stage.
 
-    One combine/sort/combine on the high-cardinality conv_id; the
-    combiner is pure Arrow kernels + one pandas groupby (counts, sums,
-    min/max all merge associatively, so re-running it per sorted block
-    completes the aggregate exactly)."""
-    import pyarrow.compute as pc
+    One :func:`_combine_sort_combine` on the high-cardinality conv_id
+    over one partial row per turn (counts and sums, min/max: all merge
+    associatively).  Null-key rule: a turn with a null conv_id drops,
+    as the pandas groupby dropped it."""
 
-    def combine(batch: pa.Table) -> pa.Table:
-        if "n_turns" in batch.column_names:
-            df = batch.to_pandas()
-            g = (df.groupby("conv_id", sort=False)
-                 .agg(n_turns=("n_turns", "sum"),
-                      n_user=("n_user", "sum"),
-                      n_assistant=("n_assistant", "sum"),
-                      n_tool=("n_tool", "sum"),
-                      n_tokens=("n_tokens", "sum"),
-                      first_us=("first_us", "min"),
-                      last_us=("last_us", "max"))
-                 .reset_index())
-        else:
-            text = pc.fill_null(batch.column("text"), "")
-            toks = pc.add(pc.count_substring(text, " "), 1)
-            role = batch.column("role").to_pandas()
-            g = (pd.DataFrame({
-                    "conv_id": batch.column("conv_id").to_pandas(),
-                    "n_turns": np.int64(1),
-                    "n_user": (role == "user").to_numpy(np.int64),
-                    "n_assistant": (role == "assistant")
-                    .to_numpy(np.int64),
-                    "n_tool": (role == "tool").to_numpy(np.int64),
-                    "n_tokens": toks.to_numpy(zero_copy_only=False)
-                    .astype(np.int64),
-                    "first_us": batch.column("ts").cast(pa.int64())
-                    .to_numpy(zero_copy_only=False),
-                 })
-                 .assign(last_us=lambda d: d["first_us"])
-                 .groupby("conv_id", sort=False)
-                 .agg(n_turns=("n_turns", "sum"),
-                      n_user=("n_user", "sum"),
-                      n_assistant=("n_assistant", "sum"),
-                      n_tool=("n_tool", "sum"),
-                      n_tokens=("n_tokens", "sum"),
-                      first_us=("first_us", "min"),
-                      last_us=("last_us", "max"))
-                 .reset_index())
-        cols = {"conv_id": pa.array(g["conv_id"].tolist(), pa.string())}
-        for c in ("n_turns", "n_user", "n_assistant", "n_tool",
-                  "n_tokens", "first_us", "last_us"):
-            cols[c] = pa.array(g[c].to_numpy(dtype=np.int64), pa.int64())
-        return pa.table(cols)
+    def partial(batch: pa.Table) -> pa.Table:
+        role = batch.column("role")
+        ts = batch.column("ts").cast(pa.int64())
 
-    return (turns.map_batches(combine, batch_format="pyarrow",
-                              batch_size=COMBINE_BATCH)
-            .sort("conv_id")
-            .map_batches(combine, batch_format="pyarrow",
-                         batch_size=None))
+        def is_role(r: str) -> pa.Array:
+            return pc.fill_null(pc.equal(role, r), False).cast(pa.int64())
+
+        return pa.table({
+            "conv_id": batch.column("conv_id"),
+            "n_turns": _int64s(batch.num_rows),
+            "n_user": is_role("user"),
+            "n_assistant": is_role("assistant"),
+            "n_tool": is_role("tool"),
+            "n_tokens": pc.add(pc.count_substring(pc.fill_null(
+                batch.column("text"), ""), " "), 1).cast(pa.int64()),
+            "first_us": ts,
+            "last_us": ts,
+        })
+
+    return _combine_sort_combine(
+        turns.map_batches(partial, batch_format="pyarrow"), ["conv_id"],
+        [("n_turns", "sum"), ("n_user", "sum"), ("n_assistant", "sum"),
+         ("n_tool", "sum"), ("n_tokens", "sum"), ("first_us", "min"),
+         ("last_us", "max")])
 
 
 def near_cooccurrence(
@@ -871,73 +827,45 @@ def near_cooccurrence(
     generalization of the triple emitter's same-turn `co_occurs` /
     adjacent-turn `follows` to a proximity window.
 
-    Shape: batch-local dedup to distinct (conv, turn, entity), ONE
-    sort on conv_id (a conversation's rows land whole per block), a
-    vectorized per-block window join — for each offset d in 1..window
-    a pandas merge of the turn-table against itself shifted by d (no
-    Python pair loops) — then combine/sort/combine on the pair key.
+    Shape: batch-local :func:`_turn_entities`, ONE sort on conv_id (a
+    conversation's rows land whole per block), a per-block window join
+    — for each offset d in 1..window an Arrow inner join of the
+    turn-entity table against itself shifted by d (no Python pair
+    loops) — then :func:`_combine_sort_combine` on the pair key.
+    Null-key rule: a linked row with a null key pairs with nothing
+    (pandas kept it, and its merge matched null conv_ids together).
 
     Output: (subj, obj, gap, n_pairs): n_pairs = count of (conv,
     turn_a, turn_b) incidences at that exact gap."""
 
-    def dedup(batch: pa.Table) -> pa.Table:
-        df = (batch.select(["conv_id", "turn_idx", "entity_id"])
-              .to_pandas().drop_duplicates())
-        return pa.table({
-            "conv_id": pa.array(df["conv_id"].tolist(), pa.string()),
-            "turn_idx": pa.array(
-                df["turn_idx"].to_numpy(dtype=np.int64), pa.int64()),
-            "entity_id": pa.array(df["entity_id"].tolist(), pa.string()),
-        })
-
     def window_pairs(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        outs = []
+        te = _turn_entities(batch)
+        turn = te.column("turn_idx")
+        outs = [pa.table({"subj": pa.array([], pa.string()),
+                          "obj": pa.array([], pa.string()),
+                          "gap": _int64s(0), "n_pairs": _int64s(0)})]
         for d in range(1, window + 1):
-            right = df.copy()
-            right["turn_idx"] = right["turn_idx"] - d
-            j = df.merge(right, on=["conv_id", "turn_idx"],
-                         suffixes=("_a", "_b"))
-            j = j[j["entity_id_a"] != j["entity_id_b"]]
-            if len(j):
-                outs.append(pd.DataFrame({
-                    "subj": j["entity_id_a"].to_numpy(),
-                    "obj": j["entity_id_b"].to_numpy(),
-                    "gap": np.int64(d),
-                }))
-        if not outs:
-            return pa.table({
-                "subj": pa.array([], pa.string()),
-                "obj": pa.array([], pa.string()),
-                "gap": pa.array([], pa.int64()),
-                "n_pairs": pa.array([], pa.int64()),
-            })
-        g = (pd.concat(outs)
-             .groupby(["subj", "obj", "gap"], sort=False)
-             .size().reset_index(name="n_pairs"))
-        return pa.table({
-            "subj": pa.array(g["subj"].tolist(), pa.string()),
-            "obj": pa.array(g["obj"].tolist(), pa.string()),
-            "gap": pa.array(g["gap"].to_numpy(dtype=np.int64),
-                            pa.int64()),
-            "n_pairs": pa.array(g["n_pairs"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-        })
+            nxt = te.set_column(1, "turn_idx",
+                                pc.subtract(turn, pa.scalar(d, turn.type)))
+            j = te.join(nxt, ["conv_id", "turn_idx"], join_type="inner",
+                        left_suffix="_a", right_suffix="_b",
+                        use_threads=False)
+            j = j.filter(pc.not_equal(j.column("entity_id_a"),
+                                      j.column("entity_id_b")))
+            outs.append(pa.table({
+                "subj": j.column("entity_id_a").cast(pa.string()),
+                "obj": j.column("entity_id_b").cast(pa.string()),
+                "gap": _int64s(j.num_rows, d),
+                "n_pairs": _int64s(j.num_rows),
+            }))
+        return pa.concat_tables(outs)
 
-    def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (df.groupby(["subj", "obj", "gap"], sort=False)["n_pairs"]
-             .sum().reset_index())
-        return from_pandas_clean(g, preserve_index=False)
-
-    return (linked.map_batches(dedup, batch_format="pyarrow",
-                               batch_size=COMBINE_BATCH)
-            .sort("conv_id")
-            .map_batches(window_pairs, batch_format="pyarrow",
-                         batch_size=None)
-            .sort(["subj", "obj", "gap"])
-            .map_batches(complete, batch_format="pyarrow",
-                         batch_size=None))
+    return _combine_sort_combine(
+        linked.map_batches(_turn_entities, batch_format="pyarrow",
+                           batch_size=COMBINE_BATCH)
+        .sort("conv_id")
+        .map_batches(window_pairs, batch_format="pyarrow", batch_size=None),
+        ["subj", "obj", "gap"], [("n_pairs", "sum")])
 
 
 def entity_daily(linked: rd.Dataset, turns_ts: rd.Dataset,
@@ -951,45 +879,22 @@ def entity_daily(linked: rd.Dataset, turns_ts: rd.Dataset,
     truncation).  The final sort key is the (entity_id, day)
     composite: every row of one (entity, day) pair carries the same
     full sort key, so the pair lands whole in one block and the
-    distinct-turn count is block-local exact.
+    distinct-turn count (:func:`_agg_distinct`) is block-local exact.
+    Null-key rule: as in :func:`mention_ts_join`.
 
     Output: (entity_id, day, n_mentions, n_turns)."""
     DAY_US = 86_400_000_000
 
     def with_day(batch: pa.Table) -> pa.Table:
-        us = batch.column("us").to_numpy(zero_copy_only=False)
-        tidx = batch.column("turn_idx").to_numpy(zero_copy_only=False)
-        conv = batch.column("conv_id").to_pylist()
-        return pa.table({
-            "entity_id": batch.column("entity_id"),
-            "day": pa.array(us.astype(np.int64) // DAY_US, pa.int64()),
-            "tk": pa.array(
-                [c + "#" + str(int(t)) for c, t in zip(conv, tidx)],
-                pa.string()),
-            "cnt": batch.column("cnt"),
-        })
+        us = batch.column("us").to_numpy()
+        return batch.select(["entity_id", "conv_id", "turn_idx", "cnt"]
+                            ).append_column("day", pa.array(us // DAY_US))
 
     def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "entity_id": pa.array([], pa.string()),
-                "day": pa.array([], pa.int64()),
-                "n_mentions": pa.array([], pa.int64()),
-                "n_turns": pa.array([], pa.int64()),
-            })
-        g = (df.groupby(["entity_id", "day"], sort=False)
-             .agg(n_mentions=("cnt", "sum"), n_turns=("tk", "nunique"))
-             .reset_index())
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(), pa.string()),
-            "day": pa.array(g["day"].to_numpy(dtype=np.int64),
-                            pa.int64()),
-            "n_mentions": pa.array(
-                g["n_mentions"].to_numpy(dtype=np.int64), pa.int64()),
-            "n_turns": pa.array(
-                g["n_turns"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+        return _agg_distinct(
+            batch, ["entity_id", "day"], [("cnt", "sum")],
+            [("n_turns", ["conv_id", "turn_idx"])]).rename_columns(
+            ["entity_id", "day", "n_mentions", "n_turns"])
 
     j = joined if joined is not None else \
         mention_ts_join(linked, turns_ts)
@@ -1019,39 +924,50 @@ def kg_report(linked: rd.Dataset, turns_ts: rd.Dataset) -> rd.Dataset:
       section='daily':    day=epoch day, v1=n_mentions, v2=n_turns,
           v3..v6=0."""
     joined = mention_ts_join(linked, turns_ts).materialize()
-    tl = mention_timeline(linked, turns_ts, joined=joined)
-    dl = entity_daily(linked, turns_ts, joined=joined)
 
-    def tl_rows(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table, section: str, day: bool,
+             vals: list[str]) -> pa.Table:
         m = batch.num_rows
-        zero = pa.array(np.zeros(m, np.int64), pa.int64())
-        return pa.table({
-            "section": pa.array(["timeline"] * m, pa.string()),
-            "entity_id": batch.column("entity_id").cast(pa.string()),
-            "day": zero,
-            "v1": batch.column("n_mentions").cast(pa.int64()),
-            "v2": batch.column("n_turns").cast(pa.int64()),
-            "v3": batch.column("n_convs").cast(pa.int64()),
-            "v4": batch.column("first_us").cast(pa.int64()),
-            "v5": batch.column("last_us").cast(pa.int64()),
-            "v6": batch.column("span_us").cast(pa.int64()),
-        })
+        zero = _int64s(m, 0)
+        cols = [batch.column(c).cast(pa.int64()) for c in vals]
+        return pa.table(
+            [pa.array([section] * m, pa.string()),
+             batch.column("entity_id").cast(pa.string()),
+             batch.column("day").cast(pa.int64()) if day else zero]
+            + cols + [zero] * (6 - len(cols)),
+            names=["section", "entity_id", "day",
+                   "v1", "v2", "v3", "v4", "v5", "v6"])
 
-    def dl_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        zero = pa.array(np.zeros(m, np.int64), pa.int64())
-        return pa.table({
-            "section": pa.array(["daily"] * m, pa.string()),
-            "entity_id": batch.column("entity_id").cast(pa.string()),
-            "day": batch.column("day").cast(pa.int64()),
-            "v1": batch.column("n_mentions").cast(pa.int64()),
-            "v2": batch.column("n_turns").cast(pa.int64()),
-            "v3": zero, "v4": zero, "v5": zero, "v6": zero,
-        })
+    tl = mention_timeline(linked, turns_ts, joined=joined).map_batches(
+        rows, fn_args=("timeline", False, [
+            "n_mentions", "n_turns", "n_convs", "first_us", "last_us",
+            "span_us"]), batch_format="pyarrow")
+    dl = entity_daily(linked, turns_ts, joined=joined).map_batches(
+        rows, fn_args=("daily", True, ["n_mentions", "n_turns"]),
+        batch_format="pyarrow")
+    return tl.union(dl).sort(["section", "entity_id", "day"])
 
-    return (tl.map_batches(tl_rows, batch_format="pyarrow")
-            .union(dl.map_batches(dl_rows, batch_format="pyarrow"))
-            .sort(["section", "entity_id", "day"]))
+
+def _daily_fold(ed: rd.Dataset, partial, aggs: list[tuple[str, str]],
+                op: str) -> pa.Table:
+    """Per-entity ``aggs`` over an :func:`entity_daily` output: each
+    block maps to partial rows with ``partial(day, n_mentions)`` (a dict
+    of int64 columns), summed per block and folded on the driver with
+    :func:`arrowutil.agg_fold` (lexicon x active-days bounded, checked
+    against the fold cap).  Sorted by entity_id."""
+    empty = pa.table({"entity_id": pa.array([], pa.string())}
+                     | {c: pa.array([], pa.int64()) for c, _ in aggs})
+
+    def block(batch: pa.Table) -> pa.Table:
+        cols = partial(batch.column("day").to_numpy(),
+                       batch.column("n_mentions").to_numpy())
+        return grouped_agg(pa.table(
+            {"entity_id": batch.column("entity_id")}
+            | {c: pa.array(v, pa.int64()) for c, v in cols.items()}),
+            ["entity_id"], aggs)
+
+    return agg_fold(ed.map_batches(block, batch_format="pyarrow"),
+                    ["entity_id"], aggs, op=op, empty=empty)
 
 
 def entity_salience(linked: rd.Dataset, turns_ts: rd.Dataset,
@@ -1067,87 +983,34 @@ def entity_salience(linked: rd.Dataset, turns_ts: rd.Dataset,
     serves, as opposed to the all-time mention count.
 
     Scale shape: the entity_daily upstream is (lexicon x active-days)
-    bounded, so it is materialized ONCE (consumed twice — the repo's
-    no-CSE rule) and two streaming folds keep driver state tiny:
-    pass 1 folds the global max day (O(blocks) rows), pass 2 folds
-    per-entity partial saliences (O(blocks x entities), exact-integer
-    associative).  Zero additional wide ops beyond entity_daily's own
-    sort.
+    bounded; two :func:`arrowutil.agg_fold` passes keep driver state
+    small and checked: the global max day (keyless), then per-entity
+    partial saliences (exact-integer associative), over entity_daily
+    materialized ONCE (consumed twice — the repo's no-CSE rule).  Zero
+    additional wide ops beyond entity_daily's own sort.  Null-key rule:
+    as in :func:`mention_ts_join`.
 
     Output pa.Table (entity_id, n_days, n_mentions, last_day,
     salience_fp), sorted by entity_id."""
     ed = entity_daily(linked, turns_ts).materialize()
+    dmax = agg_fold(ed, [], [("day", "max")],
+                    op="entity_salience",
+                    empty=pa.table({"day": pa.array([], pa.int64())}))
+    dmax = dmax.column("day")[0].as_py() if dmax.num_rows else 0
 
-    def day_max(batch: pa.Table) -> pa.Table:
-        d = batch.column("day").to_numpy(zero_copy_only=False)
-        if not len(d):
-            return pa.table({"m": pa.array([], pa.int64())})
-        return pa.table({"m": pa.array([int(d.max())], pa.int64())})
-
-    maxima = ed.map_batches(day_max, batch_format="pyarrow",
-                            batch_size=None).take_all()
-    if not maxima:
-        z = pa.array([], pa.int64())
-        return pa.table({"entity_id": pa.array([], pa.string()),
-                         "n_days": z, "n_mentions": z,
-                         "last_day": z, "salience_fp": z})
-    dmax = max(r["m"] for r in maxima)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"entity_id": pa.array([], pa.string()),
-                             "n_days": z, "n_mentions": z,
-                             "last_day": z, "salience_fp": z})
-        age = (dmax - df["day"]).to_numpy(np.int64)
+    def partial(day: np.ndarray, y: np.ndarray) -> dict:
+        age = dmax - day
         w = np.where(age <= k_bits,
                      np.int64(1) << np.minimum(
                          np.maximum(k_bits - age, 0), k_bits),
                      np.int64(0))
-        df = pd.DataFrame({
-            "entity_id": df["entity_id"],
-            "n_days": np.int64(1),
-            "n_mentions": df["n_mentions"].to_numpy(np.int64),
-            "last_day": df["day"].to_numpy(np.int64),
-            "salience_fp": df["n_mentions"].to_numpy(np.int64) * w,
-        })
-        g = (df.groupby("entity_id", sort=False)
-             .agg(n_days=("n_days", "sum"),
-                  n_mentions=("n_mentions", "sum"),
-                  last_day=("last_day", "max"),
-                  salience_fp=("salience_fp", "sum"))
-             .reset_index())
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(),
-                                  pa.string()),
-            "n_days": pa.array(g["n_days"].to_numpy(np.int64),
-                               pa.int64()),
-            "n_mentions": pa.array(
-                g["n_mentions"].to_numpy(np.int64), pa.int64()),
-            "last_day": pa.array(g["last_day"].to_numpy(np.int64),
-                                 pa.int64()),
-            "salience_fp": pa.array(
-                g["salience_fp"].to_numpy(np.int64), pa.int64()),
-        })
+        return {"n_days": np.ones(len(day), np.int64), "n_mentions": y,
+                "last_day": day, "salience_fp": y * w}
 
-    acc: dict[str, list] = {}
-    parts = ed.map_batches(partials, batch_format="pyarrow")
-    for r in parts.take_all():  # O(blocks x entities) — lexicon-bounded
-        a = acc.setdefault(r["entity_id"], [0, 0, -1, 0])
-        a[0] += int(r["n_days"])
-        a[1] += int(r["n_mentions"])
-        a[2] = max(a[2], int(r["last_day"]))
-        a[3] += int(r["salience_fp"])
-    ents = sorted(acc)
-    return pa.table({
-        "entity_id": pa.array(ents, pa.string()),
-        "n_days": pa.array([acc[e][0] for e in ents], pa.int64()),
-        "n_mentions": pa.array([acc[e][1] for e in ents], pa.int64()),
-        "last_day": pa.array([acc[e][2] for e in ents], pa.int64()),
-        "salience_fp": pa.array([acc[e][3] for e in ents],
-                                pa.int64()),
-    })
+    return _daily_fold(ed, partial,
+                       [("n_days", "sum"), ("n_mentions", "sum"),
+                        ("last_day", "max"), ("salience_fp", "sum")],
+                       "entity_salience")
 
 
 def entity_trend(linked: rd.Dataset, turns_ts: rd.Dataset) -> pa.Table:
@@ -1157,54 +1020,30 @@ def entity_trend(linked: rd.Dataset, turns_ts: rd.Dataset) -> pa.Table:
     ``trend_num = N*Σ(day*y) - Σday*Σy`` (the slope numerator; the
     denominator ``N*Σday² - (Σday)²`` is positive for N >= 2, so the
     numerator's sign IS the slope's sign).  No float ever enters, so
-    the classification is deterministic on both engines.
+    the classification is deterministic on both engines; the products
+    are overflow-checked.
 
     Scale shape: per-block integer partials of (N, Σday, Σy, Σday*y)
     per entity over the entity_daily stream (associative in any
-    order), lexicon-bounded driver fold — zero wide ops beyond
-    entity_daily's own sort.
+    order), folded by :func:`arrowutil.agg_fold` — zero wide ops beyond
+    entity_daily's own sort.  Null-key rule: as in
+    :func:`mention_ts_join`.
 
     Output pa.Table (entity_id, n_days, n_mentions, trend_num, trend)
     with trend ∈ {-1, 0, 1}, sorted by entity_id."""
-    ed = entity_daily(linked, turns_ts)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"entity_id": pa.array([], pa.string()),
-                             "n": z, "st": z, "sy": z, "sty": z})
-        day = df["day"].to_numpy(np.int64)
-        y = df["n_mentions"].to_numpy(np.int64)
-        g = (pd.DataFrame({"entity_id": df["entity_id"],
-                           "n": np.int64(1), "st": day, "sy": y,
-                           "sty": day * y})
-             .groupby("entity_id", sort=False).sum().reset_index())
-        return pa.table({
-            "entity_id": pa.array(g["entity_id"].tolist(),
-                                  pa.string()),
-            "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-            "st": pa.array(g["st"].to_numpy(np.int64), pa.int64()),
-            "sy": pa.array(g["sy"].to_numpy(np.int64), pa.int64()),
-            "sty": pa.array(g["sty"].to_numpy(np.int64), pa.int64()),
-        })
-
-    acc: dict[str, list] = {}
-    for r in ed.map_batches(partials,
-                            batch_format="pyarrow").take_all():
-        a = acc.setdefault(r["entity_id"], [0, 0, 0, 0])
-        a[0] += int(r["n"])
-        a[1] += int(r["st"])
-        a[2] += int(r["sy"])
-        a[3] += int(r["sty"])
-    ents = sorted(acc)
-    nums = [acc[e][0] * acc[e][3] - acc[e][1] * acc[e][2]
-            for e in ents]
+    g = _daily_fold(
+        entity_daily(linked, turns_ts),
+        lambda day, y: {"n": np.ones(len(day), np.int64), "st": day,
+                        "sy": y, "sty": day * y},
+        [("n", "sum"), ("st", "sum"), ("sy", "sum"), ("sty", "sum")],
+        "entity_trend")
+    num = pc.subtract_checked(
+        pc.multiply_checked(g.column("n"), g.column("sty")),
+        pc.multiply_checked(g.column("st"), g.column("sy")))
     return pa.table({
-        "entity_id": pa.array(ents, pa.string()),
-        "n_days": pa.array([acc[e][0] for e in ents], pa.int64()),
-        "n_mentions": pa.array([acc[e][2] for e in ents], pa.int64()),
-        "trend_num": pa.array(nums, pa.int64()),
-        "trend": pa.array([(v > 0) - (v < 0) for v in nums],
-                          pa.int64()),
+        "entity_id": g.column("entity_id"),
+        "n_days": g.column("n"),
+        "n_mentions": g.column("sy"),
+        "trend_num": num,
+        "trend": pc.sign(num).cast(pa.int64()),
     })

@@ -1,8 +1,10 @@
-"""The Arrow grouped aggregate (``arrowutil.grouped_agg``) and the three
-KG operators built on it — ``emit_triples``, ``canonical_entities`` and
-``mention_counts``: block-split invariance, equality with a pandas
-groupby reference, and the edge cases the aggregate has to get right
-(minima from different rows, count ties, two types, null keys)."""
+"""The Arrow grouped aggregate (``arrowutil.grouped_agg``), its driver
+fold (``arrowutil.agg_fold``) and the KG operators built on them —
+``emit_triples``, ``canonical_entities``, ``mention_counts`` and the
+linked-table analytics: block-split invariance, equality with a pandas
+groupby reference, the fold's cap and empty input, and the edge cases
+the aggregate has to get right (minima from different rows, count ties,
+two types, null keys)."""
 
 from __future__ import annotations
 
@@ -163,18 +165,185 @@ def test_entities_block_split_and_pandas_reference(linked):
     pd.testing.assert_frame_equal(_frame(one), ref)
 
 
-def test_mention_counts_block_split(linked):
-    from clinicaltransformerner_ray.pipelines.kg import mention_counts
+def _turns(*cols: str):
+    from clinicaltransformerner_ray.sources.turns import read_turns
 
-    keys = ["conv_id", "turn_idx", "surface_norm", "type"]
-    one = _rows(mention_counts(linked.repartition(1)))
-    many = _rows(mention_counts(linked.repartition(40)))
+    return read_turns(SF, columns=list(cols))
+
+
+#: op -> (the input it re-partitions, the op over that input).  The
+#: timestamp joins re-partition only the linked table; the turns table
+#: they join is read as is.
+BLOCK_SPLIT_OPS = {
+    "mention_counts": ("linked", lambda kg, d: kg.mention_counts(d)),
+    "association_stats": ("linked", lambda kg, d: kg.association_stats(
+        d, kg.emit_triples(d))),
+    "near_cooccurrence": ("linked", lambda kg, d: kg.near_cooccurrence(d)),
+    "mention_timeline": ("linked", lambda kg, d: kg.mention_timeline(
+        d, _turns("conv_id", "turn_idx", "ts"))),
+    "entity_daily": ("linked", lambda kg, d: kg.entity_daily(
+        d, _turns("conv_id", "turn_idx", "ts"))),
+    "conversation_stats": ("turns", lambda kg, d: kg.conversation_stats(d)),
+}
+
+
+@pytest.mark.parametrize("op", list(BLOCK_SPLIT_OPS))
+def test_mention_counts_block_split(linked, op):
+    from clinicaltransformerner_ray.pipelines import kg
+
+    src, fn = BLOCK_SPLIT_OPS[op]
+    data = linked if src == "linked" else _turns(
+        "conv_id", "role", "text", "ts").materialize()
+    one = _rows(fn(kg, data.repartition(1)))
+    many = _rows(fn(kg, data.repartition(40)))
+    assert one.num_rows > 0
     assert one.equals(many)
+    if op != "mention_counts":
+        return
+    keys = ["conv_id", "turn_idx", "surface_norm", "type"]
     ref = (_frame(_rows(linked))[keys].value_counts()
            .rename("n_mentions").reset_index())
     pd.testing.assert_frame_equal(
         _frame(one), ref.sort_values(keys + ["n_mentions"])
         .reset_index(drop=True), check_dtype=False)
+
+
+# -- agg_fold, the bounded keyed driver fold ------------------------------
+
+def _fold_input(linked):
+    """One partial row per linked mention: (entity_id, type, n=1,
+    surface_norm, turn_idx)."""
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.select(["entity_id", "type", "surface_norm",
+                             "turn_idx"]).append_column(
+            "n", pa.array(np.ones(batch.num_rows, np.int64)))
+
+    return linked.map_batches(ones, batch_format="pyarrow")
+
+
+FOLD_AGGS = [("n", "sum"), ("surface_norm", "min"), ("turn_idx", "max")]
+
+
+def test_agg_fold_block_split_sorted(linked):
+    from clinicaltransformerner_ray.arrowutil import agg_fold, grouped_agg
+
+    keys = ["entity_id", "type"]
+    one = agg_fold(_fold_input(linked.repartition(1)), keys, FOLD_AGGS,
+                   op="t")
+    many = agg_fold(_fold_input(linked.repartition(40)), keys, FOLD_AGGS,
+                    op="t")
+    assert one.num_rows > 1
+    assert one.equals(many)
+    assert one.equals(one.sort_by([(k, "ascending") for k in keys]))
+    whole = pa.concat_tables(
+        _fold_input(linked).iter_batches(batch_format="pyarrow"))
+    assert one.equals(grouped_agg(whole, keys, FOLD_AGGS).sort_by(
+        [(k, "ascending") for k in keys]))
+    total = agg_fold(_fold_input(linked.repartition(40)), [],
+                     [("n", "sum")], op="t")
+    assert total.to_pylist() == [{"n": whole.num_rows}]
+
+
+def test_agg_fold_empty_input_is_typed(ray_session):
+    import ray.data as rd
+
+    from clinicaltransformerner_ray.arrowutil import agg_fold
+
+    empty = pa.table({"k": pa.array([], pa.string()),
+                      "n": pa.array([], pa.int32())})
+    out = agg_fold(rd.from_arrow(empty), ["k"], [("n", "sum")], op="t")
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("k", pa.string()), ("n", pa.int64())])
+    assert agg_fold(rd.from_arrow(empty), [], [("n", "sum")],
+                    op="t").num_rows == 0
+    # a map over no rows has no schema: ``empty`` types the result
+    unmapped = rd.from_arrow(empty).map_batches(lambda b: b,
+                                                batch_format="pyarrow")
+    out = agg_fold(unmapped, ["k"], [("n", "sum")], op="t", empty=empty)
+    assert out.num_rows == 0 and out.schema.names == ["k", "n"]
+    with pytest.raises(ValueError, match="^t: the input has no rows"):
+        agg_fold(unmapped, ["k"], [("n", "sum")], op="t")
+
+
+def test_agg_fold_raises_above_cap(linked, monkeypatch):
+    from clinicaltransformerner_ray import arrowutil
+
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 100)
+    with pytest.raises(ValueError) as err:
+        arrowutil.agg_fold(_fold_input(linked), ["entity_id", "type"],
+                           FOLD_AGGS, op="my_op")
+    msg = str(err.value)
+    assert msg.startswith("my_op: the driver fold holds ")
+    assert int(msg.split(" holds ")[1].split()[0]) > 100
+    assert "FOLD_MAX_BYTES=100" in msg
+
+
+# -- null keys through the ported ops ------------------------------------
+
+def _null_key_inputs(with_nulls: bool):
+    """A linked table and its turns table.  ``with_nulls`` adds a row
+    with a null conv_id, one with a null entity_id (alone in its turn,
+    so that turn holds no entity), and a turn with a null conv_id."""
+    import ray.data as rd
+
+    rows = [("c1", 0, "E1"), ("c1", 0, "E2"), ("c1", 1, "E2"),
+            ("c1", 1, "E3"), ("c1", 2, "E1"), ("c2", 0, "E1"),
+            ("c2", 0, "E3"), ("c2", 1, "E2")]
+    turns = [("c1", 0), ("c1", 1), ("c1", 2), ("c2", 0), ("c2", 1),
+             ("c2", 2)]
+    if with_nulls:
+        rows += [(None, 0, "E1"), (None, 1, "E2"), ("c2", 2, None)]
+        turns += [(None, 0)]
+    c, t, e = zip(*rows)
+    linked = pa.table({
+        "conv_id": pa.array(c, pa.string()),
+        "turn_idx": pa.array(t, pa.int32()),
+        "entity_id": pa.array(e, pa.string()),
+        "type": pa.array(["drug"] * len(rows)),
+        "surface_norm": pa.array(["x"] * len(rows)),
+    })
+    tc, tt = zip(*turns)
+    us = [86_400_000_000 * i + 1000 * j for i, j in enumerate(tt)]
+    turns_t = pa.table({
+        "conv_id": pa.array(tc, pa.string()),
+        "turn_idx": pa.array(tt, pa.int32()),
+        "role": pa.array(["user", "assistant"] * (len(turns) // 2)
+                         + ["tool"] * (len(turns) % 2)),
+        "text": pa.array(["a b"] * len(turns)),
+        "ts": pa.array(us, pa.timestamp("us")),
+    })
+    return rd.from_arrow(linked), rd.from_arrow(turns_t)
+
+
+NULL_KEY_OPS = {
+    "association_stats": lambda kg, l, t: kg.association_stats(
+        l, kg.emit_triples(l)),
+    "near_cooccurrence": lambda kg, l, t: kg.near_cooccurrence(l),
+    "mention_timeline": lambda kg, l, t: kg.mention_timeline(l, t),
+    "entity_daily": lambda kg, l, t: kg.entity_daily(l, t),
+    "kg_report": lambda kg, l, t: kg.kg_report(l, t),
+    "entity_salience": lambda kg, l, t: kg.entity_salience(l, t),
+    "entity_trend": lambda kg, l, t: kg.entity_trend(l, t),
+    "conversation_stats": lambda kg, l, t: kg.conversation_stats(t),
+}
+
+
+@pytest.mark.parametrize("op", list(NULL_KEY_OPS))
+def test_null_keys_count_toward_nothing(ray_session, op):
+    """A row with a null conv_id or a null entity_id changes no answer
+    of a ported op: each drops it (the grouped_agg null-key rule)."""
+    from clinicaltransformerner_ray.pipelines import kg
+
+    def run(with_nulls: bool) -> pa.Table:
+        out = NULL_KEY_OPS[op](kg, *_null_key_inputs(with_nulls))
+        return out if isinstance(out, pa.Table) else _rows(out)
+
+    clean = run(False)
+    assert clean.num_rows > 0
+    got = run(True)
+    assert got.sort_by([(c, "ascending") for c in got.schema.names]
+                       ).equals(clean.sort_by(
+                           [(c, "ascending") for c in clean.schema.names]))
 
 
 # -- hand-built edge cases ------------------------------------------------

@@ -244,7 +244,8 @@ def test_sql_oracle_parity_small(ray_session):
                  "kg_type_matrix", "kg_conv_stats",
                  "kg_near_cooccur", "kg_entity_daily",
                  "kg_degree_histogram", "kg_assoc_topk",
-                 "kg_triangles"]:
+                 "kg_triangles", "kg_report", "kg_salience", "kg_trend",
+                 "kg_link_ra"]:
         rdf = qs[name](SF).to_pandas()
         odf = con.execute(sqls[name]).df()
         a, b = canon(rdf), canon(odf)
