@@ -186,16 +186,15 @@ def _q_kg_assoc_topk(sf_dir: str):
     order = [("lift", "descending"), ("nbr", "ascending")]
 
     def sym(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        lift = (df["n_co"].to_numpy(dtype=np.int64)
-                * df["n_turns"].to_numpy(dtype=np.int64) * 10_000
-                // (df["n_subj"].to_numpy(dtype=np.int64)
-                    * df["n_obj"].to_numpy(dtype=np.int64)))
+        def col(c):
+            return batch.column(c).to_numpy().astype(np.int64)
+
+        lift = (col("n_co") * col("n_turns") * 10_000
+                // (col("n_subj") * col("n_obj")))
+        subj, obj = batch.column("subj"), batch.column("obj")
         return grouped_topk(pa.table({
-            "center": pa.array(df["subj"].tolist() + df["obj"].tolist(),
-                               pa.string()),
-            "nbr": pa.array(df["obj"].tolist() + df["subj"].tolist(),
-                            pa.string()),
+            "center": pa.chunked_array(subj.chunks + obj.chunks, subj.type),
+            "nbr": pa.chunked_array(obj.chunks + subj.chunks, subj.type),
             "lift": pa.array(np.concatenate([lift, lift]), pa.int64()),
         }), ["center"], order, 3)
 

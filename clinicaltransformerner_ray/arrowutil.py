@@ -153,7 +153,8 @@ def grouped_topk(table: pa.Table, keys: list[str],
 
 
 def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
-                  k: int, *, rank: str | None = None):
+                  k: int, *, rank: str | None = None,
+                  empty: pa.Table | None = None):
     """Finish a top-k over a Dataset whose blocks each scoring UDF has
     already cut with :func:`grouped_topk`.
 
@@ -167,9 +168,10 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
     ``acc = grouped_topk(concat([acc, block]), [], order, k)``, which
     holds at most ``k`` rows plus one block and runs no exchange (the
     single-driver degenerate of a tree fold).  Returns a ``pa.Table``;
-    an input with no rows gives an empty one with the schema of the
-    UDF's empty output, and raises ValueError when no UDF ever ran
-    (Ray then has no schema to give).
+    an input with no rows gives an empty one with the input's schema,
+    or with ``empty``'s (the scoring UDF's empty output) when no UDF
+    ever ran and Ray has no schema to give; ValueError when there is
+    neither, as in :func:`agg_fold`.
     """
     if keys:
         return ds.sort(list(keys)).map_batches(
@@ -177,7 +179,8 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
             fn_kwargs={"rank": rank}, batch_format="pyarrow",
             batch_size=None)
     acc = _running_fold(
-        ds, lambda t: grouped_topk(t, [], order, k), "topk_complete")
+        ds, lambda t: grouped_topk(t, [], order, k), "topk_complete",
+        empty)
     return grouped_topk(acc, [], order, k, rank=rank)
 
 

@@ -1,6 +1,7 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1).
 
-    turns ──map_batches(MentionTagger task map, emit="linked")──▶ linked mentions
+    turn files ──ReadParquet->MapBatches(MentionTagger, emit="linked")──▶ linked mentions
+               (one fused operator: a task per file, or per 1024 turns if fewer)
           ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block pairs──▶ evidence rows
           ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
     linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
@@ -35,7 +36,11 @@ whole Arrow batch and links its mentions in place (``emit="linked"``),
 so there is one mention operator, not a tagger feeding a linker.  The
 tagger runs as a stateless task map over a per-process stage cache
 (``stages/stage_map.py``), so no stage reserves CPUs and nothing sizes a
-pool.
+pool.  The read fuses into that map: ``read_turns`` asks for one task
+per file, or one per ``READ_TASK_TURNS`` turns when that is fewer, and
+``map_stage`` maps whole blocks, slicing them to ``batch_size`` rows
+inside the task, so Ray Data has no reason to split the read or to
+keep it apart.
 
 Downstream analytics chained off the flagship tables
 (`association_stats`, `mention_ts_join`, `mention_timeline`,
@@ -72,7 +77,8 @@ from clinicaltransformerner_ray.arrowutil import (
 import ray.data as rd
 
 
-from clinicaltransformerner_ray.sources.turns import load_alias_rows, read_turns
+from clinicaltransformerner_ray.sources.turns import (
+    READ_TASK_TURNS, load_alias_rows, read_turns)
 from clinicaltransformerner_ray.stages.linker import EntityLinker
 from clinicaltransformerner_ray.stages.stage_map import map_stage
 from clinicaltransformerner_ray.stages.tagger import MentionTagger
@@ -91,7 +97,7 @@ def detect_mentions(
     *,
     max_seq_length: int = 64,
     noise_mod: int = 5,
-    batch_size: int = 1024,
+    batch_size: int = READ_TASK_TURNS,
     decode: str = "argmax",
     quarantine_dir: str | None = None,
     model_dir: str | None = None,

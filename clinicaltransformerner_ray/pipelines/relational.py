@@ -640,7 +640,9 @@ def top_unshipped_orders(
             .sort("okey")
             .map_batches(revenue, batch_format="pyarrow",
                          batch_size=None))  # <= k rows per block
-    top = topk_complete(rows, [], order, k)
+    top = topk_complete(rows, [], order, k, empty=pa.schema([
+        ("okey", pa.int64()), ("rev_e4", pa.int64()), ("odate", pa.int64()),
+        ("oprio", pa.string())]).empty_table())
     return pa.table({
         "o_orderkey": top.column("okey"),
         "revenue_e4": top.column("rev_e4"),
@@ -2898,7 +2900,11 @@ def returned_top(
         .map_batches(totals, batch_format="pyarrow",
                      batch_size=None)
     )
-    top = topk_complete(joined, [], order, k)  # O(k + block) rows
+    top = topk_complete(  # O(k + block) rows
+        joined, [], order, k, empty=pa.schema([
+            ("c_custkey", pa.int64()), ("c_name", pa.string()),
+            ("nationkey", pa.int64()), ("revenue_e4", pa.int64()),
+            ("n_items", pa.int64())]).empty_table())
     return pa.table({
         "c_custkey": top.column("c_custkey"),
         "c_name": top.column("c_name"),

@@ -1050,7 +1050,10 @@ def weighted_sample(docs: rd.Dataset, *, k: int = 50) -> pa.Table:
     return topk_complete(
         docs.map_batches(priorities, batch_format="pyarrow",
                          batch_size=1 << 19),
-        [], order, k, rank="rk").select(["rk", "doc_id", "n_tokens"])
+        [], order, k, rank="rk", empty=pa.schema([
+            ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+            ("prio", pa.uint64())]).empty_table(),
+    ).select(["rk", "doc_id", "n_tokens"])
 
 
 def shard_plan(docs: rd.Dataset, *, n_shards: int = 16) -> rd.Dataset:
@@ -1665,7 +1668,9 @@ def dsir_select(
                              n_buckets=n_buckets)
     return rd.from_arrow(topk_complete(
         scored, [], [("score", "descending"), ("doc_id", "ascending")], m,
-        rank="rank"))
+        rank="rank", empty=pa.schema([
+            ("doc_id", pa.int64()), ("n_toks", pa.int64()),
+            ("score", pa.int64())]).empty_table()))
 
 
 def lm_quality(
@@ -2221,7 +2226,8 @@ def bpe_train(
         .sort("word")
         .map_batches(count_words, batch_format="pyarrow",
                      batch_size=None),
-        [], order, max_types)
+        [], order, max_types, empty=pa.schema([
+            ("word", pa.string()), ("n", pa.int64())]).empty_table())
     types = list(zip(cand.column("word").to_pylist(),
                      cand.column("n").to_pylist()))
 

@@ -24,6 +24,8 @@ from collections import OrderedDict
 import ray
 import ray.data as rd
 
+from clinicaltransformerner_ray.arrowutil import FOLD_MAX_BYTES
+
 #: built stages kept per worker process; the least recently used goes
 #: first.  A process rarely sees more than the flagship's one stage, so
 #: the bound only stops argument sets that come and go from piling up.
@@ -59,16 +61,41 @@ def map_stage(ds: rd.Dataset, stage_cls: type, kwargs: dict, *,
               batch_size: int | None, num_gpus: float = 0.0) -> rd.Dataset:
     """``ds.map_batches`` over ``stage_cls(**kwargs)`` as a task map with
     Arrow batches.  The operator keeps the stage's name
-    (``MapBatches(MentionTagger)``)."""
+    (``MapBatches(MentionTagger)``).
+
+    Ray maps whole blocks (``batch_size=None``); inside the task the
+    stage is called on slices of at most ``batch_size`` rows and each
+    result is yielded, so the stage sees the same bound as a Ray
+    ``batch_size`` would give it (memory and quarantine granularity)
+    while the map stays fusable with a read: Ray Data refuses to fuse a
+    read into a map that asks for a minimum number of rows per bundle.
+    A task holds one input block, so a read fused into the map gives
+    one task per read task (``sources/turns.read_turns``).
+
+    The returned Dataset's ``context.target_max_block_size`` is
+    ``FOLD_MAX_BYTES``.  Before a task's first output arrives, Ray
+    Data budgets each task's pending output at that size times its
+    generator buffer (2 blocks); at the default 128 MiB a 768 MiB
+    object store admits one task and the rest start only when it ends.
+    Output blocks are cut at that size, so the estimate holds.  The
+    context object is shared along the Dataset's lineage, so the
+    Datasets it was built from and those built from it see the same
+    cap."""
     key = stage_key(stage_cls, kwargs)
     # captured in the closure, not passed as a task argument, so Ray does
     # not resolve the ref before the task runs: a cache hit never fetches
     ref = ray.put(kwargs)
 
-    def run(batch):
-        return cached_stage(key, stage_cls, ref)(batch)
+    def run(block):
+        stage = cached_stage(key, stage_cls, ref)
+        step = batch_size or max(block.num_rows, 1)
+        # range(0, 1) on an empty block: the stage still types its output
+        for start in range(0, max(block.num_rows, 1), step):
+            yield stage(block.slice(start, step))
 
     run.__name__ = stage_cls.__name__
     extra = {"num_gpus": num_gpus} if num_gpus else {}
-    return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size,
-                          num_cpus=1, **extra)
+    out = ds.map_batches(run, batch_format="pyarrow", batch_size=None,
+                         num_cpus=1, **extra)
+    out.context.target_max_block_size = FOLD_MAX_BYTES
+    return out

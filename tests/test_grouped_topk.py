@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
 
+SF = "/root/testdata/sf0.001"
+
 I64_MIN, I64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 FLOAT_SCORES = [float("nan"), -0.0, 0.0, 1.0, -1.0, 2.5]
@@ -177,6 +179,76 @@ def test_topk_complete_keyless_empty_input(ray_session):
         topk_complete(rd.from_arrow(t.slice(0, 0)).map_batches(
             grouped_topk, fn_args=([], order, 3), batch_format="pyarrow"),
             [], order, 3)
+
+
+def test_topk_complete_keyless_empty_fallback(ray_session):
+    """With no rows and no schema, ``empty=`` types the result."""
+    import ray.data as rd
+
+    t = pa.table({"score": pa.array([1.0], pa.float64()),
+                  "id": pa.array([0], pa.int64())})
+    order = [("score", "descending"), ("id", "ascending")]
+    got = topk_complete(rd.from_arrow(t.slice(0, 0)).map_batches(
+        grouped_topk, fn_args=([], order, 3), batch_format="pyarrow"),
+        [], order, 3, rank="rank", empty=t.slice(0, 0))
+    assert got.num_rows == 0
+    assert got.schema == t.schema.append(pa.field("rank", pa.int64()))
+
+
+def _keyless_topk_ops():
+    """The five ops that end in a keyless ``topk_complete``, each as
+    ``op(read)`` where ``read(name, cols)`` gives one input table."""
+    from clinicaltransformerner_ray.pipelines import relational as rel
+    from clinicaltransformerner_ray.pipelines import textstats as ts
+
+    li = ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate",
+          "l_returnflag"]
+    docs = ["doc_id", "text", "source"]
+    return {
+        "weighted_sample": lambda r: ts.weighted_sample(
+            r("documents", docs), k=5),
+        "dsir_select": lambda r: ts.dsir_select(
+            r("documents", docs), target_source="src0", n_buckets=64,
+            m=5),
+        "bpe_train": lambda r: ts.bpe_train(r("documents", docs)),
+        "top_unshipped_orders": lambda r: rel.top_unshipped_orders(
+            r("lineitem", li),
+            r("orders", ["o_orderkey", "o_custkey", "o_orderdate",
+                         "o_orderpriority"]),
+            r("customer", ["c_custkey", "c_mktsegment"])),
+        "returned_top": lambda r: rel.returned_top(
+            r("lineitem", li),
+            r("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+            r("customer", ["c_custkey", "c_name", "c_nationkey"]), {}),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_keyless_topk_ops()))
+def test_keyless_topk_ops_type_an_empty_input(ray_session, op):
+    """An input with no rows reaches the keyless fold with no schema
+    (its map never ran); the op still returns a typed empty table with
+    the schema of its result on real rows."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    import ray
+
+    run = _keyless_topk_ops()[op]
+
+    def result(n_rows):
+        def read(name, cols):
+            t = pq.read_table(f"{SF}/{name}.parquet", columns=cols)
+            return rd.from_arrow(t.slice(0, n_rows))
+
+        out = run(read)
+        if isinstance(out, pa.Table):
+            return out
+        return pa.concat_tables(ray.get(out.to_arrow_refs()))
+
+    full, empty = result(None), result(0)
+    assert full.num_rows > 0
+    assert empty.num_rows == 0
+    assert empty.schema == full.schema
 
 
 def test_winnow_pairs_raises_on_a_bucket_past_the_cap(ray_session):
