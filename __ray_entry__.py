@@ -3037,6 +3037,8 @@ def _train_sentences(sf_dir: str):
     task-map pass, zero wide ops — bit-identical to the
     detect_mentions + labels_from_mentions re-join, tested), renamed to
     the trainer's (doc_id, sent_idx, tokens, labels) schema."""
+    import pyarrow.compute as pc
+
     from clinicaltransformerner_ray.pipelines.kg import tag_turn_labels
     from clinicaltransformerner_ray.sources.turns import (
         load_alias_rows, read_turns)
@@ -3045,7 +3047,7 @@ def _train_sentences(sf_dir: str):
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
     sents = tag_turn_labels(turns, alias_rows).rename_columns(
         {"conv_id": "doc_id", "turn_idx": "sent_idx"})
-    types = sorted({r["type"] for r in alias_rows})
+    types = sorted(pc.unique(alias_rows.column("type")).to_pylist())
     return sents, types
 
 
@@ -3102,29 +3104,40 @@ def _q_train_emission(sf_dir: str):
     })
 
 
-def _pred_alias_rows(alias_rows: list[dict]) -> list[dict]:
+def _pred_alias_rows(alias_rows) -> pa.Table:
     """Deterministically degraded lexicon for the eval_prf query —
     md5-gated (== DuckDB md5_number_upper) so the SQL oracle derives
     the IDENTICAL pred alias set: h%7==0 dropped (recall misses),
     h%5==0 type shifted to the next sorted type (confusions -> strict
     AND relax false), h%3==0 multi-word aliases truncated to their
-    first word (boundary errors -> relax-true but strict-false)."""
-    from clinicaltransformerner_ray.pipelines.train import _hash64
+    first word (boundary errors -> relax-true but strict-false).
+    Takes and gives the alias table (a list of row dicts converts)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    types = sorted({r["type"] for r in alias_rows})
-    nxt = {t: types[(i + 1) % len(types)] for i, t in enumerate(types)}
-    out = []
-    for r in alias_rows:
-        h = _hash64(r["alias"])
-        if h % 7 == 0:
-            continue
-        alias = r["alias"]
-        words = alias.split(" ")
-        if h % 3 == 0 and len(words) > 1:
-            alias = words[0]
-        out.append({**r, "alias": alias,
-                    "type": nxt[r["type"]] if h % 5 == 0 else r["type"]})
-    return out
+    from clinicaltransformerner_ray.functions.lexicon import alias_table
+    from clinicaltransformerner_ray.pipelines.dedup import _hash64
+
+    aliases = alias_table(alias_rows)
+    alias = aliases.column("alias")
+    h = _hash64(alias.to_pylist())
+    types = pa.array(sorted(pc.unique(aliases.column("type")).to_pylist()),
+                     aliases.schema.field("type").type)
+    code = pc.index_in(aliases.column("type"), value_set=types)
+    shifted = types.take(pc.if_else(pc.equal(code, len(types) - 1), 0,
+                                     pc.add(code, 1)))
+    first = pc.list_element(pc.split_pattern(alias, " ", max_splits=1), 0)
+    multi = pc.greater(pc.list_value_length(pc.split_pattern(alias, " ")), 1)
+    out = aliases.set_column(
+        aliases.schema.get_field_index("alias"), "alias",
+        pc.if_else(pc.and_(pa.array(h % np.uint64(3) == 0), multi),
+                   first, alias))
+    out = out.set_column(
+        out.schema.get_field_index("type"), "type",
+        pc.if_else(pa.array(h % np.uint64(5) == 0), shifted,
+                   aliases.column("type")))
+    return out.filter(pa.array(h % np.uint64(7) != 0))
 
 
 def _q_eval_prf(sf_dir: str):

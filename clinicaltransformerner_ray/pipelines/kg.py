@@ -1,13 +1,16 @@
 """The flagship KG-construction pipeline (SURVEY.md §7.1).
 
-    turn files ──ReadParquet->MapBatches(MentionTagger, emit="linked")──▶ linked mentions
-               (one fused operator: a task per file, or per 1024 turns if fewer)
+    turn files ──ReadParquetFiles->MapBatches(MentionTagger, emit="linked")──▶ linked mentions
+               (one fused operator: a task per file, or per 1024 turns if fewer;
+                the read plans from the Parquet footers and samples nothing)
           ──dedup+salt combiner ➜ sort(bucket) ➜ vectorized block pairs──▶ evidence rows
           ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
     linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
 
 A materialized linked table of at most ``FOLD_MAX_BYTES`` folds on the
-driver (``arrowutil.driver_table``): the same kernels, once, no Sort.
+driver (``arrowutil.driver_table``): the same kernels, once, no Sort;
+triple emission aggregates int64 codes there and decodes each distinct
+triple's strings once.
 Above the cap, or for a lazy input, the shuffle inventory (SURVEY.md
 §7.4) holds — every wide op is the same shape:
 batch-local COMBINE (shrinks what moves), one SORT on a high-cardinality
@@ -40,7 +43,9 @@ pool.  The read fuses into that map: ``read_turns`` asks for one task
 per file, or one per ``READ_TASK_TURNS`` turns when that is fewer, and
 ``map_stage`` maps whole blocks, slicing them to ``batch_size`` rows
 inside the task, so Ray Data has no reason to split the read or to
-keep it apart.
+keep it apart.  The alias lexicon travels as one Arrow table
+(``load_alias_rows``), and the tagger and linker build their state from
+its columns.
 
 Downstream analytics chained off the flagship tables
 (`association_stats`, `mention_ts_join`, `mention_timeline`,
@@ -66,7 +71,6 @@ table.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -93,7 +97,7 @@ DEFAULT_SALT_SPAN = 512
 
 def detect_mentions(
     turns: rd.Dataset,
-    alias_rows: list[dict],
+    alias_rows: pa.Table | list[dict],
     *,
     max_seq_length: int = 64,
     noise_mod: int = 5,
@@ -106,8 +110,9 @@ def detect_mentions(
 ) -> rd.Dataset:
     """turns -> mentions via the MentionTagger task map
     (:func:`~clinicaltransformerner_ray.stages.stage_map.map_stage`): the
-    tagger is built once per worker process from alias rows shipped once
-    through a ray.put ref.  ``decode="crf"`` selects the Viterbi route
+    tagger is built once per worker process from the alias table
+    (``load_alias_rows``, or a list of row dicts) shipped once through a
+    ray.put ref.  ``decode="crf"`` selects the Viterbi route
     (reference --use_crf).  ``quarantine_dir`` makes each task write the
     turns it failed on (keys + error) as a parquet side table; failures
     always WARN-log regardless.  ``emit="linked"`` links the mentions in
@@ -129,7 +134,7 @@ def detect_mentions(
     }, batch_size=batch_size, num_gpus=num_gpus)
 
 
-def tag_turn_labels(turns: rd.Dataset, alias_rows: list[dict],
+def tag_turn_labels(turns: rd.Dataset, alias_rows: pa.Table | list[dict],
                     **kw) -> rd.Dataset:
     """Training-data assembly surface (T6): per-turn
     ``(conv_id, turn_idx, tokens, labels)`` rows straight off the tagger
@@ -142,7 +147,7 @@ def tag_turn_labels(turns: rd.Dataset, alias_rows: list[dict],
 
 def detect_mentions_biaffine(
     turns: rd.Dataset,
-    alias_rows: list[dict],
+    alias_rows: pa.Table | list[dict],
     *,
     max_sub_len: int = 2048,
     batch_size: int = 512,
@@ -161,7 +166,7 @@ def detect_mentions_biaffine(
 
 def link_mentions(
     mentions: rd.Dataset,
-    alias_rows: list[dict],
+    alias_rows: pa.Table | list[dict],
     *,
     batch_size: int = 8192,
 ) -> rd.Dataset:
@@ -292,8 +297,9 @@ def _bucketed_turn_entities(
     """Batch-local :func:`_turn_entities` (a combiner: idempotent, so
     block alignment is irrelevant), tagged with a coarse bucket key
     ``(hash(conv_id) + turn_idx // span) % n_buckets``.  The conv_id
-    hash is pandas' ``hash_pandas_object``, the one pandas call left
-    here: Arrow has no stable hash kernel.
+    hash is the engine's md5-derived uint64 (``dedup._hash64``, CLAUDE.md
+    round-3 rule 1), one md5 per distinct conv_id: Arrow has no stable
+    hash kernel.
 
     Skew salting: a mega-conversation spreads across its turn spans, so
     no single bucket inherits a whole hot conv_id.  Turns at a span
@@ -301,15 +307,18 @@ def _bucketed_turn_entities(
     (right-side-only `follows` targets), keeping salted output identical
     to unsalted."""
 
+    from clinicaltransformerner_ray.pipelines.dedup import _hash64
+
     def dedup_and_bucket(batch: pa.Table) -> pa.Table:
-        te = _turn_entities(batch)
+        te = _turn_entities(batch)  # drops null keys: every conv hashes
         # ALL bucket arithmetic stays in uint64: h is uint64 and numpy
         # promotes uint64 + int64 to float64, which absorbs the span
         # offset for ~all hashes (salting silently a no-op) and can
         # round a ghost into the wrong bucket.  uint64 wraparound is
         # harmless because n_buckets divides 2**64.
-        h = pd.util.hash_pandas_object(
-            te.column("conv_id").to_pandas(), index=False).to_numpy()
+        conv = te.column("conv_id").combine_chunks().dictionary_encode()
+        h = _hash64(conv.dictionary.to_pylist())[
+            conv.indices.to_numpy(zero_copy_only=False)]
         turn = te.column("turn_idx").to_numpy()
         spans = (turn // span).astype(np.uint64)
         border = (turn % span == 0) & (turn > 0)
@@ -369,11 +378,19 @@ _PARTIAL_TRIPLES_EMPTY = pa.table({
 })
 
 
-def _block_pairs(batch: pa.Table) -> pa.Table:
-    """Pair emission over (conv_id, turn_idx, entity_id, ghost) rows
-    holding every turn whole plus its next turn: one bucket-sorted block
-    on the exchange path, the whole table on the fold path.  Pure
-    integer index arithmetic: conv/entity strings encode ONCE
+#: ``pred`` by code: 0 for same-turn pairs, 1 for next-turn pairs
+_PREDS = pa.array([CO_OCCURS, FOLLOWS], pa.string())
+
+
+def _pair_codes(batch: pa.Table):
+    """The coded pair core of triple emission over (conv_id, turn_idx,
+    entity_id, ghost) rows holding every turn whole plus its next turn:
+    ``(ents, convs, codes)``, where ``codes`` is one int64 table of
+    partial rows (``subj``, ``pred``, ``obj``, ``n_evidence``,
+    ``first_conv_id``, ``first_turn_idx``) whose string columns are
+    codes into ``ents``, ``_PREDS`` and ``convs``.  None when no pair.
+
+    Pure integer index arithmetic: conv/entity strings encode ONCE
     (:func:`arrowutil.sorted_codes`, so code comparisons ==
     lexicographic string comparisons), turns key as
     ``conv_code * 2^33 + turn_idx``, and both joins (same-turn
@@ -381,7 +398,7 @@ def _block_pairs(batch: pa.Table) -> pa.Table:
     cross-product expansion.  A row with a null key gives no pair."""
     t = batch.drop_null()
     if not t.num_rows:
-        return _PARTIAL_TRIPLES_EMPTY
+        return None
     convs, (conv_code,) = sorted_codes(t.column("conv_id"))
     ents, (ent_code,) = sorted_codes(t.column("entity_id"))
     turn = t.column("turn_idx").to_numpy().astype(np.int64)
@@ -416,22 +433,42 @@ def _block_pairs(batch: pa.Table) -> pa.Table:
                               astarts[pos[valid]], acounts[pos[valid]])
     m = e_ng[I_fo] != ent_code[J_fo]
     I_fo, J_fo = I_fo[m], J_fo[m]
-    n_co, n = len(I_co), len(I_co) + len(I_fo)
+    n = len(I_co) + len(I_fo)
     if n == 0:
-        return _PARTIAL_TRIPLES_EMPTY
-
-    def take(values: pa.Array, *codes: np.ndarray) -> pa.Array:
-        return values.take(pa.array(np.concatenate(codes)))
-
-    return pa.table({
-        "subj": take(ents, e_ng[I_co], e_ng[I_fo]),
-        "pred": pa.array([CO_OCCURS] * n_co + [FOLLOWS] * (n - n_co),
-                         pa.string()),
-        "obj": take(ents, e_ng[J_co], ent_code[J_fo]),
-        "n_evidence": pa.array(np.ones(n, np.int64)),
-        "first_conv_id": take(convs, c_ng[I_co], c_ng[I_fo]),
-        "first_turn_idx": pa.array(np.concatenate([t_ng[I_co], t_ng[I_fo]])),
+        return None
+    pred = np.zeros(n, np.int64)
+    pred[len(I_co):] = 1
+    return ents, convs, pa.table({
+        "subj": np.concatenate([e_ng[I_co], e_ng[I_fo]]),
+        "pred": pred,
+        "obj": np.concatenate([e_ng[J_co], ent_code[J_fo]]),
+        "n_evidence": np.ones(n, np.int64),
+        "first_conv_id": np.concatenate([c_ng[I_co], c_ng[I_fo]]),
+        "first_turn_idx": np.concatenate([t_ng[I_co], t_ng[I_fo]]),
     })
+
+
+def _decode_triples(ents: pa.Array, convs: pa.Array,
+                    codes: pa.Table) -> pa.Table:
+    """The string columns of coded triple rows, decoded by ``take``."""
+    return pa.table({
+        "subj": ents.take(codes.column("subj")),
+        "pred": _PREDS.take(codes.column("pred")),
+        "obj": ents.take(codes.column("obj")),
+        "n_evidence": codes.column("n_evidence"),
+        "first_conv_id": convs.take(codes.column("first_conv_id")),
+        "first_turn_idx": codes.column("first_turn_idx"),
+    })
+
+
+def _block_pairs(batch: pa.Table) -> pa.Table:
+    """One-evidence partial triple rows of one bucket-sorted block (the
+    exchange path): :func:`_pair_codes` with every row's strings
+    decoded."""
+    pairs = _pair_codes(batch)
+    if pairs is None:
+        return _PARTIAL_TRIPLES_EMPTY
+    return _decode_triples(*pairs)
 
 
 def emit_triples(
@@ -461,8 +498,11 @@ def emit_triples(
     obj); the two minima may come from different rows.
 
     A materialized input under ``FOLD_MAX_BYTES`` skips both shuffles:
-    one :func:`_block_pairs` and one ``grouped_agg`` over every row, on
-    the driver.  ``salt_span``/``n_buckets`` shape only the exchange path.
+    one :func:`_pair_codes` and one ``grouped_agg`` over the int64 codes
+    of every pair, on the driver, then one decode of the distinct
+    triples' strings (codes sort as their strings, so the code minima
+    decode to the string minima).  ``salt_span``/``n_buckets`` shape
+    only the exchange path.
 
     Output: (subj, pred, obj, n_evidence, first_conv_id, first_turn_idx).
     """
@@ -473,7 +513,13 @@ def emit_triples(
     if tbl is not None:
         te = tbl.select(["conv_id", "turn_idx", "entity_id"])
         te = te.append_column("ghost", pa.array(np.zeros(len(te), bool)))
-        return rd.from_arrow(grouped_agg(_block_pairs(te), keys, aggs))
+        pairs = _pair_codes(te)
+        if pairs is None:
+            return rd.from_arrow(
+                grouped_agg(_PARTIAL_TRIPLES_EMPTY, keys, aggs))
+        ents, convs, codes = pairs
+        return rd.from_arrow(
+            _decode_triples(ents, convs, grouped_agg(codes, keys, aggs)))
     if n_buckets is None:
         n_buckets = 65536
     te = _bucketed_turn_entities(linked, salt_span, n_buckets)

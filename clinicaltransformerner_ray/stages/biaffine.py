@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pyarrow as pa
 
-from clinicaltransformerner_ray.functions.lexicon import Lexicon
+from clinicaltransformerner_ray.functions.lexicon import Lexicon, alias_table
 from clinicaltransformerner_ray.functions.subword import MockWordpieceTokenizer
 from clinicaltransformerner_ray.functions.text import (
     normalize_surface,
@@ -135,13 +135,15 @@ class BiaffineTagger:
     MentionTagger, so every downstream KG stage (canonicalization,
     triples) composes unchanged."""
 
-    def __init__(self, alias_rows: list[dict], max_sub_len: int = 128,
+    def __init__(self, alias_rows, max_sub_len: int = 128,
                  noise_floor: bool = True, model_dir: str | None = None,
                  device: str = "cpu", forward_sentence_batch: int = 16):
-        self.lexicon = Lexicon(
-            (tuple(r["alias"].split(" ")), r["type"], r["entity_id"])
-            for r in alias_rows)
-        self.types = sorted({r["type"] for r in alias_rows})
+        aliases = alias_table(alias_rows)
+        self.lexicon = Lexicon(zip(
+            (a.split(" ") for a in aliases.column("alias").to_pylist()),
+            aliases.column("type").to_pylist(),
+            aliases.column("entity_id").to_pylist()))
+        self.types = sorted(set(aliases.column("type").to_pylist()))
         self.type2id = {t: i + 1 for i, t in enumerate(self.types)}  # 0 = none
         self.tokenizer = MockWordpieceTokenizer()
         self.max_sub_len = max_sub_len

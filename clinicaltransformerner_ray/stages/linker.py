@@ -2,16 +2,19 @@
 
 The north rule's linking stage: "stateful entity-linking (alias
 dictionary + embedding-similarity scoring)".  Load-once state: the
-normalized-alias -> entity_id dict and the alias embedding matrix, built
-once per worker process from one ``ray.put`` of the alias rows
-(``stages/stage_map.py``), never per batch.  The flagship runs it inside
-the tagger (``MentionTagger(emit="linked")``).
+distinct aliases with their entity ids and the alias embedding matrix,
+built once per worker process from the columns of the alias table
+(one ``ray.put``, ``stages/stage_map.py``), never per batch.  The
+flagship runs it inside the tagger (``MentionTagger(emit="linked")``).
 
-Per batch (vectorized, pandas/numpy):
-  1. dict hit: surface_norm -> entity_id,
+Per batch (Arrow and numpy):
+  1. dict hit: surface_norm -> entity_id, one ``pc.index_in`` against the
+     distinct aliases (a repeated alias links to its last row's entity,
+     as a dict built row by row would),
   2. dict miss: deterministic char-trigram hash embedding of the surface,
      cosine against the alias matrix (one numpy matmul per batch), link to
-     the argmax alias when similarity >= threshold,
+     the argmax alias when similarity >= threshold (Python per miss;
+     lexicon-tagged surfaces rarely miss),
   3. still unlinked: self-canonical id ``ent:<surface_norm>`` (NIL entity).
 """
 
@@ -19,6 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from clinicaltransformerner_ray.functions.lexicon import alias_table
 
 EMBED_DIM_DEFAULT = 16
 
@@ -46,35 +52,45 @@ def hash_trigram(tri: str) -> int:
 
 
 class EntityLinker:
-    def __init__(self, alias_rows: list[dict], sim_threshold: float = 0.99):
-        self.alias2eid: dict[str, str] = {}
-        embs = []
-        self.eids: list[str] = []
-        for r in alias_rows:
-            self.alias2eid[r["alias"]] = r["entity_id"]
-            embs.append(np.asarray(r["embedding"], dtype=np.float32))
-            self.eids.append(r["entity_id"])
-        self.emb_matrix = np.stack(embs) if embs else np.zeros((0, EMBED_DIM_DEFAULT), np.float32)
+    def __init__(self, alias_rows, sim_threshold: float = 0.99):
+        aliases = alias_table(alias_rows)
+        alias = aliases.column("alias").combine_chunks()
+        self.eids = aliases.column("entity_id").combine_chunks()
+        # dict semantics: a repeated alias links to its last row's entity
+        self.keys = pc.unique(alias)
+        last = np.full(len(self.keys), -1, np.int64)
+        np.maximum.at(last, pc.index_in(alias, value_set=self.keys)
+                      .to_numpy(zero_copy_only=False).astype(np.int64),
+                      np.arange(len(alias)))
+        self.key_eids = self.eids.take(pa.array(last))
+        if len(alias):
+            emb = pc.list_flatten(aliases.column("embedding")
+                                  .combine_chunks())
+            emb = emb.to_numpy(zero_copy_only=False).astype(np.float32)
+            self.emb_matrix = emb.reshape(len(alias), -1)
+        else:
+            self.emb_matrix = np.zeros((0, EMBED_DIM_DEFAULT), np.float32)
         n = np.linalg.norm(self.emb_matrix, axis=1, keepdims=True)
         n[n == 0] = 1.0
         self.emb_matrix = self.emb_matrix / n
         self.sim_threshold = sim_threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        norm = batch.column("surface_norm").to_pylist()
-        eid = np.asarray([self.alias2eid.get(s) for s in norm], dtype=object)
-        missing = [i for i, e in enumerate(eid) if e is None]
-        if missing and len(self.eids):
-            q = hash_embed([norm[i] for i in missing], self.emb_matrix.shape[1])
-            sims = q @ self.emb_matrix.T          # (miss, n_alias)
-            best = sims.argmax(axis=1)
-            best_sim = sims[np.arange(len(missing)), best]
-            for k, i in enumerate(missing):
-                if best_sim[k] >= self.sim_threshold:
-                    eid[i] = self.eids[int(best[k])]
-                else:
-                    eid[i] = "ent:" + norm[i]
-        elif missing:
-            for i in missing:
-                eid[i] = "ent:" + norm[i]
-        return batch.append_column("entity_id", pa.array(eid.tolist(), pa.string()))
+        norm = batch.column("surface_norm").combine_chunks()
+        eid = self.key_eids.take(pc.index_in(norm, value_set=self.keys))
+        miss = pc.is_null(eid).to_numpy(zero_copy_only=False)
+        if miss.any():
+            surfaces = norm.filter(pa.array(miss)).to_pylist()
+            fill = ["ent:" + s for s in surfaces]
+            if len(self.eids):
+                q = hash_embed(surfaces, self.emb_matrix.shape[1])
+                sims = q @ self.emb_matrix.T          # (miss, n_alias)
+                best = sims.argmax(axis=1)
+                near = np.flatnonzero(sims[np.arange(len(surfaces)), best]
+                                      >= self.sim_threshold)
+                for k, e in zip(near.tolist(), self.eids.take(
+                        pa.array(best[near])).to_pylist()):
+                    fill[k] = e
+            eid = pc.replace_with_mask(eid, pa.array(miss),
+                                       pa.array(fill, pa.string()))
+        return batch.append_column("entity_id", eid.cast(pa.string()))

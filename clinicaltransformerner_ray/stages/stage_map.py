@@ -37,7 +37,9 @@ _STAGES: OrderedDict = OrderedDict()
 
 def stage_key(stage_cls: type, kwargs: dict) -> str:
     """Content hash of a stage class and its constructor arguments: two
-    calls share a cached stage only when both are equal."""
+    calls share a cached stage only when both are equal.  An Arrow table
+    argument (the alias table) pickles as its buffers, so two reads of
+    one file share a key."""
     blob = pickle.dumps((stage_cls.__module__, stage_cls.__qualname__,
                          sorted(kwargs.items())), protocol=5)
     return hashlib.sha256(blob).hexdigest()

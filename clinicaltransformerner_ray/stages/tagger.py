@@ -17,15 +17,22 @@ Per batch the stage runs the full reference inference lifecycle:
   -> system-label fix (M8) -> BIO repair (M9) -> span assembly (M11).
 
 Every step runs over the whole Arrow batch at once, not turn by turn.
-The batch's words are dictionary-encoded, and the per-word work
-(normalization, subword split and ids, lexicon-head test) runs once per
-distinct word and is cached for the stage's lifetime.  The window grid of
-every turn is built with index arithmetic; only turns longer than one
-window run make_windows' word-boundary cut loop.  The guard walk of M6
-selects, per word, the prediction at its first subtoken, so decode is a
-gather at those positions; M8/M9 are array rules (``BioLabels``), and
-spans come from the run starts of the repaired labels.  Python work is
-left per distinct word, per lexicon-head occurrence and per mention.
+The text column is split into words from its UTF-8 buffer
+(``functions.text.tokenize_batch``), the batch's words are
+dictionary-encoded, and the per-word work (normalization, subword split
+and ids, alias-word id) runs once per distinct word and is cached for
+the stage's lifetime.  The lexicon match runs on integer alias-word ids
+(``functions.lexicon.PhraseIndex``).  The window grid of every turn is
+built with index arithmetic; only turns longer than one window run
+make_windows' word-boundary cut loop.  The guard walk of M6 selects, per
+word, the prediction at its first subtoken, so decode gathers the
+logits there and, on the argmax route, runs log_softmax and argmax on
+those rows only; M8/M9 are array rules (``BioLabels``), spans come from
+the run starts of the repaired labels, and their surfaces and types are
+Arrow ``binary_join`` and ``take``.  Python work is left per distinct
+word, per lexicon match that overlaps an earlier one, and per turn
+longer than one window; none is left per turn, per mention or per
+alias.
 ``tests/tagger_reference.py`` keeps the per-turn composition of
 ``make_windows``/``decode_windows``/``fix_bio``/``tag2entity_turn`` that
 the property tests hold this stage to.
@@ -53,11 +60,12 @@ import logging
 import os
 import uuid
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _LOG = logging.getLogger(__name__)
 
@@ -71,7 +79,8 @@ from clinicaltransformerner_ray.labels import (
 )
 from clinicaltransformerner_ray.functions.decode import BioLabels, argmax_decode
 from clinicaltransformerner_ray.functions.lexicon import (
-    Lexicon,
+    PhraseIndex,
+    alias_table,
     flips_to_inside,
     ids_to_logits,
 )
@@ -172,9 +181,24 @@ class _Word(NamedTuple):
     """What the tagger needs of one distinct word."""
 
     norm: str        # normalize_surface(word)
-    head: bool       # first word of some alias
+    alias_id: int    # the norm's id among alias words, 0 for none
     flip: bool       # perturb_tags turns a B- tag here into I-
     ids: list[int]   # subtoken ids
+
+
+def _join_runs(values: pa.Array, first: np.ndarray, last: np.ndarray,
+               codes: np.ndarray | None = None) -> pa.Array:
+    """``" ".join(words[i:j + 1])`` for each ``(i, j)`` of ``first`` and
+    ``last``, where ``words`` is ``values``, or ``values[codes]``: one
+    ``binary_join`` over list slices."""
+    n = last - first + 1
+    offsets = np.zeros(len(n) + 1, np.int32)
+    np.cumsum(n, out=offsets[1:])
+    idx = np.repeat(first - offsets[:-1], n) + np.arange(offsets[-1])
+    if codes is not None:
+        idx = codes[idx]
+    return pc.binary_join(pa.ListArray.from_arrays(
+        pa.array(offsets), values.take(pa.array(idx, pa.int64()))), " ")
 
 
 class _StageError(Exception):
@@ -194,8 +218,8 @@ class _Featurized:
     n_words: np.ndarray     # (turns,) words per turn
     first_word: np.ndarray  # (turns,) index of each turn's first word
     words: pa.StringArray   # (words,) the words themselves
-    codes: np.ndarray       # (words,) index into ``distinct``
-    distinct: list[str]     # the batch's distinct words
+    codes: np.ndarray       # (words,) index into ``norms``
+    norms: pa.StringArray   # the batch's distinct words, normalized
     starts: np.ndarray      # (words,) char span in the turn
     ends: np.ndarray
     n_pieces: np.ndarray    # (words,) subtokens per word
@@ -213,7 +237,7 @@ class _Featurized:
 class MentionTagger:
     def __init__(
         self,
-        alias_rows: list[dict],
+        alias_rows: pa.Table | list[dict],
         max_seq_length: int = 64,
         noise_mod: int = 5,
         decode: str = "argmax",
@@ -239,15 +263,15 @@ class MentionTagger:
             raise ValueError(f"unknown model family {family!r}; known: "
                              f"{sorted(FAMILIES)}")
         self.emit = emit
-        self.lexicon = Lexicon(
-            (tuple(r["alias"].split(" ")), r["type"], r["entity_id"]) for r in alias_rows
-        )
+        aliases = alias_table(alias_rows)
+        self.phrases = PhraseIndex(aliases.column("alias"))
         self.linker = None
         if emit == "linked":
             from clinicaltransformerner_ray.stages.linker import EntityLinker
 
-            self.linker = EntityLinker(alias_rows)
-        types = sorted({r["type"] for r in alias_rows})
+            self.linker = EntityLinker(aliases)
+        alias_type = aliases.column("type")
+        types = sorted(pc.unique(alias_type).to_pylist())
         # a persisted label2idx.json (state/artifacts.load_label_vocab,
         # the reference's frozen train-time vocab, task.py:556-577) can
         # replace the synthesized vocab; the keyset must agree — the
@@ -291,6 +315,15 @@ class MentionTagger:
         self.n_labels = len(self.label2idx)
         self.bio = BioLabels(
             [self.idx2label[i] for i in range(self.n_labels)])
+        self._type_names = pa.array(self.bio.type, pa.string())
+        if self.model is None:
+            # each alias row's B- and I- label ids, for the mock targets
+            type_code = pc.index_in(alias_type, value_set=pa.array(
+                types, alias_type.type)).to_numpy(
+                zero_copy_only=False).astype(np.int64)
+            self._alias_b, self._alias_i = (
+                np.asarray([self.label2idx[p + t] for t in types],
+                           np.int64)[type_code] for p in ("B-", "I-"))
         # tokenizer-family strategy (M3/M5/M19 variance): framing,
         # padding side, continuation-label policy and partial-token
         # convention all come from one strategy object
@@ -350,27 +383,12 @@ class MentionTagger:
             pq.write_table(tbl, os.path.join(
                 self.quarantine_dir, f"part-{uuid.uuid4().hex}.parquet"))
 
-    # -- model stand-in ----------------------------------------------------
-    def _forward(self, label_id_mat: np.ndarray,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-        """Batched mock forward: (n_windows, L) target ids -> (n_windows, L)
-        predicted ids via real logits + argmax(log_softmax), or Viterbi
-        DP when the CRF route is selected (task.py:390-391: CRF skips
-        the log_softmax/argmax and decodes inside the model)."""
-        logits = ids_to_logits(label_id_mat, self.n_labels)
-        if self.decode == "crf":
-            from clinicaltransformerner_ray.functions.crf import viterbi_decode
-
-            return viterbi_decode(logits, self.transitions, mask)
-        return argmax_decode(logits)
-
-    def _forward_real(self, input_ids: np.ndarray, mask: np.ndarray,
-                      segment_ids: np.ndarray) -> np.ndarray:
+    # -- model -------------------------------------------------------------
+    def _logits_real(self, input_ids: np.ndarray, mask: np.ndarray,
+                     segment_ids: np.ndarray) -> np.ndarray:
         """Real-checkpoint batched forward (task.py:359-432): stack ALL
-        the batch's windows, run them through the token-classification
-        head in bounded sub-batches, argmax the logits (argmax over
-        log_softmax == argmax over logits) — or Viterbi over the real
-        emissions when the CRF route is selected."""
+        the batch's windows and run them through the token-classification
+        head in bounded sub-batches; (windows, L, labels) logits."""
         torch = self._torch
         outs = []
         step = self.forward_window_batch
@@ -390,60 +408,62 @@ class MentionTagger:
                         device=self.device)
                 outs.append(self.model(**kwargs).logits
                             .detach().cpu().numpy())
-        logits = np.concatenate(outs, axis=0)
-        if self.decode == "crf":
-            from clinicaltransformerner_ray.functions.crf import viterbi_decode
+        return np.concatenate(outs, axis=0)
 
-            return viterbi_decode(logits, self.transitions, mask)
-        return argmax_decode(logits)
+    def _logits(self, f: _Featurized, win: np.ndarray | None = None,
+                col: np.ndarray | None = None) -> np.ndarray:
+        """The model's logits over the whole (windows, L) grid, or only
+        at the positions ``(win, col)``.  The mock computes just those
+        rows (its logit rows depend only on the target id and the
+        column); the real model runs the whole grid and is gathered."""
+        if self.model is None:
+            if win is None:
+                return ids_to_logits(f.target, self.n_labels)
+            return ids_to_logits(f.target[win, col], self.n_labels, cols=col)
+        input_ids, segment_ids = self._model_inputs(f)
+        logits = self._logits_real(input_ids, f.mask, segment_ids)
+        return logits if win is None else logits[win, col]
 
     # -- featurize ---------------------------------------------------------
     def _facts(self, distinct: list[str]) -> list[_Word]:
-        """Per distinct word, from the stage-lifetime cache."""
+        """Per distinct word, from the stage-lifetime cache; the words
+        it misses get their alias-word ids in one ``index_in``."""
         cache = self._word_facts
-        out = []
-        for w in distinct:
-            f = cache.get(w)
-            if f is None:
-                norm = normalize_surface(w)
-                head = norm in self.lexicon.by_head
-                f = _Word(norm, head,
-                          head and bool(self.noise_mod)
-                          and flips_to_inside(norm, self.noise_mod),
-                          self.tokenizer.convert_tokens_to_ids(
-                              self.tokenizer.tokenize(w)))
-                if len(cache) < WORD_CACHE_MAX:
-                    cache[w] = f
-            out.append(f)
-        return out
+        new = [w for w in distinct if w not in cache]
+        norms = [normalize_surface(w) for w in new]
+        alias_ids = self.phrases.word_ids(pa.array(norms, pa.string()))
+        made = {w: _Word(norm, aid,
+                         bool(aid) and bool(self.noise_mod)
+                         and flips_to_inside(norm, self.noise_mod),
+                         self.tokenizer.convert_tokens_to_ids(
+                             self.tokenizer.tokenize(w)))
+                for w, norm, aid in zip(new, norms, alias_ids.tolist())}
+        cache.update(islice(made.items(), max(0, WORD_CACHE_MAX - len(cache))))
+        return [made.get(w) or cache[w] for w in distinct]
 
     def _word_tags(self, codes: np.ndarray, facts: list[_Word],
                    turn_end: np.ndarray) -> np.ndarray:
         """Lexicon.tag_words + perturb_tags over the batch's words, as
-        label ids: the greedy longest match runs only from words that
-        start some alias, skipping those inside the previous match."""
-        l2i = self.label2idx
-        tags = np.full(len(codes), l2i[O], dtype=np.int64)
-        head = np.fromiter((f.head for f in facts), bool, len(facts))
-        nxt = 0
-        for i in np.flatnonzero(head[codes]).tolist():
-            if i < nxt:
-                continue
-            end = int(turn_end[i])
-            word = facts[codes[i]]
-            for alias, etype, _eid in self.lexicon.by_head[word.norm]:
-                n = len(alias)
-                if i + n <= end and all(facts[codes[i + k]].norm == alias[k]
-                                        for k in range(1, n)):
-                    tags[i] = l2i[("I-" if word.flip else "B-") + etype]
-                    tags[i + 1:i + n] = l2i["I-" + etype]
-                    nxt = i + n
-                    break
+        label ids: ``PhraseIndex.match`` over the words' alias-word ids,
+        B- (I- where perturb_tags flips the first word) on each match's
+        first word and I- on the rest."""
+        n = len(facts)
+        alias_id = np.fromiter((f.alias_id for f in facts), np.int64, n)
+        flip = np.fromiter((f.flip for f in facts), bool, n)
+        start, length, row = self.phrases.match(alias_id[codes], turn_end)
+        tags = np.full(len(codes), self.label2idx[O], dtype=np.int64)
+        tags[start] = np.where(flip[codes[start]], self._alias_i[row],
+                               self._alias_b[row])
+        inner = length - 1
+        pos = np.repeat(start + 1 - _starts(inner), inner) + np.arange(
+            inner.sum())
+        tags[pos] = np.repeat(self._alias_i[row], inner)
         return tags
 
-    def _featurize(self, texts: list) -> _Featurized:
-        """Words, subtokens and the window grid of a batch of turns —
-        make_windows' fields for every turn, by index arithmetic."""
+    def _featurize(self, texts: pa.Array | pa.ChunkedArray) -> _Featurized:
+        """Words, subtokens and the window grid of a batch of turns (an
+        Arrow string column) — make_windows' fields for every turn, by
+        index arithmetic.  A binary column or invalid UTF-8 raises."""
         fam = self.family
         L = self.max_seq_length
         words, n_words, starts, ends = tokenize_batch(texts)
@@ -524,7 +544,9 @@ class MentionTagger:
                               np.where(first, pos_tag, cont))
         return _Featurized(
             n_words=n_words, first_word=first_word, words=words,
-            codes=codes, distinct=distinct, starts=starts, ends=ends,
+            codes=codes,
+            norms=pa.array([f.norm for f in facts], pa.string()),
+            starts=starts, ends=ends,
             n_pieces=n_pieces, piece_ids=piece_ids, win_n=win_n,
             win_next=win_next, col0=col0, pos_piece=pos_piece,
             guards=guards, mask=mask, target=target)
@@ -558,32 +580,32 @@ class MentionTagger:
         return ids, segment_ids
 
     # -- decode ------------------------------------------------------------
-    def _predict(self, f: _Featurized) -> np.ndarray:
-        """(windows, L) predicted label ids for the whole batch: one
-        stacked model call (the reference batches windows the same way,
-        regardless of sentence, data_utils.py:356-389)."""
-        if not len(f.win_n):
-            return np.zeros((0, self.max_seq_length), dtype=np.int64)
-        if self.model is not None:
-            input_ids, segment_ids = self._model_inputs(f)
-            return self._forward_real(input_ids, f.mask, segment_ids)
-        return self._forward(f.target,
-                             f.mask if self.decode == "crf" else None)
-
-    def _bio(self, f: _Featurized, preds: np.ndarray):
+    def _bio(self, f: _Featurized):
         """The repaired BIO label ids of every turn, concatenated, and
         the label count per turn.
 
         The guard walk (task.py:406-429) keeps, per word, the prediction
-        at its first subtoken, so this gathers the predictions there.
-        Words without subtokens get no label; as in the walk plus
-        ``tag2entity_turn``'s zip, a turn's labels pair with its first
-        words in order."""
+        at its first subtoken.  On the argmax route (M7) only those rows
+        of the logits are decoded: log_softmax and argmax work row by
+        row, so this equals decoding the whole grid and gathering.  The
+        CRF route runs Viterbi over the whole grid (task.py:390-391) and
+        gathers after.  Words without subtokens get no label; as in the
+        walk plus ``tag2entity_turn``'s zip, a turn's labels pair with
+        its first words in order."""
         piece_win = np.repeat(np.arange(len(f.win_n)), f.win_n)
         piece_col = (f.col0[piece_win] + np.arange(len(piece_win))
                      - _starts(f.win_n)[piece_win])
         firsts = _starts(f.n_pieces)[f.n_pieces > 0]
-        y = preds[piece_win[firsts], piece_col[firsts]]
+        win, col = piece_win[firsts], piece_col[firsts]
+        if not len(win):
+            y = np.zeros(0, np.int64)
+        elif self.decode == "crf":
+            from clinicaltransformerner_ray.functions.crf import viterbi_decode
+
+            y = viterbi_decode(self._logits(f), self.transitions,
+                               f.mask)[win, col]
+        else:
+            y = argmax_decode(self._logits(f, win, col))
         word_turn = np.repeat(np.arange(len(f.n_words)), f.n_words)
         n_labels = np.bincount(word_turn[f.n_pieces > 0],
                                minlength=len(f.n_words))
@@ -596,7 +618,10 @@ class MentionTagger:
                   n_labels: np.ndarray, batch: pa.Table) -> pa.Table:
         """M11 span assembly: after fix_bio every I- label continues the
         span its predecessor opened, so spans are the B- positions, each
-        extended over the I- run that follows it."""
+        extended over the I- run that follows it.  ``surface`` joins the
+        span's words and ``surface_norm`` their normalized forms (the
+        normalization of the joined surface: lowercasing never looks
+        across whitespace, and the words hold none)."""
         lab = self.bio
         bad = ~lab.valid[y]
         if bad.any():
@@ -613,21 +638,16 @@ class MentionTagger:
         turn = label_turn[b]
         ment_id = np.arange(len(b)) - _starts(
             np.bincount(turn, minlength=len(n_labels)))[turn]
-        distinct, codes = f.distinct, f.codes
-        surface = [" ".join([distinct[c] for c in codes[i:j + 1].tolist()])
-                   for i, j in zip(first_w.tolist(), last_w.tolist())]
         take = pa.array(turn, pa.int64())
         return pa.table({
             "conv_id": batch.column("conv_id").take(take).cast(pa.string()),
             "turn_idx": batch.column("turn_idx").take(take).cast(pa.int32()),
             "ment_id": pa.array(ment_id, pa.int32()),
-            "surface": pa.array(surface, pa.string()),
-            "surface_norm": pa.array([normalize_surface(s) for s in surface],
-                                     pa.string()),
+            "surface": _join_runs(f.words, first_w, last_w),
+            "surface_norm": _join_runs(f.norms, first_w, last_w, f.codes),
             "start": pa.array(f.starts[first_w], pa.int32()),
             "end": pa.array(f.ends[last_w], pa.int32()),
-            "type": pa.array([lab.type[i] for i in y[b].tolist()],
-                             pa.string()),
+            "type": self._type_names.take(pa.array(y[b], pa.int64())),
         }, schema=MENTION_SCHEMA)
 
     def _labels_table(self, f: _Featurized, y: np.ndarray,
@@ -651,12 +671,11 @@ class MentionTagger:
     def _tag(self, batch: pa.Table) -> pa.Table:
         """One pass over ``batch``; a failure raises ``_StageError``
         naming the stage."""
-        texts = batch.column("text").to_pylist()
         stage = "featurize"
         try:
-            f = self._featurize(texts)
+            f = self._featurize(batch.column("text"))
             stage = "decode"
-            y, n_labels = self._bio(f, self._predict(f))
+            y, n_labels = self._bio(f)
             if self.emit == "labels":
                 return self._labels_table(f, y, n_labels, batch)
             return self._mentions(f, y, n_labels, batch)

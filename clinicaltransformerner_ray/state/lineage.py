@@ -43,6 +43,9 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from clinicaltransformerner_ray.sources.turns import (
+    ParquetFilesDatasource, read_parquet_files)
+
 #: explicit local filesystem for every read/write in this module —
 #: pinning the filesystem skips most of Ray's fsspec probing
 _LOCAL_FS = pafs.LocalFileSystem()
@@ -116,19 +119,20 @@ def pending_shards(shards: list[str], out_dir: str) -> list[int]:
 
 
 def _default_shard_concurrency() -> int:
-    """How many shard pipelines to fly at once: one per 8 cluster CPUs.
-    Each shard pipeline is a reader plus the task-map tagger, which
-    reserves no CPUs, so the actor-pool starvation this bound once
-    guarded against (CLAUDE.md #3) cannot happen here.  The value is
-    kept as it was until a measurement shows whether more in-flight
-    shards help."""
+    """How many shard pipelines to fly at once: one per cluster CPU.
+    A shard's read fuses into the task-map tagger as ONE task (the
+    footer-planned reader never splits a file), so each in-flight shard
+    keeps one CPU busy, and the tagger reserves none between tasks (no
+    actor-pool starvation, CLAUDE.md #3).  sf0.01, 4 shards, 4 CPUs:
+    0.22 s at one shard at a time (the old one-per-8-CPUs rule),
+    0.086 s at four."""
     try:
         import ray
 
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    return max(1, cpus // 8)
+    return max(1, cpus)
 
 
 def _write_part(out: rd.Dataset, part_dir: str) -> int:
@@ -188,8 +192,9 @@ def run_resumable(
         t0 = time.perf_counter()
         ok = False
         try:
-            ds = rd.read_parquet(shard, filesystem=_LOCAL_FS)
-            rows_in = ds.count()  # parquet metadata only
+            source = ParquetFilesDatasource([shard], None)
+            rows_in = source.num_rows  # parquet footer only
+            ds = read_parquet_files(source)
             out = build(ds)
             rows_out = _write_part(out, _part_path(out_dir, i))
             rec.update({

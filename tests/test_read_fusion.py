@@ -48,12 +48,13 @@ def _canon_hash(tbl: pa.Table) -> str:
 
 def test_flagship_read_fuses_into_the_tagger(ray_session):
     """``kg_pipeline``'s linked table comes from one fused
-    ``ReadParquet->MapBatches(MentionTagger)`` operator; no SplitBlocks."""
+    ``ReadParquetFiles->MapBatches(MentionTagger)`` operator; no
+    SplitBlocks."""
     from clinicaltransformerner_ray.pipelines.kg import kg_pipeline
 
     ops = _ops(kg_pipeline(SF)["linked"])
     assert len(ops) == 1, ops
-    assert "ReadParquet->MapBatches(MentionTagger)" in ops[0]
+    assert "ReadParquetFiles->MapBatches(MentionTagger)" in ops[0]
     assert not any("SplitBlocks" in op for op in ops)
 
 
@@ -85,7 +86,7 @@ def test_read_turns_logs_and_floors_tasks(ray_session, synth, caplog,
     ds = turns_src.read_turns(SF, columns=COLS)
     out = map_stage(ds, Identity, {}, batch_size=1024).materialize()
     ops = _ops(out)
-    assert len(ops) == 1 and "ReadParquet->MapBatches(Identity)" in ops[0]
+    assert len(ops) == 1 and "ReadParquetFiles->MapBatches(Identity)" in ops[0]
     assert f"{n_files} tasks executed" in ops[0]
     assert out.count() == n
     assert caplog.records[-1].getMessage().startswith(
@@ -126,7 +127,8 @@ def test_task_count_does_not_change_the_tagger_output(ray_session, synth,
         """Fails featurize on any batch holding a POISON turn."""
 
         def _featurize(self, texts):
-            if any(t is not None and t.startswith("POISON") for t in texts):
+            if any(t is not None and t.startswith("POISON")
+                   for t in texts.to_pylist()):
                 raise ValueError("poisoned turn")
             return super()._featurize(texts)
 
@@ -153,3 +155,32 @@ def test_task_count_does_not_change_the_tagger_output(ray_session, synth,
                                                  "stage"])))
     assert outs[0] == outs[1]
     assert quarantines[0] == quarantines[1]
+
+
+def test_resume_shard_read_fuses_into_the_tagger(ray_session, tmp_path,
+                                                 monkeypatch):
+    """``state/lineage.run_resumable`` reads each turn shard through the
+    footer-planned reader, so a shard's linked build is one fused
+    operator of one task, with no SplitBlocks."""
+    from clinicaltransformerner_ray.pipelines import resume
+    from clinicaltransformerner_ray.state import lineage
+
+    shards = resume.turn_shards(SF)
+    monkeypatch.setattr(resume, "turn_shards", lambda sf_dir: shards[:1])
+    seen = []
+    real = lineage._write_part
+
+    def write_part(out, part_dir):
+        out = out.materialize()
+        seen.append(_ops(out))
+        return real(out, part_dir)
+
+    monkeypatch.setattr(lineage, "_write_part", write_part)
+    r = resume.checkpointed_mentions(SF, str(tmp_path / "ckpt"))
+    assert r == {"skipped": 0, "processed": 1, "failed": 0}
+    (ops,) = seen
+    assert len(ops) == 1, ops
+    assert "ReadParquetFiles->" in ops[0]
+    assert "MapBatches(MentionTagger)" in ops[0]
+    assert "1 tasks executed" in ops[0]
+    assert not any("SplitBlocks" in op for op in ops)

@@ -138,7 +138,7 @@ def test_batch_model_inputs_equal_make_windows(family, texts,
     path's inputs, checked without torch."""
     tagger = MentionTagger(ALIASES, family=family,
                            max_seq_length=max_seq_length)
-    f = tagger._featurize(texts)
+    f = tagger._featurize(pa.array(texts, pa.string()))
     input_ids, segment_ids = tagger._model_inputs(f)
     wins = [w for t in texts
             for w in turn_windows(t, ALIASES, family=family,
@@ -181,7 +181,7 @@ def test_bio_labels_fix_equals_fix_bio(seqs):
 def test_tokenize_batch_equals_per_text(texts):
     """PROPERTY: tokenize_batch == tokenize_with_offsets per text,
     including Python-only whitespace and astral code points."""
-    words, n_words, starts, ends = tokenize_batch(texts)
+    words, n_words, starts, ends = tokenize_batch(pa.array(texts, pa.string()))
     want = [tokenize_with_offsets(t or "") for t in texts]
     assert n_words.tolist() == [len(w) for w, _ in want]
     assert words.to_pylist() == [t for w, _ in want for t in w]
@@ -195,7 +195,7 @@ def test_poison_turn_is_the_only_one_quarantined(stage, tmp_path, caplog,
     """One poison turn among good ones: only it is quarantined, under
     the stage that failed, and every other turn's mentions equal a clean
     run's.  The featurize poison is a word the tokenizer raises on; the
-    decode poison is a mention surface normalization raises on."""
+    decode poison is a mention surface that span assembly raises on."""
     import pandas as pd
 
     import clinicaltransformerner_ray.stages.tagger as tagger_mod
@@ -217,14 +217,15 @@ def test_poison_turn_is_the_only_one_quarantined(stage, tmp_path, caplog,
 
         monkeypatch.setattr(tagger.tokenizer, "tokenize", tokenize)
     else:
-        real = tagger_mod.normalize_surface
+        real = tagger_mod._join_runs
 
-        def normalize(s):
-            if s == f"{FLIP} burn":
+        def join_runs(*args):
+            out = real(*args)
+            if f"{FLIP} burn" in out.to_pylist():
                 raise RuntimeError("poison surface")
-            return real(s)
+            return out
 
-        monkeypatch.setattr(tagger_mod, "normalize_surface", normalize)
+        monkeypatch.setattr(tagger_mod, "_join_runs", join_runs)
     with caplog.at_level(logging.WARNING,
                          logger="clinicaltransformerner_ray.stages.tagger"):
         out = tagger(_batch(texts))
