@@ -20,21 +20,27 @@ sorted integer node codes: no per-round Ray tasks, no ``take_all``
 folds.  Above the cap:
 
   - pagerank, triangle_counts, common_neighbors, jaccard_links,
-    clustering_coefficients, label_propagation and ktruss take their
-    distributed paths, which hold no per-node driver state (sorts on
-    the node or pair key), with outputs bit-identical to the fold
-    (``tests/test_graph_distributed.py`` forces both paths);
-  - the other nine have no distributed path and raise ValueError
+    clustering_coefficients, label_propagation, ktruss, local_bridges
+    and link_prediction_ra take their distributed paths, which hold no
+    per-node driver state (sorts on the node or pair key), with outputs
+    bit-identical to the fold (``tests/test_graph_distributed.py``
+    forces both paths);
+  - the other seven have no distributed path and raise ValueError
     naming the op, the input size and the cap.
 
+Every wedge fold (common_neighbors, jaccard_links, link_prediction_ra,
+ktruss, local_bridges, triangle_counts, clustering_coefficients)
+enumerates wedges over sorted int64 node codes one budgeted chunk of
+whole centers at a time (:func:`_wedge_chunks`), after
+:func:`_wedge_fold_ok` has checked the accumulator's and the largest
+center's bounds against the cap; the one pair kernel,
+:func:`_wedge_fold`, merges the chunks into a running (p, q) ->
+(count, weight sum) accumulator.  The driver's peak is at most about
+3.5x ``FOLD_MAX_BYTES``.  The exchanges' per-block wedge maps run the
+same chunks.
 An empty input folds (its schema's empty table, or an empty table of
 the op's columns when it has no schema) and gives a typed empty result.
-Work that grows with wedges or walks rather than edges stays
-distributed on both paths: the (x, y) pair exchange of common_neighbors
-and ktruss, triangle wedge-close, walk emission and the per-edge map of
-local_bridges; link_prediction_ra folds its wedges on the driver, over
-int64 node codes.  Every choice is logged through the
-``ray_kg`` logger.
+Every choice is logged through the ``ray_kg`` logger.
 
 Why INTEGER fixed-point: float PageRank sums neighbor contributions in
 engine-dependent order, so a SQL oracle could never hash-match.  With
@@ -60,8 +66,8 @@ import ray
 import ray.data as rd
 
 from clinicaltransformerner_ray.arrowutil import (
-    FOLD_MAX_BYTES, driver_table, grouped_agg, grouped_topk, sorted_codes,
-    triu_pairs)
+    FOLD_MAX_BYTES, LOG, driver_table, grouped_agg, grouped_topk,
+    sorted_codes, triu_pairs)
 
 SCALE = 10 ** 12
 
@@ -101,12 +107,21 @@ def _edge_table(ds: rd.Dataset, op: str, cols: list[str]) -> pa.Table:
     return tbl
 
 
-def _norm(batch: pa.Table, a_col: str, b_col: str, typ: pa.DataType,
-          names: tuple[str, str] = ("a", "b")) -> pa.Table:
-    """The (``a_col``, ``b_col``) edge columns cast to ``typ``, named
-    ``names``."""
-    return pa.table({names[0]: batch.column(a_col).cast(typ),
-                     names[1]: batch.column(b_col).cast(typ)})
+def _norm(batch: pa.Table, a_col: str, b_col: str,
+          typ: pa.DataType) -> pa.Table:
+    """The (``a_col``, ``b_col``) edge columns cast to ``typ``, as
+    (a, b)."""
+    return pa.table({"a": batch.column(a_col).cast(typ),
+                     "b": batch.column(b_col).cast(typ)})
+
+
+def _norm_ds(src: rd.Dataset, a_col: str, b_col: str,
+             typ: pa.DataType) -> rd.Dataset:
+    """:func:`_norm` over every block of ``src``, materialized: the
+    exchange paths read the normalized (a, b) edges more than once."""
+    return src.map_batches(_norm, fn_args=(a_col, b_col, typ),
+                           batch_format="pyarrow",
+                           batch_size=1 << 19).materialize()
 
 
 def _bidir(batch: pa.Table, names: tuple[str, str] = ("a", "b"), *,
@@ -127,6 +142,19 @@ def _ones(n: int) -> pa.Array:
     return pa.array(np.ones(n, np.int64))
 
 
+def _zeros(n: int) -> pa.Array:
+    return pa.array(np.zeros(n, np.int64))
+
+
+def _sorted_map(ds: rd.Dataset, key, fn, **fn_kwargs) -> rd.Dataset:
+    """``ds`` sorted on ``key``, then ``fn`` per sorted block (equal keys
+    land whole).  The Sort's input is materialized first: fed by a lazy
+    map, a union -> Sort stalled about 10 s under a 768 MiB object
+    store (kg_dense: 1.3M wedge-pair rows, 47 MB) against 0.4 s."""
+    return ds.materialize().sort(key).map_batches(
+        fn, fn_kwargs=fn_kwargs, batch_format="pyarrow", batch_size=None)
+
+
 def _degrees(batch: pa.Table, ends: tuple[str, ...] = ("a",),
              node: str = "node", d: str = "d") -> pa.Table:
     """(``node``, ``d``) occurrence counts of the values of the ``ends``
@@ -144,79 +172,251 @@ def _degrees_ds(ds: rd.Dataset, ends: tuple[str, ...], node: str,
     """:func:`_degrees` as combine -> sort(node) -> combine: the
     distributed paths' degree table, with no per-node driver state."""
     kw = {"ends": ends, "node": node, "d": d}
-    return (ds.map_batches(_degrees, fn_kwargs=kw, batch_format="pyarrow",
-                           batch_size=1 << 19)
-            .sort(node)
-            .map_batches(_degrees, fn_kwargs=kw, batch_format="pyarrow",
-                         batch_size=None))
+    return _sorted_map(ds.map_batches(_degrees, fn_kwargs=kw,
+                                      batch_format="pyarrow",
+                                      batch_size=1 << 19), node, _degrees,
+                       **kw)
 
 
-def _run_starts(col) -> np.ndarray:
-    """True at the first row of each run of equal values of ``col``."""
-    n = len(col)
-    starts = np.ones(n, dtype=bool)
-    if n > 1:
-        starts[1:] = pc.not_equal(col.slice(1), col.slice(0, n - 1)
-                                  ).to_numpy(zero_copy_only=False)
-    return starts
+# -- the wedge kernel --------------------------------------------------------
+
+#: bytes of one wedge-pair accumulator row: an int64 pair key, count and
+#: weight sum.  The accumulator's bound is counted in these rows.
+_WEDGE_ROW_BYTES = 24
+#: bytes one enumerated wedge costs the driver until its chunk is merged:
+#: ``triu_pairs``' index lists, (c, p, q), the key and weight columns and
+#: the merge's copies of them (89 B measured with ``tracemalloc``).  A
+#: chunk holds at most FOLD_MAX_BYTES // this wedges.
+_WEDGE_BYTES = 100
+
+
+def _wedge_fold_ok(op: str, u: np.ndarray, n: int) -> bool:
+    """Whether ``op`` folds the wedges of the ``u``-centered code rows on
+    the driver, decided from the degree vector before anything is
+    enumerated and logged: the pair accumulator's bound,
+    min(sum C(deg, 2), C(n, 2)) rows of ``_WEDGE_ROW_BYTES``, and the
+    largest center's C(deg, 2) wedges of ``_WEDGE_BYTES`` (a chunk holds
+    whole centers) are each at most ``FOLD_MAX_BYTES``."""
+    d = np.bincount(u, minlength=n)
+    c2 = d * (d - 1) // 2
+    bound = min(int(c2.sum()), n * (n - 1) // 2)
+    top = int(c2.max(initial=0))
+    fold = max(bound * _WEDGE_ROW_BYTES, top * _WEDGE_BYTES) <= FOLD_MAX_BYTES
+    LOG.info("%s: %s (wedge bound %d rows x %d B, largest center %d "
+             "wedges x %d B, cap=%d)", op, "fold" if fold else "exchange",
+             bound, _WEDGE_ROW_BYTES, top, _WEDGE_BYTES, FOLD_MAX_BYTES)
+    return fold
+
+
+def _wedge_chunks(u: np.ndarray, v: np.ndarray):
+    """The wedges of distinct int64 code rows sorted by (u, v), as
+    (c, p, q) arrays chunk by chunk: each pair of ``v`` neighbors of a
+    ``u`` center, p < q.  A chunk holds whole centers and at most
+    ``FOLD_MAX_BYTES // _WEDGE_BYTES`` wedges, cut from the centers'
+    C(deg, 2) counts before anything is enumerated; only a center above
+    that budget on its own (never on a path :func:`_wedge_fold_ok`
+    chose) makes a larger chunk.  :func:`arrowutil.triu_pairs` groups
+    its pairs by run length, not by center, so the center of pair
+    (i, j) is ``u[i]``."""
+    starts = np.flatnonzero(np.diff(u, prepend=-1))
+    counts = np.diff(np.append(starts, len(u)))
+    starts, counts = starts[counts > 1], counts[counts > 1]
+    ends = np.cumsum(counts * (counts - 1) // 2)
+    budget = FOLD_MAX_BYTES // _WEDGE_BYTES
+    lo = 0
+    while lo < len(starts):
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + budget, "right")))
+        i, j = triu_pairs(starts[lo:hi], counts[lo:hi])
+        yield u[i], v[i], v[j]
+        lo = hi
+
+
+def _wedge_fold(u: np.ndarray, v: np.ndarray, n: int, *,
+                weight: np.ndarray | None = None,
+                edges: np.ndarray | None = None) -> pa.Table:
+    """The one wedge kernel: :func:`_wedge_chunks` of distinct code rows
+    sorted by (u, v) over ``n`` nodes, each chunk merged into one running
+    pair accumulator, a table (key, n, w) sorted by key, where
+    key = p * n + q (exact for n < 3e9), n counts the wedges and w sums
+    the ``weight`` of their centers (0 without one).  Given ``edges``
+    (int64 keys of that form), only the wedges whose pair is an edge
+    are kept, so the accumulator holds at most one row per edge: the
+    per-edge supports.  The merge is one stable sort of the
+    accumulator's keys (a single sorted run) and the chunk's, then sums
+    over the runs of equal keys (a running ``grouped_agg`` took 3-5x as
+    long); it holds about 58 B per accumulator row."""
+    key = cnt = wsum = np.zeros(0, np.int64)
+    edges = None if edges is None else pa.array(edges)
+    for c, p, q in _wedge_chunks(u, v):
+        new = p * n + q
+        del p, q  # the chunk's working set stays within _WEDGE_BYTES
+        if edges is not None:
+            hit = pc.is_in(new, value_set=edges).to_numpy(
+                zero_copy_only=False)
+            c, new = c[hit], new[hit]
+        w = weight[c] if weight is not None else np.zeros(len(c), np.int64)
+        key = np.concatenate([key, new])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key = key[first]
+        cnt = np.add.reduceat(np.concatenate(
+            [cnt, np.ones(len(c), np.int64)])[order], first)
+        wsum = np.add.reduceat(np.concatenate([wsum, w])[order], first)
+    return pa.table({"key": key, "n": cnt, "w": wsum})
+
+
+def _support(acc: pa.Table, edge: np.ndarray) -> np.ndarray:
+    """The wedge count of each ``edge`` key in the pair accumulator
+    ``acc``, 0 where it has none."""
+    key = np.append(acc.column("key").to_numpy(), np.iinfo(np.int64).max)
+    cnt = np.append(acc.column("n").to_numpy(), 0)
+    pos = np.searchsorted(key, edge)
+    return np.where(key[pos] == edge, cnt[pos], 0)
+
+
+def _distinct(a: np.ndarray, b: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (a, b) rows of codes below ``n``, sorted by (a, b)."""
+    key = np.unique(a * n + b)
+    return key // n, key % n
+
+
+def _adjacency_codes(a: np.ndarray, b: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (u, v) code rows of both orientations of the
+    (a, b) edges, sorted by (u, v): the kernel's input."""
+    return _distinct(np.concatenate([a, b]), np.concatenate([b, a]), n)
+
+
+def _decode_pairs(nodes: pa.Array, acc: pa.Table,
+                  cols: list[str]) -> pa.Table:
+    """A pair accumulator's (p, q, n, w) rows as ``cols`` (the first
+    ``len(cols)`` of them), with p and q decoded to ``nodes``' values."""
+    key = acc.column("key").to_numpy()
+    return pa.table([nodes.take(pa.array(key // len(nodes))),
+                     nodes.take(pa.array(key % len(nodes))),
+                     acc.column("n"), acc.column("w")][:len(cols)],
+                    names=cols)
 
 
 def _wedges(batch: pa.Table, u: str = "u", v: str = "v") -> pa.Table:
-    """Every unordered pair of ``v`` neighbors of each ``u`` center, as
-    (c, p, q) rows with p < q in binary order: one ``sort_by`` and
-    :func:`arrowutil.triu_pairs` over the center runs.  Each center's
-    rows must all be in ``batch`` (a center-sorted block or cut)."""
-    t = batch.select([u, v]).sort_by([(u, "ascending"), (v, "ascending")])
-    starts = np.flatnonzero(_run_starts(t.column(u)))
-    i, j = triu_pairs(starts, np.diff(np.append(starts, t.num_rows)))
-    i, j = pa.array(i), pa.array(j)
-    return pa.table({"c": t.column(u).take(i), "p": t.column(v).take(i),
-                     "q": t.column(v).take(j)})
+    """Every wedge of a block of (``u``, ``v``) value rows that holds
+    each center whole, as (c, p, q) value rows: :func:`_wedge_chunks`
+    over the block's own codes.  The triangle exchange's wedge
+    emission."""
+    nodes, (uc, vc) = sorted_codes(batch.column(u), batch.column(v))
+    parts = list(_wedge_chunks(*_distinct(uc, vc, len(nodes)))) or [
+        3 * (np.zeros(0, np.int64),)]
+    return pa.table({name: nodes.take(pa.array(np.concatenate(x)))
+                     for name, x in zip("cpq", zip(*parts))})
 
 
-def _wedge_counts(batch: pa.Table) -> pa.Table:
-    """Per-block (x, y, n, kind=1) wedge-pair counts over a block of
-    (u, v) rows holding each center whole: the first exchange's output
-    in common_neighbors and ktruss."""
-    w = _wedges(batch)
-    g = grouped_agg(pa.table({"x": w.column("p"), "y": w.column("q"),
-                              "n": _ones(w.num_rows)}),
-                    ["x", "y"], [("n", "sum")])
+# -- the (x, y) pair exchange ------------------------------------------------
+
+def _wedge_counts(batch: pa.Table, *, weighted: bool = False,
+                  diagonal: bool = False) -> pa.Table:
+    """Per-block (x, y, n, w, kind=1) wedge-pair partials of a block of
+    (u, v) rows holding each center whole: :func:`_wedge_fold` over the
+    block's own codes, after dropping repeated rows.  ``weighted`` sums
+    2^20 // deg(center) into w (resource allocation), else w is 0.
+    ``diagonal`` drops self-loops and adds one (c, c, deg(c)) row per
+    center: the common neighbors of a self-loop row (c, c), which never
+    count the endpoints themselves (local bridges)."""
+    nodes, (u, v) = sorted_codes(batch.column("u"), batch.column("v"))
+    n = len(nodes)
+    u, v = _distinct(u, v, n)
+    if diagonal:
+        u, v = u[u != v], v[u != v]
+    deg = np.bincount(u, minlength=n)
+    acc = _wedge_fold(u, v, n, weight=(1 << 20) // np.maximum(deg, 1)
+                      if weighted else None)
+    if diagonal:
+        c = np.flatnonzero(deg)
+        acc = pa.concat_tables([acc, pa.table({
+            "key": c * n + c, "n": deg[c], "w": np.zeros(len(c), np.int64)})])
+    g = _decode_pairs(nodes, acc, ["x", "y", "n", "w"])
     return g.append_column("kind", _ones(g.num_rows))
 
 
-def _direct_rows(batch: pa.Table) -> pa.Table:
-    """Edge (a, b) rows as (x, y, n=0, kind=0), to union with
-    :func:`_wedge_counts` output on the (x, y) composite."""
-    z = pa.array(np.zeros(batch.num_rows, np.int64))
-    return pa.table({"x": batch.column("a"), "y": batch.column("b"),
-                     "n": z, "kind": z})
+def _direct_rows(batch: pa.Table, *, pred: str | None = None,
+                 a: str = "a", b: str = "b") -> pa.Table:
+    """Edge (``a``, ``b``) rows as (x, y, n=0, w=0, kind), x <= y, to
+    union with :func:`_wedge_counts` output on the (x, y) composite:
+    kind 0 for a row given as (x, y), 2 for one given as (y, x).
+    ``pred`` keeps only the rows of that predicate first."""
+    if pred is not None:
+        batch = batch.filter(pc.equal(batch.column("pred"), pred))
+    x, y = batch.column(a), batch.column(b)
+    z = _zeros(batch.num_rows)
+    return pa.table({"x": pc.min_element_wise(x, y),
+                     "y": pc.max_element_wise(x, y), "n": z, "w": z,
+                     "kind": pc.if_else(pc.greater(x, y), 2, 0)
+                     .cast(pa.int64())})
 
 
-def _center_blocks(t: pa.Table, key: str) -> list[pa.Table]:
-    """``t`` sorted on ``key`` and cut into at most 64 blocks of about
-    4096 rows, only at ``key`` boundaries, so each block holds every
-    row of its centers and a per-center map needs no Sort (CLAUDE.md
-    round-3 #2)."""
-    t = t.sort_by([(key, "ascending")])
-    n = t.num_rows
-    first = np.maximum.accumulate(
-        np.where(_run_starts(t.column(key)), np.arange(n), 0))
-    n_blocks = max(1, min(64, n // 4096))
-    cuts = sorted({0, n} | {int(first[k * n // n_blocks])
-                            for k in range(1, n_blocks)})
-    return [t.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])
-            if hi > lo]
+def _pair_exchange(rows: rd.Dataset, finish, fn_kwargs: dict, *,
+                   pred: str | None = None, a: str = "a", b: str = "b",
+                   **wedge_kw) -> rd.Dataset:
+    """The (x, y) exchange over the (``a``, ``b``) edge ``rows`` (of
+    ``pred`` only, when given): both orientations as (u, v) rows sorted
+    on the center -> per-block :func:`_wedge_counts` partials (with
+    ``wedge_kw``), UNIONED with the rows' :func:`_direct_rows` and
+    sorted on the full (x, y) composite (equal composites land whole)
+    -> ``finish`` per block (:func:`_sorted_map` twice)."""
+    kw = {"pred": pred, "a": a, "b": b}
+    partials = _sorted_map(
+        rows.map_batches(_bidir, fn_args=(("u", "v"),), fn_kwargs=kw,
+                         batch_format="pyarrow", batch_size=1 << 19),
+        "u", _wedge_counts, **wedge_kw)
+    direct = rows.map_batches(_direct_rows, fn_kwargs=kw,
+                              batch_format="pyarrow", batch_size=1 << 19)
+    return _sorted_map(partials.union(direct), ["x", "y"],
+                       finish, **fn_kwargs)
+
+
+def _open_pairs(batch: pa.Table, min_common: int,
+                cols: list[str]) -> pa.Table:
+    """Per (x, y)-sorted block: the wedge pairs that are NOT edges, with
+    at least ``min_common`` wedges, as ``cols`` of (x, y, n, w)."""
+    kind = batch.column("kind")
+    g = grouped_agg(batch.filter(pc.equal(kind, 1)), ["x", "y"],
+                    [("n", "sum"), ("w", "sum")])
+    g = g.join(batch.filter(pc.not_equal(kind, 1)).select(["x", "y"]),
+               keys=["x", "y"], join_type="left anti")
+    g = g.filter(pc.greater_equal(g.column("n"), min_common))
+    return pa.table(g.select(["x", "y", "n", "w"]).columns[:len(cols)],
+                    names=cols)
+
+
+def _supported(batch: pa.Table, thr: int) -> pa.Table:
+    """Per (x, y)-sorted block: every direct row with its wedge support
+    (0 when none), kept at support >= ``thr``, as (a, b, support) in the
+    row's own orientation."""
+    kind = batch.column("kind")
+    w = grouped_agg(batch.filter(pc.equal(kind, 1)), ["x", "y"],
+                    [("n", "sum")])
+    g = batch.filter(pc.not_equal(kind, 1)).select(["x", "y", "kind"]).join(
+        w, keys=["x", "y"], join_type="left outer")
+    g = g.set_column(3, "n", g.column("n").fill_null(0))
+    g = g.filter(pc.greater_equal(g.column("n"), thr))
+    flip = pc.equal(g.column("kind"), 2)
+    return pa.table({"a": pc.if_else(flip, g.column("y"), g.column("x")),
+                     "b": pc.if_else(flip, g.column("x"), g.column("y")),
+                     "support": g.column("n")})
 
 
 def _adjacency(tbl: pa.Table, pred: str) -> dict[str, list[str]]:
     """Each node's sorted distinct neighbors over the ``pred`` rows of a
     triple table, both orientations, keyed in sorted node order."""
-    e = grouped_agg(_bidir(tbl, pred=pred), ["a", "b"], []).sort_by(
-        [("a", "ascending"), ("b", "ascending")])
-    a, b = e.column("a").to_pylist(), e.column("b").to_pylist()
-    starts = np.flatnonzero(_run_starts(e.column("a"))).tolist()
-    return {a[s]: b[s:t] for s, t in zip(starts, starts[1:] + [len(a)])}
+    co = tbl.filter(pc.equal(tbl.column("pred"), pred))
+    nodes, (s, o) = sorted_codes(co.column("subj"), co.column("obj"))
+    u, v = _adjacency_codes(s, o, len(nodes))
+    starts = np.flatnonzero(np.diff(u, prepend=-1)).tolist()
+    names, nb = nodes.to_pylist(), nodes.take(pa.array(v)).to_pylist()
+    return {names[u[s]]: nb[s:t]
+            for s, t in zip(starts, starts[1:] + [len(u)])}
 
 
 def _empty(**cols: pa.DataType) -> pa.Table:
@@ -430,43 +630,32 @@ def _corner_counts(hit: pa.Table) -> pa.Table:
                        ["node"], [("n", "sum")])
 
 
-def _triangles_fold(ed: pa.Table, out_col: str) -> pa.Table:
-    """Triangle counts of the distinct int64 (a, b) edge table ``ed``
-    held on the driver (see :func:`triangle_counts`).  Degrees,
-    orientation and src-grouped block cuts are numpy on the driver, the
-    edge table ships once via ``ray.put``, and each block runs wedge
-    emission with IMMEDIATE closure against it: the O(sum out-deg^2)
-    wedge work is the only distributed stage, which is exactly the part
-    that grows past any single machine."""
-    m = ed.num_rows
-    if m == 0:
-        return _empty(**{out_col: pa.int64(), "n_triangles": pa.int64()})
-    a = ed.column("a").to_numpy()
-    b = ed.column("b").to_numpy()
-    _, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    deg = np.bincount(inv)
-    fwd = _orient_fwd(a, b, deg[inv[:m]], deg[inv[m:]])
-    oriented = pa.table({"src": np.where(fwd, a, b),
-                         "dst": np.where(fwd, b, a)})
-    pairs_ref = ray.put(ed)
-
-    def wedge_close(batch: pa.Table) -> pa.Table:
-        hit = _wedges(batch, "src", "dst").join(
-            ray.get(pairs_ref), keys=["p", "q"], right_keys=["a", "b"],
-            join_type="inner")
-        return _corner_counts(hit)
-
-    parts = (rd.from_arrow(_center_blocks(oriented, "src"))
-             .map_batches(wedge_close, batch_format="pyarrow",
-                          batch_size=None))
-    # O(triangle nodes x blocks) partials, bounded by the folded edges
-    blocks = [t for t in ray.get(parts.to_arrow_refs()) if t.num_columns]
-    counts = grouped_agg(
-        pa.concat_tables(blocks) if blocks
-        else _empty(node=pa.int64(), n=pa.int64()),
-        ["node"], [("n", "sum")]).sort_by("node")
-    return pa.table({out_col: counts.column("node"),
-                     "n_triangles": counts.column("n")})
+def _triangles_fold(src: rd.Dataset, a_col: str, b_col: str, op: str):
+    """(nodes, degrees, triangle credits) of the distinct int64 edges
+    of ``src`` on the driver, or None for the exchange: the input above
+    the cap, or its wedge bound (:func:`_wedge_fold_ok`) above it.
+    Degrees, the orientation and the closure test run over sorted node
+    codes, and each :func:`_wedge_chunks` chunk credits the corners of
+    its oriented wedges whose pair is an edge."""
+    tbl = _fold_edges(src, op, [a_col, b_col])
+    if tbl is None:
+        return None
+    nodes, (a, b) = sorted_codes(tbl.column(a_col).cast(pa.int64()),
+                                 tbl.column(b_col).cast(pa.int64()))
+    n = len(nodes)
+    deg = np.bincount(np.concatenate([a, b]), minlength=n)  # rows
+    a, b = _distinct(a, b, n)
+    fwd = _orient_fwd(a, b, deg[a], deg[b])
+    u, v = _distinct(np.where(fwd, a, b), np.where(fwd, b, a), n)
+    if not _wedge_fold_ok(op, u, n):
+        return None
+    closed, credits = pa.array(a * n + b), np.zeros(n, np.int64)
+    for c, p, q in _wedge_chunks(u, v):
+        hit = pc.is_in(p * n + q, value_set=closed).to_numpy(
+            zero_copy_only=False)
+        for x in (c, p, q):
+            credits += np.bincount(x[hit], minlength=n)
+    return nodes, deg, credits
 
 
 def triangle_counts(
@@ -488,9 +677,10 @@ def triangle_counts(
     dedup output, far smaller than the corpus — the dup_clusters
     iterative-lineage precedent).
 
-    Fold (the module rule): :func:`_triangles_fold` — degrees,
-    orientation and block cuts on the driver, wedge-close against the
-    broadcast edge table in parallel, ZERO wide ops.
+    Fold (the module rule, and a wedge bound under the cap):
+    :func:`_triangles_fold` — degrees, orientation and the corner
+    credits of closed wedges, chunk by chunk, on the driver, ZERO wide
+    ops.
 
     Exchange: nothing broadcasts —
       1. degrees        combine/sort/combine endpoint counts
@@ -513,121 +703,52 @@ def triangle_counts(
     (``out_col``, n_triangles) — only nodes in >= 1 triangle, matching
     the SQL oracle's GROUP BY."""
     src = edges.materialize()
-    tbl = _fold_edges(src, "triangle_counts", [a_col, b_col])
-    if tbl is not None:
-        return rd.from_arrow(_triangles_fold(
-            _norm(tbl, a_col, b_col, pa.int64()), out_col))
+    fold = _triangles_fold(src, a_col, b_col, "triangle_counts")
+    if fold is not None:
+        nodes, _, credits = fold
+        hit = np.flatnonzero(credits)
+        return rd.from_arrow(pa.table({
+            out_col: nodes.take(pa.array(hit)),
+            "n_triangles": pa.array(credits[hit], pa.int64())}))
 
-    ed = src.map_batches(_norm, fn_args=(a_col, b_col, pa.int64()),
-                         batch_format="pyarrow",
-                         batch_size=1 << 19).materialize()
+    ed = _norm_ds(src, a_col, b_col, pa.int64())
 
-    # -- 1. degrees: one row per (node, partial) per block ------------
-    deg = _degrees_ds(ed, ("a", "b"), "node", "deg")
-
-    # -- 2. annotate: sort-merge the degree table onto each endpoint --
-    def _tag(src: rd.Dataset, key: str, other: str) -> rd.Dataset:
-        def t(batch: pa.Table) -> pa.Table:
-            z = pa.array([0] * batch.num_rows, pa.int64())
-            return pa.table({
-                "key": batch.column(key).cast(pa.int64()),
-                "other": batch.column(other).cast(pa.int64()),
-                "dcarry": z,
-                "deg": z,
-                "kind": pa.array([1] * batch.num_rows, pa.int64()),
-            })
-        return src.map_batches(t, batch_format="pyarrow",
-                               batch_size=1 << 19)
-
-    def _deg_rows(batch: pa.Table) -> pa.Table:
-        z = pa.array([0] * batch.num_rows, pa.int64())
-        return pa.table({
-            "key": batch.column("node"), "other": z, "dcarry": z,
-            "deg": batch.column("deg"),
-            "kind": z,
-        })
-
-    def attach(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        dm = dict(zip(df.loc[df["kind"] == 0, "key"],
-                      df.loc[df["kind"] == 0, "deg"]))
-        e = df[df["kind"] == 1]
-        return pa.table({
-            # key flips to the OTHER endpoint for the next pass; the
-            # just-attached degree rides in dcarry
-            "key": pa.array(e["other"].to_numpy(), pa.int64()),
-            "other": pa.array(e["key"].to_numpy(), pa.int64()),
-            "dcarry": pa.array(
-                e["key"].map(dm).to_numpy(dtype=np.int64), pa.int64()),
-            "deg": pa.array(e["dcarry"].to_numpy(), pa.int64()),
-            "kind": pa.array(np.ones(len(e), np.int64), pa.int64()),
-        })
-
-    # degt feeds BOTH annotate unions; Ray does no common-subexpression
-    # elimination, so without this materialize the degree shuffle would
-    # execute twice (the same rule that materialized `ed`)
-    degt = deg.map_batches(_deg_rows, batch_format="pyarrow",
-                           batch_size=1 << 19).materialize()
-    # pass A keys on a (other=b); attach() flips so pass B keys on b
-    p1 = (degt.union(_tag(ed, "a", "b"))
-          .sort("key")
-          .map_batches(attach, batch_format="pyarrow", batch_size=None))
-    p2 = (degt.union(p1)
-          .sort("key")
-          .map_batches(attach, batch_format="pyarrow", batch_size=None))
-    # p2 rows: key=a, other=b, dcarry=deg(b), deg=deg(a)  (kind=1)
-
-    # -- 3+4. orient and emit wedges ----------------------------------
+    # -- 1-4. degrees on both ends, orient, wedges per sorted src -----
     def orient(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        a = df["key"].to_numpy()
-        b = df["other"].to_numpy()
-        fwd = _orient_fwd(a, b, df["deg"].to_numpy(),
-                          df["dcarry"].to_numpy())
-        return pa.table({
-            "src": pa.array(np.where(fwd, a, b), pa.int64()),
-            "dst": pa.array(np.where(fwd, b, a), pa.int64()),
-        })
+        a, b = batch.column("k").to_numpy(), batch.column("o").to_numpy()
+        fwd = _orient_fwd(a, b, batch.column("d2").to_numpy(),
+                          batch.column("d1").to_numpy())
+        return pa.table({"src": np.where(fwd, a, b),
+                         "dst": np.where(fwd, b, a)})
 
     def wedges(batch: pa.Table) -> pa.Table:
         w = _wedges(batch, "src", "dst")
-        return pa.table({"p": w.column("p"), "q": w.column("q"),
-                         "anchor": w.column("c"),
-                         "kind": _ones(w.num_rows)})
-
-    wed = (p2.map_batches(orient, batch_format="pyarrow",
-                          batch_size=1 << 19)
-           .sort("src")
-           .map_batches(wedges, batch_format="pyarrow",
-                        batch_size=None))
+        return w.append_column("kind", _ones(w.num_rows))
 
     def edge_keys(batch: pa.Table) -> pa.Table:
-        z = pa.array([0] * batch.num_rows, pa.int64())
-        return pa.table({"p": batch.column("a"), "q": batch.column("b"),
-                         "anchor": z, "kind": z})
+        z = _zeros(batch.num_rows)
+        return pa.table({"c": z, "p": batch.column("a"),
+                         "q": batch.column("b"), "kind": z})
 
     # -- 5. closure join + per-corner credit --------------------------
     def close(batch: pa.Table) -> pa.Table:
         kind = batch.column("kind")
-        hit = batch.filter(pc.equal(kind, 1)).join(
-            batch.filter(pc.equal(kind, 0)).select(["p", "q"]),
-            keys=["p", "q"], join_type="inner")
-        return _corner_counts(hit.rename_columns(
-            ["c" if c == "anchor" else c for c in hit.column_names]))
+        return _corner_counts(batch.filter(pc.equal(kind, 1)).join(
+            grouped_agg(batch.filter(pc.equal(kind, 0)), ["p", "q"], []),
+            keys=["p", "q"], join_type="inner"))
 
     def count_combine(batch: pa.Table) -> pa.Table:
         g = grouped_agg(batch, ["node"], [("n", "sum")])
         return pa.table({out_col: g.column("node"),
                          "n_triangles": g.column("n")})
 
-    return (ed.map_batches(edge_keys, batch_format="pyarrow",
-                           batch_size=1 << 19)
-            .union(wed)
-            .sort(["p", "q"])
-            .map_batches(close, batch_format="pyarrow", batch_size=None)
-            .sort("node")
-            .map_batches(count_combine, batch_format="pyarrow",
-                         batch_size=None))
+    wed = _sorted_map(_with_degrees(ed, ed, "a", "b", None, pa.int64())
+                      .map_batches(orient, batch_format="pyarrow",
+                                   batch_size=1 << 19), "src", wedges)
+    credits = _sorted_map(ed.map_batches(
+        edge_keys, batch_format="pyarrow", batch_size=1 << 19).union(wed),
+        ["p", "q"], close)
+    return _sorted_map(credits, "node", count_combine)
 
 
 def clustering_coefficients(
@@ -647,14 +768,15 @@ def clustering_coefficients(
     truncation (CLAUDE.md round-3 rule) and the SQL oracle matches
     bitwise.  No float ever enters the pipeline.
 
-    Fold (the module rule): :func:`_triangles_fold` and numpy degrees on
-    the one driver table.  Exchange: the normalized edge table is
-    materialized ONCE (it feeds both the triangle enumeration and the
-    degree count — Ray does no common-subexpression elimination);
-    triangles come from :func:`triangle_counts`, degrees from a
-    combine/sort/combine, and the two per-node tables meet in a final
-    sort-merge on the single node key where the per-block pandas
-    left-merge fills triangle-free nodes with 0."""
+    Fold (the module rule, and a wedge bound under the cap):
+    :func:`_triangles_fold` gives the degrees and the triangle credits
+    together.  Exchange: the normalized edge table is materialized ONCE
+    (it feeds both the triangle enumeration and the degree count — Ray
+    does no common-subexpression elimination); triangles come from
+    :func:`triangle_counts`, degrees from a combine/sort/combine, and
+    the two per-node tables meet in a final sort-merge on the single
+    node key where a per-block Arrow left join fills triangle-free
+    nodes with 0."""
 
     def coefficients(node, dg, nt) -> pa.Table:
         keep = dg >= 2
@@ -668,23 +790,12 @@ def clustering_coefficients(
         })
 
     src = edges.materialize()
-    tbl = _fold_edges(src, "clustering_coefficients", [a_col, b_col])
-    if tbl is not None:
-        ed = _norm(tbl, a_col, b_col, pa.int64())
-        tri = _triangles_fold(ed, "node")
-        node, dg = np.unique(np.concatenate(
-            [ed.column("a").to_numpy(), ed.column("b").to_numpy()]),
-            return_counts=True)
-        nt = (tri.column("n_triangles")
-              .take(pc.index_in(pa.array(node), value_set=tri.column("node")
-                                .combine_chunks()))
-              .fill_null(0).to_numpy(zero_copy_only=False))
-        return rd.from_arrow(coefficients(node, dg.astype(np.int64),
-                                          nt.astype(np.int64)))
+    fold = _triangles_fold(src, a_col, b_col, "clustering_coefficients")
+    if fold is not None:
+        nodes, dg, nt = fold
+        return rd.from_arrow(coefficients(nodes.to_numpy(), dg, nt))
 
-    ed = src.map_batches(_norm, fn_args=(a_col, b_col, pa.int64()),
-                         batch_format="pyarrow",
-                         batch_size=1 << 19).materialize()
+    ed = _norm_ds(src, a_col, b_col, pa.int64())
     tri = triangle_counts(ed, a_col="a", b_col="b", out_col="node")
     deg = _degrees_ds(ed, ("a", "b"), "node", "deg")
 
@@ -705,24 +816,42 @@ def clustering_coefficients(
         })
 
     def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        d = df[df["side"] == 0][["node", "val"]].rename(
-            columns={"val": "degree"})
-        t = df[df["side"] == 1][["node", "val"]].rename(
-            columns={"val": "n_triangles"})
-        j = d.merge(t, on="node", how="left")
-        return coefficients(
-            j["node"].to_numpy(dtype=np.int64),
-            j["degree"].to_numpy(dtype=np.int64),
-            j["n_triangles"].fillna(0).to_numpy(dtype=np.int64))
+        side = batch.column("side")
+        d = batch.filter(pc.equal(side, 0)).select(["node", "val"])
+        t = batch.filter(pc.equal(side, 1)).select(["node", "val"])
+        j = d.join(t.rename_columns(["node", "nt"]), "node",
+                   join_type="left outer")
+        return coefficients(j.column("node").to_numpy(),
+                            j.column("val").to_numpy(),
+                            j.column("nt").fill_null(0).to_numpy())
 
-    return (deg.map_batches(tag_deg, batch_format="pyarrow")
-            .union(tri.map_batches(tag_tri, batch_format="pyarrow"))
-            .sort("node")
-            .map_batches(finish, batch_format="pyarrow", batch_size=None))
+    return _sorted_map(deg.map_batches(tag_deg, batch_format="pyarrow")
+                       .union(tri.map_batches(tag_tri,
+                                              batch_format="pyarrow")),
+                       "node", finish)
 
 
 # -- common neighbors --------------------------------------------------------
+
+def _cn_fold(src: rd.Dataset, op: str, a_col: str, b_col: str,
+             node_type: pa.DataType):
+    """The fold of :func:`common_neighbors` over the materialized
+    ``src``: (nodes, a and b edge codes, pair accumulator of the
+    NON-adjacent wedge pairs), or None for the exchange
+    (:func:`_fold_edges`, then :func:`_wedge_fold_ok`)."""
+    tbl = _fold_edges(src, op, [a_col, b_col])
+    if tbl is None:
+        return None
+    nodes, (a, b) = sorted_codes(tbl.column(a_col).cast(node_type),
+                                 tbl.column(b_col).cast(node_type))
+    n = len(nodes)
+    u, v = _adjacency_codes(a, b, n)
+    if not _wedge_fold_ok(op, u, n):
+        return None
+    acc = _wedge_fold(u, v, n)
+    return nodes, a, b, acc.filter(pc.invert(pc.is_in(
+        acc.column("key"), value_set=pa.array(u * n + v))))
+
 
 def common_neighbors(
     edges: rd.Dataset,
@@ -745,60 +874,29 @@ def common_neighbors(
     pre-filter on degree (the ngram max_df precedent: an opt-in cap
     diverges from the exact oracle, so it is not a default here).
 
-    Shape: two exchanges.  (1) both-direction (u, v) rows grouped by
-    center -> per-block wedge-pair partial counts (:func:`_wedge_counts`);
-    (2) partials UNIONED with the direct-edge rows, sorted on the full
-    (x, y) composite (equal composites land whole) -> per-block final
-    sum + NOT-EXISTS drop of directly-connected pairs.  On the fold
-    path the driver cuts the center blocks itself
-    (:func:`_center_blocks`), removing the sort on the low-cardinality
-    center key (the kg_degrees pathology); the exchange path sorts on
-    the center.  The (x, y) exchange stays distributed on BOTH paths:
-    wedge-pair counts are bounded by sum deg^2, which no driver may
-    hold (a 4M-edge star is 10^12 wedges).
+    Fold (the module rule, and a wedge bound under the cap): the wedge
+    kernel :func:`_wedge_fold` counts every (p, q) neighbor pair in
+    budgeted chunks of centers; adjacent pairs drop by key.  Exchange:
+    (1) both-direction (u, v) rows sorted on the center -> per-block
+    wedge-pair partial counts (:func:`_wedge_counts`); (2) partials
+    UNIONED with the direct-edge rows, sorted on the full (x, y)
+    composite (equal composites land whole) -> per-block final sum +
+    NOT-EXISTS drop of directly-connected pairs.  No driver holds the
+    wedges: the fold holds at most its bound of pair rows plus one
+    chunk, and above that bound the wedges stay distributed (a 4M-edge
+    star is 10^12 wedges).
 
     Output: (``a_col``, ``b_col``, n_common) for surviving pairs."""
-
-    def finish(batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind")
-        g = grouped_agg(batch.filter(pc.equal(kind, 1)),
-                        ["x", "y"], [("n", "sum")])
-        g = g.join(batch.filter(pc.equal(kind, 0)).select(["x", "y"]),
-                   keys=["x", "y"], join_type="left anti")
-        g = g.filter(pc.greater_equal(g.column("n"), min_common))
-        return pa.table({a_col: g.column("x"), b_col: g.column("y"),
-                         "n_common": g.column("n")})
-
+    cols = [a_col, b_col, "n_common"]
     src = edges.materialize()
-    tbl = _fold_edges(src, "common_neighbors", [a_col, b_col])
-    if tbl is not None:
-        ed = _norm(tbl, a_col, b_col, node_type)
-        if ed.num_rows == 0:
-            return rd.from_arrow(_empty(**{a_col: node_type,
-                                           b_col: node_type,
-                                           "n_common": pa.int64()}))
-        centered = rd.from_arrow(
-            _center_blocks(_bidir(ed, ("u", "v"), a="a", b="b"), "u"))
-        direct = rd.from_arrow(_direct_rows(ed))
-    else:
-        # read twice (wedge + direct branches): materialize once
-        ed = src.map_batches(_norm, fn_args=(a_col, b_col, node_type),
-                             batch_format="pyarrow",
-                             batch_size=1 << 19).materialize()
-        centered = ed.map_batches(
-            _bidir, fn_args=(("u", "v"),), fn_kwargs={"a": "a", "b": "b"},
-            batch_format="pyarrow", batch_size=1 << 19).sort("u")
-        direct = ed.map_batches(_direct_rows, batch_format="pyarrow",
-                                batch_size=1 << 19)
-
-    # materialized before the exchange, which is a barrier anyway: fed by
-    # the lazy map, the union -> Sort stalled about 10 s under a 768 MiB
-    # object store (kg_dense: 1.3M partial rows, 47 MB) against 0.4 s
-    partials = centered.map_batches(_wedge_counts, batch_format="pyarrow",
-                                    batch_size=None).materialize()
-    return (partials.union(direct)
-            .sort(["x", "y"])
-            .map_batches(finish, batch_format="pyarrow", batch_size=None))
+    fold = _cn_fold(src, "common_neighbors", a_col, b_col, node_type)
+    if fold is None:
+        return _pair_exchange(_norm_ds(src, a_col, b_col, node_type),
+                              _open_pairs, {"min_common": min_common,
+                                            "cols": cols})
+    nodes, _, _, acc = fold
+    acc = acc.filter(pc.greater_equal(acc.column("n"), min_common))
+    return rd.from_arrow(_decode_pairs(nodes, acc, cols))
 
 
 def jaccard_links(
@@ -820,159 +918,83 @@ def jaccard_links(
     union_size = deg_a + deg_b - n_common by inclusion-exclusion over
     distinct neighbor sets.
 
-    Fold (the module rule): degrees are one ``grouped_agg`` over the
-    driver table, looked up per surviving pair in one stateless map.
-    Exchange: NO per-node driver state — degrees are computed
-    combine/sort/combine and attached to the surviving pairs by two
-    union-sort-merge passes (:func:`_jaccard_annotate_distributed`).
+    Fold: common_neighbors' fold, and degrees as one ``np.bincount``
+    over the edge codes.  Exchange: NO per-node driver state —
+    common_neighbors' exchange, then both degrees attached by
+    :func:`_with_degrees`.
 
     Output: (a_col, b_col, n_common, deg_a, deg_b, union_size)."""
+    cols = [a_col, b_col, "n_common"]
     src = edges.materialize()
-    tbl = _fold_edges(src, "jaccard_links", [a_col, b_col])
-    cn = common_neighbors(src, a_col=a_col, b_col=b_col,
-                          min_common=min_common, node_type=node_type)
-    if tbl is None:
-        ed = src.map_batches(_norm,
-                             fn_args=(a_col, b_col, node_type, (a_col, b_col)),
-                             batch_format="pyarrow",
-                             batch_size=1 << 19).materialize()
-        return _jaccard_annotate_distributed(
-            ed, cn, a_col=a_col, b_col=b_col, node_type=node_type)
+    fold = _cn_fold(src, "jaccard_links", a_col, b_col, node_type)
+    if fold is None:
+        ed = _norm_ds(src, a_col, b_col, node_type)
 
-    deg = _degrees(_norm(tbl, a_col, b_col, node_type), ("a", "b"))
-    nodes = deg.column("node").combine_chunks()
-    dvals = deg.column("d")
-    if not len(nodes):  # no pairs: a map over them would drop the schema
-        return rd.from_arrow(_empty(**{
-            a_col: node_type, b_col: node_type, "n_common": pa.int64(),
-            "deg_a": pa.int64(), "deg_b": pa.int64(),
-            "union_size": pa.int64()}))
+        def finish(batch: pa.Table) -> pa.Table:
+            da, db, nc = (batch.column(c) for c in ("d2", "d1", "n"))
+            return pa.table({
+                a_col: batch.column("k"), b_col: batch.column("o"),
+                "n_common": nc, "deg_a": da, "deg_b": db,
+                "union_size": pc.subtract(pc.add(da, db), nc)})
 
-    def annotate(batch: pa.Table) -> pa.Table:
-        da = dvals.take(pc.index_in(batch.column(a_col), value_set=nodes))
-        db = dvals.take(pc.index_in(batch.column(b_col), value_set=nodes))
-        nc = batch.column("n_common")
-        return pa.table({
-            a_col: batch.column(a_col), b_col: batch.column(b_col),
-            "n_common": nc, "deg_a": da, "deg_b": db,
-            "union_size": pc.subtract(pc.add(da, db), nc),
-        })
-
-    return cn.map_batches(annotate, batch_format="pyarrow",
-                          batch_size=1 << 19)
+        cn = _pair_exchange(ed, _open_pairs, {"min_common": min_common,
+                                              "cols": cols})
+        return _with_degrees(cn, ed, a_col, b_col, "n_common",
+                             node_type).map_batches(finish,
+                                                    batch_format="pyarrow")
+    nodes, a, b, acc = fold
+    acc = acc.filter(pc.greater_equal(acc.column("n"), min_common))
+    n = len(nodes)
+    deg = np.bincount(np.concatenate([a, b]), minlength=n)
+    key = acc.column("key").to_numpy()
+    da, db = deg[key // n], deg[key % n]
+    out = _decode_pairs(nodes, acc, cols)
+    return rd.from_arrow(out.append_column("deg_a", pa.array(da))
+                         .append_column("deg_b", pa.array(db))
+                         .append_column("union_size", pa.array(
+                             da + db - acc.column("n").to_numpy())))
 
 
-def _jaccard_annotate_distributed(
-    ed: rd.Dataset,
-    cn: rd.Dataset,
-    *,
-    a_col: str,
-    b_col: str,
-    node_type: pa.DataType,
-) -> rd.Dataset:
-    """Large-graph degree annotation for :func:`jaccard_links`: NO
-    per-node driver state.  Degrees become a Dataset
-    (:func:`_degrees_ds`) and are attached to the surviving
-    (a, b, n_common) pairs by two union-sort-merge passes — sort on the
-    a endpoint filling deg_a per block, then sort on the b endpoint
-    filling deg_b — relying only on Ray's equal-keys-land-whole
-    range-partitioner invariant.  Every pair endpoint is a wedge leaf,
-    hence a graph node with a degree row, so the per-block merges are
-    total."""
-    # consumed by BOTH fill passes (no CSE)
-    deg = _degrees_ds(ed, (a_col, b_col), "e", "d").materialize()
-
-    def pair_rows_a(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "k": batch.column(a_col),
-            "o": batch.column(b_col),
-            "n": batch.column("n_common"),
-            "dk": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "d": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "side": pa.array(np.ones(m, np.int8), pa.int8()),
-        })
-
+def _with_degrees(rows: rd.Dataset, ed: rd.Dataset, a: str, b: str,
+                  n: str | None, node_type: pa.DataType) -> rd.Dataset:
+    """The (``a``, ``b``) ``rows`` (with an int64 payload column ``n``,
+    or 0) as (k=a, o=b, n, d1=deg(b), d2=deg(a)), the degrees counted
+    over the normalized (a, b) edges ``ed``, with NO per-node driver
+    state.  The degrees become a Dataset (:func:`_degrees_ds`) and meet
+    the rows in two union -> sort -> Arrow left join passes
+    (:func:`_sorted_map`), on a and then on b, relying only on Ray's
+    equal-keys-land-whole range-partitioner invariant.  Every endpoint
+    must be a node of ``ed``."""
     def deg_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        z = pa.array(np.zeros(m, np.int64), pa.int64())
-        return pa.table({
-            "k": batch.column("e"),
-            "o": pa.nulls(m, node_type),
-            "n": z, "dk": z,
-            "d": batch.column("d"),
-            "side": pa.array(np.zeros(m, np.int8), pa.int8()),
-        })
+        z = _zeros(batch.num_rows)
+        return pa.table({"k": batch.column("k"),
+                         "o": pa.nulls(batch.num_rows, node_type), "n": z,
+                         "d1": batch.column("d1"), "d2": z, "side": z})
 
-    def fill(batch: pa.Table) -> pa.Table:
-        """Per-block: map side==0 degree rows onto side==1 pair rows
-        by k, emitting the pair re-keyed on its OTHER endpoint with
-        the just-resolved degree carried in dk."""
-        df = batch.to_pandas()
-        pr = df[df["side"] == 1]
-        if pr.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({
-                "k": pa.array([], node_type),
-                "o": pa.array([], node_type),
-                "n": z, "dk": z, "d": z,
-                "side": pa.array([], pa.int8()),
-            })
-        st = df[df["side"] == 0]
-        dmap = pd.Series(st["d"].to_numpy(dtype=np.int64),
-                         index=st["k"])
-        got = pr["k"].map(dmap).to_numpy(dtype=np.int64)
-        m = len(pr)
-        return pa.table({
-            "k": pa.array(pr["o"].tolist(), node_type),  # re-key on other
-            "o": pa.array(pr["k"].tolist(), node_type),
-            "n": pa.array(pr["n"].to_numpy(dtype=np.int64),
-                          pa.int64()),
-            "dk": pa.array(got, pa.int64()),
-            "d": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "side": pa.array(np.ones(m, np.int8), pa.int8()),
-        })
+    def pair_rows(batch: pa.Table) -> pa.Table:
+        z = _zeros(batch.num_rows)
+        return pa.table({"k": batch.column(a), "o": batch.column(b),
+                         "n": batch.column(n) if n else z, "d1": z, "d2": z,
+                         "side": _ones(batch.num_rows)})
 
-    # pass 1: key = a endpoint, resolves deg_a (carried in dk), output
-    # re-keyed on b; pass 2: key = b endpoint, resolves deg_b.
-    pass1 = (cn.map_batches(pair_rows_a, batch_format="pyarrow",
-                            batch_size=1 << 19)
-             .union(deg.map_batches(deg_rows, batch_format="pyarrow"))
-             .sort("k")
-             .map_batches(fill, batch_format="pyarrow",
-                          batch_size=None))
+    def attach(batch: pa.Table) -> pa.Table:
+        """Per block: the degree of each row's k endpoint into d1 (the
+        one found before moves to d2), re-keyed on the other."""
+        side = batch.column("side")
+        p = (batch.filter(pc.equal(side, 1)).select(["k", "o", "n", "d1"])
+             .rename_columns(["k", "o", "n", "d2"])
+             .join(batch.filter(pc.equal(side, 0)).select(["k", "d1"]),
+                   "k", join_type="left outer"))
+        return pa.table({"k": p.column("o"), "o": p.column("k"),
+                         "n": p.column("n"), "d1": p.column("d1"),
+                         "d2": p.column("d2"), "side": _ones(p.num_rows)})
 
-    def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        pr = df[df["side"] == 1]
-        if pr.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({
-                a_col: pa.array([], node_type),
-                b_col: pa.array([], node_type),
-                "n_common": z, "deg_a": z, "deg_b": z,
-                "union_size": z,
-            })
-        st = df[df["side"] == 0]
-        dmap = pd.Series(st["d"].to_numpy(dtype=np.int64),
-                         index=st["k"])
-        db = pr["k"].map(dmap).to_numpy(dtype=np.int64)
-        da = pr["dk"].to_numpy(dtype=np.int64)
-        nc = pr["n"].to_numpy(dtype=np.int64)
-        return pa.table({
-            a_col: pa.array(pr["o"].tolist(), node_type),
-            b_col: pa.array(pr["k"].tolist(), node_type),
-            "n_common": pa.array(nc, pa.int64()),
-            "deg_a": pa.array(da, pa.int64()),
-            "deg_b": pa.array(db, pa.int64()),
-            "union_size": pa.array(da + db - nc, pa.int64()),
-        })
-
-    return (pass1
-            .union(deg.map_batches(deg_rows, batch_format="pyarrow"))
-            .sort("k")
-            .map_batches(finish, batch_format="pyarrow",
-                         batch_size=None))
+    # read by both passes (Ray does no common-subexpression elimination)
+    degs = _degrees_ds(ed, ("a", "b"), "k", "d1").map_batches(
+        deg_rows, batch_format="pyarrow").materialize()
+    p1 = _sorted_map(rows.map_batches(pair_rows, batch_format="pyarrow")
+                     .union(degs), "k", attach)
+    return _sorted_map(p1.union(degs), "k", attach)
 
 
 # -- traversal and peeling ---------------------------------------------------
@@ -1266,15 +1288,17 @@ def ktruss(
     both engines, and before convergence both report the same
     partially-peeled set for the same round count).
 
-    Fold (the module rule): the peel runs on the driver table with
-    per-edge neighbor-set intersections (six wide ops per call are pure
-    overhead on a lexicon-bounded graph).  Exchange, per round, the
-    common_neighbors wedge machinery with INNER (not anti) edge
-    semantics: both-direction rows sorted on the center -> per-block
-    wedge-pair partials; partials UNIONED with the current edge rows
-    sorted on the (x, y) composite -> per-block support sum, keep edges
-    present with support >= k-2.  Each round's survivor set is
-    materialized (iterative lineage truncation).  Integer supports make
+    Fold (the module rule, and a wedge bound under the cap): each
+    round's supports are the wedge kernel's pair counts
+    (:func:`_wedge_fold`) at the surviving edges, over sorted node
+    codes, and a round that peels nothing ends the loop (a fixed
+    point).  Exchange, per round, the common_neighbors (x, y)
+    exchange with INNER (not anti) edge semantics
+    (:func:`_pair_exchange` with :func:`_supported`): per-block
+    wedge-pair partials UNIONED with the current edge rows, sorted on
+    the (x, y) composite -> per-block support sum, keep edges present
+    with support >= k-2.  Each round's survivor set is materialized
+    (iterative lineage truncation).  Integer supports make
     the two paths and the SQL unroll bit-exact.
 
     Per-center wedge cost is deg^2 (full neighbor set, like
@@ -1286,57 +1310,27 @@ def ktruss(
     src = edges.materialize()
     tbl = _fold_edges(src, "ktruss", [a_col, b_col])
     if tbl is not None:
-        ed = _norm(tbl, a_col, b_col, node_type)
-        cur_set = list(zip(ed.column("a").to_pylist(),
-                           ed.column("b").to_pylist()))
-        sup: dict = {}
-        for _ in range(rounds):
-            adj: dict = {}
-            for a, b in cur_set:
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            sup = {(a, b): len(adj[a] & adj[b]) for a, b in cur_set}
-            cur_set = [e for e, s_ in sup.items() if s_ >= thr]
-        cur_set.sort()
-        return rd.from_arrow(pa.table({
-            a_col: pa.array([a for a, _ in cur_set], node_type),
-            b_col: pa.array([b for _, b in cur_set], node_type),
-            "support": pa.array([sup[e] for e in cur_set], pa.int64()),
-        }))
+        nodes, (a, b) = sorted_codes(tbl.column(a_col).cast(node_type),
+                                     tbl.column(b_col).cast(node_type))
+        n = len(nodes)
+        if _wedge_fold_ok("ktruss", _adjacency_codes(a, b, n)[0], n):
+            a, b = _distinct(a, b, n)  # the rows, sorted on (a, b)
+            for _ in range(rounds):
+                edge = np.minimum(a, b) * n + np.maximum(a, b)
+                sup = _support(_wedge_fold(*_adjacency_codes(a, b, n), n,
+                                           edges=edge), edge)
+                keep = sup >= thr
+                a, b, sup = a[keep], b[keep], sup[keep]
+                if keep.all():
+                    break  # fixed point: extra rounds are no-ops
+            return rd.from_arrow(pa.table({
+                a_col: nodes.take(pa.array(a)),
+                b_col: nodes.take(pa.array(b)),
+                "support": pa.array(sup, pa.int64())}))
 
-    def keep_supported(batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind")
-        w = grouped_agg(batch.filter(pc.equal(kind, 1)),
-                        ["x", "y"], [("n", "sum")])
-        g = batch.filter(pc.equal(kind, 0)).select(["x", "y"]).join(
-            w, keys=["x", "y"], join_type="left outer")
-        n = g.column("n").fill_null(0)
-        g = g.filter(pc.greater_equal(n, thr))
-        return pa.table({"a": g.column("x"), "b": g.column("y"),
-                         "support": g.column("n").fill_null(0)})
-
-    cur = src.map_batches(_norm, fn_args=(a_col, b_col, node_type),
-                          batch_format="pyarrow",
-                          batch_size=1 << 19).materialize()
-    last = None
-    for r in range(rounds):
-        sup = (cur.map_batches(_bidir, fn_args=(("u", "v"),),
-                               fn_kwargs={"a": "a", "b": "b"},
-                               batch_format="pyarrow", batch_size=1 << 19)
-               .sort("u")
-               .map_batches(_wedge_counts, batch_format="pyarrow",
-                            batch_size=None))
-        last = (sup.union(cur.map_batches(_direct_rows,
-                                          batch_format="pyarrow"))
-                .sort(["x", "y"])
-                .map_batches(keep_supported, batch_format="pyarrow",
-                             batch_size=None)
-                .materialize())
-        if r < rounds - 1:
-            cur = last.map_batches(
-                lambda t: pa.table({"a": t.column("a"),
-                                    "b": t.column("b")}),
-                batch_format="pyarrow").materialize()
+    cur = _norm_ds(src, a_col, b_col, node_type)
+    for _ in range(rounds):
+        cur = _pair_exchange(cur, _supported, {"thr": thr}).materialize()
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1345,7 +1339,7 @@ def ktruss(
             "support": batch.column("support"),
         })
 
-    return last.map_batches(rename, batch_format="pyarrow")
+    return cur.map_batches(rename, batch_format="pyarrow")
 
 
 # -- fold-only analytics -----------------------------------------------------
@@ -1563,42 +1557,45 @@ def local_bridges(triples: rd.Dataset,
     """Local bridges: edges whose endpoints share NO common neighbor
     (span > 2) — removing one disconnects its endpoints' local
     neighborhoods, the classic weak-tie / community-boundary signal
-    (Granovetter via Easley-Kleinberg ch. 3).  Reported per edge with
-    the exact common-neighbor count.
+    (Granovetter via Easley-Kleinberg ch. 3).  Reported per ``pred``
+    row with the exact common-neighbor count over the distinct
+    undirected adjacency, the endpoints themselves never counted (a
+    self-loop row (s, s) counts the other neighbors of s).
 
-    Shape: the adjacency comes from the driver edge table (fold only,
-    the module rule; ValueError above the cap) and ships once via
-    ``ray.put``; ONE map_batches pass over the edge stream computes set
-    intersections per edge (C-speed set ops, the postings-loop
-    pattern).  Zero wide ops.
+    Fold (the module rule, and a wedge bound under the cap): the wedge
+    kernel's pair counts (:func:`_wedge_fold`) over sorted node codes
+    are each edge's common neighbors; each row looks its edge up.
+    Exchange: one :func:`ktruss` support round with threshold 0
+    (:func:`_pair_exchange` with :func:`_supported`) over the rows.
 
     Output: (subj, obj, n_common, is_bridge)."""
-    tm = triples.materialize()  # adjacency + edge pass, no CSE
-    adj = {v: set(nb) for v, nb in _adjacency(
-        _edge_table(tm, "local_bridges", _TRIPLE_COLS), pred).items()}
-    if not adj:
-        return rd.from_arrow(_empty(subj=pa.string(), obj=pa.string(),
-                                    n_common=pa.int64(),
-                                    is_bridge=pa.int64()))
-    aref = ray.put(adj)
+    src = triples.materialize()
+    tbl = _fold_edges(src, "local_bridges", _TRIPLE_COLS)
+    if tbl is not None:
+        co = tbl.filter(pc.equal(tbl.column("pred"), pred))
+        nodes, (s, o) = sorted_codes(co.column("subj"), co.column("obj"))
+        n = len(nodes)
+        lo, hi = np.minimum(s, o), np.maximum(s, o)
+        ne = lo != hi
+        u, v = _adjacency_codes(lo[ne], hi[ne], n)
+        if _wedge_fold_ok("local_bridges", u, n):
+            edge = lo * n + hi
+            sup = _support(_wedge_fold(u, v, n, edges=edge), edge)
+            sup = np.where(ne, sup, np.bincount(u, minlength=n)[lo])
+            return rd.from_arrow(pa.table({
+                "subj": co.column("subj"), "obj": co.column("obj"),
+                "n_common": pa.array(sup, pa.int64()),
+                "is_bridge": pa.array((sup == 0).astype(np.int64))}))
 
-    def per_edge(batch: pa.Table) -> pa.Table:
-        nb = ray.get(aref)
-        batch = batch.filter(pc.equal(batch.column("pred"), pred))
-        subj = batch.column("subj").to_pylist()
-        obj = batch.column("obj").to_pylist()
-        n_common = np.asarray(
-            [len((nb.get(a, set()) & nb.get(b, set()))
-                 - {a, b}) for a, b in zip(subj, obj)], np.int64)
-        return pa.table({
-            "subj": pa.array(subj, pa.string()),
-            "obj": pa.array(obj, pa.string()),
-            "n_common": pa.array(n_common, pa.int64()),
-            "is_bridge": pa.array((n_common == 0).astype(np.int64),
-                                  pa.int64()),
-        })
+    def bridges(batch: pa.Table) -> pa.Table:
+        sup = batch.column("support")
+        return pa.table({"subj": batch.column("a"), "obj": batch.column("b"),
+                         "n_common": sup, "is_bridge": pc.equal(sup, 0)
+                         .cast(pa.int64())})
 
-    return tm.map_batches(per_edge, batch_format="pyarrow")
+    return _pair_exchange(src, _supported, {"thr": 0}, pred=pred,
+                          a="subj", b="obj", diagonal=True).map_batches(
+        bridges, batch_format="pyarrow")
 
 
 def link_prediction_ra(triples: rd.Dataset, *,
@@ -1610,33 +1607,31 @@ def link_prediction_ra(triples: rd.Dataset, *,
     — the fixed-point integer form of Σ 1/deg(z), exact on both
     engines (non-negative floor division, no logs or floats).
 
-    Fold only (the module rule; ValueError above the cap), all on the
-    driver edge table over sorted node codes: the distinct bidirected
-    edges give each center's degree and, through :func:`_wedges`, its
-    (p, q) neighbor pairs, each weighted ``2^20 // deg(center)``; one
-    ``grouped_agg`` on (p, q) sums them, and a left-anti join against
-    the edges drops adjacent pairs.  The driver holds all sum C(deg, 2)
-    wedges at once, three int64 codes each: the cap bounds the edges,
-    not the wedges (kg_dense: 18k edges, 1.6M wedges, 0.2-0.3 s).
+    Fold (the module rule, and a wedge bound under the cap): over the
+    distinct bidirected ``pred`` edges as sorted node codes, the wedge
+    kernel sums each (p, q) neighbor pair's count and its centers'
+    weights ``2^20 // deg(center)`` (:func:`_wedge_fold`), and adjacent
+    pairs drop by key.  Exchange: common_neighbors' (x, y) exchange
+    with the per-center weight column (:func:`_pair_exchange`, weighted
+    :func:`_wedge_counts`).
 
-    Output: (a, b, n_common, ra_fp) with a < b, sorted."""
-    e = grouped_agg(_bidir(_edge_table(triples, "link_prediction_ra",
-                                       _TRIPLE_COLS), ("u", "v"), pred=pred),
-                    ["u", "v"], [])
-    nodes, (u, v) = sorted_codes(e.column("u"), e.column("v"))
-    e = pa.table({"u": u, "v": v})
-    w = _wedges(e)
-    c = w.column("c").to_numpy()
-    g = grouped_agg(pa.table({
-        "a": w.column("p"), "b": w.column("q"), "n_common": _ones(len(c)),
-        "ra_fp": (1 << 20) // np.bincount(u, minlength=len(nodes))[c],
-    }), ["a", "b"], [("n_common", "sum"), ("ra_fp", "sum")])
-    g = g.join(e, ["a", "b"], right_keys=["u", "v"],
-               join_type="left anti").sort_by(
-        [("a", "ascending"), ("b", "ascending")])
-    return rd.from_arrow(pa.table({
-        "a": nodes.take(g.column("a")), "b": nodes.take(g.column("b")),
-        "n_common": g.column("n_common"), "ra_fp": g.column("ra_fp")}))
+    Output: (a, b, n_common, ra_fp) with a < b."""
+    cols = ["a", "b", "n_common", "ra_fp"]
+    src = triples.materialize()
+    tbl = _fold_edges(src, "link_prediction_ra", _TRIPLE_COLS)
+    if tbl is not None:
+        co = tbl.filter(pc.equal(tbl.column("pred"), pred))
+        nodes, (s, o) = sorted_codes(co.column("subj"), co.column("obj"))
+        n = len(nodes)
+        u, v = _adjacency_codes(s, o, n)
+        if _wedge_fold_ok("link_prediction_ra", u, n):
+            deg = np.bincount(u, minlength=n)
+            acc = _wedge_fold(u, v, n, weight=(1 << 20) // deg)
+            acc = acc.filter(pc.invert(pc.is_in(
+                acc.column("key"), value_set=pa.array(u * n + v))))
+            return rd.from_arrow(_decode_pairs(nodes, acc, cols))
+    return _pair_exchange(src, _open_pairs, {"min_common": 1, "cols": cols},
+                          pred=pred, a="subj", b="obj", weighted=True)
 
 
 def modularity_report(pairs: rd.Dataset,
@@ -1649,34 +1644,33 @@ def modularity_report(pairs: rd.Dataset,
     partition-quality functional).  The number that says whether the
     LPA communities are real structure or noise.
 
-    Fold only (the module rule; ValueError above the cap): the
-    community map and per-community (in-edge, endpoint-degree) counts
-    are computed once over the driver edge table.
+    Fold only (the module rule; ValueError above the cap): each edge
+    end's community is one ``index_in`` lookup (the LAST row of an
+    entity listed twice wins), and one ``grouped_agg`` counts, per
+    community, its in-edges, endpoint degrees and nodes.  A null
+    community, or an entity with none, counts toward nothing.
 
     Output pa.Table (community, n_nodes, in_edges, deg_sum,
     q_num_part), sorted by community."""
-    df = _edge_table(pairs, "modularity_report", _PAIR_COLS).to_pandas()
-    lab = dict(zip(communities.column("entity_id").to_pylist(),
-                   communities.column("community").to_pylist()))
-    ca = df["subj"].map(lab)
-    cb = df["obj"].map(lab)
-    in_counts = ca[(ca == cb).to_numpy()].value_counts()
-    deg_counts = pd.concat([ca, cb]).value_counts()
-    m = len(df)
-    n_nodes: dict[str, int] = {}
-    for c in communities.column("community").to_pylist():
-        # a null community leaves its node unmapped, as in the edge map
-        if c is not None:
-            n_nodes[c] = n_nodes.get(c, 0) + 1
-    # communities with no incident edge still appear (all-zero row)
-    ks = sorted(set(deg_counts.index) | set(n_nodes))
-    in_e = [int(in_counts.get(k, 0)) for k in ks]
-    deg_s = [int(deg_counts.get(k, 0)) for k in ks]
+    ed = _edge_table(pairs, "modularity_report", _PAIR_COLS)
+    last = communities.take(pa.array(np.arange(communities.num_rows)[::-1]))
+    ids = last.column("entity_id").combine_chunks()
+    com = last.column("community").cast(pa.string()).combine_chunks()
+    ca, cb = (com.take(pc.index_in(ed.column(c).combine_chunks(),
+                                   value_set=ids)) for c in ("subj", "obj"))
+    ins = ca.filter(pc.equal(ca, cb))
+    parts = {"in_edges": ins, "deg_sum": pa.concat_arrays([ca, cb]),
+             "n_nodes": com}
+    g = grouped_agg(pa.table({
+        "community": pa.concat_arrays(list(parts.values())),
+        **{c: pa.array(np.concatenate([np.full(len(x), c == k, np.int64)
+                                       for k, x in parts.items()]))
+           for c in parts}}),
+        ["community"], [(c, "sum") for c in parts]).sort_by("community")
+    m = ed.num_rows
+    in_e, deg = g.column("in_edges"), g.column("deg_sum")
     return pa.table({
-        "community": pa.array(ks, pa.string()),
-        "n_nodes": pa.array([n_nodes.get(k, 0) for k in ks], pa.int64()),
-        "in_edges": pa.array(in_e, pa.int64()),
-        "deg_sum": pa.array(deg_s, pa.int64()),
-        "q_num_part": pa.array(
-            [4 * m * i - d * d for i, d in zip(in_e, deg_s)], pa.int64()),
-    })
+        "community": g.column("community"), "n_nodes": g.column("n_nodes"),
+        "in_edges": in_e, "deg_sum": deg,
+        "q_num_part": pc.subtract_checked(pc.multiply_checked(4 * m, in_e),
+                                          pc.multiply_checked(deg, deg))})

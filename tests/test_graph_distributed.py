@@ -212,7 +212,7 @@ def _int_pairs(t: pa.Table) -> pa.Table:
         for c, s in (("doc_a", "subj"), ("doc_b", "obj"))})
 
 
-#: op -> (input shape, call); the seven ops with an exchange path
+#: op -> (input shape, call); the nine ops with an exchange path
 EXCHANGE_OPS = {
     "pagerank": (lambda t: t, lambda d: pagerank(d, iters=4)),
     "triangle_counts": (_int_pairs, graph.triangle_counts),
@@ -223,6 +223,8 @@ EXCHANGE_OPS = {
                                 graph.clustering_coefficients),
     "label_propagation": (_pairs, lambda d: label_propagation(d, rounds=4)),
     "ktruss": (_pairs, lambda d: graph.ktruss(d, k=3, rounds=3)),
+    "local_bridges": (lambda t: t, graph.local_bridges),
+    "link_prediction_ra": (lambda t: t, graph.link_prediction_ra),
 }
 
 
@@ -276,7 +278,7 @@ def test_fold_equals_exchange(ray_session, monkeypatch, op, graph_name):
         assert ft.num_rows > 0
 
 
-#: op -> (input shape, call) for the nine ops with no exchange path
+#: op -> (input shape, call) for the seven ops with no exchange path
 FOLD_ONLY_OPS = {
     "khop_reachability": (_pairs, graph.khop_reachability),
     "kcore": (_pairs, graph.kcore),
@@ -284,8 +286,6 @@ FOLD_ONLY_OPS = {
     "degree_assortativity": (lambda t: t, graph.degree_assortativity),
     "hits_scores": (lambda t: t, graph.hits_scores),
     "random_walks": (lambda t: t, graph.random_walks),
-    "local_bridges": (lambda t: t, graph.local_bridges),
-    "link_prediction_ra": (lambda t: t, graph.link_prediction_ra),
     "modularity_report": (_pairs, lambda d: graph.modularity_report(
         d, pa.table({"entity_id": pa.array(["E00", "E05"]),
                      "community": pa.array(["C0", "C1"])}))),
@@ -294,8 +294,8 @@ FOLD_ONLY_OPS = {
 
 def test_each_op_logs_its_path(ray_session, monkeypatch, caplog):
     """Every graph op logs ``fold`` or ``exchange`` through ``ray_kg``:
-    under the default cap each folds; at cap 0 the seven with an
-    exchange path log it and the other nine raise ValueError."""
+    under the default cap each folds; at cap 0 the nine with an
+    exchange path log it and the other seven raise ValueError."""
     caplog.set_level(logging.INFO, logger="ray_kg")
     t = _hub_triples()
     default = graph.FOLD_MAX_BYTES
@@ -338,3 +338,222 @@ def test_fold_only_empty_graph_typed(ray_session, op):
     empty, _ = _rows(call(rd.from_arrow(shape(_graph("empty")))))
     ref, _ = _rows(call(rd.from_arrow(shape(_hub_triples()))))
     assert empty is not None and empty.equals(ref), (empty, ref)
+
+
+# -- the wedge kernel ------------------------------------------------------
+
+def _random_edges(seed: int, n: int) -> set:
+    """Distinct (a, b) code edges, a < b, of a seeded random graph over
+    ``n`` nodes: node 0 is a hub tied to half of them, and the top
+    fifth of the codes are isolated nodes with no edge."""
+    rng = np.random.default_rng(seed)
+    live = n - n // 5
+    E = {(0, int(i)) for i in rng.choice(np.arange(1, live), live // 2,
+                                         replace=False)}
+    for a, b in rng.integers(0, live, (3 * live, 2)):
+        if a != b:
+            E.add((int(min(a, b)), int(max(a, b))))
+    return E
+
+
+def _brute(E: set, n: int):
+    """Python-set references: common-neighbor counts and resource-
+    allocation sums per pair with a common neighbor, and triangles per
+    node."""
+    nb = {x: set() for x in range(n)}
+    for a, b in E:
+        nb[a].add(b)
+        nb[b].add(a)
+    cn, ra = {}, {}
+    for p in range(n):
+        for q in range(p + 1, n):
+            common = nb[p] & nb[q]
+            if common:
+                cn[p, q] = len(common)
+                ra[p, q] = sum((1 << 20) // len(nb[z]) for z in common)
+    tri = {x: sum(len(nb[x] & nb[y]) for y in nb[x]) // 2 for x in nb}
+    return cn, ra, tri
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+@pytest.mark.parametrize("seed,n", [(1, 30), (2, 60), (3, 9), (4, 0)])
+def test_wedge_kernel_matches_bruteforce(ray_session, monkeypatch, seed, n,
+                                         budget):
+    """The kernel's pair accumulator (counts, weight sums, per-edge
+    supports, also with the accumulator restricted to the edges) and
+    the triangle fold's corner credits equal Python-set brute force on
+    random graphs with a hub and isolated nodes, and on a graph with no
+    edges; a ``budget`` of 20 wedges per chunk (the fold forced) merges
+    several chunks, None enumerates one."""
+    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", HUGE)
+    if budget:
+        monkeypatch.setattr(graph, "_WEDGE_BYTES", HUGE // budget)
+        monkeypatch.setattr(graph, "_wedge_fold_ok", lambda *a: True)
+    E = _random_edges(seed, n) if n else set()
+    cn, ra, tri = _brute(E, n)
+    a = np.array([a for a, _ in sorted(E)], np.int64)
+    b = np.array([b for _, b in sorted(E)], np.int64)
+    u, v = graph._adjacency_codes(a, b, n)
+    deg = np.bincount(u, minlength=n)
+    chunks = sum(1 for _ in graph._wedge_chunks(u, v))
+    if budget is None:
+        assert chunks <= 1
+    elif n > 9:
+        assert chunks > 3
+    acc = graph._wedge_fold(u, v, n, weight=(1 << 20) // np.maximum(deg, 1))
+    key = acc.column("key").to_numpy()
+    got = {(int(k // n), int(k % n)): (c, w) for k, c, w in zip(
+        key, acc.column("n").to_pylist(), acc.column("w").to_pylist())}
+    assert got == {k: (cn[k], ra[k]) for k in cn}
+    assert (np.diff(key) > 0).all()
+    sup = graph._support(acc, a * n + b)
+    assert sup.tolist() == [cn.get(e, 0) for e in sorted(E)]
+    cut = graph._wedge_fold(u, v, n, edges=a * n + b)
+    assert set(cut.column("key").to_pylist()) <= set((a * n + b).tolist())
+    assert graph._support(cut, a * n + b).tolist() == sup.tolist()
+    src = rd.from_arrow(pa.table({"a": a, "b": b})).materialize()
+    nodes, _, credits = graph._triangles_fold(src, "a", "b", "tri")
+    assert dict(zip(nodes.to_pylist(), credits.tolist())) == {
+        x: tri[x] for x in nodes.to_pylist()}
+    assert all(tri[x] == 0 for x in set(range(n)) - set(nodes.to_pylist()))
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """The ``tracemalloc`` peak of ``fn(*args, **kwargs)`` above the
+    bytes traced when it starts: numpy's allocations, which hold every
+    array the pair kernel builds."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kw", ["plain", "weight", "edges"])
+def test_wedge_fold_bytes_within_budget(monkeypatch, kw):
+    """In bytes, not wedges: a star's wedges are one chunk, so its whole
+    fold (enumeration, key and weight columns, merge and accumulator)
+    fits the cap at ``_WEDGE_BYTES`` per wedge; a sparse random graph,
+    whose accumulator bound sets its tightest cap, folds there in
+    several chunks and peaks within the stated 3.5x the cap (the
+    accumulator's merge plus one chunk)."""
+    def fold(u, v, n):
+        deg = np.bincount(u, minlength=n)
+        arg = {"plain": {},
+               "weight": {"weight": (1 << 20) // np.maximum(deg, 1)},
+               "edges": {"edges": u[u < v] * n + v[u < v]}}[kw]
+        return _traced_peak(graph._wedge_fold, u, v, n, **arg)
+
+    leaves = 400
+    u, v = graph._adjacency_codes(np.zeros(leaves, np.int64),
+                                  np.arange(1, leaves + 1), leaves + 1)
+    cap = leaves * (leaves - 1) // 2 * graph._WEDGE_BYTES
+    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    assert fold(u, v, leaves + 1) <= cap
+
+    n = 3000
+    x = np.random.default_rng(6).integers(0, n, (12000, 2))
+    x = x[x[:, 0] != x[:, 1]]
+    u, v = graph._adjacency_codes(x.min(1), x.max(1), n)
+    d = np.bincount(u, minlength=n)
+    c2 = d * (d - 1) // 2
+    cap = max(min(int(c2.sum()), n * (n - 1) // 2) * 24,
+              int(c2.max()) * graph._WEDGE_BYTES)
+    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    assert graph._wedge_fold_ok("t", u, n)
+    assert sum(1 for _ in graph._wedge_chunks(u, v)) > 4
+    assert fold(u, v, n) <= 3.5 * cap
+
+
+def _star_ring(leaves: int = 40) -> pa.Table:
+    """A hub tied to ``leaves`` leaves that also form a ring, ten of
+    them a clique: the hub's C(leaves, 2) wedges alone nearly fill the
+    wedge bound, and the clique closes triangles under any
+    orientation."""
+    E = sorted({(0, i) for i in range(1, leaves + 1)}
+               | {(min(i, i % leaves + 1), max(i, i % leaves + 1))
+                  for i in range(1, leaves + 1)}
+               | {(i, j) for i in range(1, 11) for j in range(i + 1, 11)})
+    return pa.table({"subj": [f"E{a:02d}" for a, _ in E],
+                     "pred": ["co_occurs"] * len(E),
+                     "obj": [f"E{b:02d}" for _, b in E]})
+
+
+WEDGE_OPS = ["clustering_coefficients", "common_neighbors", "jaccard_links",
+             "ktruss", "link_prediction_ra", "local_bridges",
+             "triangle_counts"]
+
+
+@pytest.mark.parametrize("op", WEDGE_OPS)
+def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
+    """At the tightest fold cap (the larger of the wedge bound's bytes
+    and the largest center's), the op folds and every chunk the kernel
+    builds stays within the budget FOLD_MAX_BYTES // _WEDGE_BYTES; one
+    byte lower, the op logs ``exchange`` and gives the same rows."""
+    import re
+
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    shape, call = EXCHANGE_OPS[op]
+    ds = rd.from_arrow(shape(_star_ring())).materialize()
+    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", HUGE)
+    def log() -> str:
+        return "\n".join(r.getMessage() for r in caplog.records)
+
+    call(ds)
+    why = (r"wedge bound (\d+) rows x 24 B, largest center (\d+) wedges "
+           r"x 100 B")
+    bound, top = map(int, re.search(rf"^{op}: fold \({why}", log(),
+                                    re.M).groups())
+    tight = max(bound * 24, top * 100)
+    chunks = []
+    real = graph._wedge_chunks
+
+    def spy(u, v):
+        for c, p, q in real(u, v):
+            chunks.append(len(c))
+            yield c, p, q
+
+    monkeypatch.setattr(graph, "_wedge_chunks", spy)
+    runs = {}
+    for cap, path in ((tight, "fold"), (tight - 1, "exchange")):
+        caplog.clear()
+        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        runs[path] = _rows(call(ds))
+        assert re.search(
+            rf"^{op}: {path} \(wedge bound {bound} rows x 24 B, largest "
+            rf"center {top} wedges x 100 B, cap={cap}\)", log(), re.M), log()
+        if path == "fold":
+            assert chunks and max(chunks) <= cap // 100, (chunks, cap)
+    if op not in ("triangle_counts", "clustering_coefficients"):
+        assert len(chunks) > 1  # the hub and the ring took two chunks
+    assert runs["fold"][0].equals(runs["exchange"][0])
+    assert runs["fold"][1].equals(runs["exchange"][1])
+
+
+def test_local_bridges_self_loop_and_reversed_rows(ray_session,
+                                                   monkeypatch):
+    """Rows in either orientation, an undirected edge given twice and a
+    self-loop row: on both paths each row gets its common neighbors
+    over the distinct adjacency, the endpoints never counted."""
+    subj = ["A", "B", "A", "C", "B", "D", "A"]
+    obj = ["B", "A", "C", "C", "C", "A", "A"]
+    nb: dict = {}
+    for s, o in zip(subj, obj):
+        nb.setdefault(s, set()).add(o)
+        nb.setdefault(o, set()).add(s)
+    want = sorted((s, o, len((nb[s] & nb[o]) - {s, o}))
+                  for s, o in zip(subj, obj))
+    assert any(n == 0 for *_, n in want) and ("A", "A", 3) in want
+    t = pa.table({"subj": subj, "pred": ["co_occurs"] * len(subj),
+                  "obj": obj})
+    for cap in (HUGE, 0):
+        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        _, got = _rows(graph.local_bridges(rd.from_arrow(t)))
+        rows = got.to_pylist()
+        assert sorted((r["subj"], r["obj"], r["n_common"])
+                      for r in rows) == want, cap
+        assert all(r["is_bridge"] == (r["n_common"] == 0) for r in rows)
