@@ -424,10 +424,11 @@ def _q_kg_jaccard_links(sf_dir: str):
 def _q_kg_conv_entities(sf_dir: str):
     """Per-conversation entity statistics: distinct entities and
     entity-bearing turns per conv — the KG coverage report a corpus
-    curator reads.  One sort on the high-cardinality conv_id (batch-
-    local turn-entity distinct first, so the shuffle moves distinct
-    rows), then per block a distinct count of each.  Null-key rule: a
-    linked row with a null key counts toward nothing."""
+    curator reads.  One ``keyed_complete`` on the high-cardinality
+    conv_id (batch-local turn-entity distinct first, so the shuffle moves
+    distinct rows), then per block a distinct count of each.  Null-key
+    rule: a linked row with a null key counts toward nothing."""
+    from clinicaltransformerner_ray.arrowutil import keyed_complete
     from clinicaltransformerner_ray.pipelines.kg import (
         _agg_distinct, _turn_entities)
 
@@ -435,27 +436,25 @@ def _q_kg_conv_entities(sf_dir: str):
         return _agg_distinct(batch, ["conv_id"], [], [
             ("n_entities", ["entity_id"]), ("n_entity_turns", ["turn_idx"])])
 
-    return (_kg(sf_dir)["linked"]
-            .map_batches(_turn_entities, batch_format="pyarrow",
-                         batch_size=1 << 19)
-            .sort("conv_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(_kg(sf_dir)["linked"], ["conv_id"], per_block,
+                          combine=_turn_entities, op="kg_conv_entities")
 
 
 def _q_kg_turn_entities(sf_dir: str):
     """Distinct (conv_id, turn_idx, entity_id) rows of the linked
-    mentions: the turn-entity distinct as combine, one sort (equal keys
-    land whole per block) and per-block completion — no per-group
-    calls.  Null-key rule: a row with a null key drops."""
+    mentions: the turn-entity distinct as combine and as completion of
+    one ``keyed_complete`` — no per-group calls.  Null-key rule: a row
+    with a null key drops."""
+    from clinicaltransformerner_ray.arrowutil import keyed_complete
     from clinicaltransformerner_ray.pipelines.kg import (
-        TE_KEYS, _combine_sort_combine, detect_mentions)
+        TE_KEYS, _turn_entities, detect_mentions)
     from clinicaltransformerner_ray.sources.turns import load_alias_rows, read_turns
 
     alias_rows = load_alias_rows(sf_dir)
     turns = read_turns(sf_dir, columns=["conv_id", "turn_idx", "text"])
-    return _combine_sort_combine(
-        detect_mentions(turns, alias_rows, emit="linked"), TE_KEYS, [])
+    return keyed_complete(detect_mentions(turns, alias_rows, emit="linked"),
+                          TE_KEYS, _turn_entities, combine=_turn_entities,
+                          op="kg_turn_entities")
 
 
 def _q_kg_mention_spans(sf_dir: str):

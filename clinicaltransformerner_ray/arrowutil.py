@@ -20,16 +20,20 @@ combine and the per-block completion around a sort.
 :func:`grouped_topk` is its top-k twin: the ``k`` best rows per key
 under a caller-stated total order, optionally ranked.  Every top-k in
 the engine is one call to it: a scoring UDF cuts its own block with it
-before the exchange, and :func:`topk_complete` finishes the job, per
-sorted block when there are keys and as a running driver fold when
-there are none.
+before the exchange, and :func:`topk_complete` finishes the job, through
+:func:`keyed_complete` when there are keys and as a running driver fold
+when there are none.
 
-:func:`driver_table` is the bounded fold-or-exchange selector: it hands
-an already-materialized Dataset at or below a byte cap to the driver as
-one table, so a wide operator can run its kernels once over every row
-instead of combine, Sort and complete.  Its choice is logged through
-the engine's one logger, ``logging.getLogger("ray_kg")``, and every
-caller passes the one cap, :data:`FOLD_MAX_BYTES`.
+:func:`keyed_complete` is the engine's one keyed wide operator: "sort on
+the keys, then complete each sorted block", with an optional batch-local
+combine before it.  It picks its own path.  A materialized input of at
+most :data:`FOLD_MAX_BYTES` folds on the driver: the combine and the
+completion run once over every row, with no Sort.  A larger input takes
+the coalesced combine -> Sort -> per-block completion exchange.
+:func:`driver_table` makes that choice, logs it through the engine's one
+logger, ``logging.getLogger("ray_kg")``, and reads the one cap when it
+is called, so a test that forces a path patches ``FOLD_MAX_BYTES`` here
+and nowhere else.
 
 :func:`agg_fold` is the one keyed driver fold: a running
 :func:`grouped_agg` over a Dataset's blocks whose accumulator is checked
@@ -68,6 +72,19 @@ LOG = logging.getLogger("ray_kg")
 #: the CPUs the Sort path's 19 ms/MB would meet the fold's 9 ms/MB near
 #: 25-30 MB, hence 32 MiB.
 FOLD_MAX_BYTES = 32 << 20
+
+#: :func:`keyed_complete`'s combine width: one combine call sees up to
+#: this many rows, merging many upstream blocks, which shrinks what the
+#: Sort moves
+COMBINE_BATCH = 1 << 19
+
+#: :func:`keyed_complete`'s exchange block target.  Ray's range Sort
+#: schedules O(in_blocks x out_blocks) tasks, so an input over-sharded
+#: by its read pays seconds of scheduling to sort megabytes (a 9 MB /
+#: 260k-row postings sort: 1.55 s at 64 blocks, 0.21 s at 32).  The
+#: exchange coalesces to ``ceil(bytes / SORT_BLOCK_BYTES)`` blocks,
+#: floored at the cluster's CPU count and never above the input's own.
+SORT_BLOCK_BYTES = 64 << 20
 
 
 def from_pandas_clean(df: "pd.DataFrame", **kwargs) -> pa.Table:
@@ -158,10 +175,9 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
     """Finish a top-k over a Dataset whose blocks each scoring UDF has
     already cut with :func:`grouped_topk`.
 
-    With ``keys``: one ``sort(keys)``, then :func:`grouped_topk` per
-    block.  The range sort never splits equal keys, so each block holds
-    every candidate of its groups and the per-block cut is final.
-    Returns a Dataset.
+    With ``keys``: :func:`keyed_complete` with :func:`grouped_topk` as
+    the completion.  Equal keys complete in one block (or in the one
+    driver table), so the cut is final.  Returns a Dataset.
 
     Without keys: a running driver fold over ``iter_batches``
     (:func:`_running_fold`, shared with :func:`agg_fold`),
@@ -174,10 +190,9 @@ def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],
     neither, as in :func:`agg_fold`.
     """
     if keys:
-        return ds.sort(list(keys)).map_batches(
-            grouped_topk, fn_args=(list(keys), list(order), k),
-            fn_kwargs={"rank": rank}, batch_format="pyarrow",
-            batch_size=None)
+        return keyed_complete(ds, keys, functools.partial(
+            grouped_topk, keys=list(keys), order=list(order), k=k,
+            rank=rank), op="topk_complete")
     acc = _running_fold(
         ds, lambda t: grouped_topk(t, [], order, k), "topk_complete",
         empty)
@@ -221,9 +236,10 @@ def agg_fold(ds, keys: list[str], aggs: list[tuple[str, str]], *,
     distinct ``keys`` rows and ``keys=[]`` one global row.
 
     The fold is for results bounded by a lexicon, not by the corpus.
-    That bound is checked: when the accumulator grows past
+    That bound is checked: when a keyed accumulator grows past
     :data:`FOLD_MAX_BYTES` the fold raises ValueError naming ``op``, the
-    size and the cap, so the driver never holds an unbounded fold.  An
+    size and the cap, so the driver never holds an unbounded fold.  A
+    keyless fold holds one row, so it has nothing to check.  An
     input with no rows gives a typed empty table: from its schema, or
     from ``empty`` (the partial rows' empty table) when a map over no
     rows left it none; ValueError when there is neither.
@@ -233,7 +249,7 @@ def agg_fold(ds, keys: list[str], aggs: list[tuple[str, str]], *,
 
     def step(t: pa.Table) -> pa.Table:
         acc = grouped_agg(t, keys, aggs)
-        if acc.nbytes > FOLD_MAX_BYTES:
+        if keys and acc.nbytes > FOLD_MAX_BYTES:
             raise ValueError(
                 f"{op}: the driver fold holds {acc.nbytes} bytes, above "
                 f"the cap FOLD_MAX_BYTES={FOLD_MAX_BYTES}")
@@ -243,18 +259,19 @@ def agg_fold(ds, keys: list[str], aggs: list[tuple[str, str]], *,
     return acc.sort_by([(c, "ascending") for c in keys]) if keys else acc
 
 
-def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
+def driver_table(ds, *, op: str = "") -> pa.Table | None:
     """Every row of ``ds`` as one driver-side table, or None.
 
     The rows come back only when ``ds`` is a ``MaterializedDataset`` of
-    at most ``max_bytes`` (``size_bytes()``, Ray's block-metadata sum,
-    so choosing runs nothing); the caller then folds them with its own
-    kernels and skips the exchange.  A lazy input or one above the cap
-    gives None and the caller runs its exchange path, so nothing is
-    executed just to choose.  A materialized input with no rows gives
-    its schema's empty table, so the fold returns a typed empty result;
-    with no schema (a map over no rows has none) it gives None.  Blocks
-    are fetched with ``ray.get(ds.to_arrow_refs())`` and joined with
+    at most :data:`FOLD_MAX_BYTES` (``size_bytes()``, Ray's
+    block-metadata sum, so choosing runs nothing); the caller then folds
+    them with its own kernels and skips the exchange.  A lazy input or
+    one above the cap gives None and the caller runs its exchange path,
+    so nothing is executed just to choose.  A materialized input with no
+    rows gives its schema's empty table on any cap, so the fold returns
+    a typed empty result; with no schema (a map over no rows has none)
+    it gives None.  Blocks are fetched with
+    ``ray.get(ds.to_arrow_refs())`` and joined with
     ``concat_tables(promote_options="default")``.
 
     Null-key rule: the table holds every row, null keys included, and
@@ -273,16 +290,75 @@ def driver_table(ds, max_bytes: int, *, op: str = "") -> pa.Table | None:
     empty = (schema.base_schema.empty_table()
              if schema is not None
              and isinstance(schema.base_schema, pa.Schema) else None)
-    fold = empty is not None or bool(rows) and size <= max_bytes
+    fold = empty is not None or bool(rows) and size <= FOLD_MAX_BYTES
     LOG.info("%s: %s (size_bytes=%s, cap=%d)", op or "driver_table",
              "fold" if fold else "exchange",
-             "lazy" if size is None else size, max_bytes)
+             "lazy" if size is None else size, FOLD_MAX_BYTES)
     if not fold:
         return None
     if empty is not None:
         return empty
     return pa.concat_tables(ray.get(ds.to_arrow_refs()),
                             promote_options="default")
+
+
+def keyed_complete(ds, keys: list[str], complete, *, combine=None,
+                   op: str):
+    """Sort ``ds`` on ``keys``, then run ``complete`` on each sorted
+    block: the engine's one keyed wide operator.  ``complete`` (and
+    ``combine``, when given) maps an Arrow table to an Arrow table.
+    Returns a Dataset.
+
+    The input is materialized (a Sort is a full barrier anyway, and fed
+    by a lazy map a union -> Sort stalled about 10 s under a 768 MiB
+    object store against 0.4 s materialized: kg_dense, 1.3M wedge-pair
+    rows, 47 MB), then :func:`driver_table` picks the path and logs it
+    under ``op``:
+
+    - fold, at or below :data:`FOLD_MAX_BYTES`: ``complete(t.sort_by(
+      keys))`` once on the driver, where ``t`` is ``combine(table)``
+      when a combine is given and the table itself otherwise.  One
+      block, no Ray Data execution.
+    - exchange, above the cap: ``combine`` per batch of
+      :data:`COMBINE_BATCH` rows, the input coalesced to
+      :data:`SORT_BLOCK_BYTES` blocks, one Sort on ``keys``, then
+      ``complete`` per sorted block.  Ray's range partitioner never
+      splits equal keys across blocks, so each block holds every row
+      of its keys.
+
+    ``complete`` must give the same rows for the whole sorted table as
+    for any split of it into blocks of whole keys, and ``combine`` must
+    be a partial step that ``complete`` finishes (batch-local, so it
+    may run once or not at all per row group).  An input with no rows
+    and a schema folds on any cap, so ``combine`` and ``complete`` see
+    a typed empty table; a map over no rows has no schema and takes
+    the exchange on any cap.
+
+    Null-key rule: Arrow ``sort_by`` puts a row with a null key last;
+    the Ray Sort puts it wherever it does (Ray 2.49's range partitioner
+    raises TypeError on a null in a string key).  The completion
+    decides what such a row counts toward, as :func:`grouped_agg` and
+    :func:`grouped_topk` do (they drop it)."""
+    import ray
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    m = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    tbl = driver_table(m, op=op)
+    if tbl is not None:
+        t = combine(tbl) if combine is not None else tbl
+        return rd.from_arrow(complete(
+            t.sort_by([(k, "ascending") for k in keys])))
+    nb = m.num_blocks()
+    want = min(nb, max(-(-m.size_bytes() // SORT_BLOCK_BYTES),
+                       int(ray.cluster_resources().get("CPU", 1))))
+    if want < nb:
+        m = m.repartition(want)
+    if combine is not None:
+        m = m.map_batches(combine, batch_format="pyarrow",
+                          batch_size=COMBINE_BATCH)
+    return m.sort(list(keys)).map_batches(
+        complete, batch_format="pyarrow", batch_size=None)
 
 
 def sorted_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:
@@ -317,41 +393,3 @@ def triu_pairs(starts: np.ndarray, counts: np.ndarray
         z = np.empty(0, dtype=np.int64)
         return z, z
     return np.concatenate(I), np.concatenate(J)
-
-
-def coalesced_sort(ds, key, *, descending=False,
-                   target_block_bytes: int = 64 << 20):
-    """``Dataset.sort`` with volume-proportional exchange width.
-
-    Ray's range-partition sort schedules O(in_blocks × out_blocks)
-    exchange tasks, so an input over-sharded by the read (64 shard
-    files → 64 blocks at sf0.1) pays seconds of pure task scheduling
-    to sort megabytes: measured here, a 9 MB / 260k-row postings sort
-    took 1.55 s at 64 blocks and 0.21 s after coalescing to 32.  This
-    helper materializes the input (sort is a full barrier anyway, so
-    no streaming is lost), sizes the block count to the ACTUAL bytes
-    (``ceil(size / target_block_bytes)``, floored at the cluster CPU
-    count for downstream per-block parallelism, capped at the current
-    block count — never repartition UP), and sorts.  At 100 TB blocks
-    already exceed the target so the coalesce is a no-op; it only
-    compensates for small inputs split into kilobyte blocks.
-
-    Output semantics are identical to ``ds.sort(key)``: range
-    partitioning still never splits equal keys across blocks (the
-    per-block-completion invariant every combine-sort-combine
-    operator relies on), and all operators are block-split-invariance
-    tested, so results are bit-identical.
-    """
-    import ray
-
-    m = ds.materialize()
-    nb = m.num_blocks()
-    want = max(1, -(-m.size_bytes() // target_block_bytes))
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # pragma: no cover - resources always present
-        cpus = 8
-    want = min(nb, max(want, cpus))
-    if want < nb:
-        m = m.repartition(want)
-    return m.sort(key, descending=descending)

@@ -35,8 +35,8 @@ import pandas as pd
 import pyarrow as pa
 
 from clinicaltransformerner_ray.arrowutil import (
-    coalesced_sort, from_pandas_clean, grouped_agg, grouped_topk,
-    topk_complete)
+    COMBINE_BATCH, agg_fold, from_pandas_clean, grouped_agg, grouped_topk,
+    keyed_complete, topk_complete)
 
 import ray
 import ray.data as rd
@@ -45,9 +45,6 @@ import ray.data as rd
 # shared helpers
 
 MERSENNE_P = (1 << 61) - 1
-
-#: combiner coalescing width (same as pipelines/kg.py)
-COMBINE_BATCH = 1 << 19
 
 _LOG = logging.getLogger(__name__)
 
@@ -94,8 +91,7 @@ def exact_dedup(docs: rd.Dataset) -> rd.Dataset:
 
     partials = docs.map_batches(combine, batch_format="pyarrow",
                                 batch_size=1 << 17)
-    agg = coalesced_sort(partials, "h").map_batches(
-        combine, batch_format="pyarrow", batch_size=None)
+    agg = keyed_complete(partials, ["h"], combine, op="exact_dedup")
     return agg.select_columns(["keep_doc_id", "n_copies"])
 
 
@@ -189,8 +185,8 @@ def ngram_pair_stats(
                             "sa": sz[I], "sb": sz[J]})
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = coalesced_sort(posts, "shingle").map_batches(
-        block_pairs, batch_format="pyarrow", batch_size=None)
+    pairs = keyed_complete(posts, ["shingle"], block_pairs,
+                           op="ngram_pair_stats.pairs")
 
     def pair_combine(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -211,8 +207,8 @@ def ngram_pair_stats(
     # 2^19 = a single serial task, measured 0.83 s vs 32-way parallel)
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return coalesced_sort(partials, ["a", "b"]).map_batches(
-        pair_combine, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(partials, ["a", "b"], pair_combine,
+                          op="ngram_pair_stats")
 
 
 def pairs_from_stats(
@@ -378,8 +374,8 @@ def minhash_lsh_pairs(
                                   "est_jaccard": pd.Series(dtype="float64")}))
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = coalesced_sort(bucketed, "bucket").map_batches(
-        block_pairs, batch_format="pyarrow", batch_size=None)
+    pairs = keyed_complete(bucketed, ["bucket"], block_pairs,
+                           op="minhash_lsh_pairs.bands")
 
     # a pair can surface from several bands: exact distinct
     def pair_combine(batch: pa.Table) -> pa.Table:
@@ -392,8 +388,8 @@ def minhash_lsh_pairs(
     # serializes the fused banding->combine stage into one task
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return coalesced_sort(partials, ["doc_a", "doc_b"]).map_batches(
-        pair_combine, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(partials, ["doc_a", "doc_b"], pair_combine,
+                          op="minhash_lsh_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +467,8 @@ def simhash_pairs(
                                   "hamming": pd.Series(dtype="int64")}))
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = coalesced_sort(bucketed, "bucket").map_batches(
-        block_pairs, batch_format="pyarrow", batch_size=None)
+    pairs = keyed_complete(bucketed, ["bucket"], block_pairs,
+                           op="simhash_pairs.bands")
 
     def pair_combine(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -484,8 +480,8 @@ def simhash_pairs(
     # serializes the fused banding->combine stage into one task
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return coalesced_sort(partials, ["doc_a", "doc_b"]).map_batches(
-        pair_combine, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(partials, ["doc_a", "doc_b"], pair_combine,
+                          op="simhash_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +597,8 @@ def embedding_dup_pairs(
             "vec_b": pa.array(np.concatenate(out_b), pa.int64()),
         })
 
-    return coalesced_sort(replicated, "bucket").map_batches(
-        bucket_pairs, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(replicated, ["bucket"], bucket_pairs,
+                          op="embedding_dup_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +676,8 @@ def dup_clusters(
 
     init = edges.map_batches(init_labels, batch_format="pyarrow",
                              batch_size=COMBINE_BATCH)
-    labels = (coalesced_sort(init, "node")
-              .map_batches(label_combine, batch_format="pyarrow",
-                           batch_size=None)
-              .materialize())
+    labels = keyed_complete(init, ["node"], label_combine,
+                            op="dup_clusters.init").materialize()
 
     def lab_rows(batch: pa.Table) -> pa.Table:
         """Label row joins the union as (src=node, dst=-1, label)."""
@@ -729,16 +723,6 @@ def dup_clusters(
         g["changed"] = (g["label"] != g["old"]).astype("int64")
         return from_pandas_clean(g, preserve_index=False)
 
-    def changed_count(folded: rd.Dataset) -> int:
-        import pyarrow.compute as pc
-
-        parts = folded.map_batches(
-            lambda b: pa.table({"c": pa.array(
-                [int(pc.sum(b.column("changed")).as_py() or 0)],
-                pa.int64())}),
-            batch_format="pyarrow").take_all()
-        return sum(r["c"] for r in parts)
-
     def shortcut_rows(batch: pa.Table) -> pa.Table:
         """Pointer-jump edges (src=label[v], dst=v): in the sorted join
         the block holding src=L also holds L's label row, so v receives
@@ -760,14 +744,13 @@ def dup_clusters(
                                          batch_format="pyarrow"))
                 .union(labels.map_batches(shortcut_rows,
                                           batch_format="pyarrow")))
-        prop = (coalesced_sort(both, "src")
-                .map_batches(propagate, batch_format="pyarrow",
-                             batch_size=None))
-        folded = (coalesced_sort(prop, "node")
-                  .map_batches(fold, batch_format="pyarrow",
-                               batch_size=None)
-                  .materialize())
-        n_changed = changed_count(folded)
+        prop = keyed_complete(both, ["src"], propagate,
+                              op="dup_clusters.propagate")
+        folded = keyed_complete(prop, ["node"], fold,
+                                op="dup_clusters.fold").materialize()
+        n_changed = agg_fold(
+            folded.select_columns(["changed"]), [], [("changed", "sum")],
+            op="dup_clusters").column("changed")[0].as_py()
         labels = (folded.map_batches(
             lambda b: b.select(["node", "label"]), batch_format="pyarrow")
             .repartition(n_label_blocks).materialize())
@@ -849,8 +832,8 @@ def ensemble_dup_pairs(
         tag("mh"), batch_format="pyarrow")
     em = embedding_dup_pairs(vecs, threshold=cos_threshold).map_batches(
         tag("em"), batch_format="pyarrow")
-    return coalesced_sort(mh.union(em), ["doc_a", "doc_b"]).map_batches(
-        merge, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(mh.union(em), ["doc_a", "doc_b"], merge,
+                          op="ensemble_dup_pairs")
 
 
 def curate_neardup(
@@ -937,8 +920,7 @@ def curate_neardup(
               .union(cl.map_batches(drop_rows, batch_format="pyarrow",
                                     batch_size=1 << 19))
               .union(sizes))
-    return coalesced_sort(tagged, "key").map_batches(
-        survivors, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(tagged, ["key"], survivors, op="curate_neardup")
 
 
 def _fingerprint_shingles(text: str, n: int) -> list[str]:
@@ -1091,10 +1073,9 @@ def shingle_novelty(docs: rd.Dataset, *, n: int = 3) -> rd.Dataset:
         })
 
     posts = docs.map_batches(postings, batch_format="pyarrow")
-    marked = coalesced_sort(posts, "shingle").map_batches(
-        mark_first, batch_format="pyarrow", batch_size=None)
-    return coalesced_sort(marked, "doc_id").map_batches(
-        complete, batch_format="pyarrow", batch_size=None)
+    marked = keyed_complete(posts, ["shingle"], mark_first,
+                            op="shingle_novelty.first")
+    return keyed_complete(marked, ["doc_id"], complete, op="shingle_novelty")
 
 
 def minhash_calibration(
@@ -1174,8 +1155,8 @@ def minhash_calibration(
     if exact_pairs is None:
         exact_pairs = ngram_jaccard_pairs(docs, threshold=threshold)
     ex = exact_pairs.map_batches(ex_rows, batch_format="pyarrow")
-    parts = coalesced_sort(mh.union(ex), ["a", "b"]).map_batches(
-        mark, batch_format="pyarrow", batch_size=None)
+    parts = keyed_complete(mh.union(ex), ["a", "b"], mark,
+                           op="minhash_calibration")
     acc: dict[int, list[int]] = {}
     for r in parts.take_all():  # O(65 x blocks) — tiny
         x = acc.setdefault(r["est"], [0, 0])
@@ -1292,8 +1273,8 @@ def semantic_dup_pairs(
             "centroid": pa.array(np.concatenate(out_c), pa.int64()),
         })
 
-    return coalesced_sort(replicated, "bucket").map_batches(
-        bucket_pairs, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(replicated, ["bucket"], bucket_pairs,
+                          op="semantic_dup_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -1456,11 +1437,11 @@ def substring_dup_coverage(docs: rd.Dataset, *, n: int = 3) -> rd.Dataset:
         })
 
     posts = docs.map_batches(postings, batch_format="pyarrow")
-    dup_pos = coalesced_sort(posts, "shingle").map_batches(
-        mark_dup, batch_format="pyarrow", batch_size=None)
+    dup_pos = keyed_complete(posts, ["shingle"], mark_dup,
+                             op="substring_dup_coverage.dups")
     stats = docs.map_batches(stats_rows, batch_format="pyarrow")
-    return coalesced_sort(stats.union(dup_pos), "doc_id").map_batches(
-        complete, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(stats.union(dup_pos), ["doc_id"], complete,
+                          op="substring_dup_coverage")
 
 
 # ---------------------------------------------------------------------------
@@ -1577,10 +1558,9 @@ def span_dedup_rewrite(docs: rd.Dataset, *, w: int = 4) -> rd.Dataset:
         })
 
     spans = docs.map_batches(explode, batch_format="pyarrow")
-    kept = coalesced_sort(spans, "h").map_batches(
-        mark_keep, batch_format="pyarrow", batch_size=None)
-    return coalesced_sort(kept, "doc_id").map_batches(
-        rebuild, batch_format="pyarrow", batch_size=None)
+    kept = keyed_complete(spans, ["h"], mark_keep,
+                          op="span_dedup_rewrite.keep")
+    return keyed_complete(kept, ["doc_id"], rebuild, op="span_dedup_rewrite")
 
 
 # ---------------------------------------------------------------------------
@@ -1655,8 +1635,9 @@ def dedup_report(
     cal_rows = rd.from_arrow(
         _long("calibration",
               ("est_64", None, "n_candidates", "n_confirmed", None))(cal))
-    return coalesced_sort(cont_rows.union(cc_rows).union(cal_rows),
-                          ["section", "k1", "k2"])
+    return keyed_complete(cont_rows.union(cc_rows).union(cal_rows),
+                          ["section", "k1", "k2"], lambda t: t,
+                          op="dedup_report")
 
 
 # ---------------------------------------------------------------------------
@@ -1897,12 +1878,12 @@ def winnow_pairs(docs: rd.Dataset, *, n: int = 3, w: int = 4,
         return t.filter(keep)
 
     post = docs.map_batches(postings, batch_format="pyarrow")
-    pairs = coalesced_sort(post, "hr").map_batches(
-        block_pairs, batch_format="pyarrow", batch_size=None)
+    pairs = keyed_complete(post, ["hr"], block_pairs,
+                           op="winnow_pairs.pairs")
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return coalesced_sort(partials, ["doc_a", "doc_b"]).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(partials, ["doc_a", "doc_b"], finalize,
+                          op="winnow_pairs")
 
 
 def source_losses(docs: rd.Dataset, *,
@@ -1975,11 +1956,10 @@ def source_losses(docs: rd.Dataset, *,
                 g["n_represented"].to_numpy(np.int64), pa.int64()),
         })
 
-    unioned = (docs.map_batches(d_rows, batch_format="pyarrow")
-               .union(sur.map_batches(s_rows, batch_format="pyarrow"))
-               .sort("doc_id")
-               .map_batches(per_block, batch_format="pyarrow",
-                            batch_size=None))
+    unioned = keyed_complete(
+        docs.map_batches(d_rows, batch_format="pyarrow")
+        .union(sur.map_batches(s_rows, batch_format="pyarrow")),
+        ["doc_id"], per_block, op="source_losses")
     acc: dict[str, list] = {}
     for r in unioned.take_all():  # O(blocks x sources) — bounded
         a = acc.setdefault(r["source"], [0, 0, 0])
@@ -2039,9 +2019,9 @@ def coverage_select(docs: rd.Dataset, *, n: int = 3,
             "h": pa.array(np.asarray(out_h, np.uint64), pa.uint64()),
         })
 
-    post = coalesced_sort(
-        docs.map_batches(postings, batch_format="pyarrow"),
-        "doc_id").materialize()
+    post = keyed_complete(docs.map_batches(postings, batch_format="pyarrow"),
+                          ["doc_id"], lambda t: t,
+                          op="coverage_select").materialize()
 
     order = [("gain", "descending"), ("doc_id", "ascending")]
     covered: set = set()

@@ -12,7 +12,8 @@ Functions, by what they read:
 
 One fold-or-exchange rule covers all sixteen.  Each materializes its
 input once and asks ``arrowutil.driver_table`` for it under the one cap,
-``arrowutil.FOLD_MAX_BYTES`` (the KG build's cap).  At or below the cap
+``arrowutil.FOLD_MAX_BYTES`` (the KG build's cap, read when the op is
+called, so no alias of it lives here).  At or below the cap
 the edges come back as one driver-side Arrow table, and node state
 (degrees, adjacency, ranks, labels, alive sets, frontiers, stub sums) is
 computed on it with ``grouped_agg``, ``grouped_topk`` and numpy over
@@ -22,9 +23,13 @@ folds.  Above the cap:
   - pagerank, triangle_counts, common_neighbors, jaccard_links,
     clustering_coefficients, label_propagation, ktruss, local_bridges
     and link_prediction_ra take their distributed paths, which hold no
-    per-node driver state (sorts on the node or pair key), with outputs
-    bit-identical to the fold (``tests/test_graph_distributed.py``
-    forces both paths);
+    per-node driver state, with outputs bit-identical to the fold
+    (``tests/test_graph_distributed.py`` forces both paths).  Each of
+    their keyed steps (degrees, wedge partials, pair completions, the
+    degree joins) is one ``arrowutil.keyed_complete`` on the node or
+    pair key, which folds that step on its own when its input is under
+    the cap; pagerank's and label propagation's rounds keep their own
+    union -> Sort passes;
   - the other seven have no distributed path and raise ValueError
     naming the op, the input size and the cap.
 
@@ -36,7 +41,7 @@ whole centers at a time (:func:`_wedge_chunks`), after
 center's bounds against the cap; the one pair kernel,
 :func:`_wedge_fold`, merges the chunks into a running (p, q) ->
 (count, weight sum) accumulator.  The driver's peak is at most about
-3.5x ``FOLD_MAX_BYTES``.  The exchanges' per-block wedge maps run the
+3.5x the cap.  The exchanges' per-block wedge maps run the
 same chunks.
 An empty input folds (its schema's empty table, or an empty table of
 the op's columns when it has no schema) and gives a typed empty result.
@@ -62,11 +67,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import functools
+
 import ray
 import ray.data as rd
 
+from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
-    FOLD_MAX_BYTES, LOG, driver_table, grouped_agg, grouped_topk,
+    LOG, driver_table, grouped_agg, grouped_topk, keyed_complete,
     sorted_codes, triu_pairs)
 
 SCALE = 10 ** 12
@@ -80,11 +88,11 @@ _PAIR_COLS = ["subj", "obj"]
 
 def _fold_edges(src, op: str, cols: list[str]) -> pa.Table | None:
     """``cols`` of the materialized input ``src`` as one driver table
-    (``driver_table`` under ``FOLD_MAX_BYTES``), or None above the cap.
+    (``driver_table``), or None above the cap.
     An input with no rows always folds: with no schema (a map over no
     rows has none) it gives an empty string table of ``cols``, which
     every caller casts or filters."""
-    tbl = driver_table(src, FOLD_MAX_BYTES, op=op)
+    tbl = driver_table(src, op=op)
     if tbl is not None:
         return tbl.select(cols)
     if src.count():
@@ -94,16 +102,16 @@ def _fold_edges(src, op: str, cols: list[str]) -> pa.Table | None:
 
 def _edge_table(ds: rd.Dataset, op: str, cols: list[str]) -> pa.Table:
     """The driver edge table of an op with no distributed path: ``ds``
-    materialized, then :func:`_fold_edges`.  Above ``FOLD_MAX_BYTES``
-    raises ValueError naming the op, the input size and the cap, so the
-    driver never holds an unbounded fold."""
+    materialized, then :func:`_fold_edges`.  Above the cap raises
+    ValueError naming the op, the input size and the cap, so the driver
+    never holds an unbounded fold."""
     src = ds.materialize()
     tbl = _fold_edges(src, op, cols)
     if tbl is None:
         raise ValueError(
             f"{op}: the edge input is {src.size_bytes()} bytes, above the "
-            f"driver fold cap FOLD_MAX_BYTES={FOLD_MAX_BYTES}, and {op} "
-            "has no distributed path")
+            f"driver fold cap FOLD_MAX_BYTES={arrowutil.FOLD_MAX_BYTES}, "
+            f"and {op} has no distributed path")
     return tbl
 
 
@@ -146,15 +154,6 @@ def _zeros(n: int) -> pa.Array:
     return pa.array(np.zeros(n, np.int64))
 
 
-def _sorted_map(ds: rd.Dataset, key, fn, **fn_kwargs) -> rd.Dataset:
-    """``ds`` sorted on ``key``, then ``fn`` per sorted block (equal keys
-    land whole).  The Sort's input is materialized first: fed by a lazy
-    map, a union -> Sort stalled about 10 s under a 768 MiB object
-    store (kg_dense: 1.3M wedge-pair rows, 47 MB) against 0.4 s."""
-    return ds.materialize().sort(key).map_batches(
-        fn, fn_kwargs=fn_kwargs, batch_format="pyarrow", batch_size=None)
-
-
 def _degrees(batch: pa.Table, ends: tuple[str, ...] = ("a",),
              node: str = "node", d: str = "d") -> pa.Table:
     """(``node``, ``d``) occurrence counts of the values of the ``ends``
@@ -171,11 +170,8 @@ def _degrees_ds(ds: rd.Dataset, ends: tuple[str, ...], node: str,
                 d: str) -> rd.Dataset:
     """:func:`_degrees` as combine -> sort(node) -> combine: the
     distributed paths' degree table, with no per-node driver state."""
-    kw = {"ends": ends, "node": node, "d": d}
-    return _sorted_map(ds.map_batches(_degrees, fn_kwargs=kw,
-                                      batch_format="pyarrow",
-                                      batch_size=1 << 19), node, _degrees,
-                       **kw)
+    deg = functools.partial(_degrees, ends=ends, node=node, d=d)
+    return keyed_complete(ds, [node], deg, combine=deg, op="degrees")
 
 
 # -- the wedge kernel --------------------------------------------------------
@@ -201,10 +197,11 @@ def _wedge_fold_ok(op: str, u: np.ndarray, n: int) -> bool:
     c2 = d * (d - 1) // 2
     bound = min(int(c2.sum()), n * (n - 1) // 2)
     top = int(c2.max(initial=0))
-    fold = max(bound * _WEDGE_ROW_BYTES, top * _WEDGE_BYTES) <= FOLD_MAX_BYTES
+    cap = arrowutil.FOLD_MAX_BYTES
+    fold = max(bound * _WEDGE_ROW_BYTES, top * _WEDGE_BYTES) <= cap
     LOG.info("%s: %s (wedge bound %d rows x %d B, largest center %d "
              "wedges x %d B, cap=%d)", op, "fold" if fold else "exchange",
-             bound, _WEDGE_ROW_BYTES, top, _WEDGE_BYTES, FOLD_MAX_BYTES)
+             bound, _WEDGE_ROW_BYTES, top, _WEDGE_BYTES, cap)
     return fold
 
 
@@ -222,7 +219,7 @@ def _wedge_chunks(u: np.ndarray, v: np.ndarray):
     counts = np.diff(np.append(starts, len(u)))
     starts, counts = starts[counts > 1], counts[counts > 1]
     ends = np.cumsum(counts * (counts - 1) // 2)
-    budget = FOLD_MAX_BYTES // _WEDGE_BYTES
+    budget = arrowutil.FOLD_MAX_BYTES // _WEDGE_BYTES
     lo = 0
     while lo < len(starts):
         done = ends[lo - 1] if lo else 0
@@ -364,16 +361,17 @@ def _pair_exchange(rows: rd.Dataset, finish, fn_kwargs: dict, *,
     on the center -> per-block :func:`_wedge_counts` partials (with
     ``wedge_kw``), UNIONED with the rows' :func:`_direct_rows` and
     sorted on the full (x, y) composite (equal composites land whole)
-    -> ``finish`` per block (:func:`_sorted_map` twice)."""
+    -> ``finish`` per block (``keyed_complete`` twice)."""
     kw = {"pred": pred, "a": a, "b": b}
-    partials = _sorted_map(
+    partials = keyed_complete(
         rows.map_batches(_bidir, fn_args=(("u", "v"),), fn_kwargs=kw,
                          batch_format="pyarrow", batch_size=1 << 19),
-        "u", _wedge_counts, **wedge_kw)
+        ["u"], functools.partial(_wedge_counts, **wedge_kw), op="wedges")
     direct = rows.map_batches(_direct_rows, fn_kwargs=kw,
                               batch_format="pyarrow", batch_size=1 << 19)
-    return _sorted_map(partials.union(direct), ["x", "y"],
-                       finish, **fn_kwargs)
+    return keyed_complete(partials.union(direct), ["x", "y"],
+                          functools.partial(finish, **fn_kwargs),
+                          op="wedge_pairs")
 
 
 def _open_pairs(batch: pa.Table, min_common: int,
@@ -742,13 +740,15 @@ def triangle_counts(
         return pa.table({out_col: g.column("node"),
                          "n_triangles": g.column("n")})
 
-    wed = _sorted_map(_with_degrees(ed, ed, "a", "b", None, pa.int64())
-                      .map_batches(orient, batch_format="pyarrow",
-                                   batch_size=1 << 19), "src", wedges)
-    credits = _sorted_map(ed.map_batches(
+    wed = keyed_complete(_with_degrees(ed, ed, "a", "b", None, pa.int64())
+                         .map_batches(orient, batch_format="pyarrow",
+                                      batch_size=1 << 19), ["src"], wedges,
+                         op="triangles.wedges")
+    credits = keyed_complete(ed.map_batches(
         edge_keys, batch_format="pyarrow", batch_size=1 << 19).union(wed),
-        ["p", "q"], close)
-    return _sorted_map(credits, "node", count_combine)
+        ["p", "q"], close, op="triangles.close")
+    return keyed_complete(credits, ["node"], count_combine,
+                          op="triangles.count")
 
 
 def clustering_coefficients(
@@ -825,10 +825,10 @@ def clustering_coefficients(
                             j.column("val").to_numpy(),
                             j.column("nt").fill_null(0).to_numpy())
 
-    return _sorted_map(deg.map_batches(tag_deg, batch_format="pyarrow")
-                       .union(tri.map_batches(tag_tri,
-                                              batch_format="pyarrow")),
-                       "node", finish)
+    return keyed_complete(deg.map_batches(tag_deg, batch_format="pyarrow")
+                          .union(tri.map_batches(tag_tri,
+                                                 batch_format="pyarrow")),
+                          ["node"], finish, op="clustering_coefficients.join")
 
 
 # -- common neighbors --------------------------------------------------------
@@ -962,7 +962,7 @@ def _with_degrees(rows: rd.Dataset, ed: rd.Dataset, a: str, b: str,
     over the normalized (a, b) edges ``ed``, with NO per-node driver
     state.  The degrees become a Dataset (:func:`_degrees_ds`) and meet
     the rows in two union -> sort -> Arrow left join passes
-    (:func:`_sorted_map`), on a and then on b, relying only on Ray's
+    (``keyed_complete``), on a and then on b, relying only on Ray's
     equal-keys-land-whole range-partitioner invariant.  Every endpoint
     must be a node of ``ed``."""
     def deg_rows(batch: pa.Table) -> pa.Table:
@@ -992,9 +992,9 @@ def _with_degrees(rows: rd.Dataset, ed: rd.Dataset, a: str, b: str,
     # read by both passes (Ray does no common-subexpression elimination)
     degs = _degrees_ds(ed, ("a", "b"), "k", "d1").map_batches(
         deg_rows, batch_format="pyarrow").materialize()
-    p1 = _sorted_map(rows.map_batches(pair_rows, batch_format="pyarrow")
-                     .union(degs), "k", attach)
-    return _sorted_map(p1.union(degs), "k", attach)
+    p1 = keyed_complete(rows.map_batches(pair_rows, batch_format="pyarrow")
+                        .union(degs), ["k"], attach, op="with_degrees")
+    return keyed_complete(p1.union(degs), ["k"], attach, op="with_degrees")
 
 
 # -- traversal and peeling ---------------------------------------------------

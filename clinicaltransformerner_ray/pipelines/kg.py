@@ -7,19 +7,19 @@
           ──grouped_agg ➜ sort(subj,pred,obj) ➜ grouped_agg──▶ deduped edge table
     linked mentions ──grouped_agg ➜ sort(entity_id) ➜ grouped_agg + finalize──▶ entity table
 
-A materialized linked table of at most ``FOLD_MAX_BYTES`` folds on the
-driver (``arrowutil.driver_table``): the same kernels, once, no Sort;
-triple emission aggregates int64 codes there and decodes each distinct
-triple's strings once.
-Above the cap, or for a lazy input, the shuffle inventory (SURVEY.md
-§7.4) holds — every wide op is the same shape:
-batch-local COMBINE (shrinks what moves), one SORT on a high-cardinality
-key (Ray's range partitioner keeps equal keys whole in one block), then
-a per-block pass that completes the aggregation.  For the triple dedup
-and the entity counts both passes are one Arrow hash aggregate,
-``arrowutil.grouped_agg`` (:func:`_combine_sort_combine`).  No
-map_groups / Aggregate operators anywhere: per-group and per-key
-machinery serializes at high group counts, and sorting a
+Every wide op here is the same shape (SURVEY.md §7.4): batch-local
+COMBINE (shrinks what moves), one SORT on a high-cardinality key (Ray's
+range partitioner keeps equal keys whole in one block), then a per-block
+pass that completes the aggregation.  One function runs that shape,
+``arrowutil.keyed_complete``, and it picks its own path: a materialized
+input of at most ``arrowutil.FOLD_MAX_BYTES`` folds on the driver (the
+same combine and completion, once, no Sort), a larger one takes the
+exchange.  For the triple dedup and the entity counts both passes are
+one Arrow hash aggregate, ``arrowutil.grouped_agg``.  Triple emission
+keeps its own coded fold (``arrowutil.driver_table`` on the linked
+table): it aggregates int64 codes and decodes each distinct triple's
+strings once.  No map_groups / Aggregate operators anywhere: per-group
+and per-key machinery serializes at high group counts, and sorting a
 LOW-cardinality key degenerates the range partitioner (empty partitions
 plus mega-partitions) — both measured failure modes, see emit_triples.
 
@@ -56,12 +56,12 @@ three shared Arrow kernels and no pandas:
   - :func:`_turn_entities`, the one distinct of (conv_id, turn_idx,
     entity_id) rows (``grouped_agg`` with no aggregates);
   - keyed sums, minima, maxima and distinct counts over
-    high-cardinality keys through :func:`_combine_sort_combine` or one
-    sort and a per-block :func:`_agg_distinct`, with per-block merges
-    as Arrow joins inside the block;
+    high-cardinality keys, each one ``arrowutil.keyed_complete`` with
+    ``grouped_agg`` or :func:`_agg_distinct` as the completion, with
+    per-block merges as Arrow joins inside the block;
   - lexicon-bounded results (per-entity counts, the day maximum) folded
     on the driver by ``arrowutil.agg_fold``, which raises ValueError
-    above ``FOLD_MAX_BYTES``.
+    above ``arrowutil.FOLD_MAX_BYTES``.
 
 Each follows the ``grouped_agg`` null-key rule: a row with a null key
 counts toward nothing.  The graph family (``graph.py``) reads the edge
@@ -70,13 +70,15 @@ table.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    FOLD_MAX_BYTES, agg_fold, driver_table, grouped_agg, sorted_codes,
-    triu_pairs)
+    COMBINE_BATCH, agg_fold, driver_table, grouped_agg, keyed_complete,
+    sorted_codes, triu_pairs)
 
 import ray.data as rd
 
@@ -178,45 +180,14 @@ def link_mentions(
                      batch_size=batch_size)
 
 
-#: combiner coalescing width: map_batches with a large batch_size merges
-#: many upstream blocks per combine call, shrinking what the sort moves
-COMBINE_BATCH = 1 << 19
-
 #: output chunk for the turn-entity combiner: wide COMBINE input (good
 #: dedup) but many small output blocks (good sort/pair parallelism)
 TE_OUTPUT_CHUNK = 1 << 16
 
 
-def _combine_sort_combine(
-    ds: rd.Dataset, keys: list[str], aggs: list[tuple[str, str]], *,
-    sort_keys: list[str] | None = None, finalize=None,
-) -> rd.Dataset:
-    """The engine's grouped-aggregation shape over partial rows (``keys``
-    plus one column per ``aggs`` entry): one Arrow hash aggregate
-    (:func:`arrowutil.grouped_agg`) runs (1) batch-locally over
-    coalesced batches before the shuffle, then (2) on each sorted block
-    after it.  Ray's range partitioner keeps equal ``sort_keys`` (a
-    prefix of ``keys``; all of them by default) in one block, so step 2
-    completes the aggregation; ``finalize`` then reshapes each
-    completed block.  No per-group invocation and no Aggregate operator
-    (whose per-key machinery dominates at high key counts)."""
-
-    def combine(batch: pa.Table) -> pa.Table:
-        return grouped_agg(batch, keys, aggs)
-
-    def complete(batch: pa.Table) -> pa.Table:
-        out = grouped_agg(batch, keys, aggs)
-        return finalize(out) if finalize else out
-
-    partials = ds.map_batches(
-        combine, batch_format="pyarrow", batch_size=COMBINE_BATCH)
-    return partials.sort(sort_keys or keys).map_batches(
-        complete, batch_format="pyarrow", batch_size=None)
-
-
 def _with_ones(batch: pa.Table, cols: list[str], name: str) -> pa.Table:
     """``batch[cols]`` plus an int64 column of ones: one partial row per
-    input row, ready for a summing :func:`_combine_sort_combine`."""
+    input row, ready for a summing ``grouped_agg``."""
     return batch.select(cols).append_column(
         name, pa.array(np.ones(batch.num_rows, np.int64)))
 
@@ -246,36 +217,29 @@ def _entity_finalize(g: pa.Table) -> pa.Table:
 
 def canonical_entities(linked: rd.Dataset) -> rd.Dataset:
     """Canonicalization: (entity_id, type, surface_norm) mention counts
-    through the grouped-aggregation shape, sorted on entity_id alone so
-    an entity's surfaces complete in one block, then
-    :func:`_entity_finalize` per block.  An entity seen with two types
-    gives one row per type, each carrying that one canonical surface.
-    Under ``FOLD_MAX_BYTES`` both kernels run once, on the driver."""
+    summed by ``grouped_agg`` before and after one
+    :func:`arrowutil.keyed_complete` on entity_id alone, so an entity's
+    surfaces complete together, then :func:`_entity_finalize`.  An
+    entity seen with two types gives one row per type, each carrying
+    that one canonical surface."""
     keys, aggs = ["entity_id", "type", "surface_norm"], [("pn", "sum")]
-    tbl = driver_table(linked, FOLD_MAX_BYTES, op="canonical_entities")
-    if tbl is not None:
-        return rd.from_arrow(_entity_finalize(
-            grouped_agg(_with_ones(tbl, keys, "pn"), keys, aggs)))
-    return _combine_sort_combine(
-        linked.map_batches(_with_ones, fn_args=(keys, "pn"),
-                           batch_format="pyarrow"),
-        keys, aggs, sort_keys=["entity_id"], finalize=_entity_finalize)
+    return keyed_complete(
+        linked, ["entity_id"],
+        lambda b: _entity_finalize(grouped_agg(b, keys, aggs)),
+        combine=lambda b: grouped_agg(_with_ones(b, keys, "pn"), keys, aggs),
+        op="canonical_entities")
 
 
 def mention_counts(mentions: rd.Dataset) -> rd.Dataset:
-    """(conv_id, turn_idx, surface_norm, type) -> n_mentions via the
-    combine/sort/combine aggregation shape, or one driver-side
-    ``grouped_agg`` for a materialized input under ``FOLD_MAX_BYTES``."""
+    """(conv_id, turn_idx, surface_norm, type) -> n_mentions: one
+    :func:`arrowutil.keyed_complete` summing with ``grouped_agg``."""
     keys = ["conv_id", "turn_idx", "surface_norm", "type"]
     aggs = [("n_mentions", "sum")]
-    tbl = driver_table(mentions, FOLD_MAX_BYTES, op="mention_counts")
-    if tbl is not None:
-        return rd.from_arrow(
-            grouped_agg(_with_ones(tbl, keys, "n_mentions"), keys, aggs))
-    return _combine_sort_combine(
-        mentions.map_batches(_with_ones, fn_args=(keys, "n_mentions"),
-                             batch_format="pyarrow"),
-        keys, aggs)
+    return keyed_complete(
+        mentions, keys, functools.partial(grouped_agg, keys=keys, aggs=aggs),
+        combine=lambda b: grouped_agg(_with_ones(b, keys, "n_mentions"),
+                                      keys, aggs),
+        op="mention_counts")
 
 
 #: the key of a turn-entity row: one linked entity in one turn
@@ -493,23 +457,26 @@ def emit_triples(
 
     Each emitted pair is already a one-evidence partial row
     (``n_evidence=1``, ``first_conv_id``/``first_turn_idx`` its own
-    turn), so shuffle #2 is :func:`_combine_sort_combine` summing
-    ``n_evidence`` and taking both ``first_*`` minima per (subj, pred,
-    obj); the two minima may come from different rows.
+    turn), so shuffle #2 is a :func:`arrowutil.keyed_complete` whose
+    ``grouped_agg`` sums ``n_evidence`` and takes both ``first_*`` minima
+    per (subj, pred, obj); the two minima may come from different rows.
 
-    A materialized input under ``FOLD_MAX_BYTES`` skips both shuffles:
+    A materialized input under ``arrowutil.FOLD_MAX_BYTES`` skips both
+    shuffles:
     one :func:`_pair_codes` and one ``grouped_agg`` over the int64 codes
     of every pair, on the driver, then one decode of the distinct
     triples' strings (codes sort as their strings, so the code minima
     decode to the string minima).  ``salt_span``/``n_buckets`` shape
-    only the exchange path.
+    only the exchange path, whose two ``keyed_complete`` steps each
+    materialize their input and fold it in turn when it is under the
+    cap.
 
     Output: (subj, pred, obj, n_evidence, first_conv_id, first_turn_idx).
     """
     keys = ["subj", "pred", "obj"]
     aggs = [("n_evidence", "sum"), ("first_conv_id", "min"),
             ("first_turn_idx", "min")]
-    tbl = driver_table(linked, FOLD_MAX_BYTES, op="emit_triples")
+    tbl = driver_table(linked, op="emit_triples")
     if tbl is not None:
         te = tbl.select(["conv_id", "turn_idx", "entity_id"])
         te = te.append_column("ghost", pa.array(np.zeros(len(te), bool)))
@@ -522,10 +489,12 @@ def emit_triples(
             _decode_triples(ents, convs, grouped_agg(codes, keys, aggs)))
     if n_buckets is None:
         n_buckets = 65536
-    te = _bucketed_turn_entities(linked, salt_span, n_buckets)
-    raw = te.sort("bucket").map_batches(
-        _block_pairs, batch_format="pyarrow", batch_size=None)
-    return _combine_sort_combine(raw, keys, aggs)
+    raw = keyed_complete(
+        _bucketed_turn_entities(linked, salt_span, n_buckets), ["bucket"],
+        _block_pairs, op="emit_triples.pairs")
+    agg = functools.partial(grouped_agg, keys=keys, aggs=aggs)
+    return keyed_complete(raw, keys, agg, combine=agg,
+                          op="emit_triples.dedup")
 
 
 #: linked-path auto-select threshold: turns parquet under this size can
@@ -560,9 +529,10 @@ def kg_pipeline(
     linked_checkpoint_dir: str | None = None,
     quarantine_dir: str | None = None,
 ) -> dict[str, rd.Dataset]:
-    """Compose the full build; returns Datasets keyed by stage, lazy but
-    for ``entities``/``triples`` over a materialized linked table under
-    ``FOLD_MAX_BYTES``: those folds run here, eagerly (tens of ms).
+    """Compose the full build; returns Datasets keyed by stage.  The
+    ``entities`` and ``triples`` branches run here, eagerly: over a
+    materialized linked table under ``arrowutil.FOLD_MAX_BYTES`` they
+    fold on the driver (tens of ms).
 
     The linked-mention table feeds BOTH the entity and triple branches,
     so it must not re-run the tagger twice.  Cache strategies, in
@@ -705,10 +675,8 @@ def association_stats(
                       "n": _int64s(1, n_turns)})])
 
     counts = agg_fold(
-        linked.map_batches(_turn_entities, batch_format="pyarrow",
-                           batch_size=COMBINE_BATCH)
-        .sort(["conv_id", "turn_idx"])
-        .map_batches(block_counts, batch_format="pyarrow", batch_size=None),
+        keyed_complete(linked, ["conv_id", "turn_idx"], block_counts,
+                       combine=_turn_entities, op="association_stats.turns"),
         ["entity_id"], [("n", "sum")], op="association_stats",
         empty=block_counts(pa.table({c: pa.array([], pa.string())
                                      for c in TE_KEYS})))
@@ -741,9 +709,10 @@ def mention_ts_join(linked: rd.Dataset,
     :func:`mention_timeline` and :func:`entity_daily` (and computed
     once by :func:`kg_report`): mention rows become (conv_id, turn_idx,
     entity_id, cnt=1) partials and turn rows (conv_id, turn_idx, us),
-    told apart by a ``side`` key, and one :func:`_combine_sort_combine`
-    sums ``cnt`` per (conv_id, turn_idx, entity_id) on both sides of
-    ONE sort on the high-cardinality (conv_id, turn_idx) composite.
+    told apart by a ``side`` key, and ``grouped_agg`` sums ``cnt`` per
+    (conv_id, turn_idx, entity_id) on both sides of ONE
+    :func:`arrowutil.keyed_complete` on the high-cardinality (conv_id,
+    turn_idx) composite.
     That sort co-locates each mention partial with its unique turn row
     (Ray's range partitioner never splits equal keys), and a per-block
     Arrow inner join attaches us.
@@ -781,10 +750,12 @@ def mention_ts_join(linked: rd.Dataset,
                               ).union(turns_ts.map_batches(
                                   rows, fn_args=(0,),
                                   batch_format="pyarrow"))
-    return _combine_sort_combine(
-        both, ["conv_id", "turn_idx", "entity_id", "side"],
-        [("cnt", "sum"), ("us", "max")],
-        sort_keys=["conv_id", "turn_idx"], finalize=attach_ts)
+    agg = functools.partial(
+        grouped_agg, keys=["conv_id", "turn_idx", "entity_id", "side"],
+        aggs=[("cnt", "sum"), ("us", "max")])
+    return keyed_complete(both, ["conv_id", "turn_idx"],
+                          lambda b: attach_ts(agg(b)), combine=agg,
+                          op="mention_ts_join")
 
 
 def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,
@@ -826,8 +797,7 @@ def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,
 
     j = joined if joined is not None else \
         mention_ts_join(linked, turns_ts)
-    return (j.sort("entity_id")
-            .map_batches(complete, batch_format="pyarrow", batch_size=None))
+    return keyed_complete(j, ["entity_id"], complete, op="mention_timeline")
 
 
 def conversation_stats(turns: rd.Dataset) -> rd.Dataset:
@@ -836,10 +806,10 @@ def conversation_stats(turns: rd.Dataset) -> rd.Dataset:
     and the conversation's epoch-us time span — the corpus-triage
     report a pipeline runs BEFORE any model stage.
 
-    One :func:`_combine_sort_combine` on the high-cardinality conv_id
-    over one partial row per turn (counts and sums, min/max: all merge
-    associatively).  Null-key rule: a turn with a null conv_id drops,
-    as the pandas groupby dropped it."""
+    One :func:`arrowutil.keyed_complete` on the high-cardinality conv_id
+    over one partial row per turn, summed by ``grouped_agg`` (counts and
+    sums, min/max: all merge associatively).  Null-key rule: a turn with
+    a null conv_id drops, as the pandas groupby dropped it."""
 
     def partial(batch: pa.Table) -> pa.Table:
         role = batch.column("role")
@@ -860,11 +830,13 @@ def conversation_stats(turns: rd.Dataset) -> rd.Dataset:
             "last_us": ts,
         })
 
-    return _combine_sort_combine(
-        turns.map_batches(partial, batch_format="pyarrow"), ["conv_id"],
-        [("n_turns", "sum"), ("n_user", "sum"), ("n_assistant", "sum"),
-         ("n_tool", "sum"), ("n_tokens", "sum"), ("first_us", "min"),
-         ("last_us", "max")])
+    agg = functools.partial(grouped_agg, keys=["conv_id"], aggs=[
+        ("n_turns", "sum"), ("n_user", "sum"), ("n_assistant", "sum"),
+        ("n_tool", "sum"), ("n_tokens", "sum"), ("first_us", "min"),
+        ("last_us", "max")])
+    return keyed_complete(turns.map_batches(partial, batch_format="pyarrow"),
+                          ["conv_id"], agg, combine=agg,
+                          op="conversation_stats")
 
 
 def near_cooccurrence(
@@ -883,7 +855,8 @@ def near_cooccurrence(
     conversation's rows land whole per block), a per-block window join
     — for each offset d in 1..window an Arrow inner join of the
     turn-entity table against itself shifted by d (no Python pair
-    loops) — then :func:`_combine_sort_combine` on the pair key.
+    loops) — then a summing ``grouped_agg`` keyed on the pair, each step
+    one :func:`arrowutil.keyed_complete`.
     Null-key rule: a linked row with a null key pairs with nothing
     (pandas kept it, and its merge matched null conv_ids together).
 
@@ -912,12 +885,12 @@ def near_cooccurrence(
             }))
         return pa.concat_tables(outs)
 
-    return _combine_sort_combine(
-        linked.map_batches(_turn_entities, batch_format="pyarrow",
-                           batch_size=COMBINE_BATCH)
-        .sort("conv_id")
-        .map_batches(window_pairs, batch_format="pyarrow", batch_size=None),
-        ["subj", "obj", "gap"], [("n_pairs", "sum")])
+    agg = functools.partial(grouped_agg, keys=["subj", "obj", "gap"],
+                            aggs=[("n_pairs", "sum")])
+    return keyed_complete(
+        keyed_complete(linked, ["conv_id"], window_pairs,
+                       combine=_turn_entities, op="near_cooccurrence.window"),
+        ["subj", "obj", "gap"], agg, combine=agg, op="near_cooccurrence")
 
 
 def entity_daily(linked: rd.Dataset, turns_ts: rd.Dataset,
@@ -950,10 +923,8 @@ def entity_daily(linked: rd.Dataset, turns_ts: rd.Dataset,
 
     j = joined if joined is not None else \
         mention_ts_join(linked, turns_ts)
-    return (j.map_batches(with_day, batch_format="pyarrow")
-            .sort(["entity_id", "day"])
-            .map_batches(complete, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(j.map_batches(with_day, batch_format="pyarrow"),
+                          ["entity_id", "day"], complete, op="entity_daily")
 
 
 def kg_report(linked: rd.Dataset, turns_ts: rd.Dataset) -> rd.Dataset:

@@ -12,9 +12,10 @@ Two passes, both streaming:
    explodes tokens with Arrow kernels, filters to the query terms,
    computes tf per (doc, term) via C++ grouped aggregation, scores,
    and keeps a LOCAL top-k per term (`grouped_topk`);
-   `topk_complete` sorts on query_term and keeps the final top-k per
-   block (the engine's combine/sort/combine shape — the shuffle moves
-   at most k * n_terms rows per batch, never the corpus).
+   `topk_complete` keeps the final top-k per query_term (the engine's
+   `keyed_complete` shape: a driver fold under the cap, else a sort on
+   query_term whose shuffle moves at most k * n_terms rows per batch,
+   never the corpus).
 
 Exactness: within a single term, BM25's idf factor is a positive
 per-term constant, so the rank depends only on

@@ -20,7 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
+from clinicaltransformerner_ray.arrowutil import (
+    grouped_topk, keyed_complete, topk_complete)
 
 import ray
 import ray.data as rd
@@ -75,8 +76,10 @@ def _per_query_topk(vecs: rd.Dataset, k: int, score) -> rd.Dataset:
     (B, nq) score matrix and a mask of the (vector, query) pairs that
     may match.  Each batch emits its kept pairs as one long
     (query_id, neighbor_id, sim) table cut to the per-query top-k (so
-    the shuffle moves <= k rows per (query, batch)); one sort on
-    query_id then ranks each query's candidates.  The cut and the rank
+    the shuffle moves <= k rows per (query, batch)); one
+    ``topk_complete`` keyed on query_id then ranks each query's
+    candidates (a driver fold under the cap: a few query ids give a
+    range sort nothing to spread).  The cut and the rank
     use the same total order (sim desc, neighbor_id asc), so a tie at
     the k boundary never drops a lower-id candidate the global top-k
     keeps.  ``n_queries`` can be a table, not a constant: nothing runs
@@ -93,8 +96,8 @@ def _per_query_topk(vecs: rd.Dataset, k: int, score) -> rd.Dataset:
             "sim": pa.array(S[b, q], pa.float64()),
         }), ["query_id"], _NEIGHBOR_ORDER, k)
 
-    # 2^14-row batches: the sort sees few blocks of k * nq rows each,
-    # while a large table still scores in parallel tasks
+    # 2^14-row batches: the completion sees few blocks of k * nq rows
+    # each, while a large table still scores in parallel tasks
     return topk_complete(
         vecs.map_batches(query_pairs, batch_format="pyarrow",
                          batch_size=1 << 14),
@@ -462,11 +465,9 @@ def knn_graph(
         return pa.concat_tables(out)
 
     return topk_complete(
-        vecs.map_batches(replicate, batch_format="pyarrow",
-                         batch_size=1 << 16)
-        .sort("bucket")
-        .map_batches(bucket_dots, batch_format="pyarrow",
-                     batch_size=None),
+        keyed_complete(vecs.map_batches(replicate, batch_format="pyarrow",
+                                        batch_size=1 << 16),
+                       ["bucket"], bucket_dots, op="knn_graph.buckets"),
         ["src_id"], order, k, rank="rk",
     ).select_columns(["src_id", "dst_id", "rk", "dot_q"])
 
@@ -702,9 +703,7 @@ def topk_recall(exact: rd.Dataset, approx: rd.Dataset,
               .map_batches(tag(1), batch_format="pyarrow")
               .union(approx.select_columns(["query_id", "neighbor_id"])
                      .map_batches(tag(2), batch_format="pyarrow")))
-    return (tagged.sort("query_id")
-            .map_batches(overlap, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(tagged, ["query_id"], overlap, op="topk_recall")
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +1008,10 @@ def embedding_coverage(docs: rd.Dataset,
                                    pa.int64()),
         })
 
-    unioned = (docs.map_batches(d_rows, batch_format="pyarrow")
-               .union(vecs.map_batches(v_rows,
-                                       batch_format="pyarrow"))
-               .sort("id")
-               .map_batches(per_block, batch_format="pyarrow",
-                            batch_size=None))
+    unioned = keyed_complete(
+        docs.map_batches(d_rows, batch_format="pyarrow")
+        .union(vecs.map_batches(v_rows, batch_format="pyarrow")),
+        ["id"], per_block, op="embedding_coverage")
     acc: dict[str, list] = {}
     for r in unioned.take_all():  # O(blocks x sources)
         a = acc.setdefault(r["source"], [0, 0])

@@ -21,7 +21,8 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import (
+    from_pandas_clean, keyed_complete)
 
 import ray.data as rd
 
@@ -79,7 +80,10 @@ def brat_annotations(mentions: rd.Dataset) -> rd.Dataset:
 
     Sequential T ids restart per document after an intra-doc sort by
     (start, end) — deterministic regardless of upstream block order.
-    One sort on the doc key; line construction is vectorized pandas
+    One ``keyed_complete`` on the doc key (a driver fold under the cap;
+    above it, a Sort whose input is coalesced first, so many small
+    tagger blocks do not cost blocks x blocks sort tasks); line
+    construction is vectorized pandas
     string ops over the whole block (per-doc work is only the final
     newline join), so millions of documents never invoke per-group
     Python."""
@@ -112,19 +116,8 @@ def brat_annotations(mentions: rd.Dataset) -> rd.Dataset:
                              runs=(starts, offsets))
         return from_pandas_clean(out, preserve_index=False)
 
-    return _coalesce(mentions).sort(["conv_id", "turn_idx"]).map_batches(
-        per_block, batch_format="pyarrow", batch_size=None)
-
-
-def _coalesce(ds: rd.Dataset, rows: int = 1 << 18) -> rd.Dataset:
-    """Merge small upstream blocks (one per tagger task) before a sort:
-    Ray's sort spawns a map+reduce task per input block, so 72 ~100 KB
-    mention blocks cost 72x72 task overhead for kilobytes of data.  An
-    identity map_batches with a large batch_size concatenates blocks to
-    ~256k rows (tens of MB — still far under worker heap at scale),
-    exactly the repo's combine-before-shuffle coalescing pattern."""
-    return ds.map_batches(lambda b: b, batch_format="pyarrow",
-                          batch_size=rows)
+    return keyed_complete(mentions, ["conv_id", "turn_idx"], per_block,
+                          op="brat_annotations")
 
 
 def bioc_documents(mentions: rd.Dataset) -> rd.Dataset:
@@ -159,8 +152,8 @@ def bioc_documents(mentions: rd.Dataset) -> rd.Dataset:
         out = out[["conv_id", "turn_idx", "xml"]]
         return from_pandas_clean(out, preserve_index=False)
 
-    return _coalesce(mentions).sort(["conv_id", "turn_idx"]).map_batches(
-        per_block, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(mentions, ["conv_id", "turn_idx"], per_block,
+                          op="bioc_documents")
 
 
 #: the reference's full per-document BioC wrapper

@@ -297,6 +297,7 @@ def test_triple_fold_equals_exchange_on_kgbench_shapes(
     import ray
     import ray.data as rd
 
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines import kg
 
     linked = kgbench_linked[workload]
@@ -304,7 +305,7 @@ def test_triple_fold_equals_exchange_on_kgbench_shapes(
     ds = rd.from_arrow(linked).materialize()
     out = {}
     for cap in (1 << 40, 0):
-        monkeypatch.setattr(kg, "FOLD_MAX_BYTES", cap)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
         got = pa.concat_tables(ray.get(
             kg.emit_triples(ds, salt_span=64).to_arrow_refs()))
         out[cap] = got.sort_by([(c, "ascending") for c in got.column_names])

@@ -1,8 +1,10 @@
-"""The KG build's fold-or-exchange choice (``arrowutil.driver_table``):
-``emit_triples``, ``canonical_entities`` and ``mention_counts`` give the
-same rows and the same Arrow schema whether a materialized input folds
-on the driver or takes the combine -> Sort -> complete exchange, and the
-choice is logged through the ``ray_kg`` logger."""
+"""The KG build's fold-or-exchange choice (``arrowutil.driver_table``,
+through ``arrowutil.keyed_complete`` for the entity and mention
+counts): ``emit_triples``, ``canonical_entities`` and ``mention_counts``
+give the same rows and the same Arrow schema whether a materialized
+input folds on the driver or takes the combine -> Sort -> complete
+exchange, and each leg logs the path it took through the ``ray_kg``
+logger."""
 
 from __future__ import annotations
 
@@ -27,18 +29,30 @@ def _rows(ds):
     return t.schema, t.sort_by([(c, "ascending") for c in t.schema.names])
 
 
-def _both_paths(monkeypatch, op: str, ds):
+def _both_paths(monkeypatch, caplog, op: str, ds, exchange="exchange"):
+    """``op`` at a huge cap and at cap 0.  Each leg must log the path it
+    was forced onto, ``fold`` and ``exchange``, on every ``ray_kg`` line
+    it writes (``exchange="fold"`` for an input with no rows, which
+    folds on any cap)."""
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines import kg
 
+    caplog.set_level(logging.INFO, logger="ray_kg")
     out = {}
-    for path, cap in (("fold", 1 << 40), ("exchange", 0)):
-        monkeypatch.setattr(kg, "FOLD_MAX_BYTES", cap)
+    for path, cap, logged in (("fold", 1 << 40, "fold"),
+                              ("exchange", 0, exchange)):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
         out[path] = _rows(getattr(kg, op)(ds))
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "ray_kg"]
+        assert msgs and msgs[0].startswith(f"{op}: {logged} ("), msgs
+        assert all(f": {logged} (" in m for m in msgs), msgs
     return out["fold"], out["exchange"]
 
 
-def _assert_parity(monkeypatch, op: str, ds):
-    (fs, ft), (es, et) = _both_paths(monkeypatch, op, ds)
+def _assert_parity(monkeypatch, caplog, op: str, ds, exchange="exchange"):
+    (fs, ft), (es, et) = _both_paths(monkeypatch, caplog, op, ds, exchange)
     assert (fs is None) == (es is None)
     assert fs is None or fs.equals(es, check_metadata=True), (fs, es)
     assert ft is None or ft.equals(et)
@@ -70,22 +84,23 @@ def _mega_rows() -> list[dict]:
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_fold_equals_exchange_sf0001(monkeypatch, linked, op):
-    out = _assert_parity(monkeypatch, op, linked)
+def test_fold_equals_exchange_sf0001(monkeypatch, caplog, linked, op):
+    out = _assert_parity(monkeypatch, caplog, op, linked)
     assert out.num_rows > 0
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_fold_equals_exchange_mega_conversation(monkeypatch, ray_session,
-                                                op):
+def test_fold_equals_exchange_mega_conversation(monkeypatch, caplog,
+                                                ray_session, op):
     import ray.data as rd
 
-    out = _assert_parity(monkeypatch, op, rd.from_items(_mega_rows()))
+    out = _assert_parity(monkeypatch, caplog, op,
+                         rd.from_items(_mega_rows()))
     assert out.num_rows > 0
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_fold_equals_exchange_empty(monkeypatch, linked, op):
+def test_fold_equals_exchange_empty(monkeypatch, caplog, linked, op):
     """A materialized input with no rows folds on either cap: the
     selector hands back its schema's empty table (``concat_tables([])``
     never runs), so the op gives a typed empty result, with the schema
@@ -93,20 +108,22 @@ def test_fold_equals_exchange_empty(monkeypatch, linked, op):
     import ray
     import ray.data as rd
 
-    from clinicaltransformerner_ray.arrowutil import driver_table
+    from clinicaltransformerner_ray import arrowutil
 
     empty = ray.get(linked.to_arrow_refs()[0]).slice(0, 0)
     for cap in (1 << 40, 0):
-        got = driver_table(rd.from_arrow(empty), cap)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        got = arrowutil.driver_table(rd.from_arrow(empty))
         assert got is not None and got.equals(empty)
-    out = _assert_parity(monkeypatch, op, rd.from_arrow(empty))
+    out = _assert_parity(monkeypatch, caplog, op, rd.from_arrow(empty),
+                         exchange="fold")
     assert out is not None and out.num_rows == 0
-    ref, _ = _both_paths(monkeypatch, op, linked)
+    ref, _ = _both_paths(monkeypatch, caplog, op, linked)
     assert out.schema.equals(ref[0], check_metadata=True)
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_fold_equals_exchange_null_conv_id(monkeypatch, linked, op):
+def test_fold_equals_exchange_null_conv_id(monkeypatch, caplog, linked, op):
     import ray
     import ray.data as rd
 
@@ -115,7 +132,7 @@ def test_fold_equals_exchange_null_conv_id(monkeypatch, linked, op):
     conv[len(conv) // 2] = None
     t = t.set_column(t.schema.get_field_index("conv_id"), "conv_id",
                      pa.array(conv, t.schema.field("conv_id").type))
-    _assert_parity(monkeypatch, op, rd.from_arrow(t))
+    _assert_parity(monkeypatch, caplog, op, rd.from_arrow(t))
 
 
 @pytest.mark.parametrize("cap", [1 << 40, 0])
@@ -125,9 +142,10 @@ def test_null_conv_id_gives_no_pair(monkeypatch, ray_session, cap):
     conversation of the same block and made up a co_occurs triple."""
     import ray.data as rd
 
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines import kg
 
-    monkeypatch.setattr(kg, "FOLD_MAX_BYTES", cap)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
     rows = [{"conv_id": "a", "turn_idx": 0, "entity_id": "E1"},
             {"conv_id": None, "turn_idx": 0, "entity_id": "E2"},
             {"conv_id": "a", "turn_idx": 1, "entity_id": "E3"}]
@@ -138,12 +156,15 @@ def test_null_conv_id_gives_no_pair(monkeypatch, ray_session, cap):
 
 def test_driver_table_logs_choice(ray_session, caplog):
     """A ``kg_pipeline`` run at sf0.001 folds both branches; a lazy
-    input takes the exchange without being executed to choose."""
+    input takes the exchange without being executed to choose, and the
+    exchange's keyed steps then materialize their own inputs and choose
+    for themselves."""
     import ray.data as rd
 
-    from clinicaltransformerner_ray.arrowutil import driver_table
+    from clinicaltransformerner_ray.arrowutil import (
+        FOLD_MAX_BYTES, driver_table)
     from clinicaltransformerner_ray.pipelines.kg import (
-        FOLD_MAX_BYTES, emit_triples, kg_pipeline)
+        emit_triples, kg_pipeline)
 
     caplog.set_level(logging.INFO, logger="ray_kg")
     kg_pipeline(SF)
@@ -156,9 +177,11 @@ def test_driver_table_logs_choice(ray_session, caplog):
     caplog.clear()
     lazy = rd.from_items(_mega_rows()).map_batches(
         lambda b: b, batch_format="pyarrow")
-    assert driver_table(lazy, FOLD_MAX_BYTES) is None
+    assert driver_table(lazy) is None
     emit_triples(lazy)
     msgs = [r.getMessage() for r in caplog.records if r.name == "ray_kg"]
-    assert msgs == [
+    assert msgs[:2] == [
         f"driver_table: exchange (size_bytes=lazy, cap={FOLD_MAX_BYTES})",
         f"emit_triples: exchange (size_bytes=lazy, cap={FOLD_MAX_BYTES})"]
+    assert [m.split(" (")[0] for m in msgs[2:]] == [
+        "emit_triples.pairs: fold", "emit_triples.dedup: fold"], msgs

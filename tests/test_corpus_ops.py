@@ -4,6 +4,8 @@ approximate ones."""
 
 from __future__ import annotations
 
+import logging
+
 import duckdb
 import pandas as pd
 import pytest
@@ -732,7 +734,7 @@ def _brute_triangles(edges):
 
 
 @pytest.mark.parametrize("case", ["random", "hub", "clique", "empty"])
-def test_triangle_counts_brute_force(ray_session, monkeypatch, case):
+def test_triangle_counts_brute_force(ray_session, monkeypatch, caplog, case):
     """triangle_counts == itertools brute force on: a seeded random
     graph, a hub star + one closing rim (exercises degree orientation —
     the hub must NOT anchor wedges), a 7-clique (C(7,3) triangles,
@@ -741,7 +743,7 @@ def test_triangle_counts_brute_force(ray_session, monkeypatch, case):
     import pyarrow as pa
     import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines import graph
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines.graph import triangle_counts
 
     if case == "random":
@@ -766,10 +768,15 @@ def test_triangle_counts_brute_force(ray_session, monkeypatch, case):
     # several input blocks so combine/sort/per-block paths are real;
     # cap 0 forces the 6-sort distributed path, the default cap the
     # driver fold — both must match brute force (and hence each other)
-    for cap in (graph.FOLD_MAX_BYTES, 0):
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    for cap in (arrowutil.FOLD_MAX_BYTES, 0):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
         got = triangle_counts(
             rd.from_arrow(tbl).repartition(4)).to_pandas()
+        path = "exchange" if cap == 0 else "fold"
+        assert any(r.getMessage().startswith(f"triangle_counts: {path} (")
+                   for r in caplog.records), (cap, caplog.records)
         if case == "empty":
             # a triangle-free graph yields zero rows (the distributed
             # path drops the schema with it when every block is empty)
@@ -1056,14 +1063,15 @@ def test_token_collocations_oracle_parity_small(ray_session):
                                   check_dtype=False)
 
 
-def test_clustering_coefficients_brute_force(ray_session, monkeypatch):
+def test_clustering_coefficients_brute_force(ray_session, monkeypatch,
+                                             caplog):
     """Square + diagonal + tail: coefficients 2/3, 1, 1/3 and an exact
     0 for a triangle-free degree-2 node; degree-1 nodes excluded; the
     driver fold and the distributed path agree."""
     import pyarrow as pa
     import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines import graph
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines.graph import (
         clustering_coefficients)
 
@@ -1075,9 +1083,15 @@ def test_clustering_coefficients_brute_force(ray_session, monkeypatch):
         1: (2, 3, 6666), 2: (1, 2, 10000), 3: (2, 3, 6666),
         4: (1, 3, 3333), 5: (0, 2, 0),
     }
-    for cap in (graph.FOLD_MAX_BYTES, 0):  # fold, then distributed path
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    for cap in (arrowutil.FOLD_MAX_BYTES, 0):  # fold, then distributed path
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
         out = clustering_coefficients(rd.from_arrow(edges)).to_pandas()
+        path = "exchange" if cap == 0 else "fold"
+        assert any(r.getMessage().startswith(
+            f"clustering_coefficients: {path} (")
+            for r in caplog.records), (cap, caplog.records)
         got = {int(r.node_id): (int(r.n_triangles), int(r.degree),
                                 int(r.coeff_bp))
                for r in out.itertuples()}

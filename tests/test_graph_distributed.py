@@ -1,5 +1,5 @@
 """The graph family's fold-or-exchange choice (``arrowutil.driver_table``
-under ``graph.FOLD_MAX_BYTES``): distributed (no-driver-node-state)
+under ``arrowutil.FOLD_MAX_BYTES``): distributed (no-driver-node-state)
 paths vs the driver folds.
 
 VERDICT r03 §What's-wrong-3: the degree/pagerank driver folds are
@@ -19,11 +19,20 @@ import pytest
 
 import ray.data as rd
 
+from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.pipelines import graph
 from clinicaltransformerner_ray.pipelines.graph import (
     SCALE, jaccard_links, label_propagation, pagerank)
 
 HUGE = 1 << 40
+
+
+def _took(caplog, op: str, path: str) -> None:
+    """``op`` logged ``path`` (``fold`` or ``exchange``) through
+    ``ray_kg`` since the last ``caplog.clear()``; then clear."""
+    msgs = [r.getMessage() for r in caplog.records if r.name == "ray_kg"]
+    assert any(m.startswith(f"{op}: {path} (") for m in msgs), (op, msgs)
+    caplog.clear()
 
 
 def _dense_triples() -> pa.Table:
@@ -54,13 +63,16 @@ def _dense_triples() -> pa.Table:
 
 
 def test_pagerank_distributed_bitwise_matches_broadcast(ray_session,
-                                                        monkeypatch):
+                                                        monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="ray_kg")
     triples = rd.from_arrow(_dense_triples()).repartition(4)
     ref = pagerank(triples, iters=4)
     assert isinstance(ref, pa.Table)  # fold path
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 0)
+    _took(caplog, "pagerank", "fold")
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     out = pagerank(triples, iters=4)
     assert isinstance(out, rd.Dataset)  # distributed path exercised
+    _took(caplog, "pagerank", "exchange")
     a = (ref.to_pandas().sort_values("entity_id")
          .reset_index(drop=True))
     b = (out.to_pandas().sort_values("entity_id")
@@ -76,7 +88,7 @@ def test_pagerank_distributed_empty_graph(ray_session, monkeypatch):
         "pred": pa.array([], pa.string()),
         "obj": pa.array([], pa.string()),
     }))
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 0)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     out = pagerank(triples, iters=3)
     # an input with no rows folds on any cap (a typed empty table)
     df = out.to_pandas()  # both pa.Table and Dataset expose to_pandas
@@ -85,7 +97,9 @@ def test_pagerank_distributed_empty_graph(ray_session, monkeypatch):
 
 
 def test_jaccard_links_distributed_bitwise_matches_broadcast(ray_session,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            caplog):
+    caplog.set_level(logging.INFO, logger="ray_kg")
     pairs = _dense_triples().filter(
         pa.compute.equal(pa.compute.field("pred"), "co_occurs"))
     edges = rd.from_arrow(pa.table({
@@ -96,10 +110,12 @@ def test_jaccard_links_distributed_bitwise_matches_broadcast(ray_session,
            .to_pandas().sort_values(["subj", "obj"])
            .reset_index(drop=True))
     assert len(ref) > 0  # the formula graph must produce survivors
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 0)
+    _took(caplog, "jaccard_links", "fold")
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     out = (jaccard_links(edges, min_common=2)
            .to_pandas().sort_values(["subj", "obj"])
            .reset_index(drop=True))
+    _took(caplog, "jaccard_links", "exchange")
     pd.testing.assert_frame_equal(ref, out)
     # inclusion-exclusion invariant holds row-wise
     assert (out["union_size"]
@@ -107,7 +123,8 @@ def test_jaccard_links_distributed_bitwise_matches_broadcast(ray_session,
 
 
 def test_lpa_distributed_bitwise_matches_broadcast(ray_session,
-                                                   monkeypatch):
+                                                   monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="ray_kg")
     pairs = _dense_triples().filter(
         pa.compute.equal(pa.compute.field("pred"), "co_occurs"))
     edges = rd.from_arrow(pa.table({
@@ -116,9 +133,11 @@ def test_lpa_distributed_bitwise_matches_broadcast(ray_session,
     })).repartition(4)
     ref = label_propagation(edges, rounds=4)
     assert isinstance(ref, pa.Table)  # fold path
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 0)
+    _took(caplog, "label_propagation", "fold")
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     out = label_propagation(edges, rounds=4)
     assert isinstance(out, rd.Dataset)  # distributed path exercised
+    _took(caplog, "label_propagation", "exchange")
     a = (ref.to_pandas().sort_values("entity_id")
          .reset_index(drop=True))
     b = (out.to_pandas().sort_values("entity_id")
@@ -127,7 +146,7 @@ def test_lpa_distributed_bitwise_matches_broadcast(ray_session,
     assert a["community"].nunique() < len(a)  # labels actually spread
 
 
-def test_ktruss_matches_bruteforce(ray_session, monkeypatch):
+def test_ktruss_matches_bruteforce(ray_session, monkeypatch, caplog):
     """Fixed-round k-truss vs a plain-Python peel on the formula
     graph, for k=3 and k=4."""
     from clinicaltransformerner_ray.pipelines.graph import ktruss
@@ -159,14 +178,17 @@ def test_ktruss_matches_bruteforce(ray_session, monkeypatch):
         "subj": pa.array([a for a, _ in E], pa.string()),
         "obj": pa.array([b for _, b in E], pa.string()),
     })).repartition(4)
+    caplog.set_level(logging.INFO, logger="ray_kg")
     for k in (3, 4):
         want = brute(k, 3)
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", HUGE)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", HUGE)
         got = ktruss(edges, k=k, rounds=3).to_pandas()  # fold
+        _took(caplog, "ktruss", "fold")
         assert {(r.subj, r.obj): r.support
                 for r in got.itertuples()} == want, k
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 0)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
         dist = ktruss(edges, k=k, rounds=3).to_pandas()  # distributed
+        _took(caplog, "ktruss", "exchange")
         assert {(r.subj, r.obj): r.support
                 for r in dist.itertuples()} == want, k
     assert brute(4, 3) != brute(3, 3)  # k actually bites
@@ -241,22 +263,31 @@ def _rows(out):
     return t.schema, t.sort_by([(c, "ascending") for c in t.schema.names])
 
 
-def _run(monkeypatch, op: str, graph_name: str, cap: int):
+def _run(monkeypatch, caplog, op: str, graph_name: str, cap: int):
+    """``op`` on ``graph_name`` at ``cap``; on a graph with edges it
+    must log ``fold`` at a huge cap and ``exchange`` at cap 0 (the
+    empty graph's result type shows its path)."""
     shape, call = EXCHANGE_OPS[op]
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
-    return call(rd.from_arrow(shape(_graph(graph_name))).repartition(3))
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    caplog.clear()
+    out = call(rd.from_arrow(shape(_graph(graph_name))).repartition(3))
+    if graph_name != "empty":
+        _took(caplog, op, "exchange" if cap == 0 else "fold")
+    return out
 
 
 @pytest.mark.parametrize("graph_name", ["formula", "hub", "empty"])
 @pytest.mark.parametrize("op", sorted(EXCHANGE_OPS))
-def test_fold_equals_exchange(ray_session, monkeypatch, op, graph_name):
+def test_fold_equals_exchange(ray_session, monkeypatch, caplog, op,
+                              graph_name):
     """Cap 0 forces the exchange path, a huge cap the fold: same rows;
     same schema whenever the exchange's blocks carry one (its empty
     blocks may not); the fold's return type is the op's documented
     one.  An input with no rows folds on either cap and gives a typed
     empty result with the non-empty fold's schema."""
-    fold = _run(monkeypatch, op, graph_name, HUGE)
-    exch = _run(monkeypatch, op, graph_name, 0)
+    fold = _run(monkeypatch, caplog, op, graph_name, HUGE)
+    exch = _run(monkeypatch, caplog, op, graph_name, 0)
     table_ops = {"pagerank", "label_propagation"}
     assert isinstance(fold, pa.Table) == (op in table_ops)
     fs, ft = _rows(fold)
@@ -264,7 +295,7 @@ def test_fold_equals_exchange(ray_session, monkeypatch, op, graph_name):
     assert fs is not None  # the fold always has a schema
     if graph_name == "empty":
         assert ft.num_rows == 0 and isinstance(exch, type(fold))
-        ref_schema, _ = _rows(_run(monkeypatch, op, "hub", HUGE))
+        ref_schema, _ = _rows(_run(monkeypatch, caplog, op, "hub", HUGE))
         assert fs.equals(ref_schema), (fs, ref_schema)
         return
     if op in table_ops:
@@ -298,11 +329,11 @@ def test_each_op_logs_its_path(ray_session, monkeypatch, caplog):
     exchange path log it and the other seven raise ValueError."""
     caplog.set_level(logging.INFO, logger="ray_kg")
     t = _hub_triples()
-    default = graph.FOLD_MAX_BYTES
+    default = arrowutil.FOLD_MAX_BYTES
     for op, (shape, call) in {**EXCHANGE_OPS, **FOLD_ONLY_OPS}.items():
         for cap, path in ((default, "fold"), (0, "exchange")):
             caplog.clear()
-            monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+            monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
             ds = rd.from_arrow(shape(t))
             if path == "exchange" and op in FOLD_ONLY_OPS:
                 with pytest.raises(ValueError):
@@ -318,7 +349,7 @@ def test_each_op_logs_its_path(ray_session, monkeypatch, caplog):
 def test_fold_only_op_raises_above_cap(ray_session, monkeypatch):
     """An op with no distributed path names itself, the input's size and
     the cap when the input is above the cap."""
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", 100)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 100)
     ds = rd.from_arrow(_hub_triples()).materialize()
     size = ds.size_bytes()
     assert size > 100
@@ -385,7 +416,7 @@ def test_wedge_kernel_matches_bruteforce(ray_session, monkeypatch, seed, n,
     random graphs with a hub and isolated nodes, and on a graph with no
     edges; a ``budget`` of 20 wedges per chunk (the fold forced) merges
     several chunks, None enumerates one."""
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", HUGE)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", HUGE)
     if budget:
         monkeypatch.setattr(graph, "_WEDGE_BYTES", HUGE // budget)
         monkeypatch.setattr(graph, "_wedge_fold_ok", lambda *a: True)
@@ -452,7 +483,7 @@ def test_wedge_fold_bytes_within_budget(monkeypatch, kw):
     u, v = graph._adjacency_codes(np.zeros(leaves, np.int64),
                                   np.arange(1, leaves + 1), leaves + 1)
     cap = leaves * (leaves - 1) // 2 * graph._WEDGE_BYTES
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
     assert fold(u, v, leaves + 1) <= cap
 
     n = 3000
@@ -463,7 +494,7 @@ def test_wedge_fold_bytes_within_budget(monkeypatch, kw):
     c2 = d * (d - 1) // 2
     cap = max(min(int(c2.sum()), n * (n - 1) // 2) * 24,
               int(c2.max()) * graph._WEDGE_BYTES)
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
     assert graph._wedge_fold_ok("t", u, n)
     assert sum(1 for _ in graph._wedge_chunks(u, v)) > 4
     assert fold(u, v, n) <= 3.5 * cap
@@ -499,7 +530,7 @@ def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
     caplog.set_level(logging.INFO, logger="ray_kg")
     shape, call = EXCHANGE_OPS[op]
     ds = rd.from_arrow(shape(_star_ring())).materialize()
-    monkeypatch.setattr(graph, "FOLD_MAX_BYTES", HUGE)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", HUGE)
     def log() -> str:
         return "\n".join(r.getMessage() for r in caplog.records)
 
@@ -521,7 +552,7 @@ def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
     runs = {}
     for cap, path in ((tight, "fold"), (tight - 1, "exchange")):
         caplog.clear()
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
         runs[path] = _rows(call(ds))
         assert re.search(
             rf"^{op}: {path} \(wedge bound {bound} rows x 24 B, largest "
@@ -551,7 +582,7 @@ def test_local_bridges_self_loop_and_reversed_rows(ray_session,
     t = pa.table({"subj": subj, "pred": ["co_occurs"] * len(subj),
                   "obj": obj})
     for cap in (HUGE, 0):
-        monkeypatch.setattr(graph, "FOLD_MAX_BYTES", cap)
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
         _, got = _rows(graph.local_bridges(rd.from_arrow(t)))
         rows = got.to_pylist()
         assert sorted((r["subj"], r["obj"], r["n_common"])

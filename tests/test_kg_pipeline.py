@@ -73,10 +73,10 @@ def test_salted_equals_unsalted(ray_session, kg_out, monkeypatch):
     """Skew salting (bucketed conv groups + ghost-overlap rows) must be
     byte-identical to the unsalted grouping.  The salted build is forced
     onto the exchange path: salting shapes only that path."""
-    from clinicaltransformerner_ray.pipelines import kg
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines.kg import emit_triples, kg_pipeline
 
-    monkeypatch.setattr(kg, "FOLD_MAX_BYTES", 0)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     salted = kg_pipeline(SF, salt_span=4)["triples"].to_pandas()
     base = kg_out["triples"].to_pandas()
     key = ["subj", "pred", "obj"]
@@ -94,10 +94,10 @@ def test_ghost_buckets_mega_conversation(ray_session, monkeypatch):
     the exchange path is forced: salting shapes only that path."""
     import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines import kg
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines.kg import emit_triples
 
-    monkeypatch.setattr(kg, "FOLD_MAX_BYTES", 0)
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", 0)
     span = 8
     n_turns = 10 * span  # >2*span boundaries, all ghosts exercised
     rows = []
