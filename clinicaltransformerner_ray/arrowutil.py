@@ -26,11 +26,10 @@ when there are none.
 
 :func:`keyed_complete` is the engine's one keyed wide operator: "sort on
 the keys, then complete each sorted block", with an optional batch-local
-combine before it.  It picks its own path.  A materialized input of at
-most :data:`FOLD_MAX_BYTES` folds on the driver: the combine and the
-completion run once over every row, with no Sort.  A larger input takes
-the coalesced combine -> Sort -> per-block completion exchange.
-:func:`driver_table` makes that choice, logs it through the engine's one
+combine before it.  It picks its own path: at most :data:`FOLD_MAX_BYTES`
+to sort folds on the driver, with no Sort; more takes
+:func:`keyed_exchange`, which a pair or wedge enumeration calls itself.
+:func:`driver_table` makes the choice, logs it through the engine's one
 logger, ``logging.getLogger("ray_kg")``, and reads the one cap when it
 is called, so a test that forces a path patches ``FOLD_MAX_BYTES`` here
 and nowhere else.
@@ -309,22 +308,14 @@ def keyed_complete(ds, keys: list[str], complete, *, combine=None,
     ``combine``, when given) maps an Arrow table to an Arrow table.
     Returns a Dataset.
 
-    The input is materialized (a Sort is a full barrier anyway, and fed
-    by a lazy map a union -> Sort stalled about 10 s under a 768 MiB
-    object store against 0.4 s materialized: kg_dense, 1.3M wedge-pair
-    rows, 47 MB), then :func:`driver_table` picks the path and logs it
-    under ``op``:
+    The input is materialized, a lazy one after ``combine`` per batch
+    of :data:`COMBINE_BATCH` rows, then :func:`driver_table` picks the
+    path and logs it under ``op``:
 
     - fold, at or below :data:`FOLD_MAX_BYTES`: ``complete(t.sort_by(
-      keys))`` once on the driver, where ``t`` is ``combine(table)``
-      when a combine is given and the table itself otherwise.  One
-      block, no Ray Data execution.
-    - exchange, above the cap: ``combine`` per batch of
-      :data:`COMBINE_BATCH` rows, the input coalesced to
-      :data:`SORT_BLOCK_BYTES` blocks, one Sort on ``keys``, then
-      ``complete`` per sorted block.  Ray's range partitioner never
-      splits equal keys across blocks, so each block holds every row
-      of its keys.
+      keys))`` once on the driver, where ``t`` is the table, after
+      ``combine`` if it has not run.  One block, no Ray Data execution.
+    - exchange, above the cap: :func:`keyed_exchange`.
 
     ``complete`` must give the same rows for the whole sorted table as
     for any split of it into blocks of whole keys, and ``combine`` must
@@ -334,21 +325,37 @@ def keyed_complete(ds, keys: list[str], complete, *, combine=None,
     a typed empty table; a map over no rows has no schema and takes
     the exchange on any cap.
 
+    The cap bounds what a fold reads, not what it builds: a completion
+    whose output can outgrow its input (a pair or wedge enumeration)
+    calls :func:`keyed_exchange` and keeps its parallel block tasks.
+
     Null-key rule: Arrow ``sort_by`` puts a row with a null key last;
     the Ray Sort puts it wherever it does (Ray 2.49's range partitioner
     raises TypeError on a null in a string key).  The completion
     decides what such a row counts toward, as :func:`grouped_agg` and
     :func:`grouped_topk` do (they drop it)."""
-    import ray
     import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
 
-    m = ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+    m, combine = _materialized(ds, combine)
     tbl = driver_table(m, op=op)
-    if tbl is not None:
-        t = combine(tbl) if combine is not None else tbl
-        return rd.from_arrow(complete(
-            t.sort_by([(k, "ascending") for k in keys])))
+    if tbl is None:
+        return keyed_exchange(m, keys, complete, combine=combine)
+    t = combine(tbl) if combine is not None else tbl
+    return rd.from_arrow(complete(
+        t.sort_by([(k, "ascending") for k in keys])))
+
+
+def keyed_exchange(ds, keys: list[str], complete, *, combine=None):
+    """:func:`keyed_complete`'s exchange, on any input size: ``combine``
+    as there, the materialized input coalesced to :data:`SORT_BLOCK_BYTES`
+    blocks (no fewer than the CPUs, no more than it has), one Sort on
+    ``keys`` (Ray's range partitioner keeps equal keys in one block),
+    then ``complete`` per block.  Fed by a lazy map, a union -> Sort
+    stalled about 10 s under a 768 MiB object store against 0.4 s
+    materialized (kg_dense, 1.3M wedge-pair rows, 47 MB)."""
+    import ray
+
+    m, combine = _materialized(ds, combine)
     nb = m.num_blocks()
     want = min(nb, max(-(-m.size_bytes() // SORT_BLOCK_BYTES),
                        int(ray.cluster_resources().get("CPU", 1))))
@@ -359,6 +366,19 @@ def keyed_complete(ds, keys: list[str], complete, *, combine=None,
                           batch_size=COMBINE_BATCH)
     return m.sort(list(keys)).map_batches(
         complete, batch_format="pyarrow", batch_size=None)
+
+
+def _materialized(ds, combine):
+    """``ds`` materialized (a lazy one after ``combine``), and the
+    combine still to run."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return ds, combine
+    if combine is not None:
+        ds = ds.map_batches(combine, batch_format="pyarrow",
+                            batch_size=COMBINE_BATCH)
+    return ds.materialize(), None
 
 
 def sorted_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:

@@ -22,7 +22,11 @@ Scale notes (100 TB path):
     candidates by bucket so no stage holds the full matrix.
   - all pair emission happens in vectorized per-block passes after ONE
     sort on the bucket/shingle key (equal keys arrive whole per block);
-    outputs are pre-combined per batch before the final distinct.
+    outputs are pre-combined per block before the final distinct.  Both
+    steps are ``arrowutil.keyed_exchange`` and never fold: pairs
+    outgrow their postings, and the distinct's pandas groupby over
+    sf0.1's pairs ran slower as one driver call than in parallel
+    blocks (dedup_ngram_jaccard 1.49 vs 1.35 s, 4 CPUs).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import pyarrow as pa
 
 from clinicaltransformerner_ray.arrowutil import (
     COMBINE_BATCH, agg_fold, from_pandas_clean, grouped_agg, grouped_topk,
-    keyed_complete, topk_complete)
+    keyed_complete, keyed_exchange, topk_complete)
 
 import ray
 import ray.data as rd
@@ -185,8 +189,7 @@ def ngram_pair_stats(
                             "sa": sz[I], "sb": sz[J]})
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = keyed_complete(posts, ["shingle"], block_pairs,
-                           op="ngram_pair_stats.pairs")
+    pairs = keyed_exchange(posts, ["shingle"], block_pairs)
 
     def pair_combine(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -200,15 +203,15 @@ def ngram_pair_stats(
                 fsb=("sb", "min")).reset_index()
         return from_pandas_clean(g, preserve_index=False)
 
-    # per-block combine (batch_size=None): a bigger coalescing batch
-    # would shrink sort input only ~5% here (pairs are near-unique)
-    # while forcing the fused block_pairs->combine stage into ONE task
-    # (Ray bundles up to batch_size rows per task; 260k postings <
-    # 2^19 = a single serial task, measured 0.83 s vs 32-way parallel)
+    # per-block combine (batch_size=None), not keyed_exchange's
+    # COMBINE_BATCH: a bigger batch would shrink the final input only
+    # ~5% here (pairs are near-unique) while forcing the fused
+    # block_pairs->combine stage into ONE task (Ray bundles up to
+    # batch_size rows per task; 260k postings < 2^19 = a single serial
+    # task, measured 0.83 s vs 32-way parallel)
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return keyed_complete(partials, ["a", "b"], pair_combine,
-                          op="ngram_pair_stats")
+    return keyed_exchange(partials, ["a", "b"], pair_combine)
 
 
 def pairs_from_stats(
@@ -374,8 +377,7 @@ def minhash_lsh_pairs(
                                   "est_jaccard": pd.Series(dtype="float64")}))
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = keyed_complete(bucketed, ["bucket"], block_pairs,
-                           op="minhash_lsh_pairs.bands")
+    pairs = keyed_exchange(bucketed, ["bucket"], block_pairs)
 
     # a pair can surface from several bands: exact distinct
     def pair_combine(batch: pa.Table) -> pa.Table:
@@ -388,8 +390,7 @@ def minhash_lsh_pairs(
     # serializes the fused banding->combine stage into one task
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return keyed_complete(partials, ["doc_a", "doc_b"], pair_combine,
-                          op="minhash_lsh_pairs")
+    return keyed_exchange(partials, ["doc_a", "doc_b"], pair_combine)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +468,7 @@ def simhash_pairs(
                                   "hamming": pd.Series(dtype="int64")}))
         return from_pandas_clean(out, preserve_index=False)
 
-    pairs = keyed_complete(bucketed, ["bucket"], block_pairs,
-                           op="simhash_pairs.bands")
+    pairs = keyed_exchange(bucketed, ["bucket"], block_pairs)
 
     def pair_combine(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -480,8 +480,7 @@ def simhash_pairs(
     # serializes the fused banding->combine stage into one task
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return keyed_complete(partials, ["doc_a", "doc_b"], pair_combine,
-                          op="simhash_pairs")
+    return keyed_exchange(partials, ["doc_a", "doc_b"], pair_combine)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +596,7 @@ def embedding_dup_pairs(
             "vec_b": pa.array(np.concatenate(out_b), pa.int64()),
         })
 
-    return keyed_complete(replicated, ["bucket"], bucket_pairs,
-                          op="embedding_dup_pairs")
+    return keyed_exchange(replicated, ["bucket"], bucket_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1273,8 +1271,7 @@ def semantic_dup_pairs(
             "centroid": pa.array(np.concatenate(out_c), pa.int64()),
         })
 
-    return keyed_complete(replicated, ["bucket"], bucket_pairs,
-                          op="semantic_dup_pairs")
+    return keyed_exchange(replicated, ["bucket"], bucket_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1878,12 +1875,10 @@ def winnow_pairs(docs: rd.Dataset, *, n: int = 3, w: int = 4,
         return t.filter(keep)
 
     post = docs.map_batches(postings, batch_format="pyarrow")
-    pairs = keyed_complete(post, ["hr"], block_pairs,
-                           op="winnow_pairs.pairs")
+    pairs = keyed_exchange(post, ["hr"], block_pairs)
     partials = pairs.map_batches(pair_combine, batch_format="pyarrow",
                                  batch_size=None)
-    return keyed_complete(partials, ["doc_a", "doc_b"], finalize,
-                          op="winnow_pairs")
+    return keyed_exchange(partials, ["doc_a", "doc_b"], finalize)
 
 
 def source_losses(docs: rd.Dataset, *,

@@ -25,11 +25,12 @@ folds.  Above the cap:
     and link_prediction_ra take their distributed paths, which hold no
     per-node driver state, with outputs bit-identical to the fold
     (``tests/test_graph_distributed.py`` forces both paths).  Each of
-    their keyed steps (degrees, wedge partials, pair completions, the
-    degree joins) is one ``arrowutil.keyed_complete`` on the node or
-    pair key, which folds that step on its own when its input is under
-    the cap; pagerank's and label propagation's rounds keep their own
-    union -> Sort passes;
+    their keyed steps (degrees, pair completions, the degree joins) is
+    one ``arrowutil.keyed_complete`` on the node or pair key, which
+    folds that step on its own when its input is under the cap; the
+    wedge emissions, whose wedges outgrew the cap, never fold
+    (``arrowutil.keyed_exchange``); pagerank's and label propagation's
+    rounds keep their own union -> Sort passes;
   - the other seven have no distributed path and raise ValueError
     naming the op, the input size and the cap.
 
@@ -75,7 +76,7 @@ import ray.data as rd
 from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
     LOG, driver_table, grouped_agg, grouped_topk, keyed_complete,
-    sorted_codes, triu_pairs)
+    keyed_exchange, sorted_codes, triu_pairs)
 
 SCALE = 10 ** 12
 
@@ -361,12 +362,13 @@ def _pair_exchange(rows: rd.Dataset, finish, fn_kwargs: dict, *,
     on the center -> per-block :func:`_wedge_counts` partials (with
     ``wedge_kw``), UNIONED with the rows' :func:`_direct_rows` and
     sorted on the full (x, y) composite (equal composites land whole)
-    -> ``finish`` per block (``keyed_complete`` twice)."""
+    -> ``finish`` per block.  The wedge step never folds: this runs
+    when the wedges outgrow the cap, however few the edges."""
     kw = {"pred": pred, "a": a, "b": b}
-    partials = keyed_complete(
+    partials = keyed_exchange(
         rows.map_batches(_bidir, fn_args=(("u", "v"),), fn_kwargs=kw,
                          batch_format="pyarrow", batch_size=1 << 19),
-        ["u"], functools.partial(_wedge_counts, **wedge_kw), op="wedges")
+        ["u"], functools.partial(_wedge_counts, **wedge_kw))
     direct = rows.map_batches(_direct_rows, fn_kwargs=kw,
                               batch_format="pyarrow", batch_size=1 << 19)
     return keyed_complete(partials.union(direct), ["x", "y"],
@@ -740,10 +742,9 @@ def triangle_counts(
         return pa.table({out_col: g.column("node"),
                          "n_triangles": g.column("n")})
 
-    wed = keyed_complete(_with_degrees(ed, ed, "a", "b", None, pa.int64())
+    wed = keyed_exchange(_with_degrees(ed, ed, "a", "b", None, pa.int64())
                          .map_batches(orient, batch_format="pyarrow",
-                                      batch_size=1 << 19), ["src"], wedges,
-                         op="triangles.wedges")
+                                      batch_size=1 << 19), ["src"], wedges)
     credits = keyed_complete(ed.map_batches(
         edge_keys, batch_format="pyarrow", batch_size=1 << 19).union(wed),
         ["p", "q"], close, op="triangles.close")

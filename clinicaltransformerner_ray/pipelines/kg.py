@@ -11,11 +11,11 @@ Every wide op here is the same shape (SURVEY.md §7.4): batch-local
 COMBINE (shrinks what moves), one SORT on a high-cardinality key (Ray's
 range partitioner keeps equal keys whole in one block), then a per-block
 pass that completes the aggregation.  One function runs that shape,
-``arrowutil.keyed_complete``, and it picks its own path: a materialized
-input of at most ``arrowutil.FOLD_MAX_BYTES`` folds on the driver (the
-same combine and completion, once, no Sort), a larger one takes the
-exchange.  For the triple dedup and the entity counts both passes are
-one Arrow hash aggregate, ``arrowutil.grouped_agg``.  Triple emission
+``arrowutil.keyed_complete``, and it picks its own path: an input of
+at most ``arrowutil.FOLD_MAX_BYTES`` folds on the driver (the same
+completion, once, no Sort), a larger one (or a pair emission's)
+takes ``arrowutil.keyed_exchange``.  For the triple dedup and the
+entity counts both passes are one Arrow hash aggregate, ``arrowutil.grouped_agg``.  Triple emission
 keeps its own coded fold (``arrowutil.driver_table`` on the linked
 table): it aggregates int64 codes and decodes each distinct triple's
 strings once.  No map_groups / Aggregate operators anywhere: per-group
@@ -78,9 +78,10 @@ import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
     COMBINE_BATCH, agg_fold, driver_table, grouped_agg, keyed_complete,
-    sorted_codes, triu_pairs)
+    keyed_exchange, sorted_codes, triu_pairs)
 
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 
 from clinicaltransformerner_ray.sources.turns import (
@@ -461,21 +462,22 @@ def emit_triples(
     ``grouped_agg`` sums ``n_evidence`` and takes both ``first_*`` minima
     per (subj, pred, obj); the two minima may come from different rows.
 
-    A materialized input under ``arrowutil.FOLD_MAX_BYTES`` skips both
-    shuffles:
-    one :func:`_pair_codes` and one ``grouped_agg`` over the int64 codes
-    of every pair, on the driver, then one decode of the distinct
-    triples' strings (codes sort as their strings, so the code minima
-    decode to the string minima).  ``salt_span``/``n_buckets`` shape
-    only the exchange path, whose two ``keyed_complete`` steps each
-    materialize their input and fold it in turn when it is under the
-    cap.
+    The input is materialized (a lazy one as its distinct turn-entity
+    rows); at most ``arrowutil.FOLD_MAX_BYTES`` of it skips both
+    shuffles: one :func:`_pair_codes` and one ``grouped_agg`` over the
+    int64 codes of every pair, on the driver, then one decode of the
+    distinct triples' strings (codes sort as their strings, so the code
+    minima decode to the string minima).  ``salt_span``/``n_buckets``
+    shape only the exchange above the cap.
 
     Output: (subj, pred, obj, n_evidence, first_conv_id, first_turn_idx).
     """
     keys = ["subj", "pred", "obj"]
     aggs = [("n_evidence", "sum"), ("first_conv_id", "min"),
             ("first_turn_idx", "min")]
+    if not isinstance(linked, MaterializedDataset):
+        linked = linked.map_batches(_turn_entities, batch_format="pyarrow",
+                                    batch_size=COMBINE_BATCH).materialize()
     tbl = driver_table(linked, op="emit_triples")
     if tbl is not None:
         te = tbl.select(["conv_id", "turn_idx", "entity_id"])
@@ -489,9 +491,9 @@ def emit_triples(
             _decode_triples(ents, convs, grouped_agg(codes, keys, aggs)))
     if n_buckets is None:
         n_buckets = 65536
-    raw = keyed_complete(
+    raw = keyed_exchange(
         _bucketed_turn_entities(linked, salt_span, n_buckets), ["bucket"],
-        _block_pairs, op="emit_triples.pairs")
+        _block_pairs)
     agg = functools.partial(grouped_agg, keys=keys, aggs=aggs)
     return keyed_complete(raw, keys, agg, combine=agg,
                           op="emit_triples.dedup")
@@ -530,9 +532,8 @@ def kg_pipeline(
     quarantine_dir: str | None = None,
 ) -> dict[str, rd.Dataset]:
     """Compose the full build; returns Datasets keyed by stage.  The
-    ``entities`` and ``triples`` branches run here, eagerly: over a
-    materialized linked table under ``arrowutil.FOLD_MAX_BYTES`` they
-    fold on the driver (tens of ms).
+    ``entities`` and ``triples`` branches run here, eagerly: under
+    ``arrowutil.FOLD_MAX_BYTES`` they fold on the driver (tens of ms).
 
     The linked-mention table feeds BOTH the entity and triple branches,
     so it must not re-run the tagger twice.  Cache strategies, in
@@ -855,8 +856,8 @@ def near_cooccurrence(
     conversation's rows land whole per block), a per-block window join
     — for each offset d in 1..window an Arrow inner join of the
     turn-entity table against itself shifted by d (no Python pair
-    loops) — then a summing ``grouped_agg`` keyed on the pair, each step
-    one :func:`arrowutil.keyed_complete`.
+    loops), one :func:`arrowutil.keyed_exchange` — then a summing
+    ``grouped_agg`` keyed on the pair, one ``keyed_complete``.
     Null-key rule: a linked row with a null key pairs with nothing
     (pandas kept it, and its merge matched null conv_ids together).
 
@@ -888,8 +889,8 @@ def near_cooccurrence(
     agg = functools.partial(grouped_agg, keys=["subj", "obj", "gap"],
                             aggs=[("n_pairs", "sum")])
     return keyed_complete(
-        keyed_complete(linked, ["conv_id"], window_pairs,
-                       combine=_turn_entities, op="near_cooccurrence.window"),
+        keyed_exchange(linked, ["conv_id"], window_pairs,
+                       combine=_turn_entities),
         ["subj", "obj", "gap"], agg, combine=agg, op="near_cooccurrence")
 
 

@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    grouped_topk, keyed_complete, topk_complete)
+    grouped_topk, keyed_complete, keyed_exchange, topk_complete)
 
 import ray
 import ray.data as rd
@@ -465,9 +465,9 @@ def knn_graph(
         return pa.concat_tables(out)
 
     return topk_complete(
-        keyed_complete(vecs.map_batches(replicate, batch_format="pyarrow",
+        keyed_exchange(vecs.map_batches(replicate, batch_format="pyarrow",
                                         batch_size=1 << 16),
-                       ["bucket"], bucket_dots, op="knn_graph.buckets"),
+                       ["bucket"], bucket_dots),
         ["src_id"], order, k, rank="rk",
     ).select_columns(["src_id", "dst_id", "rk", "dot_q"])
 

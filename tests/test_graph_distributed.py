@@ -524,7 +524,8 @@ def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
     """At the tightest fold cap (the larger of the wedge bound's bytes
     and the largest center's), the op folds and every chunk the kernel
     builds stays within the budget FOLD_MAX_BYTES // _WEDGE_BYTES; one
-    byte lower, the op logs ``exchange`` and gives the same rows."""
+    byte lower, the op logs ``exchange``, enumerates no wedge on the
+    driver and gives the same rows."""
     import re
 
     caplog.set_level(logging.INFO, logger="ray_kg")
@@ -552,6 +553,7 @@ def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
     runs = {}
     for cap, path in ((tight, "fold"), (tight - 1, "exchange")):
         caplog.clear()
+        n_driver = len(chunks)
         monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
         runs[path] = _rows(call(ds))
         assert re.search(
@@ -559,6 +561,11 @@ def test_wedge_budget_hub_star(ray_session, monkeypatch, caplog, op):
             rf"center {top} wedges x 100 B, cap={cap}\)", log(), re.M), log()
         if path == "fold":
             assert chunks and max(chunks) <= cap // 100, (chunks, cap)
+        else:  # the wedges outgrew the cap, not the edges: none is
+            # enumerated on the driver
+            assert len(chunks) == n_driver, chunks
+            assert not re.search(r"^(triangles\.)?wedges: fold", log(),
+                                 re.M), log()
     if op not in ("triangle_counts", "clustering_coefficients"):
         assert len(chunks) > 1  # the hub and the ring took two chunks
     assert runs["fold"][0].equals(runs["exchange"][0])

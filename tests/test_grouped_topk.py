@@ -263,9 +263,9 @@ def test_winnow_pairs_raises_on_a_bucket_past_the_cap(ray_session):
         "doc_id": pa.array(range(6), pa.int64()),
         "text": pa.array([text] * 6, pa.string()),
     }))
-    # the driver fold raises the ValueError itself; on the exchange Ray
-    # re-raises it as a RayTaskError that is also a ValueError
-    with pytest.raises(ValueError, match=r"winnow_pairs: "
+    # Ray re-raises a task's error as RayTaskError(UserCodeException);
+    # the ValueError and its message travel in the text
+    with pytest.raises(Exception, match=r"ValueError: winnow_pairs: "
                        r"hash \d+ is shared by 6 docs"):
         winnow_pairs(docs, n=3, w=4, min_shared=1,
                      max_bucket=4).materialize()

@@ -2,8 +2,10 @@
 each case runs at cap 0 (the coalesced combine -> Sort -> per-block
 completion exchange) and at a huge cap (one driver fold), and the two
 results must be bit-equal.  Each leg must log the path it was forced
-onto through the ``ray_kg`` logger.  The dedup family, whose keyed steps
-all run through it, is checked the same way on sf0.001, and the
+onto through the ``ray_kg`` logger.  ``arrowutil.keyed_exchange``, its
+exchange, which pair and wedge enumerations run directly, never folds.
+The dedup family, whose other keyed steps all run through
+``keyed_complete``, is checked the same way on sf0.001, and the
 query-set top-k searches are checked to fold by default."""
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
-    grouped_agg, grouped_topk, keyed_complete)
+    grouped_agg, grouped_topk, keyed_complete, keyed_exchange)
 
 SF = "/root/testdata/sf0.001"
 HUGE = 1 << 40
@@ -195,18 +197,58 @@ def test_map_over_no_rows_has_no_schema(ray_session, monkeypatch, caplog):
     assert got[0] == got[1]
 
 
+def test_lazy_input_sizes_its_combined_rows(ray_session, monkeypatch,
+                                            caplog):
+    """A lazy input runs its combine before it is materialized, so the
+    choice sizes the combined partials: at a cap under the raw rows'
+    size, the lazy input folds, the same rows already materialized take
+    the exchange, and both give the same table."""
+    raw = _rows(3000)
+    agg = functools.partial(grouped_agg, keys=["g1"], aggs=[("v", "sum")])
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", raw.nbytes // 2)
+    got = {}
+    for name, ds in (("lazy", _ds(raw)),
+                     ("materialized", _ds(raw).materialize())):
+        caplog.clear()
+        got[name] = _table(keyed_complete(ds, ["g1"], agg, combine=agg,
+                                          op=name))
+        assert [m.split(" (")[0] for m in _logged(caplog)] == [
+            f"{name}: {'fold' if name == 'lazy' else 'exchange'}"]
+    _assert_bit_equal(got["lazy"], got["materialized"])
+
+
+def test_keyed_exchange_never_folds(ray_session, monkeypatch, caplog):
+    """``keyed_exchange`` takes the Sort on any cap: at a huge cap it
+    logs no choice, gives more than the fold's one block, and the same
+    rows as ``keyed_complete``'s fold."""
+    agg = functools.partial(grouped_agg, keys=["g1", "g2"],
+                            aggs=[("v", "sum")])
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", HUGE)
+    out = keyed_exchange(_ds(_rows()), ["g1", "g2"], agg).materialize()
+    assert _logged(caplog) == []
+    assert out.num_blocks() > 1
+    _assert_bit_equal(_table(keyed_complete(
+        _ds(_rows()), ["g1", "g2"], agg, op="fold")), _table(out))
+
+
 # -- the families routed through it ----------------------------------------
 
-DEDUP_QUERIES = ["dedup_exact", "dedup_minhash", "dedup_simhash",
-                 "dedup_embedding", "dedup_clusters", "dedup_substring",
-                 "dedup_span_rewrite", "dedup_winnow_pairs",
-                 "dedup_source_losses", "dedup_report"]
+# dedup_embedding, dedup_minhash, dedup_simhash and dedup_winnow_pairs
+# are left out: their keyed steps are pair emissions and pair distincts,
+# keyed_exchange on any cap, so there is no path to force
+DEDUP_QUERIES = ["dedup_exact", "dedup_clusters", "dedup_substring",
+                 "dedup_span_rewrite", "dedup_source_losses",
+                 "dedup_calibration", "dedup_report"]
 
 
 @pytest.mark.parametrize("name", DEDUP_QUERIES)
 def test_dedup_fold_equals_exchange(ray_session, monkeypatch, caplog, name):
-    """Every keyed step of the dedup family is one ``keyed_complete``:
-    the query gives the same rows at cap 0 as at a huge cap."""
+    """Every keyed step of the dedup family is one ``keyed_complete``,
+    or a ``keyed_exchange`` for a pair emission or distinct, which takes
+    the Sort on both legs: the query gives the same rows at cap 0 as at
+    a huge cap."""
     import __ray_entry__ as E
 
     fold, exch = _both(monkeypatch, caplog,
