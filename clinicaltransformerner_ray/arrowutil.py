@@ -34,6 +34,12 @@ logger, ``logging.getLogger("ray_kg")``, and reads the one cap when it
 is called, so a test that forces a path patches ``FOLD_MAX_BYTES`` here
 and nowhere else.
 
+:func:`attach_state` is the one vertex-round exchange: each edge row
+meets its node's state row in one :func:`keyed_complete` on ``node``,
+and the caller's ``emit`` turns them into messages that the caller
+folds per receiver.  Connected components (``dedup.dup_clusters``),
+pagerank and label propagation run their exchange rounds through it.
+
 :func:`agg_fold` is the one keyed driver fold: a running
 :func:`grouped_agg` over a Dataset's blocks whose accumulator is checked
 against :data:`FOLD_MAX_BYTES`, for results that are bounded by a
@@ -258,7 +264,8 @@ def agg_fold(ds, keys: list[str], aggs: list[tuple[str, str]], *,
     return acc.sort_by([(c, "ascending") for c in keys]) if keys else acc
 
 
-def driver_table(ds, *, op: str = "") -> pa.Table | None:
+def driver_table(ds, *, op: str = "",
+                 empty: pa.Table | None = None) -> pa.Table | None:
     """Every row of ``ds`` as one driver-side table, or None.
 
     The rows come back only when ``ds`` is a ``MaterializedDataset`` of
@@ -269,7 +276,8 @@ def driver_table(ds, *, op: str = "") -> pa.Table | None:
     so nothing is executed just to choose.  A materialized input with no
     rows gives its schema's empty table on any cap, so the fold returns
     a typed empty result; with no schema (a map over no rows has none)
-    it gives None.  Blocks are fetched with
+    it gives ``empty``, the caller's typed empty input, or None when
+    there is none.  Blocks are fetched with
     ``ray.get(ds.to_arrow_refs())`` and joined with
     ``concat_tables(promote_options="default")``.
 
@@ -286,9 +294,10 @@ def driver_table(ds, *, op: str = "") -> pa.Table | None:
     size = ds.size_bytes() if isinstance(ds, MaterializedDataset) else None
     rows = None if size is None else ds.count()
     schema = ds.schema() if rows == 0 else None
-    empty = (schema.base_schema.empty_table()
-             if schema is not None
-             and isinstance(schema.base_schema, pa.Schema) else None)
+    if schema is not None and isinstance(schema.base_schema, pa.Schema):
+        empty = schema.base_schema.empty_table()
+    elif rows != 0:
+        empty = None
     fold = empty is not None or bool(rows) and size <= FOLD_MAX_BYTES
     LOG.info("%s: %s (size_bytes=%s, cap=%d)", op or "driver_table",
              "fold" if fold else "exchange",
@@ -379,6 +388,58 @@ def _materialized(ds, combine):
         ds = ds.map_batches(combine, batch_format="pyarrow",
                             batch_size=COMBINE_BATCH)
     return ds.materialize(), None
+
+
+def attach_state(state, edges, emit, *, op: str):
+    """One vertex round's exchange: every ``edges`` row meets the state
+    row of its ``node``, and ``emit`` turns them into messages.  Returns
+    the message Dataset, which the caller folds per receiver with its
+    own :func:`keyed_complete`.
+
+    ``state`` is a materialized Dataset of one row per ``node`` plus
+    value columns; ``edges`` is a Dataset of (``node``, ``dst``) rows
+    of the node's type.  Both are padded with typed nulls to one union,
+    tagged by an ``_edge`` flag, that goes through one
+    :func:`keyed_complete` on ``node``, so a round under the cap folds
+    on its own.  Per sorted block, the completion splits the state rows
+    from the edge rows, attaches each edge to its node's state row
+    (``index_in``: node ids are unique among a block's state rows; an
+    edge whose node has no state row is dropped), and returns
+    ``emit(state_rows, attached_edges)``: the state rows as given, and
+    the (node, dst) edge rows with the state's value columns appended.
+    ``emit`` must give the same messages for any split of the nodes
+    into blocks."""
+    schema = state.schema().base_schema
+    vals = [f for f in schema if f.name != "node"]
+    node_type = schema.field("node").type
+
+    def pad(batch: pa.Table, edge: bool) -> pa.Table:
+        n = batch.num_rows
+        cols = {"node": batch.column("node")}
+        for f in vals:
+            cols[f.name] = pa.nulls(n, f.type) if edge else batch.column(
+                f.name)
+        cols["dst"] = batch.column("dst") if edge else pa.nulls(n, node_type)
+        cols["_edge"] = pa.array(np.full(n, edge))
+        return pa.table(cols)
+
+    def complete(t: pa.Table) -> pa.Table:
+        edge = t.column("_edge")
+        s = t.filter(pc.invert(edge)).select(["node"] + [f.name for f in vals])
+        e = t.filter(edge).select(["node", "dst"])
+        pos = pc.index_in(e.column("node"), value_set=s.column("node"))
+        if pos.null_count:
+            e, pos = e.filter(pc.is_valid(pos)), pos.drop_null()
+        for f in vals:
+            e = e.append_column(f.name, s.column(f.name).take(pos))
+        return emit(s, e)
+
+    return keyed_complete(
+        state.map_batches(pad, fn_args=(False,), batch_format="pyarrow",
+                          batch_size=None)
+        .union(edges.map_batches(pad, fn_args=(True,),
+                                 batch_format="pyarrow", batch_size=None)),
+        ["node"], complete, op=op)
 
 
 def sorted_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:

@@ -31,16 +31,19 @@ Scale notes (100 TB path):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    COMBINE_BATCH, agg_fold, from_pandas_clean, grouped_agg, grouped_topk,
-    keyed_complete, keyed_exchange, topk_complete)
+    COMBINE_BATCH, agg_fold, attach_state, driver_table, from_pandas_clean,
+    grouped_agg, grouped_topk, keyed_complete, keyed_exchange, sorted_codes,
+    topk_complete)
 
 import ray
 import ray.data as rd
@@ -613,147 +616,64 @@ def dup_clusters(
     ``doc_id == cluster_id``.
 
     Iterative min-label propagation with FUSED POINTER JUMPING: each
-    round is one propagate step over the engine's standard sorted joins
-    (labels co-located with their outgoing edges emit label messages; a
-    min-groupby folds messages into new labels), where the edge set is
-    augmented per round with shortcut edges ``(src=label[v], dst=v)`` —
-    so in the SAME sorted join every node also receives
-    ``label(label(v))``, the classic pointer jump, at zero extra
-    stages.  Propagation alone needs O(component diameter) rounds; with
-    the jump, remaining path length halves per round, so rounds =
-    O(log diameter) — ``max_iters=16`` covers diameters to ~2^15 even
-    for pathological near-dup chains.  Each round MATERIALIZES the
-    label table (one small row per node) — iterative algorithms on lazy
-    Datasets would otherwise re-execute the whole upstream lineage
-    every round — and repartitions it back to the edge table's block
-    count (Ray sort output partitions = input blocks, so unbounded
-    unions would grow task counts geometrically round over round).
+    round every node takes the min of its own label, its neighbors'
+    labels and its label's label (``label(label(v))``, the classic
+    pointer jump), so the remaining path length halves per round:
+    rounds = O(log diameter), and ``max_iters=16`` covers diameters to
+    ~2^15 even for pathological near-dup chains.
+
+    The (doc_a, doc_b) columns are materialized once and
+    ``arrowutil.driver_table`` picks the path, logged as
+    ``dup_clusters``.  Fold, at or below the
+    cap: the round over sorted int64 node codes on the driver, with no
+    Ray Data execution per round::
+
+        new = lab.copy()
+        np.minimum.at(new, d, lab[s])
+        new = np.minimum(new, lab[lab])
+
+    Exchange, above it: labels are a Dataset (node, label), and each
+    round is one ``arrowutil.attach_state`` over the edges plus one
+    shortcut edge (label(v) -> v) per node whose label is not its own,
+    then one ``keyed_complete`` on the receiver taking the min label.
+    Each round's labels are materialized (iterative lineage
+    truncation); ``keyed_complete`` coalesces each exchange to at most
+    about the cluster's CPU count of blocks, so the label table's block
+    count stays flat round over round.  Both paths run the same rounds,
+    so their outputs are equal at every ``max_iters``, converged or not.
 
     If the loop exits without converging the result is WRONG (split
     clusters); per ``on_max_iters`` this logs a warning (``"warn"``) or
     raises (``"raise"``) — never silent.
 
     Input pairs may be any of this module's pair outputs (columns
-    doc_a, doc_b); only documents appearing in a pair get a row.
-    Node ids must be >= 0 (-1 is the internal join sentinel)."""
-
-    def edges_both(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False)
-        b = batch.column("doc_b").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(np.concatenate([a, b]), pa.int64()),
-            "dst": pa.array(np.concatenate([b, a]), pa.int64()),
-        })
-
-    edges = pairs.map_batches(
-        edges_both, batch_format="pyarrow").materialize()
-    if edges.count() == 0:  # no dup pairs: empty cluster table
-        return rd.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "cluster_id": pa.array([], pa.int64()),
-        }))
-    # per-round block budget for the label table: Ray sort's output
-    # partition count equals its input block count, and each round
-    # unions labels with edges (propagate) or labels with labels
-    # (jump) — without a bound, label blocks GROW GEOMETRICALLY round
-    # over round (measured: round-2 propagate 4x slower than round 1).
-    # Repartitioning the tiny per-node table back to the edge table's
-    # own block count keeps every round's task count constant.
-    n_label_blocks = max(1, edges.num_blocks())
-
-    def init_labels(batch: pa.Table) -> pa.Table:
-        src = batch.column("src").to_numpy()
-        u = np.unique(src)
-        return pa.table({"node": pa.array(u, pa.int64()),
-                         "label": pa.array(u, pa.int64())})
-
-    def label_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("node", sort=False)["label"].min().reset_index()
-        return from_pandas_clean(g, preserve_index=False)
-
-    init = edges.map_batches(init_labels, batch_format="pyarrow",
-                             batch_size=COMBINE_BATCH)
-    labels = keyed_complete(init, ["node"], label_combine,
-                            op="dup_clusters.init").materialize()
-
-    def lab_rows(batch: pa.Table) -> pa.Table:
-        """Label row joins the union as (src=node, dst=-1, label)."""
-        return pa.table({
-            "src": batch.column("node"),
-            "dst": pa.array([-1] * batch.num_rows, pa.int64()),
-            "label": batch.column("label"),
-        })
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("src"),
-            "dst": batch.column("dst"),
-            "label": pa.array([-1] * batch.num_rows, pa.int64()),
-        })
-
-    def propagate(batch: pa.Table) -> pa.Table:
-        """Block holds each node's label row (dst == -1) and its
-        outgoing edges, co-located by the sort on src; emit (dst,
-        label) messages plus the node's own (node, label, old) row."""
-        df = batch.to_pandas()
-        lab = df[df["dst"] == -1][["src", "label"]]
-        edg = df[df["dst"] != -1][["src", "dst"]]
-        msgs = edg.merge(lab, on="src")
-        sentinel = np.iinfo(np.int64).max
-        out = pd.DataFrame({
-            "node": pd.concat([lab["src"], msgs["dst"]],
-                              ignore_index=True).astype("int64"),
-            "label": pd.concat([lab["label"], msgs["label"]],
-                               ignore_index=True).astype("int64"),
-            # `old` survives the min-fold only from the node's own row
-            "old": pd.concat(
-                [lab["label"],
-                 pd.Series(np.full(len(msgs), sentinel))],
-                ignore_index=True).astype("int64"),
-        })
-        return from_pandas_clean(out, preserve_index=False)
-
-    def fold(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("node", sort=False).agg(
-            label=("label", "min"), old=("old", "min")).reset_index()
-        g["changed"] = (g["label"] != g["old"]).astype("int64")
-        return from_pandas_clean(g, preserve_index=False)
-
-    def shortcut_rows(batch: pa.Table) -> pa.Table:
-        """Pointer-jump edges (src=label[v], dst=v): in the sorted join
-        the block holding src=L also holds L's label row, so v receives
-        label(label(v)) through the ordinary propagate machinery.  Every
-        label value IS a node id (labels are mins of node ids), so src
-        always has a definition.  Self-labeled nodes emit nothing."""
-        df = batch.to_pandas()
-        df = df[df["node"] != df["label"]]
-        return pa.table({
-            "src": pa.array(df["label"].to_numpy(np.int64), pa.int64()),
-            "dst": pa.array(df["node"].to_numpy(np.int64), pa.int64()),
-            "label": pa.array(np.full(len(df), -1), pa.int64()),
-        })
-
-    n_changed = 0
-    for _ in range(max_iters):
-        both = (labels.map_batches(lab_rows, batch_format="pyarrow")
-                .union(edges.map_batches(edge_rows,
-                                         batch_format="pyarrow"))
-                .union(labels.map_batches(shortcut_rows,
-                                          batch_format="pyarrow")))
-        prop = keyed_complete(both, ["src"], propagate,
-                              op="dup_clusters.propagate")
-        folded = keyed_complete(prop, ["node"], fold,
-                                op="dup_clusters.fold").materialize()
-        n_changed = agg_fold(
-            folded.select_columns(["changed"]), [], [("changed", "sum")],
-            op="dup_clusters").column("changed")[0].as_py()
-        labels = (folded.map_batches(
-            lambda b: b.select(["node", "label"]), batch_format="pyarrow")
-            .repartition(n_label_blocks).materialize())
-        if n_changed == 0:
-            break
+    doc_a, doc_b); only documents appearing in a pair get a row.  Node
+    ids must not be null."""
+    src = pairs.select_columns(["doc_a", "doc_b"]).materialize()
+    tbl = driver_table(src, op="dup_clusters", empty=pa.table(
+        {c: pa.array([], pa.int64()) for c in ("doc_a", "doc_b")}))
+    if tbl is not None:
+        nodes, (a, b) = sorted_codes(tbl.column("doc_a").cast(pa.int64()),
+                                     tbl.column("doc_b").cast(pa.int64()))
+        s, d = np.concatenate([a, b]), np.concatenate([b, a])
+        lab = np.arange(len(nodes))
+        n_changed = 0
+        for _ in range(max_iters):
+            new = lab.copy()
+            np.minimum.at(new, d, lab[s])
+            new = np.minimum(new, lab[lab])
+            n_changed = int((new != lab).sum())
+            lab = new
+            if n_changed == 0:
+                break
+        out = rd.from_arrow(pa.table({
+            "doc_id": nodes, "cluster_id": nodes.take(pa.array(lab))}))
+    else:
+        labels, n_changed = _components_exchange(src, max_iters)
+        out = labels.map_batches(
+            lambda t: pa.table({"doc_id": t.column("node"),
+                                "cluster_id": t.column("label")}),
+            batch_format="pyarrow")
     if n_changed != 0:
         msg = (f"dup_clusters: label propagation did NOT converge after "
                f"max_iters={max_iters} rounds ({n_changed} labels still "
@@ -761,14 +681,71 @@ def dup_clusters(
         if on_max_iters == "raise":
             raise RuntimeError(msg)
         _LOG.warning(msg)
+    return out
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("node"),
-            "cluster_id": batch.column("label"),
-        })
 
-    return labels.map_batches(finalize, batch_format="pyarrow")
+def _components_exchange(src: rd.Dataset, max_iters: int):
+    """:func:`dup_clusters`' exchange rounds over the materialized pairs
+    ``src``: (the materialized (node, label) Dataset, labels changed in
+    the last round)."""
+
+    def both(t: pa.Table) -> pa.Table:
+        a = t.column("doc_a").cast(pa.int64()).combine_chunks()
+        b = t.column("doc_b").cast(pa.int64()).combine_chunks()
+        return pa.table({"node": pa.concat_arrays([a, b]),
+                         "dst": pa.concat_arrays([b, a])})
+
+    def jumps(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.not_equal(t.column("node"), t.column("label")))
+        return pa.table({"node": t.column("label"), "dst": t.column("node")})
+
+    mins = [("label", "min"), ("old", "min")]
+
+    def messages(s: pa.Table, e: pa.Table) -> pa.Table:
+        """Each node's own (label, old=label) row and one (dst, label,
+        old=INT64_MAX) row per edge: ``old`` survives the min only from
+        the node's own row."""
+        return grouped_agg(pa.table({
+            "node": pa.concat_arrays([s.column("node").combine_chunks(),
+                                      e.column("dst").combine_chunks()]),
+            "label": pa.concat_arrays([s.column("label").combine_chunks(),
+                                       e.column("label").combine_chunks()]),
+            "old": np.concatenate([
+                s.column("label").to_numpy(),
+                np.full(e.num_rows, np.iinfo(np.int64).max)])}),
+            ["node"], mins)
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = grouped_agg(t, ["node"], mins)
+        return pa.table({"node": g.column("node"), "label": g.column("label"),
+                         "changed": pc.not_equal(g.column("label"),
+                                                 g.column("old"))
+                         .cast(pa.int64())})
+
+    def own(t: pa.Table) -> pa.Table:
+        g = grouped_agg(t, ["node"], [])
+        return g.append_column("label", g.column("node"))
+
+    edges = src.map_batches(both, batch_format="pyarrow",
+                            batch_size=COMBINE_BATCH).materialize()
+    labels = keyed_complete(
+        edges, ["node"], own, combine=functools.partial(
+            grouped_agg, keys=["node"], aggs=[]),
+        op="dup_clusters.init").materialize()
+    n_changed = 0
+    for _ in range(max_iters):
+        folded = keyed_complete(
+            attach_state(labels, edges.union(labels.map_batches(
+                jumps, batch_format="pyarrow")), messages,
+                op="dup_clusters.attach"),
+            ["node"], fold, op="dup_clusters.fold").materialize()
+        n_changed = agg_fold(
+            folded.select_columns(["changed"]), [], [("changed", "sum")],
+            op="dup_clusters").column("changed")[0].as_py()
+        labels = folded.select_columns(["node", "label"]).materialize()
+        if n_changed == 0:
+            break
+    return labels, n_changed
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ folds.  Above the cap:
     one ``arrowutil.keyed_complete`` on the node or pair key, which
     folds that step on its own when its input is under the cap; the
     wedge emissions, whose wedges outgrew the cap, never fold
-    (``arrowutil.keyed_exchange``); pagerank's and label propagation's
-    rounds keep their own union -> Sort passes;
+    (``arrowutil.keyed_exchange``); each pagerank and label propagation
+    round is one ``arrowutil.attach_state`` exchange (edges meet their
+    node's state row) and one ``keyed_complete`` fold of its messages
+    on the receiver, the round ``dedup.dup_clusters`` also runs;
   - the other seven have no distributed path and raise ValueError
     naming the op, the input size and the cap.
 
@@ -64,7 +66,6 @@ Overflow: per-node rank sums are bounded by the total mass 1e12; the
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -75,8 +76,8 @@ import ray.data as rd
 
 from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
-    LOG, driver_table, grouped_agg, grouped_topk, keyed_complete,
-    keyed_exchange, sorted_codes, triu_pairs)
+    LOG, attach_state, driver_table, grouped_agg, grouped_topk,
+    keyed_complete, keyed_exchange, sorted_codes, triu_pairs)
 
 SCALE = 10 ** 12
 
@@ -93,12 +94,9 @@ def _fold_edges(src, op: str, cols: list[str]) -> pa.Table | None:
     An input with no rows always folds: with no schema (a map over no
     rows has none) it gives an empty string table of ``cols``, which
     every caller casts or filters."""
-    tbl = driver_table(src, op=op)
-    if tbl is not None:
-        return tbl.select(cols)
-    if src.count():
-        return None
-    return pa.table({c: pa.array([], pa.string()) for c in cols})
+    tbl = driver_table(src, op=op, empty=_empty(
+        **{c: pa.string() for c in cols}))
+    return None if tbl is None else tbl.select(cols)
 
 
 def _edge_table(ds: rd.Dataset, op: str, cols: list[str]) -> pa.Table:
@@ -436,14 +434,14 @@ def pagerank(triples: rd.Dataset, *, iters: int = 5,
     Fold (the module rule): degrees and ranks are numpy arrays over
     sorted node codes, each round one ``np.add.at`` of integer shares;
     returns a pa.Table (entity_id, rank_e12 BIGINT).  Exchange: NO
-    per-node driver state, every round two sorts
-    (:func:`_pagerank_distributed`); returns the rank Dataset.  Integer
-    arithmetic makes the two paths exactly equal."""
+    per-node driver state, every round one state exchange and one fold
+    of the shares (:func:`_pagerank_distributed`); returns the rank
+    Dataset.  Integer arithmetic makes the two paths exactly equal."""
     src = triples.materialize()
     tbl = _fold_edges(src, "pagerank", _TRIPLE_COLS)
     if tbl is None:
         edges = src.map_batches(
-            _bidir, fn_args=(("src", "dst"),), fn_kwargs={"pred": "co_occurs"},
+            _bidir, fn_args=(("node", "dst"),), fn_kwargs={"pred": "co_occurs"},
             batch_format="pyarrow", batch_size=1 << 19).materialize()
         return _pagerank_distributed(edges, iters=iters,
                                      damping_pct=damping_pct)
@@ -464,151 +462,53 @@ def pagerank(triples: rd.Dataset, *, iters: int = 5,
                      "rank_e12": pa.array(rank, pa.int64())})
 
 
-def _pagerank_distributed(
-    edges: rd.Dataset,
-    *,
-    iters: int,
-    damping_pct: int,
-) -> rd.Dataset:
-    """Large-graph PageRank: NO per-node driver state (the
-    kg_components sorted-completion shape applied to iterative rank).
-
-    ``edges`` is the materialized bidirectional (src, dst) table.  Node
-    state lives as a Dataset (node, deg, rank); each iteration is two
-    sorts on the high-cardinality node key:
-
-      1. ATTACH — union(edge rows, state rows) sorted on node: equal
-         keys land whole per block (the range-partitioner invariant),
-         so each block holds every edge of its nodes AND their one
-         state row; a vectorized merge computes rank // deg shares and
-         emits per-block (dst, partial_sum) rows — O(distinct dst per
-         block), never O(edges).
-      2. SUM+REJOIN — union(share partials, degree rows) sorted on
-         node: per block, integer partial sums total per node (sums
-         commute exactly — the integer fixed-point contract) and the
-         new rank = base + damping * total // 100 rebuilds the state
-         row in the same pass.
-
-    Each iteration's state is materialized (iterative lineage
-    truncation, the dup_clusters precedent).  Output: Dataset
-    (entity_id, rank_e12), bit-identical to the fold."""
-    deg = _degrees_ds(edges, ("src",), "node", "d").materialize()
+def _pagerank_distributed(edges: rd.Dataset, *, iters: int,
+                          damping_pct: int) -> rd.Dataset:
+    """Large-graph PageRank with NO per-node driver state, over the
+    materialized bidirectional (node, dst) ``edges``.  Node state is a
+    Dataset (node, deg, rank); each round is one
+    ``arrowutil.attach_state`` exchange, whose messages are each edge's
+    integer share rank // deg for its dst plus each node's own row
+    carrying ``deg``, and one ``keyed_complete`` on the receiver that
+    sums the shares, keeps the max ``deg`` and rebuilds the rank.  Each
+    round's state is materialized (iterative lineage truncation).
+    Output: Dataset (entity_id, rank_e12), bit-identical to the fold."""
+    deg = _degrees_ds(edges, ("node",), "node", "deg").materialize()
     n = deg.count()
     if n == 0:
         return rd.from_arrow(_empty(entity_id=pa.string(),
                                     rank_e12=pa.int64()))
     base = (SCALE * (100 - damping_pct) // 100) // n
-    r0 = SCALE // n
+    aggs = [("s", "sum"), ("deg", "max")]
 
-    def init_state(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch.column("node"),
-            "deg": batch.column("d"),
-            "rank": pa.array(np.full(batch.num_rows, r0, np.int64),
-                             pa.int64()),
-        })
+    def shares(s: pa.Table, e: pa.Table) -> pa.Table:
+        share = e.column("rank").to_numpy() // e.column("deg").to_numpy()
+        return grouped_agg(pa.table({
+            "node": pa.concat_arrays([e.column("dst").combine_chunks(),
+                                      s.column("node").combine_chunks()]),
+            "s": np.concatenate([share, np.zeros(s.num_rows, np.int64)]),
+            "deg": pa.concat_arrays([_zeros(e.num_rows),
+                                     s.column("deg").combine_chunks()])}),
+            ["node"], aggs)
 
-    state = deg.map_batches(init_state,
-                            batch_format="pyarrow").materialize()
+    def rebuild(t: pa.Table) -> pa.Table:
+        g = grouped_agg(t, ["node"], aggs)
+        rank = base + damping_pct * g.column("s").to_numpy() // 100
+        return pa.table({"node": g.column("node"), "deg": g.column("deg"),
+                         "rank": pa.array(rank, pa.int64())})
 
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "node": batch.column("src"),
-            "dst": batch.column("dst"),
-            "deg": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "rank": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "side": pa.array(np.ones(m, np.int8), pa.int8()),
-        })
-
-    def state_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "node": batch.column("node"),
-            "dst": pa.array([""] * m, pa.string()),
-            "deg": batch.column("deg"),
-            "rank": batch.column("rank"),
-            "side": pa.array(np.zeros(m, np.int8), pa.int8()),
-        })
-
-    def emit_shares(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        st = df[df["side"] == 0][["node", "deg", "rank"]]
-        ed = df[df["side"] == 1][["node", "dst"]]
-        if ed.empty:
-            return pa.table({"node": pa.array([], pa.string()),
-                             "s": pa.array([], pa.int64())})
-        m = ed.merge(st, on="node")  # every src's state row is in-block
-        share = (m["rank"].to_numpy(dtype=np.int64)
-                 // m["deg"].to_numpy(dtype=np.int64))
-        g = (pd.DataFrame({"node": m["dst"].to_numpy(), "s": share})
-             .groupby("node", sort=False)["s"].sum().reset_index())
-        return pa.table({
-            "node": pa.array(g["node"].tolist(), pa.string()),
-            "s": pa.array(np.asarray(g["s"], np.int64), pa.int64()),
-        })
-
-    def share_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "node": batch.column("node"),
-            "s": batch.column("s"),
-            "deg": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "side": pa.array(np.zeros(m, np.int8), pa.int8()),
-        })
-
-    def deg_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "node": batch.column("node"),
-            "s": pa.array(np.zeros(m, np.int64), pa.int64()),
-            "deg": batch.column("deg"),
-            "side": pa.array(np.ones(m, np.int8), pa.int8()),
-        })
-
-    def rebuild(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        st = df[df["side"] == 1]
-        if st.empty:
-            return pa.table({
-                "node": pa.array([], pa.string()),
-                "deg": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-            })
-        sums = (df[df["side"] == 0].groupby("node", sort=False)["s"]
-                .sum())
-        total = (st["node"].map(sums).fillna(0)
-                 .to_numpy(dtype=np.int64))
-        return pa.table({
-            "node": pa.array(st["node"].tolist(), pa.string()),
-            "deg": pa.array(st["deg"].to_numpy(dtype=np.int64),
-                            pa.int64()),
-            "rank": pa.array(base + damping_pct * total // 100,
-                             pa.int64()),
-        })
-
+    state = deg.map_batches(
+        lambda b: b.append_column("rank", pa.array(
+            np.full(b.num_rows, SCALE // n, np.int64))),
+        batch_format="pyarrow").materialize()
     for _ in range(iters):
-        shares = (edges.map_batches(edge_rows, batch_format="pyarrow")
-                  .union(state.map_batches(state_rows,
-                                           batch_format="pyarrow"))
-                  .sort("node")
-                  .map_batches(emit_shares, batch_format="pyarrow",
-                               batch_size=None))
-        state = (shares.map_batches(share_rows, batch_format="pyarrow")
-                 .union(state.map_batches(deg_rows,
-                                          batch_format="pyarrow"))
-                 .sort("node")
-                 .map_batches(rebuild, batch_format="pyarrow",
-                              batch_size=None)
-                 .materialize())
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "entity_id": batch.column("node"),
-            "rank_e12": batch.column("rank"),
-        })
-
-    return state.map_batches(final, batch_format="pyarrow")
+        state = keyed_complete(
+            attach_state(state, edges, shares, op="pagerank.shares"),
+            ["node"], rebuild, op="pagerank.rank").materialize()
+    return state.map_batches(
+        lambda b: pa.table({"entity_id": b.column("node"),
+                            "rank_e12": b.column("rank")}),
+        batch_format="pyarrow")
 
 
 # -- triangles and clustering ------------------------------------------------
@@ -1109,11 +1009,11 @@ def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
     are harmless.
 
     Fold (the module rule): labels are sorted node codes, so code order
-    is label order; each round is one ``grouped_agg`` of
-    (voter, neighbor label) votes and a k=1 ``grouped_topk`` cut under
-    (count DESC, label ASC).  Returns a small pa.Table (entity_id,
-    community); it may exit early at a fixed point, where extra rounds
-    are no-ops on both paths.  Exchange: NO per-node driver state
+    is label order; each round is one :func:`_vote` over the (voter,
+    neighbor label) votes, the ``grouped_agg`` and k=1 ``grouped_topk``
+    cut under (count DESC, label ASC) that the exchange also runs.
+    Returns a small pa.Table (entity_id, community); it may exit early
+    at a fixed point, where extra rounds are no-ops on both paths.  Exchange: NO per-node driver state
     (:func:`_lpa_distributed`); returns the community Dataset.
     Integer votes and a lexicographic tie-break make the two paths
     bit-identical.
@@ -1128,7 +1028,8 @@ def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
     tbl = _fold_edges(src, "label_propagation", _PAIR_COLS)
     if tbl is None:
         # consumed once per round + once for the node set: materialize
-        ed = src.map_batches(_bidir, batch_format="pyarrow",
+        ed = src.map_batches(_bidir, fn_args=(("node", "dst"),),
+                             batch_format="pyarrow",
                              batch_size=1 << 19).materialize()
         return _lpa_distributed(ed, rounds=rounds)
 
@@ -1137,11 +1038,8 @@ def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
     voter = pa.array(a)
     lab = np.arange(len(nodes))
     for _ in range(rounds):
-        votes = grouped_agg(pa.table({"v": voter, "nl": lab[b],
-                                      "c": _ones(len(a))}),
-                            ["v", "nl"], [("c", "sum")])
-        best = grouped_topk(votes, ["v"], [("c", "descending"),
-                                           ("nl", "ascending")], 1)
+        best = _vote(pa.table({"v": voter, "nl": lab[b],
+                               "c": _ones(len(a))}))
         new = lab.copy()
         new[best.column("v").to_numpy()] = best.column("nl").to_numpy()
         if (new == lab).all():
@@ -1151,126 +1049,50 @@ def label_propagation(pairs: rd.Dataset, *, rounds: int = 4):
                      "community": nodes.take(pa.array(lab))})
 
 
+def _vote(votes: pa.Table) -> pa.Table:
+    """Each voter's new label from (v, nl, c) vote rows: the counts
+    summed per (voter, label), then the k=1 cut under (count DESC,
+    label ASC), as (v, nl).  Both label propagation paths call it."""
+    g = grouped_agg(votes, ["v", "nl"], [("c", "sum")])
+    return grouped_topk(g, ["v"], [("c", "descending"),
+                                   ("nl", "ascending")], 1).select(["v", "nl"])
+
+
 def _lpa_distributed(ed: rd.Dataset, *, rounds: int) -> rd.Dataset:
-    """Large-graph label propagation: NO per-node driver state (the
-    _pagerank_distributed shape applied to label votes).
-
-    ``ed`` is the materialized bidirectional (a, b) edge table.  Label
-    state is a Dataset (node, lab); each round:
-
-      1. ATTACH — union(edge rows keyed on the label-owner endpoint b,
-         state rows) sorted on the key: equal keys land whole per
-         block, so a vectorized merge tags every edge with its
-         neighbor's CURRENT label and emits per-block
-         (voter, neighbor-label, count) partials.
-      2. VOTE — partials sorted on the voter: per block, integer sums
-         per (voter, label) then the (count DESC, label ASC) argmax
-         rebuilds the state row.  Integer votes + lexicographic
-         tie-break are order-free, so the result is bit-identical to
-         the driver fold (no early exit here: the fold exits only at a
-         fixed point, where extra rounds are no-ops).
+    """Large-graph label propagation with NO per-node driver state,
+    over the materialized bidirectional (node, dst) edges ``ed``.  Label
+    state is a Dataset (node, lab); each round is one
+    ``arrowutil.attach_state`` exchange, whose messages are per-block
+    (voter, neighbor label, count) partials, and one ``keyed_complete``
+    on the voter running :func:`_vote`.  Integer votes and the
+    lexicographic tie-break are order-free, so the result is
+    bit-identical to the fold (no early exit here: the fold exits only
+    at a fixed point, where extra rounds are no-ops).
 
     Output: Dataset (entity_id, community)."""
 
-    def init_state(batch: pa.Table) -> pa.Table:
-        v = pd.unique(batch.to_pandas()["a"])
-        return pa.table({
-            "node": pa.array(v, pa.string()),
-            "lab": pa.array(v, pa.string()),
-        })
+    def votes(s: pa.Table, e: pa.Table) -> pa.Table:
+        return grouped_agg(pa.table({"v": e.column("dst"),
+                                     "nl": e.column("lab"),
+                                     "c": _ones(e.num_rows)}),
+                           ["v", "nl"], [("c", "sum")])
 
-    def state_combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates("node")
-        return pa.table({
-            "node": pa.array(df["node"].tolist(), pa.string()),
-            "lab": pa.array(df["lab"].tolist(), pa.string()),
-        })
-
-    state = (ed.map_batches(init_state, batch_format="pyarrow",
-                            batch_size=1 << 19)
-             .sort("node")
-             .map_batches(state_combine, batch_format="pyarrow",
-                          batch_size=None)
-             .materialize())
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "k": batch.column("b"),       # label-owner endpoint
-            "voter": batch.column("a"),
-            "lab": pa.array([""] * m, pa.string()),
-            "side": pa.array(np.ones(m, np.int8), pa.int8()),
-        })
-
-    def state_rows(batch: pa.Table) -> pa.Table:
-        m = batch.num_rows
-        return pa.table({
-            "k": batch.column("node"),
-            "voter": pa.array([""] * m, pa.string()),
-            "lab": batch.column("lab"),
-            "side": pa.array(np.zeros(m, np.int8), pa.int8()),
-        })
-
-    def attach(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        edges = df[df["side"] == 1]
-        if edges.empty:
-            return pa.table({
-                "k": pa.array([], pa.string()),
-                "nl": pa.array([], pa.string()),
-                "c": pa.array([], pa.int64()),
-            })
-        st = df[df["side"] == 0]
-        lmap = pd.Series(st["lab"].to_numpy(), index=st["k"])
-        g = (pd.DataFrame({
-                "k": edges["voter"].to_numpy(),
-                "nl": edges["k"].map(lmap).to_numpy(),
-             })
-             .groupby(["k", "nl"], sort=False)
-             .size().reset_index(name="c"))
-        return pa.table({
-            "k": pa.array(g["k"].tolist(), pa.string()),
-            "nl": pa.array(g["nl"].tolist(), pa.string()),
-            "c": pa.array(g["c"].to_numpy(dtype=np.int64), pa.int64()),
-        })
-
-    def vote(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "node": pa.array([], pa.string()),
-                "lab": pa.array([], pa.string()),
-            })
-        g = (df.groupby(["k", "nl"], sort=False)["c"].sum()
-             .reset_index()
-             .sort_values(["k", "c", "nl"],
-                          ascending=[True, False, True],
-                          kind="mergesort")
-             .drop_duplicates("k"))
-        return pa.table({
-            "node": pa.array(g["k"].tolist(), pa.string()),
-            "lab": pa.array(g["nl"].tolist(), pa.string()),
-        })
-
+    distinct = functools.partial(grouped_agg, keys=["node", "lab"], aggs=[])
+    state = keyed_complete(
+        ed.map_batches(lambda b: pa.table({"node": b.column("node"),
+                                           "lab": b.column("node")}),
+                       batch_format="pyarrow", batch_size=1 << 19),
+        ["node"], distinct, combine=distinct,
+        op="label_propagation.nodes").materialize()
     for _ in range(rounds):
-        state = (ed.map_batches(edge_rows, batch_format="pyarrow")
-                 .union(state.map_batches(state_rows,
-                                          batch_format="pyarrow"))
-                 .sort("k")
-                 .map_batches(attach, batch_format="pyarrow",
-                              batch_size=None)
-                 .sort("k")
-                 .map_batches(vote, batch_format="pyarrow",
-                              batch_size=None)
-                 .materialize())
-
-    def final(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "entity_id": batch.column("node"),
-            "community": batch.column("lab"),
-        })
-
-    return state.map_batches(final, batch_format="pyarrow")
+        state = keyed_complete(
+            attach_state(state, ed, votes, op="label_propagation.votes"),
+            ["v"], lambda t: _vote(t).rename_columns(["node", "lab"]),
+            op="label_propagation.vote").materialize()
+    return state.map_batches(
+        lambda b: pa.table({"entity_id": b.column("node"),
+                            "community": b.column("lab")}),
+        batch_format="pyarrow")
 
 
 def ktruss(

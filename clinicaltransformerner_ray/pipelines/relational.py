@@ -56,7 +56,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from clinicaltransformerner_ray.arrowutil import grouped_topk, topk_complete
+from clinicaltransformerner_ray.arrowutil import (
+    grouped_topk, keyed_complete, topk_complete)
 from clinicaltransformerner_ray.pipelines.events import _round_half_away
 
 _US_PER_DAY = 86_400_000_000
@@ -93,9 +94,12 @@ def pricing_summary(
     l_linestatus), integer-exact sums of quantity / base price /
     discounted price / charge plus float averages derived from them.
 
-    One batch-local combine (6 groups -> the shuffle moves ~6 rows per
-    batch), one sort, one per-block completion; reads only the 7
-    columns it needs (callers pass ``columns=`` at the read)."""
+    One combine per block (6 groups -> ~6 rows per block), then one
+    ``keyed_complete`` on the key that combines and finishes the
+    partials (a fold on the driver under the cap: a range Sort on ~4
+    key values would leave most partitions empty and schema-less);
+    reads only the 7 columns it needs (callers pass ``columns=`` at
+    the read)."""
     cutoff = _ts_us(ship_cutoff)
 
     sums = ["sum_qty", "sum_base_price_cents", "sum_disc_price_e4",
@@ -160,13 +164,11 @@ def pricing_summary(
     # read blocks) into 1-2 tasks, starving 31 CPUs for ~9 s; per-block
     # batches keep task count = block count at every scale, and the
     # combine output (~6 rows/task) stays trivial for the shuffle.
-    return (
+    return keyed_complete(
         lineitem.map_batches(combine, batch_format="pyarrow",
-                             batch_size=None)
-        .sort(["l_returnflag", "l_linestatus"])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .map_batches(finish, batch_format="pyarrow", batch_size=None)
-    )
+                             batch_size=None),
+        ["l_returnflag", "l_linestatus"], lambda t: finish(combine(t)),
+        op="pricing_summary")
 
 
 def customers_without_orders(

@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from clinicaltransformerner_ray.arrowutil import from_pandas_clean
+from clinicaltransformerner_ray.arrowutil import agg_fold, from_pandas_clean
 
 import ray.data as rd
 
@@ -265,8 +265,9 @@ def kmv_distinct_users(events: rd.Dataset, *, k: int = 64) -> pa.Table:
 
     Scale shape (the heavy_hitters two-pass precedent): each block
     emits its <= k smallest distinct hashes (partials are bottom-k
-    MERGEABLE: global bottom-k is contained in the union), the driver
-    folds O(k x blocks) rows.  Output: one row (n_kept, hk_hi, hk_lo,
+    MERGEABLE: global bottom-k is contained in the union), and
+    ``agg_fold`` folds their O(k x blocks) distinct rows, sorted, on the
+    driver.  Output: one row (n_kept, hk_hi, hk_lo,
     est_users) — the 64-bit k-th hash rides as two int32-range halves
     so no engine touches unsigned overflow."""
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
@@ -277,13 +278,12 @@ def kmv_distinct_users(events: rd.Dataset, *, k: int = 64) -> pa.Table:
         h = np.unique(_hash64([str(int(u)) for u in uids]))
         return pa.table({"hv": pa.array(h[:k], pa.uint64())})
 
-    merged = np.unique(np.concatenate(
-        [np.asarray([r["hv"] for r in
-                     events.map_batches(bottom_k, batch_format="pyarrow",
-                                        batch_size=1 << 19).take_all()],
-                    dtype=np.uint64),
-         np.array([], dtype=np.uint64)]))
-    kept = merged[:k]
+    kept = agg_fold(
+        events.map_batches(bottom_k, batch_format="pyarrow",
+                           batch_size=1 << 19),
+        ["hv"], [], op="kmv_distinct_users",
+        empty=pa.table({"hv": pa.array([], pa.uint64())}),
+    ).column("hv").to_numpy()[:k]
     n_kept = int(len(kept))
     if n_kept == 0:
         # mirror the SQL oracle on empty input: max(hv) over zero rows

@@ -354,33 +354,58 @@ def test_ngram_jaccard_max_df_default_off():
         ngram_jaccard_pairs).parameters["max_df"].default is None
 
 
-def test_dup_clusters_1000_node_path(ray_session):
+#: the fold-or-exchange cap of ``arrowutil.driver_table``: huge forces
+#: ``dup_clusters``' driver fold, 0 its exchange
+CAPS = pytest.mark.parametrize("cap", [1 << 40, 0], ids=["fold", "exchange"])
+
+
+@CAPS
+def test_dup_clusters_1000_node_path(ray_session, monkeypatch, caplog, cap):
     """Fused pointer jumping: a 1000-node path (diameter 999) converges
-    within max_iters=16 (propagation alone would need ~999 rounds)."""
+    within max_iters=16 (propagation alone would need ~999 rounds), on
+    either path.  The fold runs no Ray Data execution per round; the
+    exchange's label table keeps at most one block per CPU, round over
+    round."""
     import numpy as np
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
+    from clinicaltransformerner_ray import arrowutil
     from clinicaltransformerner_ray.pipelines.dedup import dup_clusters
 
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+    caplog.set_level(logging.INFO, logger="ray_kg")
     a = np.arange(999, dtype=np.int64)
     chain = rd.from_arrow(pa.table({"doc_a": a, "doc_b": a + 1}))
-    labs = dup_clusters(chain, max_iters=16,
-                        on_max_iters="raise").to_pandas()
+    out = dup_clusters(chain, max_iters=16,
+                       on_max_iters="raise").materialize()
+    logged = [r.getMessage().split(" (")[0] for r in caplog.records
+              if r.name == "ray_kg"]
+    if cap:
+        assert logged == ["dup_clusters: fold"]
+    else:
+        assert logged[0] == "dup_clusters: exchange"
+        assert out.num_blocks() <= int(ray.cluster_resources()["CPU"])
+    labs = out.to_pandas()
     assert len(labs) == 1000
     assert (labs["cluster_id"] == 0).all()
 
 
-def test_dup_clusters_nonconvergence_is_loud(ray_session):
+@CAPS
+def test_dup_clusters_nonconvergence_is_loud(ray_session, monkeypatch, cap):
     """Exhausting max_iters warns (default) or raises — never a silent
-    split-cluster result (no-silent-caps rule)."""
+    split-cluster result (no-silent-caps rule) — on either path, and the
+    unconverged labels are the same on both."""
     import numpy as np
     import pyarrow as pa
     import pytest as _pytest
     import ray.data as rd
 
+    from clinicaltransformerner_ray import arrowutil
     import clinicaltransformerner_ray.pipelines.dedup as D
 
+    monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
     a = np.arange(60, dtype=np.int64)
     chain = rd.from_arrow(pa.table({"doc_a": a, "doc_b": a + 1}))
     import logging
@@ -399,6 +424,14 @@ def test_dup_clusters_nonconvergence_is_loud(ray_session):
     assert any("did NOT converge" in m for m in records)
     with _pytest.raises(RuntimeError, match="did NOT converge"):
         D.dup_clusters(chain, max_iters=1, on_max_iters="raise").to_pandas()
+
+    def one_round(c):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", c)
+        return pa.Table.from_pandas(
+            D.dup_clusters(chain, max_iters=1).to_pandas()
+            .sort_values("doc_id", ignore_index=True))
+
+    assert one_round(1 << 40).equals(one_round(0))
 
 
 def test_ann_merge_scales_to_many_queries(ray_session):

@@ -20,7 +20,7 @@ import pytest
 import ray.data as rd
 
 from clinicaltransformerner_ray import arrowutil
-from clinicaltransformerner_ray.pipelines import graph
+from clinicaltransformerner_ray.pipelines import dedup, graph
 from clinicaltransformerner_ray.pipelines.graph import (
     SCALE, jaccard_links, label_propagation, pagerank)
 
@@ -234,8 +234,10 @@ def _int_pairs(t: pa.Table) -> pa.Table:
         for c, s in (("doc_a", "subj"), ("doc_b", "obj"))})
 
 
-#: op -> (input shape, call); the nine ops with an exchange path
+#: op -> (input shape, call); the nine graph ops with an exchange path,
+#: and the dedup family's connected components
 EXCHANGE_OPS = {
+    "dup_clusters": (_int_pairs, dedup.dup_clusters),
     "pagerank": (lambda t: t, lambda d: pagerank(d, iters=4)),
     "triangle_counts": (_int_pairs, graph.triangle_counts),
     "common_neighbors": (_pairs, lambda d: graph.common_neighbors(
@@ -265,15 +267,19 @@ def _rows(out):
 
 def _run(monkeypatch, caplog, op: str, graph_name: str, cap: int):
     """``op`` on ``graph_name`` at ``cap``; on a graph with edges it
-    must log ``fold`` at a huge cap and ``exchange`` at cap 0 (the
-    empty graph's result type shows its path)."""
+    must log ``fold`` at a huge cap and ``exchange`` at cap 0, and on
+    the empty graph (whose repartitioned blocks carry no schema) only
+    ``fold``, at either cap."""
     shape, call = EXCHANGE_OPS[op]
     monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
     caplog.set_level(logging.INFO, logger="ray_kg")
     caplog.clear()
     out = call(rd.from_arrow(shape(_graph(graph_name))).repartition(3))
-    if graph_name != "empty":
-        _took(caplog, op, "exchange" if cap == 0 else "fold")
+    if graph_name == "empty":
+        assert not any(r.getMessage().startswith(f"{op}: exchange (")
+                       for r in caplog.records), op
+    _took(caplog, op, "fold" if graph_name == "empty" or cap else
+          "exchange")
     return out
 
 
@@ -325,7 +331,7 @@ FOLD_ONLY_OPS = {
 
 def test_each_op_logs_its_path(ray_session, monkeypatch, caplog):
     """Every graph op logs ``fold`` or ``exchange`` through ``ray_kg``:
-    under the default cap each folds; at cap 0 the nine with an
+    under the default cap each folds; at cap 0 the ten with an
     exchange path log it and the other seven raise ValueError."""
     caplog.set_level(logging.INFO, logger="ray_kg")
     t = _hub_triples()
