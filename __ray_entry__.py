@@ -204,30 +204,25 @@ def _q_kg_assoc_topk(sf_dir: str):
 
 
 def _q_kg_components(sf_dir: str):
-    """Connected components over the co-occurrence graph — reuses the
-    dedup engine's pointer-jumping label propagation (`dup_clusters`)
-    by coding the lexicon-bounded entity vocabulary to dense ints in
-    SORTED order (:func:`_co_vocab`), so min-code ==
+    """Connected components over the co-occurrence graph — runs the
+    dedup engine's pointer-jumping label propagation on the driver
+    (`dedup.component_labels`, `dup_clusters`' fold; no Dataset round
+    trip) over the lexicon-bounded entity vocabulary coded to dense
+    ints in SORTED order (:func:`_co_vocab`), so min-code ==
     lexicographically-min entity and the mapped-back result matches
     the SQL recursive-closure oracle exactly.  Completes the graph
     family: components / degrees / pagerank / triangles / association
     stats, all over the same edge table."""
     import pyarrow as pa
 
-    import ray.data as rd
-
-    from clinicaltransformerner_ray.arrowutil import agg_fold
-    from clinicaltransformerner_ray.pipelines.dedup import dup_clusters
+    from clinicaltransformerner_ray.pipelines.dedup import (
+        check_converged, component_labels)
 
     ents, a, b = _co_vocab(sf_dir, "kg_components")
-    cl = agg_fold(dup_clusters(rd.from_arrow(pa.table({
-        "doc_a": pa.array(a, pa.int64()),
-        "doc_b": pa.array(b, pa.int64())}))),
-        ["doc_id", "cluster_id"], [], op="kg_components")
-    return pa.table({
-        "entity_id": ents.take(cl.column("doc_id")),
-        "component_id": ents.take(cl.column("cluster_id")),
-    })
+    lab, n_changed = component_labels(a, b, len(ents))
+    check_converged(n_changed, 16, "warn")
+    return pa.table({"entity_id": ents,
+                     "component_id": ents.take(pa.array(lab))})
 
 
 def _q_kg_common_neighbors(sf_dir: str):
@@ -1733,62 +1728,43 @@ def _q_events_session_quantiles(sf_dir: str):
 
 def _q_events_type_overlap(sf_dir: str):
     """Audience-overlap matrix: for every event-type pair (a < b), the
-    number of users who did BOTH — batch-local (user, type) dedup, one
-    user_id sort, per-block pair emission over each user's (block-
-    whole) type set, driver fold of the C(types,2) partials."""
+    number of users who did BOTH — batch-local (user, type) distinct,
+    one ``keyed_complete`` on user_id whose completion emits each user's
+    type pairs (``triu_pairs`` over the user's sorted distinct types),
+    and ``agg_fold`` of the C(types,2) partials.  Rows with a null
+    user_id or event_type drop."""
+    import functools
+
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    from clinicaltransformerner_ray.arrowutil import (
+        agg_fold, grouped_agg, keyed_complete, sorted_runs, triu_pairs)
 
-    def dedup(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        return pa.table({
-            "user_id": pa.array(df["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "event_type": pa.array(df["event_type"].tolist(),
-                                   pa.string()),
-        })
+    keys = ["type_a", "type_b"]
+    distinct = functools.partial(grouped_agg, keys=["user_id", "event_type"],
+                                 aggs=[])
 
-    def pairs(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas().drop_duplicates()
-              .sort_values(["user_id", "event_type"]))
-        uid = df["user_id"].to_numpy()
-        et = df["event_type"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], uid[1:] != uid[:-1])))
-        counts = np.diff(np.concatenate((starts, [len(uid)])))
-        rows: dict[tuple[str, str], int] = {}
-        for s, c in zip(starts, counts):
-            ts = et[s:s + c]
-            for i in range(len(ts)):
-                for j in range(i + 1, len(ts)):  # <= C(5,2) per user
-                    k = (ts[i], ts[j])
-                    rows[k] = rows.get(k, 0) + 1
-        return pa.table({
-            "type_a": pa.array([k[0] for k in rows], pa.string()),
-            "type_b": pa.array([k[1] for k in rows], pa.string()),
-            "n": pa.array(list(rows.values()), pa.int64()),
-        })
+    def pairs(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(distinct(t), ["user_id"],
+                               [("event_type", "ascending")])
+        first = np.flatnonzero(start)
+        i, j = triu_pairs(first, np.diff(np.append(first, t.num_rows)))
+        et = t.column("event_type")
+        return grouped_agg(pa.table({
+            "type_a": et.take(i), "type_b": et.take(j),
+            "n": np.ones(len(i), np.int64)}), keys, [("n", "sum")])
 
-    acc: dict[tuple[str, str], int] = {}
-    parts = (ev.map_batches(dedup, batch_format="pyarrow",
-                            batch_size=1 << 19)
-             .sort("user_id")
-             .map_batches(pairs, batch_format="pyarrow",
-                          batch_size=None))
-    for r in parts.take_all():  # O(types^2 x blocks) — tiny
-        k = (r["type_a"], r["type_b"])
-        acc[k] = acc.get(k, 0) + r["n"]
-    ks = sorted(acc)
-    return pa.table({
-        "type_a": pa.array([k[0] for k in ks], pa.string()),
-        "type_b": pa.array([k[1] for k in ks], pa.string()),
-        "n_users": pa.array([acc[k] for k in ks], pa.int64()),
-    })
+    return agg_fold(keyed_complete(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "event_type"]),
+        ["user_id"], pairs, combine=distinct, op="events_type_overlap"),
+        keys, [("n", "sum")], op="events_type_overlap", empty=pa.table({
+            "type_a": pa.array([], pa.string()),
+            "type_b": pa.array([], pa.string()),
+            "n": pa.array([], pa.int64())})).rename_columns(
+        keys + ["n_users"])
 
 
 def _q_events_bursts(sf_dir: str):

@@ -17,8 +17,18 @@ which construction path a kernel happened to use.
 :func:`grouped_agg` is the engine's Arrow grouped aggregate, for the
 combine and the per-block completion around a sort.
 
-:func:`grouped_topk` is its top-k twin: the ``k`` best rows per key
-under a caller-stated total order, optionally ranked.  Every top-k in
+:func:`sorted_runs` is the one sorted-run scan kernel: a table sorted on
+its keys and an order, and a bool mask of each key run's first row.
+The run ops scan within those runs: :func:`run_id`, :func:`run_pos`,
+:func:`run_first`, :func:`run_lag`, :func:`run_cumsum` and
+:func:`run_cummax` (exact on any int64, no sentinel).  A per-key,
+time-ordered scan (sessions, islands, as-of carries, lags, running
+totals and maxima) is one :func:`sorted_runs` plus run ops, as the
+events family's completions are.
+
+:func:`grouped_topk` is the top-k twin of :func:`grouped_agg`: the ``k``
+best rows per key under a caller-stated total order, optionally ranked,
+cut from :func:`sorted_runs` by :func:`run_pos`.  Every top-k in
 the engine is one call to it: a scoring UDF cuts its own block with it
 before the exchange, and :func:`topk_complete` finishes the job, through
 :func:`keyed_complete` when there are keys and as a running driver fold
@@ -148,30 +158,84 @@ def grouped_topk(table: pa.Table, keys: list[str],
     as Arrow sorts them: ``-0.0 == 0.0`` (the next order column
     decides), NaN after every number in either direction.
 
-    One ``sort_by(keys ascending + order)``; each key run is then cut
-    at ``k`` by run-boundary arithmetic.  ``rank``, when given, names a
+    One :func:`sorted_runs`; each key run is then cut at ``k`` by
+    :func:`run_pos`.  ``rank``, when given, names a
     1-based int64 rank column appended to the output.  Output rows are
     in sort order, with the input's columns and types.
 
     Null-key rule: as in :func:`grouped_agg`, rows with a null in any
     key column are dropped (pandas ``groupby(...).head`` and
     ``cumcount`` drop them too)."""
-    table = _drop_null_keys(table, keys).sort_by(
-        [(c, "ascending") for c in keys] + list(order))
-    n = table.num_rows
-    pos = np.arange(n, dtype=np.int64)  # position within its key run
-    if n and keys:
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = functools.reduce(np.logical_or, [
-            pc.not_equal(table.column(c).slice(1),
-                         table.column(c).slice(0, n - 1))
-            .to_numpy(zero_copy_only=False) for c in keys])
-        pos -= np.maximum.accumulate(np.where(starts, pos, 0))
+    table, start = sorted_runs(table, keys, order)
+    pos = run_pos(start)
     keep = pos < k
     out = table.filter(pa.array(keep)) if not keep.all() else table
     if rank is not None:
         out = out.append_column(rank, pa.array(pos[keep] + 1, pa.int64()))
     return out
+
+
+def sorted_runs(table: pa.Table, keys: list[str],
+                order: list[tuple[str, str]] = ()
+                ) -> tuple[pa.Table, np.ndarray]:
+    """``table`` sorted on ``keys`` (ascending) then ``order`` (a list of
+    ``(column, "ascending"|"descending")``), and a bool array ``start``
+    marking the first row of each ``keys`` run: the one sorted-run scan
+    kernel.  The ``run_*`` ops below scan within the runs it marks.
+    With no ``keys`` the whole table is one run.
+
+    Null-key rule: as in :func:`grouped_agg`, rows with a null in any
+    key column are dropped."""
+    table = _drop_null_keys(table, keys).sort_by(
+        [(c, "ascending") for c in keys] + list(order))
+    n = table.num_rows
+    start = np.arange(n) == 0
+    if n and keys:
+        start[1:] = functools.reduce(np.logical_or, [
+            pc.not_equal(table.column(c).slice(1),
+                         table.column(c).slice(0, n - 1))
+            .to_numpy(zero_copy_only=False) for c in keys])
+    return table, start
+
+
+def run_id(start: np.ndarray) -> np.ndarray:
+    """The 0-based run number of each row."""
+    return np.cumsum(start, dtype=np.int64) - 1
+
+
+def run_pos(start: np.ndarray) -> np.ndarray:
+    """The 0-based position of each row within its run."""
+    pos = np.arange(len(start), dtype=np.int64)
+    return pos - np.maximum.accumulate(np.where(start, pos, 0))
+
+
+def run_first(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's run's first value."""
+    return values[np.flatnonzero(start)][run_id(start)]
+
+
+def run_lag(start: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """The previous row's value within the run; ``fill`` at run starts."""
+    out = np.roll(values, 1)
+    out[start] = fill
+    return out
+
+
+def run_cumsum(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The running sum of ``values`` within each run (int64 wraps as
+    numpy's does, and the reset subtracts exactly)."""
+    c = np.cumsum(values)
+    return c - (c - values)[np.flatnonzero(start)][run_id(start)]
+
+
+def run_cummax(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The running max of ``values`` within each run, exact on any int64
+    (no sentinel, nothing negated): one ``maximum.accumulate`` over
+    ``run_id * m + rank(value)``, ``m`` the number of distinct values, so
+    a later run always outranks an earlier one and the max resets."""
+    u, rank = np.unique(values, return_inverse=True)
+    base = run_id(start) * len(u)
+    return u[np.maximum.accumulate(base + rank.reshape(-1)) - base]
 
 
 def topk_complete(ds, keys: list[str], order: list[tuple[str, str]],

@@ -655,17 +655,7 @@ def dup_clusters(
     if tbl is not None:
         nodes, (a, b) = sorted_codes(tbl.column("doc_a").cast(pa.int64()),
                                      tbl.column("doc_b").cast(pa.int64()))
-        s, d = np.concatenate([a, b]), np.concatenate([b, a])
-        lab = np.arange(len(nodes))
-        n_changed = 0
-        for _ in range(max_iters):
-            new = lab.copy()
-            np.minimum.at(new, d, lab[s])
-            new = np.minimum(new, lab[lab])
-            n_changed = int((new != lab).sum())
-            lab = new
-            if n_changed == 0:
-                break
+        lab, n_changed = component_labels(a, b, len(nodes), max_iters)
         out = rd.from_arrow(pa.table({
             "doc_id": nodes, "cluster_id": nodes.take(pa.array(lab))}))
     else:
@@ -674,6 +664,34 @@ def dup_clusters(
             lambda t: pa.table({"doc_id": t.column("node"),
                                 "cluster_id": t.column("label")}),
             batch_format="pyarrow")
+    check_converged(n_changed, max_iters, on_max_iters)
+    return out
+
+
+def component_labels(a: np.ndarray, b: np.ndarray, n: int,
+                     max_iters: int = 16) -> tuple[np.ndarray, int]:
+    """:func:`dup_clusters`' fold rounds over int64 node codes: min-label
+    propagation over the undirected edges (a, b) of nodes ``0..n-1`` plus
+    the pointer jump, at most ``max_iters`` rounds.  Returns each node's
+    label code (its component's min code once converged) and the number
+    of labels the last round changed (0 when converged)."""
+    s, d = np.concatenate([a, b]), np.concatenate([b, a])
+    lab = np.arange(n)
+    n_changed = 0
+    for _ in range(max_iters):
+        new = lab.copy()
+        np.minimum.at(new, d, lab[s])
+        new = np.minimum(new, lab[lab])
+        n_changed = int((new != lab).sum())
+        lab = new
+        if n_changed == 0:
+            break
+    return lab, n_changed
+
+
+def check_converged(n_changed: int, max_iters: int, on_max_iters: str):
+    """Warn (``"warn"``) or raise (``"raise"``) when label propagation
+    ended with labels still changing: the cluster ids are split."""
     if n_changed != 0:
         msg = (f"dup_clusters: label propagation did NOT converge after "
                f"max_iters={max_iters} rounds ({n_changed} labels still "
@@ -681,7 +699,6 @@ def dup_clusters(
         if on_max_iters == "raise":
             raise RuntimeError(msg)
         _LOG.warning(msg)
-    return out
 
 
 def _components_exchange(src: rd.Dataset, max_iters: int):

@@ -6,19 +6,15 @@ batch-only surface; SURVEY.md §2.7 notes the reference has none).
                     event counts + exact value sums (integer cents, so
                     the result is hash-comparable across engines)
   sliding_window_counts  the sliding variant (1h windows every 15min):
-                    x(window/slide) pre-shuffle replication, then the
-                    identical combine/sort/combine aggregation
+                    x(window/slide) pre-exchange replication, then the
+                    identical combine/complete aggregation
   sessionize        gap-based sessionization: a >30-min silence starts a
-                    new session — the canonical stateful scan, expressed
-                    as one sort on user_id (equal keys arrive whole per
-                    block) + a vectorized per-block pass
+                    new session — the canonical stateful scan
   asof_join_events  as-of join (attribution): each purchase gets the
-                    most recent strictly-prior click of the same user —
-                    type filter before the shuffle, the same
-                    sort-on-user + vectorized forward-carry shape;
+                    most recent strictly-prior click of the same user;
                     `asof_join_events_salted` is its skew-safe twin
                     (salted local resolve + per-bucket carry rows +
-                    a sessionize-style stitch, byte-identical output)
+                    a stitch, byte-identical output)
   range_join_events bounded range join: errors within a horizon after
                     each purchase, via two searchsorted calls per block
                     (output linear in the left side, no pair expansion);
@@ -27,28 +23,40 @@ batch-only surface; SURVEY.md §2.7 notes the reference has none).
                     byte-identical output, no stitch pass needed)
   value_quantiles_by_type  exact per-group percentiles of the event
                     value (integer cents) via a grouped value-histogram
-                    — the shuffle moves distinct (type, cents) rows,
-                    the driver walks each group's tiny CDF
-  latest_event_per_user  dedup-to-latest (CDC-style snapshot): local
-                    per-batch last per user, one sort, per-block final
-  funnel_conversions  two-step conversion funnel: first click ->
-                    first purchase within a horizon, per user — type
-                    filter pre-shuffle, one user sort, grouped mins
-  cohort_retention  weekly retention triangle: cohort by first-event
-                    week, count distinct active users per (cohort,
-                    offset) — distinct pairs pre-shuffle, one user
-                    sort, driver-folded weeks^2 cells
-  out_of_order_stats  watermark lateness audit: per-user running
-                    high-watermark over a deterministic md5 arrival
-                    permutation — one sort, grouped cummax per block
+                    folded on the driver and one CDF walk
+  latest_event_per_user  dedup-to-latest (CDC-style snapshot): a
+                    per-user top-1 before and after the exchange
+  funnel_conversions, cohort_retention, out_of_order_stats, ...  the
+                    per-user scans below, one line of shape each
 
-Skew note: `sessionize` sorts on user_id alone, so one hyperactive user
-lands in one block.  `sessionize_salted` is the 100 TB path: the sort
-key is salted with a coarse TIME bucket (same construction as the KG
-triple emitter's salted buckets, pipelines/kg.py), events within
+Shape.  Every per-user operator is one ``arrowutil.keyed_complete`` on
+``user_id`` (or on its group key): a batch-local combine (a type filter,
+a projection or a ``grouped_agg`` partial) runs before it, and the
+completion scans each user's rows in time order.  Under
+``arrowutil.FOLD_MAX_BYTES`` the whole input folds on the driver with no
+Sort; above it the exchange keeps each user's rows whole in one block.
+The scans run on ``arrowutil.sorted_runs`` (one ``sort_by`` and a
+run-start mask) and its run ops (``run_pos``, ``run_cumsum``,
+``run_cummax``, ``run_lag``, ``run_first``); three scans recur and each
+has one helper here: session numbering (:func:`_sessions`), the as-of
+forward carry (:func:`_asof_carry`) and the per-run CDF walk behind every
+quantile and lower median (:func:`_quantile_rows`).  Aggregates finish
+with ``grouped_agg``, per-user picks with ``grouped_topk``, and results
+bounded by a lexicon (types, weeks, hours, paths) fold with
+``arrowutil.agg_fold``.
+
+Null-key rule: every per-user operator drops rows whose ``user_id`` is
+null (``sorted_runs``, ``grouped_agg`` and ``grouped_topk`` drop them),
+as the pandas ``groupby`` these kernels replaced did; a per-type fold
+drops rows whose ``event_type`` is null the same way.
+
+Skew note: `sessionize` keys on user_id alone, so on the exchange one
+hyperactive user lands in one block.  `sessionize_salted` is the 100 TB
+path: its key is salted with a coarse TIME bucket (same construction as
+the KG triple emitter's salted buckets, pipelines/kg.py), events within
 ``gap_us`` of a bucket boundary ghost into the next bucket so each
-block can tell whether its first session continues, and a second tiny
-pass over per-bucket session aggregates stitches boundary-crossing
+block can tell whether its first session continues, and a second
+keyed pass over per-bucket session rows stitches boundary-crossing
 sessions and assigns global session indices.  Output is byte-identical
 to `sessionize` (asserted in tests); the oracle entry keeps the
 unsalted version for directness.
@@ -56,16 +64,23 @@ unsalted version for directness.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    from_pandas_clean, topk_complete)
+    agg_fold, grouped_agg, grouped_topk, keyed_complete, run_cummax,
+    run_cumsum, run_first, run_id, run_lag, run_pos, sorted_runs,
+    topk_complete)
 
 import ray.data as rd
 
 SESSION_GAP_US = 30 * 60 * 1_000_000
+HOUR_US = 3_600_000_000
+TS = pa.timestamp("us")
 
 
 def _round_half_away(v: np.ndarray) -> np.ndarray:
@@ -73,37 +88,175 @@ def _round_half_away(v: np.ndarray) -> np.ndarray:
     return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
 
 
+def _np(t: pa.Table, c: str) -> np.ndarray:
+    """Column ``c`` as numpy; a timestamp as int64 epoch-us."""
+    col = t.column(c)
+    if pa.types.is_timestamp(col.type):
+        col = col.cast(pa.int64())
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _cents(t: pa.Table) -> np.ndarray:
+    """Exact integer cents of ``value``: float accumulation order would
+    differ between engines and break value-hash comparison.  Half away
+    from zero, matching DuckDB round() (np.round is half-to-even)."""
+    return _round_half_away(_np(t, "value") * 100)
+
+
+def _ones(t: pa.Table) -> np.ndarray:
+    return np.ones(t.num_rows, np.int64)
+
+
+def _is(t: pa.Table, value: str, col: str = "event_type") -> np.ndarray:
+    return pc.equal(t.column(col), value).to_numpy(zero_copy_only=False)
+
+
+def _empty(**types) -> pa.Table:
+    return pa.schema(list(types.items())).empty_table()
+
+
+def _sum_by(keys: list[str], cols: list[str]):
+    """``grouped_agg`` summing ``cols`` per ``keys``: the partial step and
+    the completion of every counting operator."""
+    return functools.partial(grouped_agg, keys=list(keys),
+                             aggs=[(c, "sum") for c in cols])
+
+
+def _types(*types: str, cols=("event_id", "user_id", "ts", "event_type")):
+    """The pre-exchange type filter: rows of ``types``, ``cols`` only,
+    with no schema metadata (a parquet read's pandas blob)."""
+    def project(batch: pa.Table) -> pa.Table:
+        keep = pc.is_in(batch.column("event_type"),
+                        value_set=pa.array(list(types)))
+        return batch.filter(keep).select(list(cols)).replace_schema_metadata()
+    return project
+
+
+def _by_user(t: pa.Table, *order: str) -> tuple[pa.Table, np.ndarray]:
+    """``sorted_runs`` on user_id, then ``order`` ascending."""
+    return sorted_runs(t, ["user_id"], [(c, "ascending") for c in order])
+
+
+def _spans(opens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and row count of each span opening where ``opens``."""
+    first = np.flatnonzero(opens)
+    return first, np.diff(np.append(first, len(opens)))
+
+
+def _gap_breaks(us: np.ndarray, gap_us: int) -> np.ndarray:
+    """Rows more than ``gap_us`` after the previous row."""
+    return np.diff(us, prepend=us[:1]) > gap_us
+
+
+def _sessions(start: np.ndarray, brk: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Session numbering, the one copy: for rows in run order, where
+    each session opens (at each run start and at each row where ``brk``
+    holds) and each row's 0-based session number within its run."""
+    opens = start | brk
+    return opens, run_cumsum(start, opens.astype(np.int64)) - 1
+
+
+def _session_rows(t: pa.Table, start: np.ndarray, brk: np.ndarray,
+                  n: np.ndarray, first_ts: str, last_ts: str) -> pa.Table:
+    """One (user_id, session_idx, n_events, start_ts, end_ts) row per
+    session of ``t``, rows in run and time order: ``n`` summed, the
+    session's first ``first_ts`` and last ``last_ts``."""
+    opens, idx = _sessions(start, brk)
+    first, _ = _spans(opens)
+    return pa.table({
+        "user_id": t.column("user_id").take(first),
+        "session_idx": idx[first],
+        "n_events": np.add.reduceat(n, first),
+        "start_ts": t.column(first_ts).take(first),
+        "end_ts": t.column(last_ts).take(np.append(first, len(n))[1:] - 1),
+    })
+
+
+def _asof_carry(start: np.ndarray, is_left: np.ndarray) -> np.ndarray:
+    """The as-of forward carry, the one copy: for rows in run order,
+    the position of the latest ``is_left`` row at or before each row in
+    its run, or -1.  A row that is not a left row never carries itself,
+    so its carry is strictly prior."""
+    return run_cummax(start, np.where(is_left, np.arange(len(start)), -1))
+
+
+def _asof_rows(t: pa.Table, right: np.ndarray, src: np.ndarray,
+               id_col: str = "event_id", ts_col: str = "ts") -> pa.Table:
+    """(event_id, user_id, ts, asof_event_id, asof_ts) of the ``right``
+    rows, attached to row ``src`` (null where ``src`` is -1)."""
+    idx = pa.array(np.maximum(src, 0), mask=src < 0)
+    out = t.filter(pa.array(right)).select(["event_id", "user_id", "ts"])
+    return (out.append_column("asof_event_id", t.column(id_col).take(idx))
+            .append_column("asof_ts", t.column(ts_col).take(idx)))
+
+
+def _quantile_rows(start: np.ndarray, n: np.ndarray, q_pct) -> np.ndarray:
+    """The per-run CDF walk, the one copy: for rows sorted by (run,
+    value) weighing ``n`` each, the row holding each run's ``q``-th
+    percentile for each ``q`` in ``q_pct``, shape (runs, len(q_pct)).
+    Rule (both engines): the value at 1-based position ``(q*N + 99) //
+    100`` of the run, N its total weight; at q=50 with unit weights that
+    is the lower median, sorted[(N-1)//2]."""
+    cum = np.cumsum(n)
+    first = np.flatnonzero(start)
+    before = cum[first] - n[first]
+    total = np.append(before[1:], cum[-1:]) - before
+    pos = np.maximum((np.asarray(q_pct, np.int64)[None, :]
+                      * total[:, None] + 99) // 100, 1)
+    return np.searchsorted(cum, before[:, None] + pos, side="left")
+
+
+def _run_median(start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The lower median of each run of rows sorted by (run, value)."""
+    return values[_quantile_rows(start, np.ones(len(values), np.int64),
+                                 [50])[:, 0]]
+
+
+def _run_keys(start: np.ndarray, us: np.ndarray, pad: int) -> np.ndarray:
+    """One sortable int64 per row of rows sorted by (run, us):
+    ``run_id * span + (us - min us)``.  ``span`` is a power of two above
+    the time extent plus ``pad``, so a search within ``pad`` of a key
+    never leaves its run.  Run ids are dense per block, so sparse,
+    snowflake or negative user ids all work; a block would need more
+    than 2^62/span runs (~10^6 at a month's extent) to overflow."""
+    rebased = us - (us.min() if len(us) else 0)
+    span = np.int64(1) << int(rebased.max(initial=0) + pad + 1).bit_length()
+    rid = run_id(start)
+    assert rid.max(initial=0) < (np.int64(1) << 62) // span, \
+        "too many runs in one block for the key span"
+    return rid * span + rebased
+
+
+def _salted(t: pa.Table, bucket: np.ndarray, n_buckets: int) -> pa.Table:
+    """``t`` plus its time ``bucket`` and the salted exchange key
+    ``skey = (hash(user) + bucket) % n_buckets`` (uint64 arithmetic, the
+    kg.py construction)."""
+    h = pd.util.hash_pandas_object(pd.Series(_np(t, "user_id")),
+                                   index=False).to_numpy()
+    skey = (h + bucket.astype(np.uint64)) % np.uint64(n_buckets)
+    return (t.append_column("bucket", pa.array(bucket, pa.int64()))
+            .append_column("skey", pa.array(skey.astype(np.int64))))
+
+
 def windowed_counts(events: rd.Dataset, *, window: str = "hour") -> rd.Dataset:
-    """(user_id, window_start, n_events, sum_value_cents) via the
-    combine/sort/combine aggregation shape (no Aggregate operator)."""
+    """(user_id, window_start, n_events, sum_value_cents): a batch-local
+    ``grouped_agg`` partial, then one ``keyed_complete`` summing it."""
     assert window == "hour"
+    total = _sum_by(["user_id", "window_start"],
+                    ["n_events", "sum_value_cents"])
 
     def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "window_start" not in df.columns:
-            ts = pd.to_datetime(df["ts"])
-            df = pd.DataFrame({
-                "user_id": df["user_id"],
-                "window_start": ts.dt.floor("h"),
-                "n_events": 1,
-                # exact integer-cents sum: float accumulation order would
-                # differ between engines and break value-hash comparison.
-                # Half-away-from-zero, matching DuckDB round() — np.round
-                # is half-to-even and diverges on exact .5 cents
-                "sum_value_cents": _round_half_away(
-                    df["value"].to_numpy() * 100),
-            })
-        g = df.groupby(["user_id", "window_start"], sort=False).agg(
-            n_events=("n_events", "sum"),
-            sum_value_cents=("sum_value_cents", "sum")).reset_index()
-        return from_pandas_clean(g, preserve_index=False)
+        return total(pa.table({
+            "user_id": batch.column("user_id"),
+            "window_start": pa.array(
+                _np(batch, "ts") // HOUR_US * HOUR_US, TS),
+            "n_events": _ones(batch),
+            "sum_value_cents": _cents(batch),
+        }))
 
-    return (
-        events.map_batches(combine, batch_format="pyarrow",
-                           batch_size=1 << 19)
-        .sort(["user_id", "window_start"])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_complete(events, ["user_id", "window_start"], total,
+                          combine=combine, op="windowed_counts")
 
 
 def sliding_window_counts(
@@ -117,71 +270,48 @@ def sliding_window_counts(
     multiple of ``slide_us`` (default 1 h sliding by 15 min).
 
     Each event replicates into ``window_us / slide_us`` covering
-    windows BEFORE the shuffle (vectorized np.repeat), then the same
-    combine/sort/combine shape as :func:`windowed_counts` — the
-    all-to-all moves pre-aggregated (user, window) partials whose count
-    is bounded by distinct keys per batch, not by the x4 replication."""
+    windows BEFORE the exchange (vectorized np.repeat), then the same
+    combine/complete shape as :func:`windowed_counts` — the exchange
+    moves pre-aggregated (user, window) partials whose count is bounded
+    by distinct keys per batch, not by the x4 replication.
+    ``window_start`` is a timestamp[ns], as it has always been."""
     assert window_us % slide_us == 0
     n_covers = window_us // slide_us
+    total = _sum_by(["user_id", "window_start"],
+                    ["n_events", "sum_value_cents"])
 
     def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "window_start" not in df.columns:
-            tus = df["ts"].astype("int64").to_numpy()
-            cents = _round_half_away(df["value"].to_numpy() * 100)
-            # the newest covering window starts at floor(ts/slide)*slide;
-            # the rest step back by slide (start > ts - window holds)
-            base = (tus // slide_us) * slide_us
-            starts = (base[:, None]
-                      - np.arange(n_covers)[None, :] * slide_us).ravel()
-            df = pd.DataFrame({
-                "user_id": np.repeat(df["user_id"].to_numpy(), n_covers),
-                "window_start": pd.to_datetime(starts, unit="us"),
-                "n_events": 1,
-                "sum_value_cents": np.repeat(cents, n_covers),
-            })
-        g = df.groupby(["user_id", "window_start"], sort=False).agg(
-            n_events=("n_events", "sum"),
-            sum_value_cents=("sum_value_cents", "sum")).reset_index()
-        return from_pandas_clean(g, preserve_index=False)
+        # the newest covering window starts at floor(ts/slide)*slide;
+        # the rest step back by slide (start > ts - window holds)
+        base = _np(batch, "ts") // slide_us * slide_us
+        starts = (base[:, None]
+                  - np.arange(n_covers)[None, :] * slide_us).ravel()
+        return total(pa.table({
+            "user_id": batch.column("user_id").take(
+                np.repeat(np.arange(batch.num_rows), n_covers)),
+            "window_start": pa.array(starts * 1000, pa.timestamp("ns")),
+            "n_events": np.ones(len(starts), np.int64),
+            "sum_value_cents": np.repeat(_cents(batch), n_covers),
+        }))
 
-    return (
-        events.map_batches(combine, batch_format="pyarrow",
-                           batch_size=1 << 19)
-        .sort(["user_id", "window_start"])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_complete(events, ["user_id", "window_start"], total,
+                          combine=combine, op="sliding_window_counts")
 
 
 def sessionize(events: rd.Dataset, *, gap_us: int = SESSION_GAP_US) -> rd.Dataset:
     """(user_id, session_idx, n_events, start_ts, end_ts) — sessions are
     maximal event runs per user with inter-event gaps <= ``gap_us``.
-    Ties order by (ts, event_id), matching the SQL oracle's window."""
+    Ties order by (ts, event_id), matching the SQL oracle's window.
+    One ``keyed_complete`` on user_id; rows with a null user_id drop."""
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "session_idx": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "start_ts": pa.array([], pa.timestamp("us")),
-                "end_ts": pa.array([], pa.timestamp("us")),
-            })
-        df = df.sort_values(["user_id", "ts", "event_id"])
-        ts = df["ts"].astype("int64")
-        new_user = df["user_id"].ne(df["user_id"].shift())
-        gap = ts.diff() > gap_us
-        df["session_idx"] = (new_user | gap).groupby(
-            df["user_id"]).cumsum().astype("int64") - 1
-        g = df.groupby(["user_id", "session_idx"], sort=False).agg(
-            n_events=("event_id", "size"),
-            start_ts=("ts", "min"),
-            end_ts=("ts", "max")).reset_index()
-        return from_pandas_clean(g, preserve_index=False)
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        return _session_rows(t, start, _gap_breaks(_np(t, "ts"), gap_us),
+                             _ones(t), "ts", "ts")
 
-    return events.sort("user_id").map_batches(
-        per_block, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(events, ["user_id"], complete, combine=lambda b:
+                          b.select(["user_id", "ts", "event_id"]),
+                          op="sessionize")
 
 
 def sessionize_salted(
@@ -199,127 +329,63 @@ def sessionize_salted(
        the last ``gap_us`` of their bucket also ghost into the next
        bucket (requires ``bucket_us > gap_us``, which also guarantees a
        session can never skip an empty bucket).
-    2. SORT on the high-cardinality salted key; a vectorized per-block
-       pass sessionizes each (user, bucket) group locally and emits one
-       aggregate row per LOCAL session, plus whether the group's first
-       session continues the previous bucket (gap to the youngest ghost
-       <= gap_us).
-    3. STITCH: one more sort over the per-session aggregates (tiny —
-       one row per session, so even a hyperactive user is a short run)
-       chain-merges boundary-crossing sessions and numbers sessions
-       globally per user.
+    2. ``keyed_complete`` on the high-cardinality salted key: each
+       (user, bucket) group sessionizes locally and emits one row per
+       LOCAL session, plus whether the group's first session continues
+       the previous bucket (gap to the youngest ghost <= gap_us).
+    3. STITCH: one more ``keyed_complete``, on user_id alone, over the
+       per-session rows (one row per session, so even a hyperactive
+       user is a short run) chain-merges boundary-crossing sessions and
+       numbers sessions globally per user.  On user_id ALONE: Ray's
+       range partitioner keeps only EQUAL full keys together, so a
+       composite (user_id, bucket, local_idx) key may split one user's
+       session chain across blocks (reproduced: 79 duplicated
+       (user_id, session_idx) rows at 8.5k events); the stitch sorts
+       the block on the composite itself.
+    Rows with a null user_id drop, as in :func:`sessionize`.
     """
     assert bucket_us > gap_us, "bucket must exceed the session gap"
+    keys = ["user_id", "bucket"]
+    order = [("ts", "ascending"), ("event_id", "ascending")]
 
     def bucket_and_ghost(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()[["user_id", "ts", "event_id"]]
-        ts = df["ts"].astype("int64").to_numpy()
-        bucket = (ts // bucket_us).astype(np.int64)
-        h = pd.util.hash_pandas_object(df["user_id"], index=False).to_numpy()
-        nb = np.uint64(n_buckets)
-        df["bucket"] = bucket
-        df["ghost"] = False
-        df["skey"] = ((h + bucket.astype(np.uint64)) % nb).astype(np.int64)
-        near_end = (bucket + 1) * bucket_us - ts <= gap_us
-        g = df[near_end].copy()
-        g["bucket"] = g["bucket"] + 1
-        g["ghost"] = True
-        g["skey"] = ((h[near_end] + (bucket[near_end] + 1).astype(np.uint64))
-                     % nb).astype(np.int64)
-        out = pd.concat([df, g], ignore_index=True)
-        return from_pandas_clean(out, preserve_index=False)
+        us = _np(batch, "ts")
+        bucket = us // bucket_us
+        ghost = (bucket + 1) * bucket_us - us <= gap_us
+        idx = np.concatenate([np.arange(len(us)), np.flatnonzero(ghost)])
+        t = batch.select(["user_id", "ts", "event_id"]).take(idx)
+        return _salted(t, np.concatenate([bucket, bucket[ghost] + 1]),
+                       n_buckets).append_column(
+            "ghost", pa.array(np.arange(len(idx)) >= len(us)))
 
-    tagged = events.map_batches(bucket_and_ghost, batch_format="pyarrow",
-                                batch_size=1 << 19)
-
-    def local_sessions(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        empty = pd.DataFrame({
-            "user_id": pd.Series(dtype="int64"),
-            "bucket": pd.Series(dtype="int64"),
-            "local_idx": pd.Series(dtype="int64"),
-            "n_events": pd.Series(dtype="int64"),
-            "start_ts": pd.Series(dtype="int64"),
-            "end_ts": pd.Series(dtype="int64"),
-            "continues_prev": pd.Series(dtype="bool"),
-        })
-        if df.empty:
-            return from_pandas_clean(empty, preserve_index=False)
-        df = df.sort_values(["user_id", "bucket", "ts", "event_id"])
-        ts = df["ts"].astype("int64")
-        real = ~df["ghost"].to_numpy()
-        grp = df["user_id"].astype(str) + ":" + df["bucket"].astype(str)
-        new_grp = grp.ne(grp.shift()).to_numpy()
-        gap = (ts.diff() > gap_us).to_numpy()
-        # youngest ghost precedes the first real event after sorting
-        # (ghost ts < bucket start <= real ts); a first real event
-        # continues iff its gap to the previous (ghost) row is small
-        prev_is_ghost = np.roll(~real, 1)
-        prev_is_ghost[0] = False
-        # local session break among real events only
-        rdf = df[real].copy()
-        rts = rdf["ts"].astype("int64")
-        rgrp = rdf["user_id"].astype(str) + ":" + rdf["bucket"].astype(str)
-        rnew = rgrp.ne(rgrp.shift())
-        rgap = rts.diff() > gap_us
-        rdf["local_idx"] = (rnew | rgap).groupby(
-            [rdf["user_id"], rdf["bucket"]]).cumsum().astype("int64") - 1
-        # continues flag: for each (user,bucket) group, does the first
-        # REAL event sit within gap of the youngest ghost of the group?
-        cont = (~new_grp) & gap.__invert__() & prev_is_ghost & real
-        rdf["continues_prev"] = cont[real]
-        agg = rdf.groupby(["user_id", "bucket", "local_idx"],
-                          sort=False).agg(
-            n_events=("event_id", "size"),
-            start_ts=("ts", "min"),
-            end_ts=("ts", "max"),
-            continues_prev=("continues_prev", "any")).reset_index()
+    def local_sessions(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(t, keys, order)
+        ghost = _np(t, "ghost")
+        # the youngest ghost precedes the group's first real event (ghost
+        # ts < bucket start <= real ts); that event continues the
+        # previous bucket iff it sits within gap_us of the ghost
+        cont = (~ghost & run_lag(start, ghost, False)
+                & ~_gap_breaks(_np(t, "ts"), gap_us))
+        r, rstart = sorted_runs(t.append_column("cont", pa.array(cont))
+                                .filter(pa.array(~ghost)), keys, order)
+        brk = _gap_breaks(_np(r, "ts"), gap_us)
+        first, _ = _spans(rstart | brk)
+        out = _session_rows(r, rstart, brk, _ones(r), "ts", "ts")
         # only a group's FIRST local session can continue
-        agg.loc[agg["local_idx"] != 0, "continues_prev"] = False
-        agg["start_ts"] = agg["start_ts"].astype("int64")
-        agg["end_ts"] = agg["end_ts"].astype("int64")
-        return from_pandas_clean(agg[empty.columns.tolist()],
-                                    preserve_index=False)
+        return (out.append_column("bucket", r.column("bucket").take(first))
+                .append_column("continues_prev", pa.array(
+                    _np(r, "cont")[first] & (_np(out, "session_idx") == 0))))
 
-    local = tagged.sort("skey").map_batches(
-        local_sessions, batch_format="pyarrow", batch_size=None)
+    def stitch(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(t, ["user_id"], [
+            ("bucket", "ascending"), ("session_idx", "ascending")])
+        return _session_rows(t, start, ~_np(t, "continues_prev"),
+                             _np(t, "n_events"), "start_ts", "end_ts")
 
-    def stitch(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "session_idx": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "start_ts": pa.array([], pa.timestamp("us")),
-                "end_ts": pa.array([], pa.timestamp("us")),
-            })
-        df = df.sort_values(["user_id", "bucket", "local_idx"])
-        new_user = df["user_id"].ne(df["user_id"].shift())
-        merge = df["continues_prev"].to_numpy() & ~new_user.to_numpy()
-        chain = (~merge).cumsum()
-        g = df.groupby(chain, sort=False).agg(
-            user_id=("user_id", "first"),
-            n_events=("n_events", "sum"),
-            start_ts=("start_ts", "min"),
-            end_ts=("end_ts", "max")).reset_index(drop=True)
-        g["session_idx"] = g.groupby("user_id").cumcount().astype("int64")
-        g["start_ts"] = g["start_ts"].astype("datetime64[us]")
-        g["end_ts"] = g["end_ts"].astype("datetime64[us]")
-        cols = ["user_id", "session_idx", "n_events", "start_ts", "end_ts"]
-        return from_pandas_clean(g[cols], preserve_index=False)
-
-    # the stitch input is one tiny row per session — sorting it on
-    # user_id is safe even for hyperactive users.  Sort on user_id ALONE:
-    # Ray's range partitioner only keeps EQUAL full keys together, so a
-    # composite (user_id, bucket, local_idx) sort may split one user's
-    # session chain across blocks and the boundary merge is then missed
-    # (reproduced: 79 duplicated (user_id, session_idx) rows at 8.5k
-    # events once the stitch input spans multiple blocks).  Equal
-    # user_id keys never split; stitch() re-sorts the block on the full
-    # composite key before chaining.
-    return local.sort("user_id").map_batches(
-        stitch, batch_format="pyarrow", batch_size=None)
+    local = keyed_complete(events, ["skey"], local_sessions,
+                           combine=bucket_and_ghost, op="sessionize_salted")
+    return keyed_complete(local, ["user_id"], stitch,
+                          op="sessionize_salted_stitch")
 
 
 def asof_join_events(
@@ -336,65 +402,41 @@ def asof_join_events(
 
     Output: (event_id, user_id, ts, asof_event_id, asof_ts).
 
-    Shape: a column-pruning type filter runs BEFORE the shuffle (only
-    the two joined types move), then one sort on user_id alone — equal
-    keys never split across blocks (the repo's range-partitioner rule),
-    so the per-block forward-carry sees each user's full history.  The
-    carry itself is vectorized: left rows mark their positional index,
-    a grouped cummax propagates the latest one, and right rows gather
-    through it.  Partitioning assumption: one user's click+purchase
-    rows fit a block; for pathologically hot users, bucket-salt with
-    boundary ghosts exactly as `sessionize_salted` does (the ghost
-    would carry the youngest pre-boundary left event instead of a
-    session aggregate).
+    Shape: a column-pruning type filter runs before the exchange (only
+    the two joined types move), then one ``keyed_complete`` on user_id
+    alone, so the forward carry (:func:`_asof_carry`) sees each user's
+    full history.  Rows with a null user_id drop.  For pathologically
+    hot users, :func:`asof_join_events_salted` is the skew-safe twin.
     """
 
-    def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        right = _is(t, right_type)
+        return _asof_rows(t, right,
+                          _asof_carry(start, _is(t, left_type))[right])
 
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        return batch.filter(keep).select(
-            ["event_id", "user_id", "ts", "event_type"])
+    return keyed_complete(events, ["user_id"], complete,
+                          combine=_types(left_type, right_type),
+                          op="asof_join_events")
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "ts", "event_id"])
-        empty = pd.DataFrame({
-            "event_id": pd.Series(dtype="int64"),
-            "user_id": pd.Series(dtype="int64"),
-            "ts": pd.Series(dtype="datetime64[us]"),
-            "asof_event_id": pd.Series(dtype="Int64"),
-            "asof_ts": pd.Series(dtype="datetime64[us]"),
-        })
-        if df.empty:
-            return from_pandas_clean(empty, preserve_index=False)
-        ids = df["event_id"].to_numpy()
-        is_left = (df["event_type"] == left_type).to_numpy()
-        # latest left position carried forward per user; a right row's
-        # cummax can never include itself (it is not a left row), so
-        # the carry is strictly prior in sort order
-        marker = np.where(is_left, np.arange(len(df)), -1)
-        carried = (pd.Series(marker)
-                   .groupby(df["user_id"].to_numpy()).cummax()
-                   .to_numpy())
-        right = (df["event_type"] == right_type).to_numpy()
-        src = carried[right]
-        valid = src >= 0
-        gather = np.maximum(src, 0)
-        out = df.loc[right, ["event_id", "user_id", "ts"]].copy()
-        out["asof_event_id"] = pd.array(
-            np.where(valid, ids[gather], 0), dtype="Int64")
-        out.loc[~valid, "asof_event_id"] = pd.NA
-        asof_ts = pd.Series(df["ts"].to_numpy()[gather], index=out.index)
-        asof_ts[~valid] = pd.NaT
-        out["asof_ts"] = asof_ts
-        return from_pandas_clean(out[empty.columns.tolist()],
-                                    preserve_index=False)
 
-    return (events.map_batches(project, batch_format="pyarrow")
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+def _range_rows(t: pa.Table, start: np.ndarray, right_type: str,
+                horizon_us: int) -> pa.Table:
+    """The range-join completion both twins share: for every row of
+    ``t`` (sorted by (group, ts, event_id), ``start`` marking groups)
+    that is not ``right_type``, the count of ``right_type`` rows of its
+    group in ``(ts, ts + horizon_us]`` and the first one's ts — two
+    ``searchsorted`` calls over the group-composed timeline."""
+    key = _run_keys(start, _np(t, "ts"), horizon_us)
+    is_r = _is(t, right_type)
+    rkey, lkey = key[is_r], key[~is_r]
+    lo = np.searchsorted(rkey, lkey, side="right")
+    n = np.searchsorted(rkey, lkey + horizon_us, side="right") - lo
+    first = t.column("ts").filter(pa.array(is_r)).take(
+        pa.array(np.where(n > 0, lo, 0), mask=n == 0))
+    return (t.filter(pa.array(~is_r)).select(["event_id", "user_id", "ts"])
+            .append_column("n_range", pa.array(n, pa.int64()))
+            .append_column("first_range_ts", first))
 
 
 def range_join_events(
@@ -411,76 +453,22 @@ def range_join_events(
     Output: (event_id, user_id, ts, n_range, first_range_ts — NULL when
     n_range = 0).
 
-    Shape: same as :func:`asof_join_events` — a pre-shuffle type filter
-    prunes to the two joined streams, one sort on user_id keeps each
-    user whole per block, and the per-block kernel is two vectorized
-    ``np.searchsorted`` calls over the user-offset-composed timeline (no
-    pairwise expansion: the bounded horizon makes the join output
-    linear in the left side regardless of right-side density).  The
-    same hot-user salting recipe as ``sessionize_salted`` applies when
-    one user exceeds a block.
+    Shape: as :func:`asof_join_events` — a pre-exchange type filter,
+    one ``keyed_complete`` on user_id, and per user two vectorized
+    ``np.searchsorted`` calls over the user-offset-composed timeline
+    (:func:`_range_rows`; no pairwise expansion: the bounded horizon
+    makes the output linear in the left side).  Rows with a null
+    user_id drop.  :func:`range_join_events_salted` is the hot-user
+    twin.
     """
 
-    def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        return _range_rows(t, start, right_type, horizon_us)
 
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        return batch.filter(keep).select(
-            ["event_id", "user_id", "ts", "event_type"])
-
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "ts", "event_id"])
-        empty = pd.DataFrame({
-            "event_id": pd.Series(dtype="int64"),
-            "user_id": pd.Series(dtype="int64"),
-            "ts": pd.Series(dtype="datetime64[us]"),
-            "n_range": pd.Series(dtype="int64"),
-            "first_range_ts": pd.Series(dtype="datetime64[us]"),
-        })
-        if df.empty:
-            return from_pandas_clean(empty, preserve_index=False)
-        tus = df["ts"].astype("int64").to_numpy()
-        # DENSE per-block user codes (df is user-sorted, so factorize
-        # preserves order): the key composition depends on the number
-        # of distinct users IN THIS BLOCK, never on the global id
-        # magnitude — sparse/snowflake/negative 64-bit ids all work.
-        codes = pd.factorize(df["user_id"].to_numpy())[0].astype(np.int64)
-        is_r = (df["event_type"] == right_type).to_numpy()
-        # compose (user, ts) into one sortable int stream per side by
-        # offsetting each user's REBASED timeline far apart:
-        # code * span + (ts - min_ts).  Rebasing keeps span at the
-        # data's time EXTENT (~2^42 for a month of us ticks); a block
-        # would need > 2^62/span distinct users (~10^6 at month extent,
-        # far above any real block's row count) to overflow int64.
-        rebased = tus - tus.min()
-        span = np.int64(1) << int(rebased.max() + horizon_us + 1
-                                  ).bit_length()
-        assert codes.max() < (np.int64(1) << 62) // span, \
-            "too many distinct users in one block for the key span"
-        key = codes * span + rebased
-        rkey = key[is_r]                       # sorted (df is sorted)
-        rtus = tus[is_r]
-        left = ~is_r
-        lo = np.searchsorted(rkey, key[left], side="right")
-        hi = np.searchsorted(rkey, key[left] + horizon_us, side="right")
-        n = (hi - lo).astype(np.int64)
-        out = df.loc[left, ["event_id", "user_id", "ts"]].copy()
-        out["n_range"] = n
-        first = pd.Series(
-            pd.to_datetime(rtus[np.minimum(lo, max(len(rkey) - 1, 0))]
-                           if len(rkey) else np.zeros(len(n), np.int64),
-                           unit="us"),
-            index=out.index).astype("datetime64[us]")
-        first[n == 0] = pd.NaT
-        out["first_range_ts"] = first
-        return from_pandas_clean(out[empty.columns.tolist()],
-                                    preserve_index=False)
-
-    return (events.map_batches(project, batch_format="pyarrow")
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete,
+                          combine=_types(left_type, right_type),
+                          op="range_join_events")
 
 
 def range_join_events_salted(
@@ -497,97 +485,34 @@ def range_join_events_salted(
 
     The range predicate's BOUNDED lookahead makes the sessionize_salted
     ghost trick sufficient (unlike as-of, whose unbounded lookback
-    would need a cross-bucket prefix pass): salt the sort key with a
-    coarse time bucket, and ghost each ``right_type`` event into the
-    PREVIOUS bucket when it sits within ``horizon_us`` of its bucket
-    start — every right event a left event can see is then in the
-    left's own (user, bucket) group, because the left's window
-    ``(ts, ts + horizon]`` spans at most one bucket boundary
-    (``bucket_us > horizon_us`` enforced).  Each left event belongs to
-    exactly one group, so output rows are unique with no stitch pass.
-
-    The per-block kernel is the same two-searchsorted composition as
-    the unsalted version, with (user, bucket) group codes from one
-    vectorized changed-flag cumsum — no per-group Python loop even
-    though a block holds thousands of groups."""
+    needs a stitch): salt the key with a coarse time bucket, and ghost
+    each ``right_type`` event into the PREVIOUS bucket when it sits
+    within ``horizon_us`` of its bucket start — every right event a
+    left event can see is then in the left's own (user, bucket) group,
+    because the left's window ``(ts, ts + horizon]`` spans at most one
+    bucket boundary (``bucket_us > horizon_us`` enforced).  Each left
+    event belongs to exactly one group, so output rows are unique with
+    no stitch pass.  The completion is the unsalted one,
+    :func:`_range_rows`, over (user, bucket) groups."""
     assert bucket_us > horizon_us, "bucket must exceed the horizon"
 
     def bucket_and_ghost(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        t = _types(left_type, right_type)(batch)
+        us = _np(t, "ts")
+        bucket = us // bucket_us
+        ghost = (us - bucket * bucket_us <= horizon_us) & _is(t, right_type)
+        idx = np.concatenate([np.arange(len(us)), np.flatnonzero(ghost)])
+        return _salted(t.take(idx),
+                       np.concatenate([bucket, bucket[ghost] - 1]), n_buckets)
 
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        df = (batch.filter(keep)
-              .select(["event_id", "user_id", "ts", "event_type"])
-              .to_pandas())
-        tus = df["ts"].astype("int64").to_numpy()
-        bucket = tus // bucket_us
-        h = pd.util.hash_pandas_object(df["user_id"],
-                                       index=False).to_numpy()
-        nb = np.uint64(n_buckets)
-        df["bucket"] = bucket
-        df["skey"] = ((h + bucket.astype(np.uint64)) % nb).astype(np.int64)
-        near_start = ((tus - bucket * bucket_us <= horizon_us)
-                      & (df["event_type"] == right_type).to_numpy())
-        g = df[near_start].copy()
-        g["bucket"] = g["bucket"] - 1
-        g["skey"] = ((h[near_start]
-                      + (bucket[near_start] - 1).astype(np.uint64))
-                     % nb).astype(np.int64)
-        out = pd.concat([df, g], ignore_index=True)
-        return from_pandas_clean(out, preserve_index=False)
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(t, ["user_id", "bucket"], [
+            ("ts", "ascending"), ("event_id", "ascending")])
+        return _range_rows(t, start, right_type, horizon_us)
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(
-            ["user_id", "bucket", "ts", "event_id"])
-        empty = pd.DataFrame({
-            "event_id": pd.Series(dtype="int64"),
-            "user_id": pd.Series(dtype="int64"),
-            "ts": pd.Series(dtype="datetime64[us]"),
-            "n_range": pd.Series(dtype="int64"),
-            "first_range_ts": pd.Series(dtype="datetime64[us]"),
-        })
-        if df.empty:
-            return from_pandas_clean(empty, preserve_index=False)
-        tus = df["ts"].astype("int64").to_numpy()
-        # (user, bucket) group codes: changed-flag cumsum on the sorted
-        # frame (the composite analog of the unsalted factorize)
-        uid = df["user_id"].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        changed = np.ones(len(df), dtype=bool)
-        changed[1:] = (uid[1:] != uid[:-1]) | (bkt[1:] != bkt[:-1])
-        codes = np.cumsum(changed) - 1
-        is_r = (df["event_type"] == right_type).to_numpy()
-        rebased = tus - tus.min()
-        span = np.int64(1) << int(rebased.max() + horizon_us + 1
-                                  ).bit_length()
-        assert codes.max() < (np.int64(1) << 62) // span, \
-            "too many (user, bucket) groups in one block for the key span"
-        key = codes * span + rebased
-        rkey = key[is_r]
-        rtus = tus[is_r]
-        # lefts: only ORIGINAL rows (ghosts are always right-type)
-        left = ~is_r
-        lo = np.searchsorted(rkey, key[left], side="right")
-        hi = np.searchsorted(rkey, key[left] + horizon_us, side="right")
-        n = (hi - lo).astype(np.int64)
-        out = df.loc[left, ["event_id", "user_id", "ts"]].copy()
-        out["n_range"] = n
-        first = pd.Series(
-            pd.to_datetime(rtus[np.minimum(lo, max(len(rkey) - 1, 0))]
-                           if len(rkey) else np.zeros(len(n), np.int64),
-                           unit="us"),
-            index=out.index).astype("datetime64[us]")
-        first[n == 0] = pd.NaT
-        out["first_range_ts"] = first
-        return from_pandas_clean(out[empty.columns.tolist()],
-                                    preserve_index=False)
-
-    return (events.map_batches(bucket_and_ghost, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("skey")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["skey"], complete,
+                          combine=bucket_and_ghost,
+                          op="range_join_events_salted")
 
 
 def value_quantiles_by_type(
@@ -598,61 +523,32 @@ def value_quantiles_by_type(
     """Exact per-event_type percentiles of the value column (integer
     cents — same rounding as :func:`windowed_counts`).
 
-    Grouped variant of `textstats.token_count_quantiles`: batch-local
-    (event_type, cents) histogram combine, one composite sort, per-block
-    re-combine, then a per-group CDF walk on the driver (`take_all` is
-    O(distinct (type, cents)) — bounded by types x price points, not by
-    event count).  Quantile rule: value at 1-based sorted position
-    ``(q*N + 99) // 100`` — integer arithmetic, bit-exact vs SQL.
+    A batch-local (event_type, cents) histogram, folded on the driver by
+    ``agg_fold`` (O(distinct (type, cents)) — bounded by types x price
+    points, not by event count), then one CDF walk per type
+    (:func:`_quantile_rows`).  Quantile rule: value at 1-based sorted
+    position ``(q*N + 99) // 100`` — integer arithmetic, bit-exact vs
+    SQL.  Rows with a null event_type drop.
 
     Output: small pa.Table (event_type, q_pct BIGINT, cents BIGINT)."""
+    keys = ["event_type", "cents"]
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "cents" not in df.columns:
-            df = pd.DataFrame({
-                "event_type": df["event_type"].to_numpy(),
-                "cents": _round_half_away(df["value"].to_numpy() * 100),
-                "n": np.ones(len(df), np.int64),
-            })
-        g = (df.groupby(["event_type", "cents"], sort=False)["n"]
-             .sum().reset_index())
-        return pa.table({
-            "event_type": pa.array(g["event_type"].tolist(),
-                                   pa.string()),
-            "cents": pa.array(np.asarray(g["cents"], np.int64),
-                              pa.int64()),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-        })
+    def hist(batch: pa.Table) -> pa.Table:
+        return grouped_agg(pa.table({
+            "event_type": batch.column("event_type"),
+            "cents": _cents(batch), "n": _ones(batch)}), keys, [("n", "sum")])
 
-    hist = (
-        events.map_batches(combine, batch_format="pyarrow",
-                           batch_size=1 << 19)
-        .sort(["event_type", "cents"])
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-    ).take_all()  # O(distinct (type, cents)) — tiny by design
-    if not hist:
-        return pa.table({
-            "event_type": pa.array([], pa.string()),
-            "q_pct": pa.array([], pa.int64()),
-            "cents": pa.array([], pa.int64()),
-        })
-    df = pd.DataFrame(hist).sort_values(["event_type", "cents"])
-    out_t, out_q, out_v = [], [], []
-    for et, grp in df.groupby("event_type", sort=True):
-        vals = grp["cents"].to_numpy()
-        cum = np.cumsum(grp["n"].to_numpy())
-        n_total = int(cum[-1])
-        for q in q_pct:
-            pos = (int(q) * n_total + 99) // 100
-            idx = int(np.searchsorted(cum, pos, side="left"))
-            out_t.append(et)
-            out_q.append(int(q))
-            out_v.append(int(vals[idx]))
+    h, start = sorted_runs(agg_fold(
+        events.map_batches(hist, batch_format="pyarrow", batch_size=1 << 19),
+        keys, [("n", "sum")], op="value_quantiles_by_type",
+        empty=_empty(event_type=pa.string(), cents=pa.int64(),
+                     n=pa.int64())), ["event_type"], [("cents", "ascending")])
+    idx = _quantile_rows(start, _np(h, "n"), q_pct).ravel()
     return pa.table({
-        "event_type": pa.array(out_t, pa.string()),
-        "q_pct": pa.array(out_q, pa.int64()),
-        "cents": pa.array(out_v, pa.int64()),
+        "event_type": h.column("event_type").take(idx),
+        "q_pct": pa.array(np.tile(np.asarray(q_pct, np.int64),
+                                  start.sum()), pa.int64()),
+        "cents": h.column("cents").take(idx),
     })
 
 
@@ -660,32 +556,18 @@ def latest_event_per_user(events: rd.Dataset) -> rd.Dataset:
     """Dedup-to-latest (CDC-style snapshot): each user's most recent
     event by (ts, event_id).
 
-    Local per-batch last-per-user BEFORE the shuffle (the all-to-all
-    moves one row per user per batch), one sort on user_id, per-block
-    completion — a grouped argmax in the engine's combine/sort/combine
-    shape.  Output: (user_id, event_id, ts, event_type)."""
-
-    def local_last(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["user_id", "ts", "event_id"])
-              .groupby("user_id", sort=False).tail(1))
-        return pa.table({
-            "user_id": pa.array(np.asarray(df["user_id"], np.int64),
-                                pa.int64()),
-            "event_id": pa.array(np.asarray(df["event_id"], np.int64),
-                                 pa.int64()),
-            "ts": pa.array(df["ts"].to_numpy(), pa.timestamp("us")),
-            "event_type": pa.array(df["event_type"].tolist(),
-                                   pa.string()),
-        })
-
-    return (
-        events.map_batches(local_last, batch_format="pyarrow",
-                           batch_size=1 << 19)
-        .sort("user_id")
-        .map_batches(local_last, batch_format="pyarrow",
-                     batch_size=None)
-    )
+    A per-user ``grouped_topk`` top-1 before the exchange (it moves one
+    row per user per batch) and the same cut as the completion of one
+    ``keyed_complete``.  Rows with a null user_id drop.  Output:
+    (user_id, event_id, ts, event_type)."""
+    latest = functools.partial(
+        grouped_topk, keys=["user_id"], k=1,
+        order=[("ts", "descending"), ("event_id", "descending")])
+    return keyed_complete(events, ["user_id"], latest, combine=lambda b:
+                          latest(b.select(["user_id", "event_id", "ts",
+                                           "event_type"])
+                                 .replace_schema_metadata()),
+                          op="latest_event_per_user")
 
 
 def asof_join_events_salted(
@@ -702,191 +584,80 @@ def asof_join_events_salted(
     As-of lookback is UNBOUNDED, so the range join's local ghost trick
     does not work; instead the sessionize_salted two-phase shape does:
 
-    1. SALTED LOCAL PASS (sort on skey): within each (user, bucket)
-       group, resolve every ``right_type`` event against the group's
-       own prior ``left_type`` events (a local prior left, being later
-       than anything in an earlier bucket, is always the true answer).
-       Each group also emits ONE carry row — its latest left event —
-       and the unresolved rights pass through tagged ``open``.
-    2. STITCH (sort on stkey): ``res`` rows — the resolved BULK — take
-       spread per-event odd keys and pass straight through (they never
-       re-concentrate per user); ``open``/``carry`` rows take the even
-       key 2*user_id, so per user an ``open`` in bucket b finds the
-       carry with the largest bucket < b (buckets partition time, so
-       the prefix-maximum carry IS the predecessor) via one
-       searchsorted over (user, bucket) composed keys.
+    1. SALTED LOCAL PASS (``keyed_complete`` on skey): within each
+       (user, bucket) group, resolve every ``right_type`` event against
+       the group's own prior ``left_type`` events (a local prior left,
+       being later than anything in an earlier bucket, is always the
+       true answer).  Each group also emits ONE carry row — its latest
+       left event (``grouped_topk``) — and the unresolved rights pass
+       through tagged ``open``.
+    2. STITCH (``keyed_complete`` on stkey): ``res`` rows — the resolved
+       BULK — take spread per-event odd keys and pass straight through
+       (they never re-concentrate per user); ``open``/``carry`` rows
+       take the even key 2*user_id, so per user an ``open`` in bucket b
+       finds the carry with the largest bucket < b: the same forward
+       carry, over (user) runs sorted by (bucket, opens before carries).
 
     Residual skew: the stitch concentrates one carry per (user, bucket)
     plus the OPEN rights (rights before any same-bucket left).  Opens
     are typically a small fraction; the adversarial case — a left-less
     hyperactive user, all of whose rights are open — re-serializes that
-    user's rights only.  The escalation (resolve per-(user, bucket)
-    open GROUPS, then join back on the high-cardinality composed key)
-    costs every row a third shuffle and is not worth it before that
-    case is real."""
-    import pyarrow.compute as pc
-
-    ts_t = pa.timestamp("us")
+    user's rights only.  Rows with a null user_id drop."""
     # odd-key mix for res rows (Knuth multiplicative); only a
     # partitioning key, never an output value
     _MIX = np.uint64(0x9E3779B97F4A7C15)
+    keys = ["user_id", "bucket"]
 
     def tag(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([left_type, right_type]))
-        t = batch.filter(keep)
-        tus = t.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        bucket = tus // bucket_us
-        h = pd.util.hash_pandas_object(
-            pd.Series(t.column("user_id").to_numpy(
-                zero_copy_only=False)), index=False).to_numpy()
-        skey = ((h + bucket.astype(np.uint64))
-                % np.uint64(n_buckets)).astype(np.int64)
-        # Arrow-native passthrough keeps concrete types on empty blocks
-        return pa.table({
-            "event_id": t.column("event_id"),
-            "user_id": t.column("user_id"),
-            "ts": t.column("ts"),
-            "event_type": t.column("event_type"),
-            "bucket": pa.array(bucket, pa.int64()),
-            "skey": pa.array(skey, pa.int64()),
-        })
+        t = _types(left_type, right_type)(batch)
+        return _salted(t, _np(t, "ts") // bucket_us, n_buckets)
 
-    def _stitch_rows(kind, event_id, user_id, bucket, ts, aeid,
-                     aeid_mask, ats, stkey) -> pa.Table:
-        """Explicit-typed superset block (empty-safe)."""
+    def rows(kind, t: pa.Table, aeid, ats, stkey) -> pa.Table:
         return pa.table({
             "kind": pa.array(kind, pa.string()),
-            "event_id": pa.array(np.asarray(event_id, np.int64),
-                                 pa.int64()),
-            "user_id": pa.array(np.asarray(user_id, np.int64),
-                                pa.int64()),
-            "bucket": pa.array(np.asarray(bucket, np.int64),
-                               pa.int64()),
-            "ts": pa.array(np.asarray(ts, "datetime64[us]"), ts_t),
-            "asof_event_id": pa.array(
-                np.asarray(aeid, np.int64), pa.int64(),
-                mask=np.asarray(aeid_mask, bool)),
-            "asof_ts": pa.array(np.asarray(ats, "datetime64[us]"),
-                                ts_t, mask=np.asarray(aeid_mask, bool)),
-            "stkey": pa.array(np.asarray(stkey, np.int64), pa.int64()),
-        })
+            "event_id": t.column("event_id"), "user_id": t.column("user_id"),
+            "bucket": t.column("bucket"), "ts": t.column("ts"),
+            "asof_event_id": aeid, "asof_ts": ats,
+            "stkey": pa.array(stkey, pa.int64())})
 
-    def local_pass(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = np.empty(0, np.int64)
-            return _stitch_rows([], z, z, z, z, z, np.empty(0, bool),
-                                z, z)
-        df = df.sort_values(["user_id", "bucket", "ts", "event_id"])
-        uid = df["user_id"].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        changed = np.ones(len(df), dtype=bool)
-        changed[1:] = (uid[1:] != uid[:-1]) | (bkt[1:] != bkt[:-1])
-        codes = np.cumsum(changed) - 1
-        is_left = (df["event_type"] == left_type).to_numpy()
-        marker = np.where(is_left, np.arange(len(df)), -1)
-        carried = (pd.Series(marker).groupby(codes).cummax().to_numpy())
-        ids = df["event_id"].to_numpy()
-        tsv = df["ts"].to_numpy()
-        right = ~is_left
-        src = carried[right]
-        resolved = src >= 0
-        gather = np.maximum(src, 0)
-        r_ids = ids[right]
-        r_uid = uid[right]
-        # res: spread odd keys; open: even 2*user_id (wraparound keeps
-        # parity and equality, which is all a range partitioner needs)
-        odd = ((r_ids.astype(np.uint64) * _MIX) | np.uint64(1)
-               ).astype(np.int64)
-        even = (r_uid.astype(np.uint64) << np.uint64(1)).astype(np.int64)
-        rights = _stitch_rows(
-            np.where(resolved, "res", "open").tolist(),
-            r_ids, r_uid, bkt[right], tsv[right],
-            np.where(resolved, ids[gather], 0), ~resolved,
-            np.where(resolved, tsv[gather],
-                     np.datetime64(0, "us")),
-            np.where(resolved, odd, even))
-        # one carry row per (user, bucket) that HAS a left event: its
-        # latest (the group's last left row in sort order)
-        dl = df[is_left]
-        cl = dl.groupby([dl["user_id"].to_numpy(),
-                         dl["bucket"].to_numpy()],
-                        sort=False).tail(1)
-        c_uid = cl["user_id"].to_numpy()
-        carries = _stitch_rows(
-            ["carry"] * len(cl), cl["event_id"].to_numpy(), c_uid,
-            cl["bucket"].to_numpy(), cl["ts"].to_numpy(),
-            cl["event_id"].to_numpy(), np.zeros(len(cl), bool),
-            cl["ts"].to_numpy(),
-            (c_uid.astype(np.uint64) << np.uint64(1)).astype(np.int64))
+    def even(t: pa.Table) -> np.ndarray:
+        # wraparound keeps parity and equality, all a partitioner needs
+        return (_np(t, "user_id").astype(np.uint64)
+                << np.uint64(1)).astype(np.int64)
+
+    def local_pass(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(t, keys, [("ts", "ascending"),
+                                         ("event_id", "ascending")])
+        is_left = _is(t, left_type)
+        src = _asof_carry(start, is_left)[~is_left]
+        r = t.filter(pa.array(~is_left))
+        res = _asof_rows(t, ~is_left, src)
+        odd = ((_np(r, "event_id").astype(np.uint64) * _MIX)
+               | np.uint64(1)).astype(np.int64)
+        rights = rows(np.where(src >= 0, "res", "open"), r,
+                      res.column("asof_event_id"), res.column("asof_ts"),
+                      np.where(src >= 0, odd, even(r)))
+        c = grouped_topk(t.filter(pa.array(is_left)), keys,
+                         [("ts", "descending"), ("event_id", "descending")], 1)
+        carries = rows(np.full(c.num_rows, "carry"), c, c.column("event_id"),
+                       c.column("ts"), even(c))
         return pa.concat_tables([rights, carries])
 
-    out_cols = ["event_id", "user_id", "ts", "asof_event_id", "asof_ts"]
+    def stitch(t: pa.Table) -> pa.Table:
+        res = _is(t, "res", "kind")
+        oc, start = sorted_runs(t.filter(pa.array(~res)), ["user_id"], [
+            ("bucket", "ascending"), ("kind", "descending")])
+        is_c = _is(oc, "carry", "kind")
+        return pa.concat_tables([
+            t.filter(pa.array(res)).select(
+                ["event_id", "user_id", "ts", "asof_event_id", "asof_ts"]),
+            _asof_rows(oc, ~is_c, _asof_carry(start, is_c)[~is_c],
+                       "asof_event_id", "asof_ts")])
 
-    def stitch(batch: pa.Table) -> pa.Table:
-        kind = batch.column("kind").to_numpy(zero_copy_only=False)
-        # res rows pass through IN ARROW: asof_event_id keeps its
-        # int64-with-nulls type (a pandas roundtrip would degrade it to
-        # float64, corrupting ids above 2^53 and splitting the block
-        # schema into int64-vs-double)
-        res = batch.filter(pa.array(kind == "res")).select(out_cols)
-        oc = batch.filter(pa.array((kind == "open") | (kind == "carry")))
-        if not oc.num_rows:
-            return res
-        uid = oc.column("user_id").to_numpy(zero_copy_only=False)
-        bkt = oc.column("bucket").to_numpy(zero_copy_only=False)
-        eid = oc.column("event_id").to_numpy(zero_copy_only=False)
-        tsv = oc.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        knd = oc.column("kind").to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, bkt, uid))
-        uid, bkt, eid = uid[order], bkt[order], eid[order]
-        tsv, knd = tsv[order], knd[order]
-        changed = np.ones(len(uid), dtype=bool)
-        changed[1:] = uid[1:] != uid[:-1]
-        ucode = np.cumsum(changed) - 1
-        span = np.int64(1) << int(max(bkt.max(), 1) + 1).bit_length()
-        assert ucode.max() < (np.int64(1) << 62) // span
-        key = ucode * span + bkt
-        is_c = knd == "carry"
-        ckey = key[is_c]        # ascending (lexsorted by user, bucket)
-        c_ids = eid[is_c]
-        c_ts = tsv[is_c]
-        is_o = knd == "open"
-        # predecessor carry: largest carry key strictly below the
-        # open's (user, bucket) — same-user guaranteed by the composed
-        # key unless pos walks into the previous user, checked below
-        if len(ckey):
-            pos = np.searchsorted(ckey, key[is_o], side="left") - 1
-            valid = pos >= 0
-            gp = np.maximum(pos, 0)
-            valid &= (ckey[gp] // span) == (key[is_o] // span)
-        else:
-            # a block of only left-less users emits no carry rows
-            valid = np.zeros(int(is_o.sum()), dtype=bool)
-            gp = np.zeros(int(is_o.sum()), dtype=np.int64)
-        aeid = np.where(valid, c_ids[gp] if len(ckey) else 0, 0)
-        ats = np.where(valid, c_ts[gp] if len(ckey) else 0, 0)
-        opens = pa.table({
-            "event_id": pa.array(eid[is_o], pa.int64()),
-            "user_id": pa.array(uid[is_o], pa.int64()),
-            "ts": pa.array(tsv[is_o].astype("datetime64[us]"), ts_t),
-            "asof_event_id": pa.array(aeid, pa.int64(), mask=~valid),
-            "asof_ts": pa.array(ats.astype("datetime64[us]"), ts_t,
-                                mask=~valid),
-        })
-        return pa.concat_tables([res, opens])
-
-    return (events.map_batches(tag, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("skey")
-            .map_batches(local_pass, batch_format="pyarrow",
-                         batch_size=None)
-            .sort("stkey")
-            .map_batches(stitch, batch_format="pyarrow",
-                         batch_size=None))
+    local = keyed_complete(events, ["skey"], local_pass, combine=tag,
+                           op="asof_join_events_salted")
+    return keyed_complete(local, ["stkey"], stitch,
+                          op="asof_join_events_salted_stitch")
 
 
 def funnel_conversions(
@@ -906,59 +677,55 @@ def funnel_conversions(
     the user's first_type events; conversion = min then_type ts in
     (fc, fc + horizon]; only converted users emit a row.
 
-    Shape (the asof precedent): a column-pruning TYPE FILTER runs
-    before the shuffle, one sort on user_id alone (a user's rows land
-    whole per block), then a vectorized per-block pass — two grouped
-    mins, no per-user Python.  Output: (user_id, first_ts, conv_ts).
+    Shape: a type filter before the exchange, one ``keyed_complete`` on
+    user_id; each user run sorts first-type rows first, so ``run_first``
+    is fc, and a ``grouped_agg`` min picks the conversion.  Rows with a
+    null user_id drop.  Output: (user_id, first_ts, conv_ts).
     """
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array([first_type, then_type]))
-        t = batch.filter(keep)
+        t = _types(first_type, then_type, cols=("user_id", "ts",
+                                                "event_type"))(batch)
         return pa.table({
             "user_id": t.column("user_id").cast(pa.int64()),
             "ts_us": t.column("ts").cast(pa.int64()),
-            "is_first": pc.cast(
-                pc.equal(t.column("event_type"), first_type),
-                pa.int64()),
+            "is_first": pc.cast(pc.equal(t.column("event_type"),
+                                         first_type), pa.int64()),
         })
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "first_ts": pa.array([], pa.timestamp("us")),
-                "conv_ts": pa.array([], pa.timestamp("us")),
-            })
-        f = df[df["is_first"] == 1]
-        fc = (f.groupby("user_id", sort=False)["ts_us"].min()
-              .rename("fc").reset_index())
-        p = df[df["is_first"] == 0].merge(fc, on="user_id")
-        p = p[(p["ts_us"] > p["fc"])
-              & (p["ts_us"] <= p["fc"] + horizon_us)]
-        conv = (p.groupby("user_id", sort=False)
-                .agg(fc=("fc", "first"), conv=("ts_us", "min"))
-                .reset_index())
-        return pa.table({
-            "user_id": pa.array(conv["user_id"].to_numpy(), pa.int64()),
-            "first_ts": pa.array(conv["fc"].to_numpy(),
-                                 pa.timestamp("us")),
-            "conv_ts": pa.array(conv["conv"].to_numpy(),
-                                pa.timestamp("us")),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = sorted_runs(t, ["user_id"], [("is_first", "descending"),
+                                               ("ts_us", "ascending")])
+        us, is_first = _np(t, "ts_us"), _np(t, "is_first")
+        fc = run_first(start, us)
+        conv = ((run_first(start, is_first) == 1) & (is_first == 0)
+                & (us > fc) & (us <= fc + horizon_us))
+        g = grouped_agg(pa.table({
+            "user_id": t.column("user_id"), "first_ts": fc, "conv_ts": us,
+        }).filter(pa.array(conv)), ["user_id"],
+            [("first_ts", "min"), ("conv_ts", "min")])
+        return pa.table({"user_id": g.column("user_id"),
+                         "first_ts": g.column("first_ts").cast(TS),
+                         "conv_ts": g.column("conv_ts").cast(TS)})
 
-    return (events.map_batches(project, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=project,
+                          op="funnel_conversions")
 
 
 WEEK_US = 7 * 24 * 3600 * 1_000_000
+
+
+def _weeks(batch: pa.Table) -> np.ndarray:
+    return _np(batch, "ts") // WEEK_US
+
+
+def _cohorts(t: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """Distinct (user, week) rows in user runs, with each row's cohort
+    week (the user's first) and week offset."""
+    t, start = _by_user(t, "week")
+    week = _np(t, "week")
+    cohort = run_first(start, week)
+    return t, cohort, week - cohort
 
 
 def cohort_retention(events: rd.Dataset) -> pa.Table:
@@ -974,87 +741,53 @@ def cohort_retention(events: rd.Dataset) -> pa.Table:
     agree everywhere >= epoch, and event time before 1970 is out of
     domain for this table).
 
-    Shape: batch-local distinct (user, week) pairs pre-shuffle, ONE
-    sort on user_id alone (a user's rows land whole per block), then a
-    vectorized per-block pass: per-user min week (the cohort) and one
-    row per distinct active week -> (cohort, offset) partial counts.
-    The result table is bounded by weeks^2 (a few thousand cells for
-    years of data), so partials fold on the driver — order-free
-    integer sums, the kg_degrees precedent.
+    Shape: batch-local distinct (user, week) pairs, ONE
+    ``keyed_complete`` on user_id (the cohort is :func:`_cohorts`' run
+    first), emitting (cohort, offset) partial counts that ``agg_fold``
+    folds: the result is bounded by weeks^2.  Rows with a null user_id
+    drop.
 
     Output: (cohort_week, week_offset, n_users); offset 0 rows give
     each cohort's size."""
+    keys = ["cohort_week", "week_offset"]
 
     def pairs(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": batch.column("user_id").to_numpy(
-                zero_copy_only=False),
-            "week": batch.column("ts").cast(pa.int64()).to_numpy()
-            // WEEK_US,
-        }).drop_duplicates()
-        return pa.table({
-            "user_id": pa.array(df["user_id"].to_numpy(), pa.int64()),
-            "week": pa.array(df["week"].to_numpy(), pa.int64()),
-        })
+        return grouped_agg(pa.table({"user_id": batch.column("user_id"),
+                                     "week": _weeks(batch)}),
+                           ["user_id", "week"], [])
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().drop_duplicates()
-        if df.empty:
-            return pa.table({
-                "cohort_week": pa.array([], pa.int64()),
-                "week_offset": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-            })
-        df["cohort_week"] = df.groupby("user_id")["week"].transform("min")
-        df["week_offset"] = df["week"] - df["cohort_week"]
-        g = (df.groupby(["cohort_week", "week_offset"], sort=False)
-             .size().reset_index(name="n"))
-        return pa.table({
-            "cohort_week": pa.array(g["cohort_week"].to_numpy(),
-                                    pa.int64()),
-            "week_offset": pa.array(g["week_offset"].to_numpy(),
-                                    pa.int64()),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, cohort, offset = _cohorts(grouped_agg(t, ["user_id", "week"], []))
+        return grouped_agg(pa.table({
+            "cohort_week": cohort, "week_offset": offset, "n": _ones(t)}),
+            keys, [("n", "sum")])
 
-    acc: dict[tuple[int, int], int] = {}
-    for r in (events.map_batches(pairs, batch_format="pyarrow",
-                                 batch_size=1 << 19)
-              .sort("user_id")
-              .map_batches(per_block, batch_format="pyarrow",
-                           batch_size=None)
-              .take_all()):
-        k = (r["cohort_week"], r["week_offset"])
-        acc[k] = acc.get(k, 0) + r["n"]
-    keys = sorted(acc)
-    return pa.table({
-        "cohort_week": pa.array([c for c, _ in keys], pa.int64()),
-        "week_offset": pa.array([o for _, o in keys], pa.int64()),
-        "n_users": pa.array([acc[k] for k in keys], pa.int64()),
-    })
+    return agg_fold(
+        keyed_complete(events, ["user_id"], complete, combine=pairs,
+                       op="cohort_retention"), keys, [("n", "sum")],
+        op="cohort_retention",
+        empty=_empty(cohort_week=pa.int64(), week_offset=pa.int64(),
+                     n=pa.int64())).rename_columns(keys + ["n_users"])
 
 
 def attributed_revenue(events: rd.Dataset) -> rd.Dataset:
     """Last-touch attribution report: every purchase is attributed to
     the user's most recent strictly-prior click (the
-    :func:`asof_join_events` carry rule, (ts, event_id) tie order) and
+    :func:`asof_join_events` carry, (ts, event_id) tie order) and
     revenue rolls up per attributing click.
 
     Output: (click_event_id, n_purchases, sum_value_cents) — integer
     cents (the repo invariant), one row per click with >= 1 attributed
     purchase.
 
-    Shape: type filter + projection pre-shuffle, ONE sort on user_id
-    (a user's clicks and purchases land whole per block — so each
-    click's attribution group is complete per block and no second
-    shuffle is needed), vectorized forward-carry + grouped sum."""
+    Shape: type filter + projection before the exchange, ONE
+    ``keyed_complete`` on user_id (a click's attribution group is
+    whole in one user run, so no second exchange is needed), the
+    forward carry and a ``grouped_agg`` sum.  Rows with a null user_id
+    drop."""
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array(["click", "purchase"]))
-        t = batch.filter(keep)
+        t = _types("click", "purchase", cols=batch.column_names)(batch)
         is_click = pc.equal(t.column("event_type"), "click")
         return pa.table({
             "user_id": t.column("user_id").cast(pa.int64()),
@@ -1068,45 +801,18 @@ def attributed_revenue(events: rd.Dataset) -> rd.Dataset:
                 ) * 100), pa.int64()),
         })
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["user_id", "ts_us", "event_id"])
-              .reset_index(drop=True))
-        if df.empty:
-            return pa.table({
-                "click_event_id": pa.array([], pa.int64()),
-                "n_purchases": pa.array([], pa.int64()),
-                "sum_value_cents": pa.array([], pa.int64()),
-            })
-        idx = np.where(df["is_click"].to_numpy() == 1,
-                       np.arange(len(df)), -1)
-        carried = (pd.Series(idx).groupby(df["user_id"].to_numpy())
-                   .cummax().to_numpy())
-        pur = (df["is_click"].to_numpy() == 0) & (carried >= 0)
-        g = (pd.DataFrame({
-                "click_event_id":
-                    df["event_id"].to_numpy()[carried[pur]],
-                "n_purchases": np.int64(1),
-                "sum_value_cents": df["cents"].to_numpy()[pur],
-             })
-             .groupby("click_event_id", sort=False)
-             .agg(n_purchases=("n_purchases", "sum"),
-                  sum_value_cents=("sum_value_cents", "sum"))
-             .reset_index())
-        return pa.table({
-            "click_event_id": pa.array(
-                g["click_event_id"].to_numpy(), pa.int64()),
-            "n_purchases": pa.array(
-                np.asarray(g["n_purchases"], np.int64), pa.int64()),
-            "sum_value_cents": pa.array(
-                np.asarray(g["sum_value_cents"], np.int64), pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts_us", "event_id")
+        is_click = _np(t, "is_click") == 1
+        src = _asof_carry(start, is_click)
+        pur = ~is_click & (src >= 0)
+        return _sum_by(["click_event_id"], ["n_purchases", "sum_value_cents"])(
+            pa.table({"click_event_id": _np(t, "event_id")[src[pur]],
+                      "n_purchases": np.ones(pur.sum(), np.int64),
+                      "sum_value_cents": _np(t, "cents")[pur]}))
 
-    return (events.map_batches(project, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=project,
+                          op="attributed_revenue")
 
 
 def running_totals(events: rd.Dataset) -> rd.Dataset:
@@ -1115,33 +821,21 @@ def running_totals(events: rd.Dataset) -> rd.Dataset:
     event annotated with the cumulative integer-cents spend of its
     user up to and including it, ordered (ts, event_id).
 
-    Unlike the aggregate family there is no combine step — a running
-    sum needs every row — so the ONE sort on user_id IS the shuffle
-    (equal keys land whole per block; the repo's range-partitioner
-    rule), and the per-block completion is a vectorized grouped
-    cumsum.  Output size == input size; consumers stream it on.
+    A running sum needs every row, so there is no partial step: one
+    ``keyed_complete`` on user_id and a ``run_cumsum``.  Output size ==
+    input size.  Rows with a null user_id drop.
 
     Output: (event_id, user_id, running_cents)."""
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas()
-              .sort_values(["user_id", "ts", "event_id"]))
-        cents = _round_half_away(df["value"].to_numpy() * 100)
-        run = (pd.Series(cents)
-               .groupby(df["user_id"].to_numpy()).cumsum()
-               .to_numpy())
-        return pa.table({
-            "event_id": pa.array(np.asarray(df["event_id"], np.int64),
-                                 pa.int64()),
-            "user_id": pa.array(np.asarray(df["user_id"], np.int64),
-                                pa.int64()),
-            "running_cents": pa.array(np.asarray(run, np.int64),
-                                      pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        return pa.table({"event_id": t.column("event_id"),
+                         "user_id": t.column("user_id"),
+                         "running_cents": run_cumsum(start, _cents(t))})
 
-    return (events.sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=lambda b:
+                          b.select(["event_id", "user_id", "ts", "value"]),
+                          op="running_totals")
 
 
 def merge_intervals(
@@ -1158,59 +852,35 @@ def merge_intervals(
     can swallow several later short ones, which is exactly the case
     plain gap sessionization gets wrong.
 
-    Shape mirrors :func:`sessionize`: one sort on user_id (equal keys
-    land whole per block per the range partitioner), then a vectorized
-    per-block pass — running per-user cummax of interval ends, island
-    break where the next start exceeds every previous end.  For skewed
-    mega-users the salted two-phase variant of ``sessionize_salted``
-    applies unchanged (bucket ghosting carries the running max).
+    Shape mirrors :func:`sessionize`: one ``keyed_complete`` on user_id,
+    then a running per-user ``run_cummax`` of interval ends; an island
+    breaks where the next start exceeds every previous end, and islands
+    are numbered by :func:`_sessions`.  Rows with a null user_id drop.
 
     Output: (user_id, island_idx, start_ts, end_ts, n_events)."""
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "island_idx": pa.array([], pa.int64()),
-                "start_ts": pa.array([], pa.timestamp("us")),
-                "end_ts": pa.array([], pa.timestamp("us")),
-                "n_events": pa.array([], pa.int64()),
-            })
-        s = df["ts"].astype("int64").to_numpy()
-        cents = _round_half_away(df["value"].to_numpy() * 100)
-        e = s + (cents % 7 + 1) * base_us
-        df = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(),
-            "event_id": df["event_id"].to_numpy(),
-            "s": s, "e": e,
-        }).sort_values(["user_id", "s", "e", "event_id"])
-        cm = df.groupby("user_id", sort=False)["e"].cummax()
-        prev = cm.groupby(df["user_id"], sort=False).shift()
-        new_island = prev.isna() | (df["s"] > prev)
-        df["island_idx"] = (
-            new_island.groupby(df["user_id"], sort=False).cumsum()
-            .astype("int64") - 1)
-        g = (df.groupby(["user_id", "island_idx"], sort=False)
-             .agg(start_us=("s", "min"), end_us=("e", "max"),
-                  n_events=("event_id", "size"))
-             .reset_index())
+    def project(batch: pa.Table) -> pa.Table:
+        s = _np(batch, "ts")
+        return pa.table({"user_id": batch.column("user_id"),
+                         "event_id": batch.column("event_id"), "s": s,
+                         "e": s + (_cents(batch) % 7 + 1) * base_us})
+
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "s", "e", "event_id")
+        s, e = _np(t, "s"), _np(t, "e")
+        opens, idx = _sessions(start, s > run_lag(start, run_cummax(
+            start, e), 0))
+        first, n = _spans(opens)
         return pa.table({
-            "user_id": pa.array(np.asarray(g["user_id"], np.int64),
-                                pa.int64()),
-            "island_idx": pa.array(
-                np.asarray(g["island_idx"], np.int64), pa.int64()),
-            "start_ts": pa.array(
-                np.asarray(g["start_us"], np.int64),
-                pa.timestamp("us")),
-            "end_ts": pa.array(
-                np.asarray(g["end_us"], np.int64), pa.timestamp("us")),
-            "n_events": pa.array(np.asarray(g["n_events"], np.int64),
-                                 pa.int64()),
+            "user_id": t.column("user_id").take(first),
+            "island_idx": idx[first],
+            "start_ts": pa.array(s[first], TS),
+            "end_ts": pa.array(np.maximum.reduceat(e, first), TS),
+            "n_events": n,
         })
 
-    return events.sort("user_id").map_batches(
-        per_block, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(events, ["user_id"], complete, combine=project,
+                          op="merge_intervals")
 
 
 def robust_outliers(
@@ -1224,102 +894,61 @@ def robust_outliers(
     gate (a MAD rule needs no float mean/stddev, so it stays
     bit-exact vs the SQL oracle).
 
-    Three streaming passes, all integer arithmetic:
+    Three streaming passes, all integer arithmetic, each folded by
+    ``agg_fold`` (O(distinct cents) / O(types) — never O(rows)):
       1. per-type value histogram -> median (the engine's 1-based
-         CDF-position rule ``(50*N + 99) // 100``, non-negative
+         CDF-position rule, :func:`_quantile_rows`; non-negative
          domain so // == truncation on both engines);
       2. per-type |v - med| histogram (median broadcast in the
          closure) -> MAD by the same rule;
-      3. per-batch outlier counts (both scalars broadcast) -> fold.
-    Driver collects are O(distinct cents) / O(types) — never O(rows).
+      3. per-type outlier counts (both broadcast).
+    Rows with a null event_type drop.
 
     Output: small pa.Table (event_type, n_events, med_cents,
     mad_cents, n_outliers)."""
+    keys = ["event_type", "c"]
 
-    def hist(project):
-        def combine(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            if "n" not in df.columns:
-                df = project(df)
-                df["n"] = np.ones(len(df), np.int64)
-            g = (df.groupby(["event_type", "c"], sort=False)["n"]
-                 .sum().reset_index())
-            return pa.table({
-                "event_type": pa.array(g["event_type"].tolist(),
-                                       pa.string()),
-                "c": pa.array(np.asarray(g["c"], np.int64), pa.int64()),
-                "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-            })
+    def median(dev) -> tuple[pa.Array, np.ndarray]:
+        def hist(batch: pa.Table) -> pa.Table:
+            return grouped_agg(pa.table({
+                "event_type": batch.column("event_type"), "c": dev(batch),
+                "n": _ones(batch)}), keys, [("n", "sum")])
 
-        rows = (events.map_batches(combine, batch_format="pyarrow",
-                                   batch_size=1 << 19)
-                .sort(["event_type", "c"])
-                .map_batches(combine, batch_format="pyarrow",
-                             batch_size=None)
-                ).take_all()  # O(distinct (type, cents)) by design
-        return pd.DataFrame(rows) if rows else pd.DataFrame(
-            {"event_type": [], "c": [], "n": []})
+        h, start = sorted_runs(agg_fold(
+            events.map_batches(hist, batch_format="pyarrow",
+                               batch_size=1 << 19), keys, [("n", "sum")],
+            op="robust_outliers", empty=_empty(
+                event_type=pa.string(), c=pa.int64(), n=pa.int64())),
+            ["event_type"], [("c", "ascending")])
+        idx = _quantile_rows(start, _np(h, "n"), [50])[:, 0]
+        return h.column("event_type").take(idx).combine_chunks(), \
+            _np(h, "c")[idx]
 
-    def median_of(h: pd.DataFrame) -> dict[str, int]:
-        out = {}
-        for et, grp in h.sort_values(["event_type", "c"]).groupby(
-                "event_type", sort=False):
-            cum = np.cumsum(grp["n"].to_numpy())
-            pos = (50 * int(cum[-1]) + 99) // 100
-            out[et] = int(grp["c"].to_numpy()[
-                np.searchsorted(cum, pos, side="left")])
-        return out
+    def per_type(batch: pa.Table, vals: np.ndarray) -> np.ndarray:
+        # a null type's row is dropped by every grouped_agg it reaches
+        return vals[pc.index_in(batch.column("event_type"), value_set=types)
+                    .fill_null(0).to_numpy(zero_copy_only=False)]
 
-    def p_value(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": df["event_type"].to_numpy(),
-            "c": _round_half_away(df["value"].to_numpy() * 100),
-        })
-
-    med = median_of(hist(p_value))
-
-    def p_dev(df: pd.DataFrame) -> pd.DataFrame:
-        cents = _round_half_away(df["value"].to_numpy() * 100)
-        m = df["event_type"].map(med).to_numpy(dtype=np.int64)
-        return pd.DataFrame({
-            "event_type": df["event_type"].to_numpy(),
-            "c": np.abs(cents - m),
-        })
-
-    mad = median_of(hist(p_dev))
+    types, med = median(_cents)
+    _, mad = median(lambda b: np.abs(_cents(b) - per_type(b, med)))
 
     def count_out(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        cents = _round_half_away(df["value"].to_numpy() * 100)
-        m = df["event_type"].map(med).to_numpy(dtype=np.int64)
-        d = df["event_type"].map(mad).to_numpy(dtype=np.int64)
-        out = np.abs(cents - m) > k * d
-        g = (pd.DataFrame({"event_type": df["event_type"].to_numpy(),
-                           "n": np.ones(len(df), np.int64),
-                           "n_out": out.astype(np.int64)})
-             .groupby("event_type", sort=False).sum().reset_index())
-        return pa.table({
-            "event_type": pa.array(g["event_type"].tolist(),
-                                   pa.string()),
-            "n": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-            "n_out": pa.array(np.asarray(g["n_out"], np.int64),
-                              pa.int64()),
-        })
+        dev = np.abs(_cents(batch) - per_type(batch, med))
+        return _sum_by(["event_type"], ["n_events", "n_outliers"])(pa.table({
+            "event_type": batch.column("event_type"),
+            "n_events": _ones(batch),
+            "n_outliers": (dev > k * per_type(batch, mad)).astype(np.int64)}))
 
-    parts = events.map_batches(
-        count_out, batch_format="pyarrow", batch_size=1 << 19
-    ).to_pandas()  # O(types x blocks) rows
-    g = (parts.groupby("event_type", sort=True)[["n", "n_out"]]
-         .sum().reset_index())
-    types = g["event_type"].tolist()
-    return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "n_events": pa.array(np.asarray(g["n"], np.int64), pa.int64()),
-        "med_cents": pa.array([med[t] for t in types], pa.int64()),
-        "mad_cents": pa.array([mad[t] for t in types], pa.int64()),
-        "n_outliers": pa.array(np.asarray(g["n_out"], np.int64),
-                               pa.int64()),
-    })
+    g = agg_fold(events.map_batches(count_out, batch_format="pyarrow",
+                                    batch_size=1 << 19), ["event_type"],
+                 [("n_events", "sum"), ("n_outliers", "sum")],
+                 op="robust_outliers", empty=_empty(
+                     event_type=pa.string(), n_events=pa.int64(),
+                     n_outliers=pa.int64()))
+    # every fold is sorted on event_type over the same non-null types
+    return pa.table({"event_type": g.column("event_type"),
+                     "n_events": g.column("n_events"), "med_cents": med,
+                     "mad_cents": mad, "n_outliers": g.column("n_outliers")})
 
 
 def user_gap_stats(events: rd.Dataset) -> rd.Dataset:
@@ -1334,78 +963,32 @@ def user_gap_stats(events: rd.Dataset) -> rd.Dataset:
     (0-based) == DuckDB ``(list_sort(list(gap)))[(n+1)//2]`` (1-based);
     no averaging, so even-count users stay integer-exact.
 
-    One sort on user_id (the sessionize precedent: equal keys land
-    whole per block), then a fully vectorized per-block completion —
-    diff + first-row mask for gaps, sorted-run indexing for the
-    median, no per-group Python."""
+    One ``keyed_complete`` on user_id; per user a ``run_lag`` gives the
+    gaps, which sort into runs by value: first, last, sum and
+    :func:`_run_median` are then run-boundary reads.  Rows with a null
+    user_id drop."""
 
-    def proj(batch: pa.Table) -> pa.Table:
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "us", "event_id")
+        us = _np(t, "us")
+        g, gstart = sorted_runs(pa.table({
+            "user_id": t.column("user_id"), "gap": us - run_lag(start, us, 0),
+        }).filter(pa.array(~start)), ["user_id"], [("gap", "ascending")])
+        gap = _np(g, "gap")
+        first, n = _spans(gstart)
         return pa.table({
-            "user_id": batch.column("user_id").cast(pa.int64()),
-            "us": batch.column("ts").cast(pa.int64()),
-            "event_id": batch.column("event_id").cast(pa.int64()),
+            "user_id": g.column("user_id").take(first),
+            "n_events": n + 1, "n_gaps": n, "min_gap_us": gap[first],
+            "max_gap_us": gap[first + n - 1],
+            "sum_gap_us": np.add.reduceat(gap, first),
+            "med_gap_us": _run_median(gstart, gap),
         })
 
-    def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "us", "event_id"])
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "n_gaps": pa.array([], pa.int64()),
-            "min_gap_us": pa.array([], pa.int64()),
-            "max_gap_us": pa.array([], pa.int64()),
-            "sum_gap_us": pa.array([], pa.int64()),
-            "med_gap_us": pa.array([], pa.int64()),
-        })
-        if df.empty:
-            return empty
-        uid = df["user_id"].to_numpy()
-        us = df["us"].to_numpy()
-        first = np.empty(len(df), bool)
-        first[0] = True
-        first[1:] = uid[1:] != uid[:-1]
-        gap = np.empty(len(df), np.int64)
-        gap[0] = 0
-        gap[1:] = us[1:] - us[:-1]
-        gdf = pd.DataFrame({"user_id": uid[~first], "gap": gap[~first]})
-        if gdf.empty:
-            return empty
-        agg = (gdf.groupby("user_id", sort=False)["gap"]
-               .agg(n_gaps="count", min_gap_us="min", max_gap_us="max",
-                    sum_gap_us="sum")
-               .reset_index())
-        # lower median: sort gap runs, index start + (n-1)//2 per user
-        s = gdf.sort_values(["user_id", "gap"]).reset_index(drop=True)
-        su = s["user_id"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], su[1:] != su[:-1])))
-        counts = np.diff(np.concatenate((starts, [len(su)])))
-        med = s["gap"].to_numpy()[starts + (counts - 1) // 2]
-        med_map = dict(zip(su[starts].tolist(), med.tolist()))
-        agg["med_gap_us"] = agg["user_id"].map(med_map)
-        agg["n_events"] = agg["n_gaps"] + 1
-        return pa.table({
-            "user_id": pa.array(agg["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "n_events": pa.array(
-                agg["n_events"].to_numpy(dtype=np.int64), pa.int64()),
-            "n_gaps": pa.array(
-                agg["n_gaps"].to_numpy(dtype=np.int64), pa.int64()),
-            "min_gap_us": pa.array(
-                agg["min_gap_us"].to_numpy(dtype=np.int64), pa.int64()),
-            "max_gap_us": pa.array(
-                agg["max_gap_us"].to_numpy(dtype=np.int64), pa.int64()),
-            "sum_gap_us": pa.array(
-                agg["sum_gap_us"].to_numpy(dtype=np.int64), pa.int64()),
-            "med_gap_us": pa.array(
-                agg["med_gap_us"].to_numpy(dtype=np.int64), pa.int64()),
-        })
-
-    return (events.map_batches(proj, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(complete, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=lambda b:
+                          pa.table({"user_id": b.column("user_id"),
+                                    "us": _np(b, "ts"),
+                                    "event_id": b.column("event_id")}),
+                          op="user_gap_stats")
 
 
 PIVOT_TYPES = ("click", "error", "purchase", "signup", "view")
@@ -1416,56 +999,38 @@ def user_type_pivot(events: rd.Dataset) -> rd.Dataset:
     column per event type (the wide/pivot aggregate shape — long
     (user, type) partials into fixed columns).
 
-    Scale shape: the pivot happens INSIDE the batch-local combiner, so
-    the shuffle moves one already-wide row per (user, batch) — 2x5
-    int64 cells — instead of long (user, type) rows; the sorted
-    per-block completion just sums the fixed columns.  Unknown event
-    types are counted into the ``n_other``/``cents_other`` catchall
-    (no silent drops).
+    Scale shape: the pivot happens INSIDE the batch-local combine, so
+    the exchange moves one already-wide row per (user, batch) — 2x5
+    int64 cells — instead of long (user, type) rows; the completion of
+    the one ``keyed_complete`` sums the fixed columns.  Unknown event
+    types are counted into the ``n_other``/``cents_other`` catchall;
+    a null event_type counts nowhere (SQL ``NOT IN`` is null), and a
+    null user_id drops.
 
     Output: (user_id, n_<type>..., cents_<type>..., n_other,
     cents_other) — all exact int64."""
     cols = ([f"n_{t}" for t in PIVOT_TYPES]
             + [f"cents_{t}" for t in PIVOT_TYPES]
             + ["n_other", "cents_other"])
+    types = list(PIVOT_TYPES) + ["other"]
+    total = _sum_by(["user_id"], cols)
 
     def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if set(cols) <= set(df.columns):  # completion pass
-            g = df.groupby("user_id", sort=False)[cols].sum().reset_index()
-        else:
-            cents = _round_half_away(df["value"].to_numpy() * 100)
-            base = pd.DataFrame({
-                "user_id": df["user_id"].to_numpy(dtype=np.int64),
-                "et": df["event_type"].to_numpy(),
-                "n": np.int64(1),
-                "cents": cents,
-            })
-            long = (base.groupby(["user_id", "et"], sort=False)
-                    .agg(n=("n", "sum"), cents=("cents", "sum"))
-                    .reset_index())
-            known = long["et"].isin(PIVOT_TYPES)
-            long.loc[~known, "et"] = "other"
-            long = (long.groupby(["user_id", "et"], sort=False)
-                    .sum().reset_index())
-            g = pd.DataFrame({"user_id": pd.unique(long["user_id"])})
-            for t in list(PIVOT_TYPES) + ["other"]:
-                sub = long[long["et"] == t][["user_id", "n", "cents"]]
-                sub = sub.rename(columns={"n": f"n_{t}",
-                                          "cents": f"cents_{t}"})
-                g = g.merge(sub, on="user_id", how="left")
-            g[cols] = g[cols].fillna(0)
-        out = {"user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                   pa.int64())}
+        batch = batch.filter(pc.is_valid(batch.column("event_type")))
+        code = pc.index_in(batch.column("event_type"),
+                           value_set=pa.array(PIVOT_TYPES)).fill_null(
+            len(PIVOT_TYPES)).to_numpy(zero_copy_only=False)
+        cents = _cents(batch)
+        out = {"user_id": batch.column("user_id")}
         for c in cols:
-            out[c] = pa.array(g[c].to_numpy(dtype=np.int64), pa.int64())
-        return pa.table(out)
+            kind, t = c.split("_", 1)
+            hit = code == types.index(t)
+            out[c] = (hit.astype(np.int64) if kind == "n"
+                      else np.where(hit, cents, 0))
+        return total(pa.table(out))
 
-    return (events.map_batches(combine, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(combine, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], total, combine=combine,
+                          op="user_type_pivot")
 
 
 def type_transition_counts(events: rd.Dataset) -> pa.Table:
@@ -1473,57 +1038,28 @@ def type_transition_counts(events: rd.Dataset) -> pa.Table:
     counts of consecutive (from_type, to_type) pairs within each
     user's (ts, event_id)-ordered stream.
 
-    Shape: the `user_gap_stats` lag pattern — one sort on user_id,
-    vectorized per-block lag with a first-row-per-user mask — followed
-    by a driver fold of the per-block (from, to, n) partials
-    (O(types^2 x blocks), the promo precedent).
+    Shape: one ``keyed_complete`` on user_id, whose completion counts
+    each user run's consecutive pairs with ``grouped_agg``, and an
+    ``agg_fold`` of those (from, to, n) partials (O(types^2)).  Rows
+    with a null user_id drop.
 
     Output: pa.Table (from_type, to_type, n) sorted by key."""
+    keys = ["from_type", "to_type"]
 
-    def proj(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": batch.column("user_id").cast(pa.int64()),
-            "us": batch.column("ts").cast(pa.int64()),
-            "event_id": batch.column("event_id").cast(pa.int64()),
-            "event_type": batch.column("event_type").cast(pa.string()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        to = np.flatnonzero(~start)  # each row after its run's first
+        et = t.column("event_type")
+        return _sum_by(keys, ["n"])(pa.table({
+            "from_type": et.take(to - 1), "to_type": et.take(to),
+            "n": np.ones(len(to), np.int64)}))
 
-    def lag_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "us", "event_id"])
-        if df.empty:
-            return pa.table({
-                "from_type": pa.array([], pa.string()),
-                "to_type": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-            })
-        uid = df["user_id"].to_numpy()
-        et = df["event_type"].to_numpy()
-        same = np.empty(len(df), bool)
-        same[0] = False
-        same[1:] = uid[1:] == uid[:-1]
-        g = (pd.DataFrame({
-                "from_type": np.concatenate(([""], et[:-1]))[same],
-                "to_type": et[same],
-             })
-             .groupby(["from_type", "to_type"], sort=False)
-             .size().reset_index(name="n"))
-        return from_pandas_clean(g, preserve_index=False)
-
-    parts = (events.map_batches(proj, batch_format="pyarrow",
-                                batch_size=1 << 19)
-             .sort("user_id")
-             .map_batches(lag_counts, batch_format="pyarrow",
-                          batch_size=None))
-    acc: dict[tuple[str, str], int] = {}
-    for r in parts.take_all():  # O(types^2 x blocks) — tiny
-        k = (r["from_type"], r["to_type"])
-        acc[k] = acc.get(k, 0) + r["n"]
-    keys = sorted(acc)
-    return pa.table({
-        "from_type": pa.array([k[0] for k in keys], pa.string()),
-        "to_type": pa.array([k[1] for k in keys], pa.string()),
-        "n": pa.array([acc[k] for k in keys], pa.int64()),
-    })
+    return agg_fold(keyed_complete(
+        events, ["user_id"], complete, combine=lambda b: b.select(
+            ["user_id", "ts", "event_id", "event_type"]),
+        op="type_transition_counts"), keys, [("n", "sum")],
+        op="type_transition_counts", empty=_empty(
+            from_type=pa.string(), to_type=pa.string(), n=pa.int64()))
 
 
 def sliding_distinct_users(
@@ -1536,188 +1072,93 @@ def sliding_distinct_users(
     the overlapping-window DISTINCT that per-(user, window) partials
     can't answer: every event replicates into its ``window_us /
     slide_us`` covering windows (vectorized np.repeat) and pre-reduces
-    to (window, user, cnt) partials, ONE sort on the window key alone
-    puts each window's full user set in one block (sorting on the
-    composite would split a window at user boundaries and undercount
-    the distinct), and the per-block completion sums counts + nuniques
-    users.
+    to (window, user, cnt) partials; ONE ``keyed_complete`` on the
+    window key alone puts each window's full user set in one block
+    (keying on the composite would split a window at user boundaries
+    and undercount the distinct), and the completion counts users and
+    sums events with two ``grouped_agg`` calls.  Rows with a null
+    user_id drop.
 
     Output: (win_us, n_users, n_events) — exact int64."""
     assert window_us % slide_us == 0
     n_covers = window_us // slide_us
+    per_user = _sum_by(["win_us", "user_id"], ["cnt"])
 
     def expand(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        us = df["ts"].to_numpy().astype("datetime64[us]").astype(
-            np.int64)
-        uid = df["user_id"].to_numpy(dtype=np.int64)
-        base = (us // slide_us) * slide_us
-        k = np.tile(np.arange(n_covers, dtype=np.int64), len(df))
-        g = (pd.DataFrame({
-                "win_us": np.repeat(base, n_covers) - k * slide_us,
-                "user_id": np.repeat(uid, n_covers),
-                "cnt": np.int64(1),
-             })
-             .groupby(["win_us", "user_id"], sort=False)["cnt"]
-             .sum().reset_index())
-        return pa.table({
-            "win_us": pa.array(g["win_us"].to_numpy(dtype=np.int64),
-                               pa.int64()),
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "cnt": pa.array(g["cnt"].to_numpy(dtype=np.int64),
-                            pa.int64()),
-        })
+        base = _np(batch, "ts") // slide_us * slide_us
+        k = np.tile(np.arange(n_covers, dtype=np.int64), batch.num_rows)
+        return per_user(pa.table({
+            "win_us": np.repeat(base, n_covers) - k * slide_us,
+            "user_id": batch.column("user_id").take(
+                np.repeat(np.arange(batch.num_rows), n_covers)),
+            "cnt": np.ones(len(k), np.int64)}))
 
-    def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "win_us": pa.array([], pa.int64()),
-                "n_users": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-            })
-        g = (df.groupby("win_us", sort=False)
-             .agg(n_users=("user_id", "nunique"),
-                  n_events=("cnt", "sum"))
-             .reset_index())
-        return pa.table({
-            "win_us": pa.array(g["win_us"].to_numpy(dtype=np.int64),
-                               pa.int64()),
-            "n_users": pa.array(g["n_users"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "n_events": pa.array(g["n_events"].to_numpy(dtype=np.int64),
-                                 pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        return grouped_agg(per_user(t), ["win_us"], [
+            ("user_id", "count"), ("cnt", "sum")]).rename_columns(
+            ["win_us", "n_users", "n_events"])
 
-    return (events.map_batches(expand, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("win_us")
-            .map_batches(complete, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["win_us"], complete, combine=expand,
+                          op="sliding_distinct_users")
 
 
 def activity_streaks(events: rd.Dataset) -> rd.Dataset:
     """Gaps-and-islands: per user, the longest run of CONSECUTIVE
     active days plus active-day and streak counts.  Island id is the
-    classic ``day - rank(day)`` trick, fully vectorized per block
-    (epoch-us days are non-negative, so // == floor on both engines).
+    classic ``day - rank(day)`` trick (``run_pos`` over distinct days;
+    epoch-us days are non-negative, so // == floor on both engines).
 
-    One sort on user_id (each user's distinct days land whole per
-    block); the batch-local day-dedup shrinks the shuffle and the
-    post-sort block pass re-dedups (cross-batch duplicates of a
-    (user, day) merge in the sorted block) before the island scan.
+    One ``keyed_complete`` on user_id; the batch-local day distinct
+    shrinks the exchange and the completion re-distincts (cross-batch
+    duplicates of a (user, day) meet there) before the island scan.
+    Rows with a null user_id drop.
 
     Output: (user_id, max_streak_days, n_active_days, n_streaks)."""
     DAY_US = 86_400_000_000
 
     def days(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "user_id": batch.column("user_id").to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "day": (batch.column("ts").cast(pa.int64()).to_numpy(
-                zero_copy_only=False) // DAY_US),
-        }).drop_duplicates()
-        return pa.table({
-            "user_id": pa.array(df["user_id"].to_numpy(), pa.int64()),
-            "day": pa.array(df["day"].to_numpy(), pa.int64()),
-        })
+        return grouped_agg(pa.table({"user_id": batch.column("user_id"),
+                                     "day": _np(batch, "ts") // DAY_US}),
+                           ["user_id", "day"], [])
 
-    def islands(batch: pa.Table) -> pa.Table:
-        df = (batch.to_pandas().drop_duplicates()
-              .sort_values(["user_id", "day"]))
-        if df.empty:
-            return pa.table({
-                "user_id": pa.array([], pa.int64()),
-                "max_streak_days": pa.array([], pa.int64()),
-                "n_active_days": pa.array([], pa.int64()),
-                "n_streaks": pa.array([], pa.int64()),
-            })
-        df["isl"] = df["day"] - df.groupby(
-            "user_id", sort=False).cumcount()
-        runs = (df.groupby(["user_id", "isl"], sort=False)
-                .size().reset_index(name="len"))
-        g = (runs.groupby("user_id", sort=False)
-             .agg(max_streak_days=("len", "max"),
-                  n_active_days=("len", "sum"),
-                  n_streaks=("len", "size"))
-             .reset_index())
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "max_streak_days": pa.array(
-                g["max_streak_days"].to_numpy(dtype=np.int64),
-                pa.int64()),
-            "n_active_days": pa.array(
-                g["n_active_days"].to_numpy(dtype=np.int64),
-                pa.int64()),
-            "n_streaks": pa.array(
-                g["n_streaks"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+    def islands(t: pa.Table) -> pa.Table:
+        t, start = _by_user(grouped_agg(t, ["user_id", "day"], []), "day")
+        isl = _np(t, "day") - run_pos(start)
+        first, n = _spans(start | (isl != run_lag(start, isl, 0)))
+        return grouped_agg(pa.table({
+            "user_id": t.column("user_id").take(first),
+            "max_streak_days": n, "n_active_days": n, "n_streaks": n,
+        }), ["user_id"], [("max_streak_days", "max"),
+                          ("n_active_days", "sum"), ("n_streaks", "count")])
 
-    return (events.map_batches(days, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(islands, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], islands, combine=days,
+                          op="activity_streaks")
 
 
 def peak_hour_per_user(events: rd.Dataset) -> rd.Dataset:
     """Groupwise ARGMAX: each user's busiest hour-of-day (0-23), ties
     broken by the SMALLER hour — the behavioral-profile projection.
 
-    Batch-local (user, hour) count partials, one sort on user_id,
-    block completion: sum counts then a vectorized (count DESC, hour
-    ASC) first-row-per-user pick.  hour = (us // 3600e6) % 24 on
-    non-negative epoch micros (floor == truncation).
+    Batch-local (user, hour) count partials, one ``keyed_complete`` on
+    user_id whose completion sums them and cuts a (count DESC, hour
+    ASC) ``grouped_topk`` top-1.  hour = (us // 3600e6) % 24 on
+    non-negative epoch micros (floor == truncation).  Rows with a null
+    user_id drop.
 
     Output: (user_id, peak_hour, n_events_at_peak)."""
-    HOUR_US = 3_600_000_000
+    count = _sum_by(["user_id", "hour"], ["n"])
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "n" in df.columns:
-            g = (df.groupby(["user_id", "hour"], sort=False)["n"]
-                 .sum().reset_index())
-        else:
-            us = df["ts"].to_numpy().astype("datetime64[us]").astype(
-                np.int64)
-            g = (pd.DataFrame({
-                    "user_id": df["user_id"].to_numpy(dtype=np.int64),
-                    "hour": (us // HOUR_US) % 24,
-                    "n": np.int64(1),
-                 })
-                 .groupby(["user_id", "hour"], sort=False)["n"]
-                 .sum().reset_index())
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "hour": pa.array(g["hour"].to_numpy(dtype=np.int64),
-                             pa.int64()),
-            "n": pa.array(g["n"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+    def argmax(t: pa.Table) -> pa.Table:
+        best = grouped_topk(count(t), ["user_id"],
+                            [("n", "descending"), ("hour", "ascending")], 1)
+        return best.rename_columns(["user_id", "peak_hour",
+                                    "n_events_at_peak"])
 
-    def argmax(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (df.groupby(["user_id", "hour"], sort=False)["n"].sum()
-             .reset_index()
-             .sort_values(["user_id", "n", "hour"],
-                          ascending=[True, False, True])
-             .drop_duplicates("user_id"))
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "peak_hour": pa.array(g["hour"].to_numpy(dtype=np.int64),
-                                  pa.int64()),
-            "n_events_at_peak": pa.array(
-                g["n"].to_numpy(dtype=np.int64), pa.int64()),
-        })
-
-    return (events.map_batches(combine, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(argmax, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], argmax, combine=lambda b:
+                          count(pa.table({
+                              "user_id": b.column("user_id"),
+                              "hour": _np(b, "ts") // HOUR_US % 24,
+                              "n": _ones(b)})), op="peak_hour_per_user")
 
 
 def signup_to_purchase(events: rd.Dataset) -> rd.Dataset:
@@ -1726,72 +1167,34 @@ def signup_to_purchase(events: rd.Dataset) -> rd.Dataset:
     purchase (negative when the purchase came first — kept raw, no
     silent clamping).
 
-    Batch-local partials keep one min-ts per (user, type) — min is
-    algebraic, so each batch ships <= 2 rows per user; one sort on
-    user_id, block completion pivots the two mins and subtracts.
+    The two firsts are two nullable columns of one wide partial row
+    per user, min-aggregated by ``grouped_agg`` (min skips nulls, so
+    each batch ships one row per user); the completion of one
+    ``keyed_complete`` on user_id keeps users with both and subtracts.
+    Rows with a null user_id drop.
 
     Output: (user_id, first_signup_us, first_purchase_us, gap_us)."""
+    firsts = functools.partial(grouped_agg, keys=["user_id"], aggs=[
+        ("first_signup_us", "min"), ("first_purchase_us", "min")])
 
     def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "us" not in df.columns:
-            df = pd.DataFrame({
-                "user_id": df["user_id"].to_numpy(dtype=np.int64),
-                "event_type": df["event_type"].to_numpy(),
-                "us": df["ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64),
-            })
-            df = df[df["event_type"].isin(("signup", "purchase"))]
-        g = (df.groupby(["user_id", "event_type"], sort=False)["us"]
-             .min().reset_index())
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "event_type": pa.array(g["event_type"].tolist(),
-                                   pa.string()),
-            "us": pa.array(g["us"].to_numpy(dtype=np.int64),
-                           pa.int64()),
-        })
+        t = _types("signup", "purchase", cols=("user_id", "ts",
+                                               "event_type"))(batch)
+        us, none = t.column("ts").cast(pa.int64()), pa.scalar(None, pa.int64())
+        return firsts(pa.table({
+            "user_id": t.column("user_id"),
+            "first_signup_us": pc.if_else(_is(t, "signup"), us, none),
+            "first_purchase_us": pc.if_else(_is(t, "purchase"), us, none)}))
 
-    def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "first_signup_us": pa.array([], pa.int64()),
-            "first_purchase_us": pa.array([], pa.int64()),
-            "gap_us": pa.array([], pa.int64()),
-        })
-        if df.empty:
-            return empty
-        g = (df.groupby(["user_id", "event_type"], sort=False)["us"]
-             .min().reset_index())
-        s = g[g["event_type"] == "signup"][["user_id", "us"]].rename(
-            columns={"us": "first_signup_us"})
-        p = g[g["event_type"] == "purchase"][["user_id", "us"]].rename(
-            columns={"us": "first_purchase_us"})
-        j = s.merge(p, on="user_id", how="inner")
-        if j.empty:
-            return empty
-        return pa.table({
-            "user_id": pa.array(j["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "first_signup_us": pa.array(
-                j["first_signup_us"].to_numpy(dtype=np.int64),
-                pa.int64()),
-            "first_purchase_us": pa.array(
-                j["first_purchase_us"].to_numpy(dtype=np.int64),
-                pa.int64()),
-            "gap_us": pa.array(
-                (j["first_purchase_us"]
-                 - j["first_signup_us"]).to_numpy(dtype=np.int64),
-                pa.int64()),
-        })
+    def finish(t: pa.Table) -> pa.Table:
+        g = firsts(t)
+        g = g.filter(pc.and_(pc.is_valid(g.column("first_signup_us")),
+                             pc.is_valid(g.column("first_purchase_us"))))
+        return g.append_column("gap_us", pc.subtract(
+            g.column("first_purchase_us"), g.column("first_signup_us")))
 
-    return (events.map_batches(combine, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(finish, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], finish, combine=combine,
+                          op="signup_to_purchase")
 
 
 def burst_hours(events: rd.Dataset, *, factor: int = 1) -> rd.Dataset:
@@ -1802,76 +1205,27 @@ def burst_hours(events: rd.Dataset, *, factor: int = 1) -> rd.Dataset:
     ("above the user's median hour") keeps the synth fixture
     non-degenerate at every SF; production bursts would use 2-3.
 
-    Batch-local (user, hour) count partials; one sort on user_id;
-    per-block completion sums the partials, takes the per-user lower
-    median of hourly counts via sorted-run indexing (the
-    user_gap_stats trick), and emits rows with n > 2 * med.
+    Batch-local (user, hour) count partials; one ``keyed_complete`` on
+    user_id whose completion sums them, sorts each user's hours by
+    count and takes :func:`_run_median`.  Rows with a null user_id
+    drop.
 
     Output: (user_id, hour_us, n_events, med_hourly)."""
-    HOUR_US = 3_600_000_000
+    count = _sum_by(["user_id", "hour_us"], ["n"])
 
-    def combine(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "n" in df.columns:
-            g = (df.groupby(["user_id", "hour_us"], sort=False)["n"]
-                 .sum().reset_index())
-        else:
-            us = df["ts"].to_numpy().astype("datetime64[us]").astype(
-                np.int64)
-            g = (pd.DataFrame({
-                    "user_id": df["user_id"].to_numpy(dtype=np.int64),
-                    "hour_us": (us // HOUR_US) * HOUR_US,
-                    "n": np.int64(1),
-                 })
-                 .groupby(["user_id", "hour_us"], sort=False)["n"]
-                 .sum().reset_index())
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "hour_us": pa.array(g["hour_us"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "n": pa.array(g["n"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+    def finish(t: pa.Table) -> pa.Table:
+        g, start = _by_user(count(t), "n")
+        n = _np(g, "n")
+        med = _run_median(start, n)[run_id(start)]
+        return pa.table({"user_id": g.column("user_id"),
+                         "hour_us": g.column("hour_us"), "n_events": n,
+                         "med_hourly": med}).filter(pa.array(n > factor * med))
 
-    def finish(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "hour_us": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "med_hourly": pa.array([], pa.int64()),
-        })
-        if df.empty:
-            return empty
-        g = (df.groupby(["user_id", "hour_us"], sort=False)["n"].sum()
-             .reset_index())
-        s = g.sort_values(["user_id", "n"]).reset_index(drop=True)
-        su = s["user_id"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate(([True], su[1:] != su[:-1])))
-        counts = np.diff(np.concatenate((starts, [len(su)])))
-        med = s["n"].to_numpy()[starts + (counts - 1) // 2]
-        med_map = dict(zip(su[starts].tolist(), med.tolist()))
-        g["med"] = g["user_id"].map(med_map)
-        g = g[g["n"] > factor * g["med"]]
-        if g.empty:
-            return empty
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "hour_us": pa.array(g["hour_us"].to_numpy(dtype=np.int64),
-                                pa.int64()),
-            "n_events": pa.array(g["n"].to_numpy(dtype=np.int64),
-                                 pa.int64()),
-            "med_hourly": pa.array(g["med"].to_numpy(dtype=np.int64),
-                                   pa.int64()),
-        })
-
-    return (events.map_batches(combine, batch_format="pyarrow",
-                               batch_size=1 << 19)
-            .sort("user_id")
-            .map_batches(finish, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], finish, combine=lambda b:
+                          count(pa.table({
+                              "user_id": b.column("user_id"),
+                              "hour_us": _np(b, "ts") // HOUR_US * HOUR_US,
+                              "n": _ones(b)})), op="burst_hours")
 
 
 def session_quantiles(
@@ -1886,73 +1240,43 @@ def session_quantiles(
     report needs.
 
     Quantile rule (both engines): value at 1-based sorted position
-    ``(q*N + 99) // 100``.  Durations quantize to seconds so the
-    driver-side CDF fold stays bounded by the session-length DOMAIN
-    (~10^4 values), not the session count; event counts are already
-    small-domain.  The histogram partials fold like value_quantiles.
+    ``(q*N + 99) // 100`` (:func:`_quantile_rows`).  Durations quantize
+    to seconds so the ``agg_fold`` of (metric, value, count) partials
+    stays bounded by the session-length DOMAIN (~10^4 values), not the
+    session count; event counts are already small-domain.
 
     Output: pa.Table (q_pct, n_events_q, dur_s_q)."""
-    sess = sessionize(events, gap_us=gap_us)
+    keys = ["m", "v"]
 
     def hist(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        dur = ((df["end_ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64)
-                - df["start_ts"].to_numpy().astype("datetime64[us]")
-                .astype(np.int64)) // 1_000_000)
-        out = []
-        for m, v in (("n", df["n_events"].to_numpy(dtype=np.int64)),
-                     ("d", dur)):
-            g = (pd.DataFrame({"v": v, "c": np.int64(1)})
-                 .groupby("v", sort=False)["c"].sum().reset_index())
-            g["m"] = m
-            out.append(g)
-        g = pd.concat(out)
-        return pa.table({
-            "m": pa.array(g["m"].tolist(), pa.string()),
-            "v": pa.array(g["v"].to_numpy(dtype=np.int64), pa.int64()),
-            "c": pa.array(g["c"].to_numpy(dtype=np.int64), pa.int64()),
-        })
+        dur = (_np(batch, "end_ts") - _np(batch, "start_ts")) // 1_000_000
+        n = batch.num_rows
+        return grouped_agg(pa.table({
+            "m": pa.array(["n"] * n + ["d"] * n, pa.string()),
+            "v": np.concatenate([_np(batch, "n_events"), dur]),
+            "c": np.ones(2 * n, np.int64)}), keys, [("c", "sum")])
 
-    acc: dict[tuple[str, int], int] = {}
-    for r in sess.map_batches(hist, batch_format="pyarrow",
-                              batch_size=1 << 19).take_all():
-        k = (r["m"], r["v"])
-        acc[k] = acc.get(k, 0) + r["c"]
-
-    if not acc:
-        # zero sessions: empty result with the output schema (the
-        # quantile-position gather below would index an empty array)
-        return pa.table({
-            "q_pct": pa.array([], pa.int64()),
-            "n_events_q": pa.array([], pa.int64()),
-            "dur_s_q": pa.array([], pa.int64()),
-        })
-
-    def q_of(metric: str) -> dict[int, int]:
-        vals = sorted(v for (m, v) in acc if m == metric)
-        cdf = np.cumsum([acc[(metric, v)] for v in vals])
-        nt = int(cdf[-1]) if len(cdf) else 0
-        out = {}
-        for q in q_pct:
-            pos = (q * nt + 99) // 100
-            out[q] = int(np.asarray(vals)[np.searchsorted(cdf, pos)])
-        return out
-
-    qn, qd = q_of("n"), q_of("d")
-    return pa.table({
-        "q_pct": pa.array(list(q_pct), pa.int64()),
-        "n_events_q": pa.array([qn[q] for q in q_pct], pa.int64()),
-        "dur_s_q": pa.array([qd[q] for q in q_pct], pa.int64()),
-    })
+    h, start = sorted_runs(agg_fold(
+        sessionize(events, gap_us=gap_us).map_batches(
+            hist, batch_format="pyarrow", batch_size=1 << 19),
+        keys, [("c", "sum")], op="session_quantiles",
+        empty=_empty(m=pa.string(), v=pa.int64(), c=pa.int64())),
+        ["m"], [("v", "ascending")])
+    if not h.num_rows:
+        return _empty(q_pct=pa.int64(), n_events_q=pa.int64(),
+                      dur_s_q=pa.int64())
+    # runs sort "d" (durations) before "n" (event counts)
+    v = _np(h, "v")[_quantile_rows(start, _np(h, "c"), q_pct)]
+    return pa.table({"q_pct": pa.array(list(q_pct), pa.int64()),
+                     "n_events_q": v[1], "dur_s_q": v[0]})
 
 
 def table_profile(ds: rd.Dataset, specs: list[tuple[str, str]]) -> rd.Dataset:
     """DESCRIBE-style column profiler — the first pass every ingestion
     pipeline runs over an unfamiliar table: per column, exact row
-    count, null count, and min/max, in ONE streaming pass with
-    per-block partials folded on the driver (state = one row per
-    column per block; never data-sized).  Zero wide ops.
+    count, null count, and min/max, in ONE streaming pass whose
+    per-block partials (one row per column) ``agg_fold`` folds on the
+    driver.  Zero wide ops.
 
     ``specs`` is ``[(column, kind)]`` with kind in:
       'int'    — int64 min/max
@@ -1964,80 +1288,61 @@ def table_profile(ds: rd.Dataset, specs: list[tuple[str, str]]) -> rd.Dataset:
                  product bits in numpy and DuckDB, so even the float
                  column profiles bit-exactly
 
-    min/max are emitted as VARCHAR (ints via str(); strings as-is) so
-    one schema covers every column; NULL-only columns emit NULL
-    min/max (inner semantics mirrored by the oracle's aggregate over
-    zero non-null rows).
+    min/max are emitted as VARCHAR (ints via their decimal text;
+    strings as-is) so one schema covers every column; NULL-only columns
+    emit NULL min/max (inner semantics mirrored by the oracle's
+    aggregate over zero non-null rows).  A partial row keeps int and
+    string extremes in separate typed columns, so ints compare as ints.
 
     Output: (col, n_rows, n_null, min_v, max_v), one row per spec,
     sorted by col."""
-    import pyarrow.compute as pc
+    schema = pa.schema([
+        ("col", pa.string()), ("n_rows", pa.int64()), ("n_null", pa.int64()),
+        ("imin", pa.int64()), ("imax", pa.int64()), ("smin", pa.string()),
+        ("smax", pa.string())])
 
     def partial(batch: pa.Table) -> pa.Table:
-        cols, ns, nulls, mins, maxs = [], [], [], [], []
+        rows = []
         for name, kind in specs:
             arr = batch.column(name)
-            n = len(arr)
-            n_null = arr.null_count
-            valid = arr.drop_null()
-            if kind == "ts":
-                v = valid.cast(pa.int64())
-            elif kind == "cents":
-                f = valid.to_numpy(zero_copy_only=False)
-                v = pa.array(np.floor(f * 100.0).astype(np.int64),
-                             pa.int64())
-            elif kind == "int":
-                v = valid.cast(pa.int64())
-            else:
-                v = valid
-            if len(v):
-                mn, mx = pc.min(v).as_py(), pc.max(v).as_py()
-                mins.append(str(mn))
-                maxs.append(str(mx))
-            else:
-                mins.append(None)
-                maxs.append(None)
-            cols.append(name)
-            ns.append(n)
-            nulls.append(n_null)
-        return pa.table({
-            "col": pa.array(cols, pa.string()),
-            "n": pa.array(ns, pa.int64()),
-            "n_null": pa.array(nulls, pa.int64()),
-            "min_v": pa.array(mins, pa.string()),
-            "max_v": pa.array(maxs, pa.string()),
-        })
+            v = arr.drop_null()
+            if kind == "cents":
+                v = pa.array(np.floor(v.to_numpy(zero_copy_only=False)
+                                      * 100.0).astype(np.int64))
+            v = v.cast(pa.string() if kind == "str" else pa.int64())
+            ext = [pc.min(v).as_py(), pc.max(v).as_py()]
+            none = [None, None]
+            rows.append([name, len(arr), arr.null_count]
+                        + (none + ext if kind == "str" else ext + none))
+        return pa.Table.from_pylist(
+            [dict(zip(schema.names, r)) for r in rows], schema)
 
-    acc: dict[str, list] = {}
-    kind_of = dict(specs)
-
-    def _key(kind: str, s: str):
-        return int(s) if kind in ("int", "ts", "cents") else s
-
-    for r in ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=1 << 17).take_all():
-        c = r["col"]
-        cur = acc.setdefault(c, [0, 0, None, None])
-        cur[0] += r["n"]
-        cur[1] += r["n_null"]
-        for i, (v, pick) in enumerate(((r["min_v"], min),
-                                       (r["max_v"], max)), start=2):
-            if v is None:
-                continue
-            if cur[i] is None:
-                cur[i] = v
-            else:
-                k = kind_of[c]
-                cur[i] = v if pick(_key(k, v), _key(k, cur[i])) \
-                    == _key(k, v) else cur[i]
-    rows = sorted(acc.items())
+    g = agg_fold(ds.map_batches(partial, batch_format="pyarrow",
+                                batch_size=1 << 17), ["col"],
+                 [(c, f) for c, f in zip(schema.names[1:], [
+                     "sum", "sum", "min", "max", "min", "max"])],
+                 op="table_profile", empty=schema.empty_table())
+    kinds = dict(specs)
+    ints = pa.array([kinds[c] != "str" for c in g.column("col").to_pylist()],
+                    pa.bool_())
     return rd.from_arrow(pa.table({
-        "col": pa.array([c for c, _ in rows], pa.string()),
-        "n_rows": pa.array([v[0] for _, v in rows], pa.int64()),
-        "n_null": pa.array([v[1] for _, v in rows], pa.int64()),
-        "min_v": pa.array([v[2] for _, v in rows], pa.string()),
-        "max_v": pa.array([v[3] for _, v in rows], pa.string()),
+        "col": g.column("col"), "n_rows": g.column("n_rows"),
+        "n_null": g.column("n_null"),
+        "min_v": pc.if_else(ints, g.column("imin").cast(pa.string()),
+                            g.column("smin")),
+        "max_v": pc.if_else(ints, g.column("imax").cast(pa.string()),
+                            g.column("smax")),
     }))
+
+
+def _hour(batch: pa.Table) -> pa.ChunkedArray:
+    """Calendar hour-of-day of ``ts``, int64 (== DuckDB ``hour(ts)``)."""
+    return pc.hour(batch.column("ts")).cast(pa.int64())
+
+
+def _band(batch: pa.Table, band_cents: int) -> np.ndarray:
+    return np.floor(_cents(batch).astype(np.float64)
+                    / band_cents).astype(np.int64)
 
 
 def k_anonymity(
@@ -2054,58 +1359,30 @@ def k_anonymity(
     those cells.
 
     Quasi-identifiers (all exact integers): hour-of-day = calendar
-    ``dt.hour`` (== DuckDB ``hour(ts)``; both calendar-based, so no
-    epoch-unit pitfalls — pandas ``datetime64[us].astype(int64)``
-    yields MICROseconds while a ns-unit series yields ns, a silent
-    3-orders scale trap), value band =
+    ``pc.hour`` (== DuckDB ``hour(ts)``; both calendar-based, so no
+    epoch-unit pitfalls), value band =
     ``floor(round_half_away(value * 100) / band_cents)`` (the
     integer-cents precedent; the float divide of small ints is exact
     in both engines).
 
-    Scale shape: the QI space is BOUNDED (types x 24 x bands), so a
-    sort would degenerate the range partitioner (perf rule 2); each
-    block contributes a pandas-groupby partial count and the driver
-    folds the bounded dictionary — zero wide ops at any corpus size.
+    Scale shape: the QI space is BOUNDED (types x 24 x bands), so an
+    exchange would degenerate the range partitioner (perf rule 2);
+    each block contributes a ``grouped_agg`` partial count and
+    ``agg_fold`` folds them — zero wide ops at any corpus size.  Rows
+    with a null event_type drop.
 
     Output pa.Table sorted (event_type, hour, band):
     (event_type, hour, band, n, at_risk) with at_risk = 1 iff n < k.
     """
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if "n" not in df.columns:
-            cents = _round_half_away(df["value"].to_numpy() * 100)
-            df = pd.DataFrame({
-                "event_type": df["event_type"],
-                "hour": pd.to_datetime(df["ts"]).dt.hour
-                          .to_numpy().astype(np.int64),
-                "band": np.floor(cents.astype(np.float64)
-                                 / band_cents).astype(np.int64),
-                "n": np.int64(1),
-            })
-        g = (df.groupby(["event_type", "hour", "band"], sort=False)
-             ["n"].sum().reset_index())
-        return from_pandas_clean(g, preserve_index=False)
-
-    acc: dict[tuple, int] = {}
-    parts = events.map_batches(partials, batch_format="pyarrow")
-    for blk in parts.iter_batches(batch_format="pyarrow",
-                                  batch_size=None):
-        df = blk.to_pandas()
-        for t, h, b, n in zip(df["event_type"], df["hour"],
-                              df["band"], df["n"]):
-            key = (t, int(h), int(b))
-            acc[key] = acc.get(key, 0) + int(n)
-    ks = sorted(acc)
-    ns = [acc[x] for x in ks]
-    return pa.table({
-        "event_type": pa.array([t for t, _, _ in ks], pa.string()),
-        "hour": pa.array([h for _, h, _ in ks], pa.int64()),
-        "band": pa.array([b for _, _, b in ks], pa.int64()),
-        "n": pa.array(ns, pa.int64()),
-        "at_risk": pa.array([1 if n < k else 0 for n in ns],
-                            pa.int64()),
-    })
+    keys = ["event_type", "hour", "band"]
+    g = agg_fold(events.map_batches(lambda b: grouped_agg(pa.table({
+        "event_type": b.column("event_type"), "hour": _hour(b),
+        "band": _band(b, band_cents), "n": _ones(b)}), keys, [("n", "sum")]),
+        batch_format="pyarrow"), keys, [("n", "sum")], op="k_anonymity",
+        empty=_empty(event_type=pa.string(), hour=pa.int64(),
+                     band=pa.int64(), n=pa.int64()))
+    return g.append_column("at_risk", pc.cast(pc.less(g.column("n"), k),
+                                              pa.int64()))
 
 
 def out_of_order_stats(events: rd.Dataset, *,
@@ -2123,66 +1400,37 @@ def out_of_order_stats(events: rd.Dataset, *,
     storage order (which a resumable distributed read cannot anyway).
 
     Distributed shape: project to three int64/uint64 columns, ONE
-    sort on user_id (equal keys land whole per block), then a
-    vectorized per-block pass — grouped running max shifted by one
-    arrival.  Lateness quantities are exact int64 microseconds on
-    both engines (`ts` is cast to epoch-us IN ARROW, no pandas unit
-    trap; the arrival key stays uint64 end to end).
+    ``keyed_complete`` on user_id, then per user run, in arrival order,
+    ``run_cummax`` of ts lagged by one arrival (``run_lag``) and a
+    ``grouped_agg``.  Lateness quantities are exact int64 microseconds
+    on both engines (the arrival key stays uint64 end to end).  Rows
+    with a null user_id drop.
 
     Output: (user_id, n_events, n_late, max_late_us, sum_late_us)."""
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
 
     def project(batch: pa.Table) -> pa.Table:
-        eids = batch.column("event_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        arr = _hash64([f"{salt}:{e}" for e in eids])
         return pa.table({
             "user_id": batch.column("user_id").cast(pa.int64()),
-            "arr": pa.array(arr, pa.uint64()),
-            "us": batch.column("ts").cast(pa.int64()),
+            "arr": pa.array(_hash64([f"{salt}:{e}" for e in
+                                     _np(batch, "event_id")]), pa.uint64()),
+            "us": _np(batch, "ts"),
         })
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "arr"])
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"user_id": z, "n_events": z, "n_late": z,
-                             "max_late_us": z, "sum_late_us": z})
-        g = df.groupby("user_id", sort=False)
-        # vectorized grouped running max, shifted one arrival back
-        prev_max = g["us"].cummax().groupby(
-            df["user_id"], sort=False).shift(1)
-        late_us = (prev_max - df["us"]).fillna(0).astype(np.int64)
-        late_us = np.maximum(late_us.to_numpy(), 0)
-        out = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(np.int64),
-            "n_events": np.int64(1),
-            "n_late": (late_us > 0).astype(np.int64),
-            "late_us": late_us,
-        })
-        a = (out.groupby("user_id", sort=False)
-             .agg(n_events=("n_events", "sum"),
-                  n_late=("n_late", "sum"),
-                  max_late_us=("late_us", "max"),
-                  sum_late_us=("late_us", "sum"))
-             .reset_index())
-        return pa.table({
-            "user_id": pa.array(a["user_id"].to_numpy(np.int64),
-                                pa.int64()),
-            "n_events": pa.array(a["n_events"].to_numpy(np.int64),
-                                 pa.int64()),
-            "n_late": pa.array(a["n_late"].to_numpy(np.int64),
-                               pa.int64()),
-            "max_late_us": pa.array(a["max_late_us"].to_numpy(np.int64),
-                                    pa.int64()),
-            "sum_late_us": pa.array(a["sum_late_us"].to_numpy(np.int64),
-                                    pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "arr")
+        us = _np(t, "us")
+        late = np.where(start, 0, np.maximum(
+            run_lag(start, run_cummax(start, us), 0) - us, 0))
+        return grouped_agg(pa.table({
+            "user_id": t.column("user_id"), "n_events": _ones(t),
+            "n_late": (late > 0).astype(np.int64), "max_late_us": late,
+            "sum_late_us": late}), ["user_id"], [
+            ("n_events", "sum"), ("n_late", "sum"), ("max_late_us", "max"),
+            ("sum_late_us", "sum")])
 
-    return (events.map_batches(project, batch_format="pyarrow")
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=project,
+                          op="out_of_order_stats")
 
 
 def session_paths(events: rd.Dataset, *,
@@ -2193,74 +1441,36 @@ def session_paths(events: rd.Dataset, *,
     all sessions — the "what do users actually do" table of product
     analytics, and a classic sequence-mining primitive.
 
-    Shape: the sessionize sort (user_id — each user's events land
-    whole per block), a vectorized per-block pass that numbers
-    sessions and string-joins the first ``max_steps`` types per
-    session into path partials, then ONE sort on the path string
-    (high-cardinality) with a per-block count completion.  Session
-    boundaries and step order tie-break on (ts, event_id), matching
-    the sessionize oracle's window exactly.
+    Shape: the sessionize ``keyed_complete`` on user_id (sessions open
+    by :func:`_sessions`); the completion joins each session's first
+    ``max_steps`` types (``run_pos`` within the session) with one
+    ``binary_join`` over list offsets into (path, 1, n) partials, then
+    ONE ``keyed_complete`` on the path string (high-cardinality) sums
+    them.  Session boundaries and step order tie-break on (ts,
+    event_id), matching the sessionize oracle's window exactly.  Rows
+    with a null user_id drop.
 
     Output: (path, n_sessions, n_events) — n_events counts ALL events
     of the counted sessions, not just the truncated steps."""
+    count = _sum_by(["path"], ["n_sessions", "n_events"])
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        empty = pa.table({
-            "path": pa.array([], pa.string()),
-            "n_sessions": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-        })
-        if df.empty:
-            return empty
-        df = df.sort_values(["user_id", "ts", "event_id"])
-        ts = df["ts"].astype("int64")
-        new_user = df["user_id"].ne(df["user_id"].shift())
-        gap = ts.diff() > gap_us
-        df["session_idx"] = (new_user | gap).groupby(
-            df["user_id"]).cumsum().astype("int64") - 1
-        keys = ["user_id", "session_idx"]
-        df["rn"] = df.groupby(keys, sort=False).cumcount()
-        head = df[df["rn"] < max_steps]
-        paths = (head.groupby(keys, sort=False)["event_type"]
-                 .agg(">".join).rename("path"))
-        sizes = df.groupby(keys, sort=False).size().rename("n")
-        j = pd.concat([paths, sizes], axis=1)
-        g = (j.groupby("path", sort=False)
-             .agg(n_sessions=("n", "size"), n_events=("n", "sum"))
-             .reset_index())
-        return pa.table({
-            "path": pa.array(g["path"].tolist(), pa.string()),
-            "n_sessions": pa.array(g["n_sessions"].to_numpy(np.int64),
-                                   pa.int64()),
-            "n_events": pa.array(g["n_events"].to_numpy(np.int64),
-                                 pa.int64()),
-        })
+    def paths(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "ts", "event_id")
+        opens, _ = _sessions(start, _gap_breaks(_np(t, "ts"), gap_us))
+        first, n = _spans(opens)
+        head = np.flatnonzero(run_pos(opens) < max_steps)
+        steps = pa.ListArray.from_arrays(
+            pa.array(np.append(np.searchsorted(head, first), len(head)),
+                     pa.int32()),
+            t.column("event_type").take(head).combine_chunks())
+        return count(pa.table({"path": pc.binary_join(steps, ">"),
+                               "n_sessions": np.ones(len(first), np.int64),
+                               "n_events": n}))
 
-    def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            return pa.table({
-                "path": pa.array([], pa.string()),
-                "n_sessions": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-            })
-        g = (df.groupby("path", sort=False)
-             .agg(n_sessions=("n_sessions", "sum"),
-                  n_events=("n_events", "sum"))
-             .reset_index())
-        return pa.table({
-            "path": pa.array(g["path"].tolist(), pa.string()),
-            "n_sessions": pa.array(g["n_sessions"].to_numpy(np.int64),
-                                   pa.int64()),
-            "n_events": pa.array(g["n_events"].to_numpy(np.int64),
-                                 pa.int64()),
-        })
-
-    partials = events.sort("user_id").map_batches(
-        per_block, batch_format="pyarrow", batch_size=None)
-    return partials.sort("path").map_batches(
-        complete, batch_format="pyarrow", batch_size=None)
+    return keyed_complete(
+        keyed_complete(events, ["user_id"], paths, combine=lambda b: b.select(
+            ["user_id", "ts", "event_id", "event_type"]),
+            op="session_paths"), ["path"], count, op="session_paths_count")
 
 
 def ab_test(events: rd.Dataset, *,
@@ -2276,73 +1486,43 @@ def ab_test(events: rd.Dataset, *,
     conversion (first ``first_type`` -> ``then_type`` within the
     horizon).
 
-    Shape: the funnel kernel is reused verbatim (one type-filtered
-    user sort); the exposure side needs only DISTINCT users per
-    variant — per-block distinct partials, one user sort, per-block
-    counts, driver fold of 2 integers.  Conversion rate is reported
-    as an exact integer per-mille floor.
+    Shape: the funnel kernel is reused verbatim; the exposure side
+    needs only DISTINCT users per variant — per-block distinct
+    partials and one ``keyed_complete`` on user_id give each user once,
+    then ``agg_fold`` counts users per variant, as for the converted
+    users.  Conversion rate is reported as an exact
+    integer per-mille floor.  Rows with a null user_id drop.
 
     Output pa.Table (variant, n_users, n_converted, conv_per_mille),
     sorted by variant."""
     from clinicaltransformerner_ray.pipelines.dedup import _hash64
 
-    def u_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64))
-        return pa.table({"user_id": pa.array(u, pa.int64())})
+    def by_variant(t: pa.Table) -> pa.Table:
+        u = _np(t, "user_id")
+        return _sum_by(["variant"], ["n"])(pa.table({
+            "variant": (_hash64([f"{salt}:{x}" for x in u])
+                        % np.uint64(2)).astype(np.int64),
+            "n": np.ones(len(u), np.int64)}))
 
-    def u_counts(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64))
-        if not len(u):
-            z = pa.array([], pa.int64())
-            return pa.table({"variant": z, "n": z})
-        v = (_hash64([f"{salt}:{x}" for x in u])
-             % np.uint64(2)).astype(np.int64)
-        return pa.table({
-            "variant": pa.array([0, 1], pa.int64()),
-            "n": pa.array([int((v == 0).sum()), int((v == 1).sum())],
-                          pa.int64()),
-        })
+    def per_variant(ds) -> np.ndarray:
+        g = agg_fold(ds.map_batches(by_variant, batch_format="pyarrow",
+                                    batch_size=None), ["variant"],
+                     [("n", "sum")], op="ab_test",
+                     empty=_empty(variant=pa.int64(), n=pa.int64()))
+        n = dict(zip(g.column("variant").to_pylist(),
+                     g.column("n").to_pylist()))
+        return np.array([n.get(0, 0), n.get(1, 0)], np.int64)
 
-    exposure: dict[int, int] = {0: 0, 1: 0}
-    folded = (events.map_batches(u_partial, batch_format="pyarrow")
-              .sort("user_id")
-              .map_batches(u_counts, batch_format="pyarrow",
-                           batch_size=None))
-    for r in folded.take_all():  # O(blocks x 2)
-        exposure[int(r["variant"])] += int(r["n"])
-
-    conv = {0: 0, 1: 0}
-    f = funnel_conversions(events, first_type=first_type,
-                           then_type=then_type, horizon_us=horizon_us)
-
-    def c_counts(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        if not len(u):
-            z = pa.array([], pa.int64())
-            return pa.table({"variant": z, "n": z})
-        v = (_hash64([f"{salt}:{x}" for x in u])
-             % np.uint64(2)).astype(np.int64)
-        return pa.table({
-            "variant": pa.array([0, 1], pa.int64()),
-            "n": pa.array([int((v == 0).sum()), int((v == 1).sum())],
-                          pa.int64()),
-        })
-
-    for r in f.map_batches(c_counts, batch_format="pyarrow",
-                           batch_size=None).take_all():
-        conv[int(r["variant"])] += int(r["n"])
-
+    distinct = functools.partial(grouped_agg, keys=["user_id"], aggs=[])
+    n_users = per_variant(keyed_complete(events, ["user_id"], distinct,
+                                         combine=distinct, op="ab_test"))
+    conv = per_variant(funnel_conversions(
+        events, first_type=first_type, then_type=then_type,
+        horizon_us=horizon_us))
     return pa.table({
-        "variant": pa.array([0, 1], pa.int64()),
-        "n_users": pa.array([exposure[0], exposure[1]], pa.int64()),
-        "n_converted": pa.array([conv[0], conv[1]], pa.int64()),
-        "conv_per_mille": pa.array(
-            [conv[i] * 1000 // max(exposure[i], 1) for i in (0, 1)],
-            pa.int64()),
-    })
+        "variant": pa.array([0, 1], pa.int64()), "n_users": n_users,
+        "n_converted": conv,
+        "conv_per_mille": conv * 1000 // np.maximum(n_users, 1)})
 
 
 def session_concurrency(events: rd.Dataset, *,
@@ -2354,48 +1534,32 @@ def session_concurrency(events: rd.Dataset, *,
 
     Shape: the verified sessionize pipeline emits per-session rows;
     a per-block pass reduces each session to two bounded-key deltas
-    (+1 at its start hour, -1 just after its end hour); the driver
-    folds O(blocks x hours) delta rows and one prefix sum yields the
-    whole curve — the standard sweep-line, with the wide work all
-    inside sessionize's one user sort.
+    (+1 at its start hour, -1 just after its end hour); ``agg_fold``
+    folds O(hours) delta rows and one prefix sum yields the whole curve
+    — the standard sweep-line, with the wide work all inside
+    sessionize's one keyed exchange.
 
     Output pa.Table (hour_us, n_active), one row per hour in range."""
-    HOUR_US = 3_600_000_000
 
     def deltas(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"h": z, "d": z})
-        sh = (df["start_ts"].astype("int64") // HOUR_US).to_numpy()
-        eh = (df["end_ts"].astype("int64") // HOUR_US).to_numpy()
-        d = pd.DataFrame({
-            "h": np.concatenate([sh, eh + 1]),
-            "d": np.concatenate([np.ones(len(sh), np.int64),
-                                 -np.ones(len(eh), np.int64)]),
-        })
-        g = d.groupby("h", sort=False)["d"].sum().reset_index()
-        return pa.table({
-            "h": pa.array(g["h"].to_numpy(np.int64), pa.int64()),
-            "d": pa.array(g["d"].to_numpy(np.int64), pa.int64()),
-        })
+        n = batch.num_rows
+        return _sum_by(["h"], ["d"])(pa.table({
+            "h": np.concatenate([_np(batch, "start_ts") // HOUR_US,
+                                 _np(batch, "end_ts") // HOUR_US + 1]),
+            "d": np.repeat(np.array([1, -1], np.int64), n)}))
 
-    acc: dict[int, int] = {}
-    sess = sessionize(events, gap_us=gap_us)
-    for r in sess.map_batches(deltas, batch_format="pyarrow",
-                              batch_size=None).take_all():
-        acc[int(r["h"])] = acc.get(int(r["h"]), 0) + int(r["d"])
-    if not acc:
-        z = pa.array([], pa.int64())
-        return pa.table({"hour_us": z, "n_active": z})
-    hmin, hmax = min(acc), max(acc)  # hmax is last end hour + 1
-    hours = np.arange(hmin, hmax, dtype=np.int64)
-    dd = np.asarray([acc.get(int(h), 0) for h in hours], np.int64)
-    active = np.cumsum(dd).astype(np.int64)
-    return pa.table({
-        "hour_us": pa.array(hours * HOUR_US, pa.int64()),
-        "n_active": pa.array(active, pa.int64()),
-    })
+    g = agg_fold(sessionize(events, gap_us=gap_us).map_batches(
+        deltas, batch_format="pyarrow", batch_size=None), ["h"],
+        [("d", "sum")], op="session_concurrency",
+        empty=_empty(h=pa.int64(), d=pa.int64()))
+    if not g.num_rows:
+        return _empty(hour_us=pa.int64(), n_active=pa.int64())
+    h, d = _np(g, "h"), _np(g, "d")
+    # the hours run to the last delta's, one past the last end hour
+    dd = np.zeros(h[-1] - h[0], np.int64)
+    dd[h[:-1] - h[0]] = d[:-1]
+    return pa.table({"hour_us": (h[0] + np.arange(len(dd))) * HOUR_US,
+                     "n_active": np.cumsum(dd)})
 
 
 def velocity_stats(events: rd.Dataset, *,
@@ -2407,50 +1571,28 @@ def velocity_stats(events: rd.Dataset, *,
     exactly (inclusive lower bound, equal-timestamp peers counted
     together).
 
-    Shape: ONE sort on user_id; per block a per-user searchsorted
-    two-pointer (the inner counts are vectorized numpy per user; the
-    user loop is the C-speed-inner-op pattern the postings build
-    uses).
+    Shape: ONE ``keyed_complete`` on user_id; per block, two
+    ``searchsorted`` calls over the user-composed timeline
+    (:func:`_run_keys`, the range join's) and a per-run max — no
+    per-user Python.  Rows with a null user_id drop.
 
     Output: (user_id, n_events, max_window)."""
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": batch.column("user_id").cast(pa.int64()),
-            "us": batch.column("ts").cast(pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "us")
+        key = _run_keys(start, _np(t, "us"), window_us)
+        # RANGE frame: peers with equal ts count together
+        c = (np.searchsorted(key, key, side="right")
+             - np.searchsorted(key, key - window_us, side="left"))
+        first, n = _spans(start)
+        return pa.table({"user_id": t.column("user_id").take(first),
+                         "n_events": n,
+                         "max_window": np.maximum.reduceat(c, first)})
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "us"])
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"user_id": z, "n_events": z,
-                             "max_window": z})
-        u = df["user_id"].to_numpy(np.int64)
-        t = df["us"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], u[1:] != u[:-1])))
-        bounds = np.concatenate((starts, [len(u)]))
-        out_u, out_n, out_m = [], [], []
-        for i in range(len(starts)):
-            lo, hi = bounds[i], bounds[i + 1]
-            ts = t[lo:hi]
-            # RANGE frame: peers with equal ts count together
-            c = (np.searchsorted(ts, ts, side="right")
-                 - np.searchsorted(ts, ts - window_us, side="left"))
-            out_u.append(int(u[lo]))
-            out_n.append(hi - lo)
-            out_m.append(int(c.max()))
-        return pa.table({
-            "user_id": pa.array(out_u, pa.int64()),
-            "n_events": pa.array(out_n, pa.int64()),
-            "max_window": pa.array(out_m, pa.int64()),
-        })
-
-    return (events.map_batches(project, batch_format="pyarrow")
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=lambda b:
+                          pa.table({"user_id": b.column("user_id"),
+                                    "us": _np(b, "ts")}),
+                          op="velocity_stats")
 
 
 def cohort_ltv(events: rd.Dataset) -> pa.Table:
@@ -2460,77 +1602,31 @@ def cohort_ltv(events: rd.Dataset) -> pa.Table:
     user-count retention triangle (:func:`cohort_retention`).
 
     Same shape and week conventions as retention: batch-local
-    (user, week, cents) partial sums pre-shuffle, ONE sort on user_id
-    (a user's rows land whole per block; the per-user min week — the
-    cohort — is block-local exact), weeks^2-bounded driver fold.
+    (user, week, cents) partial sums, ONE ``keyed_complete`` on user_id
+    (:func:`_cohorts`: the per-user min week is block-local exact), and
+    a weeks^2-bounded ``agg_fold``.  Rows with a null user_id drop.
 
     Output pa.Table (cohort_week, week_offset, revenue_cents,
     n_active_users), sorted."""
+    keys = ["cohort_week", "week_offset"]
+    weekly = _sum_by(["user_id", "week"], ["cents"])
 
-    def partials(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "user_id": batch.column("user_id").to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "week": batch.column("ts").cast(pa.int64()).to_numpy()
-            // WEEK_US,
-            "cents": _round_half_away(v * 100),
-        })
-        g = (df.groupby(["user_id", "week"], sort=False)["cents"]
-             .sum().reset_index())
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(np.int64),
-                                pa.int64()),
-            "week": pa.array(g["week"].to_numpy(np.int64),
-                             pa.int64()),
-            "cents": pa.array(g["cents"].to_numpy(np.int64),
-                              pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, cohort, offset = _cohorts(weekly(t))
+        return _sum_by(keys, ["cents", "n"])(pa.table({
+            "cohort_week": cohort, "week_offset": offset,
+            "cents": t.column("cents"), "n": _ones(t)}))
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"cohort_week": z, "week_offset": z,
-                             "cents": z, "n": z})
-        df = (df.groupby(["user_id", "week"], sort=False)["cents"]
-              .sum().reset_index())
-        df["cohort_week"] = df.groupby("user_id")["week"] \
-            .transform("min")
-        df["week_offset"] = df["week"] - df["cohort_week"]
-        g = (df.groupby(["cohort_week", "week_offset"], sort=False)
-             .agg(cents=("cents", "sum"), n=("user_id", "nunique"))
-             .reset_index())
-        return pa.table({
-            "cohort_week": pa.array(
-                g["cohort_week"].to_numpy(np.int64), pa.int64()),
-            "week_offset": pa.array(
-                g["week_offset"].to_numpy(np.int64), pa.int64()),
-            "cents": pa.array(g["cents"].to_numpy(np.int64),
-                              pa.int64()),
-            "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-        })
-
-    acc: dict[tuple, list] = {}
-    for r in (events.map_batches(partials, batch_format="pyarrow",
-                                 batch_size=1 << 19)
-              .sort("user_id")
-              .map_batches(per_block, batch_format="pyarrow",
-                           batch_size=None)
-              .take_all()):
-        a = acc.setdefault((r["cohort_week"], r["week_offset"]),
-                           [0, 0])
-        a[0] += int(r["cents"])
-        a[1] += int(r["n"])
-    keys = sorted(acc)
-    return pa.table({
-        "cohort_week": pa.array([c for c, _ in keys], pa.int64()),
-        "week_offset": pa.array([o for _, o in keys], pa.int64()),
-        "revenue_cents": pa.array([acc[k][0] for k in keys],
-                                  pa.int64()),
-        "n_active_users": pa.array([acc[k][1] for k in keys],
-                                   pa.int64()),
-    })
+    return agg_fold(
+        keyed_complete(events, ["user_id"], complete, combine=lambda b:
+                       weekly(pa.table({"user_id": b.column("user_id"),
+                                        "week": _weeks(b),
+                                        "cents": _cents(b)})),
+                       op="cohort_ltv"), keys,
+        [("cents", "sum"), ("n", "sum")], op="cohort_ltv",
+        empty=_empty(cohort_week=pa.int64(), week_offset=pa.int64(),
+                     cents=pa.int64(), n=pa.int64())).rename_columns(
+        keys + ["revenue_cents", "n_active_users"])
 
 
 def l_diversity(events: rd.Dataset, *,
@@ -2543,59 +1639,25 @@ def l_diversity(events: rd.Dataset, *,
     l-homogeneous still leaks the sensitive attribute, so cells with
     fewer than ``l`` distinct types are flagged.
 
-    Same bounded shape as :func:`k_anonymity`: per-block partial
-    DISTINCT (hour, band, type) triples (the QI x sensitive space is
-    bounded), driver fold of the distinct set + counts.
+    Same bounded shape as :func:`k_anonymity`: ``agg_fold`` of
+    per-block (hour, band, type) counts (the QI x sensitive space is
+    bounded), then one ``grouped_agg`` per cell.  Rows with a null
+    event_type drop.
 
     Output pa.Table (hour, band, n, n_types, at_risk), sorted."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({
-                "hour": z, "band": z,
-                "event_type": pa.array([], pa.string()), "n": z})
-        cents = _round_half_away(
-            df["value"].to_numpy(np.float64) * 100)
-        g = (pd.DataFrame({
-            "hour": pd.to_datetime(df["ts"]).dt.hour
-            .to_numpy().astype(np.int64),
-            "band": np.floor(cents.astype(np.float64)
-                             / band_cents).astype(np.int64),
-            "event_type": df["event_type"],
-            "n": np.int64(1),
-        }).groupby(["hour", "band", "event_type"], sort=False)["n"]
-            .sum().reset_index())
-        return pa.table({
-            "hour": pa.array(g["hour"].to_numpy(np.int64),
-                             pa.int64()),
-            "band": pa.array(g["band"].to_numpy(np.int64),
-                             pa.int64()),
-            "event_type": pa.array(g["event_type"].tolist(),
-                                   pa.string()),
-            "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-        })
-
-    acc: dict[tuple, int] = {}
-    for r in events.map_batches(partials, batch_format="pyarrow",
-                                batch_size=1 << 19).take_all():
-        k3 = (int(r["hour"]), int(r["band"]), r["event_type"])
-        acc[k3] = acc.get(k3, 0) + int(r["n"])
-    cells: dict[tuple, list] = {}
-    for (h, b, _t), n in acc.items():
-        c = cells.setdefault((h, b), [0, 0])
-        c[0] += n
-        c[1] += 1
-    ks = sorted(cells)
-    return pa.table({
-        "hour": pa.array([h for h, _ in ks], pa.int64()),
-        "band": pa.array([b for _, b in ks], pa.int64()),
-        "n": pa.array([cells[k][0] for k in ks], pa.int64()),
-        "n_types": pa.array([cells[k][1] for k in ks], pa.int64()),
-        "at_risk": pa.array(
-            [1 if cells[k][1] < l else 0 for k in ks], pa.int64()),
-    })
+    keys = ["hour", "band", "event_type"]
+    g = agg_fold(events.map_batches(lambda b: grouped_agg(pa.table({
+        "hour": _hour(b), "band": _band(b, band_cents),
+        "event_type": b.column("event_type"), "n": _ones(b)}), keys,
+        [("n", "sum")]), batch_format="pyarrow", batch_size=1 << 19),
+        keys, [("n", "sum")], op="l_diversity",
+        empty=_empty(hour=pa.int64(), band=pa.int64(),
+                     event_type=pa.string(), n=pa.int64()))
+    cells = grouped_agg(g, ["hour", "band"], [
+        ("n", "sum"), ("event_type", "count")]).rename_columns(
+        ["hour", "band", "n", "n_types"])
+    return cells.append_column("at_risk", pc.cast(
+        pc.less(cells.column("n_types"), l), pa.int64()))
 
 
 def seasonal_backtest(events: rd.Dataset, *,
@@ -2608,61 +1670,34 @@ def seasonal_backtest(events: rd.Dataset, *,
 
     The hour grid is DENSE per type (zero-count hours included —
     lag over existing rows only would skip gaps and misalign the
-    season), bounded by hours x types, so per-block partial counts
-    fold on the driver and the backtest walks the tiny grid there.
+    season), bounded by hours x types, so ``agg_fold`` folds per-block
+    partial counts and the backtest is one numpy pass over the grid.
+    Rows with a null event_type drop.
 
     Output pa.Table (event_type, n_hours, sum_actual, sum_abs_err),
     sorted — n_hours counts scored hours (those with a season-earlier
     reference inside the observed range)."""
-    HOUR_US = 3_600_000_000
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "event_type": batch.column("event_type").to_pylist(),
-            "h": batch.column("ts").cast(pa.int64()).to_numpy()
-            // HOUR_US,
-        })
-        g = (df.groupby(["event_type", "h"], sort=False)
-             .size().reset_index(name="n"))
-        return pa.table({
-            "event_type": pa.array(g["event_type"].tolist(),
-                                   pa.string()),
-            "h": pa.array(g["h"].to_numpy(np.int64), pa.int64()),
-            "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-        })
-
-    acc: dict[tuple, int] = {}
-    hmin, hmax = None, None
-    for r in events.map_batches(partials, batch_format="pyarrow",
-                                batch_size=1 << 19).take_all():
-        k = (r["event_type"], int(r["h"]))
-        acc[k] = acc.get(k, 0) + int(r["n"])
-        hmin = k[1] if hmin is None else min(hmin, k[1])
-        hmax = k[1] if hmax is None else max(hmax, k[1])
-    if hmin is None:
-        z = pa.array([], pa.int64())
-        return pa.table({"event_type": pa.array([], pa.string()),
-                         "n_hours": z, "sum_actual": z,
-                         "sum_abs_err": z})
-    types = sorted({t for t, _ in acc})
-    out_n, out_a, out_e = [], [], []
-    for t in types:
-        n_h = a_sum = e_sum = 0
-        for h in range(hmin + season_hours, hmax + 1):
-            actual = acc.get((t, h), 0)
-            pred = acc.get((t, h - season_hours), 0)
-            n_h += 1
-            a_sum += actual
-            e_sum += abs(actual - pred)
-        out_n.append(n_h)
-        out_a.append(a_sum)
-        out_e.append(e_sum)
+    keys = ["event_type", "h"]
+    g, start = sorted_runs(agg_fold(events.map_batches(
+        lambda b: grouped_agg(pa.table({
+            "event_type": b.column("event_type"),
+            "h": _np(b, "ts") // HOUR_US, "n": _ones(b)}), keys,
+            [("n", "sum")]), batch_format="pyarrow", batch_size=1 << 19),
+        keys, [("n", "sum")], op="seasonal_backtest",
+        empty=_empty(event_type=pa.string(), h=pa.int64(), n=pa.int64())),
+        ["event_type"])
+    h = _np(g, "h")
+    hmin = h.min() if len(h) else 0
+    grid = np.zeros((int(start.sum()), int(h.max(initial=hmin) - hmin) + 1),
+                    np.int64)
+    grid[run_id(start), h - hmin] = _np(g, "n")
+    actual, pred = grid[:, season_hours:], grid[:, :max(
+        grid.shape[1] - season_hours, 0)]
     return pa.table({
-        "event_type": pa.array(types, pa.string()),
-        "n_hours": pa.array(out_n, pa.int64()),
-        "sum_actual": pa.array(out_a, pa.int64()),
-        "sum_abs_err": pa.array(out_e, pa.int64()),
-    })
+        "event_type": g.column("event_type").filter(pa.array(start)),
+        "n_hours": pa.array(np.full(len(grid), actual.shape[1]), pa.int64()),
+        "sum_actual": actual.sum(axis=1),
+        "sum_abs_err": np.abs(actual - pred).sum(axis=1)})
 
 
 def funnel3(events: rd.Dataset, *,
@@ -2675,79 +1710,45 @@ def funnel3(events: rd.Dataset, *,
     reached-stage column is what a funnel chart plots).
 
     Total order (ts, event_id) on every min, so both engines agree on
-    ties.  Shape: type filter pre-shuffle, ONE user sort, vectorized
-    per-block pass (three grouped searchsorted-style mins).
+    ties.  Shape: type filter before the exchange, ONE
+    ``keyed_complete`` on user_id, three per-run ``minimum.reduceat``
+    passes (each step's candidates lie after the previous step's time,
+    broadcast by run id) — no per-user Python.  Rows with a null
+    user_id drop.
 
     Output: (user_id, stage, t1_us, t2_us, t3_us) — stage in 1..3 for
     users who reached at least step 1; absent-step timestamps are 0."""
 
     def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = pc.is_in(batch.column("event_type"),
-                        value_set=pa.array(list(steps)))
-        t = batch.filter(keep)
-        kind = np.zeros(t.num_rows, np.int64)
-        et = np.asarray(t.column("event_type").to_pylist(), object)
-        for i, st in enumerate(steps):
-            kind[et == st] = i
+        t = _types(*steps, cols=batch.column_names)(batch)
         return pa.table({
             "user_id": t.column("user_id").cast(pa.int64()),
             "us": t.column("ts").cast(pa.int64()),
             "eid": t.column("event_id").cast(pa.int64()),
-            "kind": pa.array(kind, pa.int64()),
+            "kind": pc.index_in(t.column("event_type"), value_set=pa.array(
+                list(steps))).cast(pa.int64()),
         })
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["user_id", "us", "eid"])
-        empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "stage": pa.array([], pa.int64()),
-            "t1_us": pa.array([], pa.int64()),
-            "t2_us": pa.array([], pa.int64()),
-            "t3_us": pa.array([], pa.int64()),
-        })
-        if df.empty:
-            return empty
-        out_u, out_s, out_t = [], [], []
-        u = df["user_id"].to_numpy(np.int64)
-        t = df["us"].to_numpy(np.int64)
-        k = df["kind"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.concatenate(
-            ([True], u[1:] != u[:-1])))
-        bounds = np.concatenate((starts, [len(u)]))
-        for i in range(len(starts)):
-            lo, hi = bounds[i], bounds[i + 1]
-            ts, ks = t[lo:hi], k[lo:hi]
-            tt = [0, 0, 0]
-            stage = 0
-            after = -1
-            for step in range(3):
-                cand = np.flatnonzero((ks == step)
-                                      & (ts > (tt[step - 1]
-                                               if step else after)))
-                if not len(cand):
-                    break
-                tt[step] = int(ts[cand[0]])
-                stage = step + 1
-            if stage:
-                out_u.append(int(u[lo]))
-                out_s.append(stage)
-                out_t.append(tuple(tt))
-        if not out_u:
-            return empty
-        return pa.table({
-            "user_id": pa.array(out_u, pa.int64()),
-            "stage": pa.array(out_s, pa.int64()),
-            "t1_us": pa.array([x[0] for x in out_t], pa.int64()),
-            "t2_us": pa.array([x[1] for x in out_t], pa.int64()),
-            "t3_us": pa.array([x[2] for x in out_t], pa.int64()),
-        })
+    def complete(t: pa.Table) -> pa.Table:
+        t, start = _by_user(t, "us", "eid")
+        us, kind, rid = _np(t, "us"), _np(t, "kind"), run_id(start)
+        first, _ = _spans(start)
+        after = np.full(len(first), -1, np.int64)
+        out = {"user_id": t.column("user_id").take(first),
+               "stage": np.zeros(len(first), np.int64)}
+        for step in range(3):
+            cand = (kind == step) & (us > after[rid])
+            found = np.logical_or.reduceat(cand, first)
+            tt = np.minimum.reduceat(np.where(cand, us, np.iinfo(np.int64).max),
+                                     first)
+            out["stage"] += found
+            out[f"t{step + 1}_us"] = np.where(found, tt, 0)
+            # a step not found leaves nothing after it to find
+            after = np.where(found, tt, np.iinfo(np.int64).max)
+        return pa.table(out).filter(pa.array(out["stage"] > 0))
 
-    return (events.map_batches(project, batch_format="pyarrow")
-            .sort("user_id")
-            .map_batches(per_block, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(events, ["user_id"], complete, combine=project,
+                          op="funnel3")
 
 
 def revenue_concentration(events: rd.Dataset) -> pa.Table:
@@ -2756,51 +1757,21 @@ def revenue_concentration(events: rd.Dataset) -> pa.Table:
     (total cents DESC, user_id ASC), top ``floor(n/10)`` users (>= 1)
     — the whale-dependence number a monetization review reads.
 
-    Shape: per-user exact-cents totals via batch partials + ONE user
-    sort + block completion (the established per-user aggregate), a
-    count/total fold, then a RUNNING TOP-M selection over the
-    streaming user-total rows (O(m) driver state, the dsir_select
-    single-driver tree-fold degenerate — no global value sort).
+    Shape: per-user exact-cents totals via batch partials + ONE
+    ``keyed_complete`` on user_id (the established per-user aggregate),
+    a count/total pass, then a RUNNING TOP-M selection over the
+    streaming user-total rows (``topk_complete`` with no keys: O(m)
+    driver state — no global value sort).  Rows with a null user_id
+    drop.
 
     Output pa.Table, one row: (n_users, total_cents, top_users,
     top_cents, share_per_mille)."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "user_id": batch.column("user_id").to_numpy(
-                zero_copy_only=False).astype(np.int64),
-            "cents": _round_half_away(v * 100),
-        })
-        g = df.groupby("user_id", sort=False)["cents"] \
-            .sum().reset_index()
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(np.int64),
-                                pa.int64()),
-            "cents": pa.array(g["cents"].to_numpy(np.int64),
-                              pa.int64()),
-        })
-
-    def complete(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if df.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"user_id": z, "cents": z})
-        g = df.groupby("user_id", sort=False)["cents"] \
-            .sum().reset_index()
-        return pa.table({
-            "user_id": pa.array(g["user_id"].to_numpy(np.int64),
-                                pa.int64()),
-            "cents": pa.array(g["cents"].to_numpy(np.int64),
-                              pa.int64()),
-        })
-
-    totals = (events.map_batches(partials, batch_format="pyarrow",
-                                 batch_size=1 << 19)
-              .sort("user_id")
-              .map_batches(complete, batch_format="pyarrow",
-                           batch_size=None)
-              .materialize())  # consumed twice (count + top-m)
+    total_of = _sum_by(["user_id"], ["cents"])
+    totals = keyed_complete(events, ["user_id"], total_of, combine=lambda b:
+                            total_of(pa.table({"user_id": b.column("user_id"),
+                                               "cents": _cents(b)})),
+                            op="revenue_concentration"
+                            ).materialize()  # consumed twice (count + top-m)
 
     n_users = 0
     total = 0

@@ -2229,14 +2229,14 @@ def small_qty_revenue(
     analysis).  The per-group threshold is the shape Q17 exercises —
     a self-aggregate joined back against its own detail rows.
 
-    Distributed shape: ONE sort on l_partkey.  Detail lines, batch-
+    Distributed shape: ONE keyed exchange on l_partkey.  Detail lines, batch-
     local per-part partials (n, sum_q100) and the part-dim brand rows
     all carry the same key, so the range partitioner co-locates a
     part's full evidence in one block; the per-block pass folds the
     partials, applies the integer-exact threshold
     ``5 * q100 * n < sum_q100`` (== quantity < 0.2 * avg, scaled by
-    100) and emits tiny per-brand partials.  A second sort on the
-    handful of brand partials completes.
+    100) and emits tiny per-brand partials.  A second
+    ``keyed_complete``, on the handful of brand partials, completes.
 
     Domain: quantities are non-negative (TPC-H shape), so the integer
     comparison and the ``// 7`` floor agree with the SQL oracle.
@@ -2332,12 +2332,9 @@ def small_qty_revenue(
     tagged = (lineitem.map_batches(li_rows, batch_format="pyarrow",
                                    batch_size=None)
               .union(part.map_batches(p_rows, batch_format="pyarrow")))
-    return (tagged.sort("key")
-            .map_batches(per_part, batch_format="pyarrow",
-                         batch_size=None)
-            .sort("p_brand")
-            .map_batches(finish, batch_format="pyarrow",
-                         batch_size=None))
+    return keyed_complete(
+        keyed_complete(tagged, ["key"], per_part, op="small_qty_revenue"),
+        ["p_brand"], finish, op="small_qty_revenue_brands")
 
 
 def top_supplier(

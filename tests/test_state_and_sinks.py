@@ -18,6 +18,25 @@ def ckpt_dir(tmp_path):
     return str(tmp_path / "mentions_ckpt")
 
 
+def _on_both_paths(monkeypatch, caplog, check):
+    """``check()`` once with every keyed op folding (a huge cap) and once
+    with every keyed op on the Sort exchange (cap 0), each leg asserting
+    the path it logged: a salted twin's cross-block stitch runs only on
+    the exchange."""
+    import logging
+
+    from clinicaltransformerner_ray import arrowutil
+
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    for cap, path in ((1 << 40, ": fold ("), (0, ": exchange (")):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
+        check()
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "ray_kg"]
+        assert msgs and all(path in m for m in msgs), msgs
+
+
 def test_checkpointed_mentions_resume(ray_session, ckpt_dir):
     from clinicaltransformerner_ray.pipelines.resume import (
         checkpointed_mentions, kg_from_checkpoint, turn_shards)
@@ -423,100 +442,108 @@ def test_range_join_semantics(ray_session):
     assert pd.isna(out.loc[1, "first_range_ts"])
 
 
-def test_salted_range_join_equals_unsalted(ray_session):
+def test_salted_range_join_equals_unsalted(ray_session, monkeypatch, caplog):
     """range_join_events_salted must be byte-identical to the unsalted
     version, including on a hot single user whose events span many salt
     buckets (the regime the salting exists for)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines.events import (
-        range_join_events, range_join_events_salted)
+    def check():
+        import numpy as np
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data as rd
 
-    us = 1_000_000
-    n = 4000
-    rng = np.random.RandomState(7)
-    ts = np.sort(rng.randint(0, 10 * 24 * 3600, n)).astype(np.int64) * us \
-        + np.arange(n)
-    types = np.where(np.arange(n) % 2 == 0, "purchase", "error")
-    tbl = pa.table({
-        "event_id": pa.array(np.arange(n), pa.int64()),
-        "user_id": pa.array((np.arange(n) % 3 == 0).astype(np.int64)),
-        "ts": pa.array(ts, pa.timestamp("us")),
-        "event_type": pa.array(types.tolist(), pa.string()),
-    })
-    ds = rd.from_arrow(tbl)
-    h = 1800 * us
-    a = (range_join_events(ds, horizon_us=h)
-         .to_pandas().sort_values("event_id").reset_index(drop=True))
-    b = (range_join_events_salted(ds, horizon_us=h, bucket_us=3600 * us)
-         .to_pandas().sort_values("event_id").reset_index(drop=True))
-    assert (a["n_range"] > 0).any()  # exercise the match path
-    pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+        from clinicaltransformerner_ray.pipelines.events import (
+            range_join_events, range_join_events_salted)
+
+        us = 1_000_000
+        n = 4000
+        rng = np.random.RandomState(7)
+        ts = np.sort(rng.randint(0, 10 * 24 * 3600, n)).astype(np.int64) * us \
+            + np.arange(n)
+        types = np.where(np.arange(n) % 2 == 0, "purchase", "error")
+        tbl = pa.table({
+            "event_id": pa.array(np.arange(n), pa.int64()),
+            "user_id": pa.array((np.arange(n) % 3 == 0).astype(np.int64)),
+            "ts": pa.array(ts, pa.timestamp("us")),
+            "event_type": pa.array(types.tolist(), pa.string()),
+        })
+        ds = rd.from_arrow(tbl)
+        h = 1800 * us
+        a = (range_join_events(ds, horizon_us=h)
+             .to_pandas().sort_values("event_id").reset_index(drop=True))
+        b = (range_join_events_salted(ds, horizon_us=h, bucket_us=3600 * us)
+             .to_pandas().sort_values("event_id").reset_index(drop=True))
+        assert (a["n_range"] > 0).any()  # exercise the match path
+        pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+
+    _on_both_paths(monkeypatch, caplog, check)
 
 
-def test_salted_asof_join_equals_unsalted(ray_session):
+def test_salted_asof_join_equals_unsalted(ray_session, monkeypatch, caplog):
     """asof_join_events_salted must be byte-identical to the unsalted
     version on a hot user spanning many buckets, a user whose only
     click is many empty buckets before their purchases (the unbounded
     carry), and a clickless user (NULL passthrough)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines.events import (
-        asof_join_events, asof_join_events_salted)
+    def check():
+        import numpy as np
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data as rd
 
-    us = 1_000_000
-    day = 24 * 3600 * us
-    rng = np.random.RandomState(1)
-    n = 3000
-    ts0 = (np.sort(rng.randint(0, 30 * 24 * 3600, n)).astype(np.int64)
-           * us + np.arange(n))
-    eids = list(range(n))
-    uids = [0] * n
-    tss = ts0.tolist()
-    types = ["click" if i % 3 == 0 else "purchase" for i in range(n)]
-    big = 1 << 60   # ids above 2^53: a pandas float64 roundtrip in the
-    # stitch would corrupt them — the Arrow passthrough must not
-    for e, u, t, k in [(n, 1, 5 * us, "click"),
-                       (n + 1, 1, 10 * day, "purchase"),
-                       (n + 2, 1, 25 * day, "purchase"),
-                       (n + 3, 2, 3 * day, "purchase"),
-                       (big + 1, 5, 7 * us, "click"),
-                       (big + 2, 5, 9 * us, "purchase"),      # res path
-                       (big + 3, 5, 20 * day, "purchase")]:   # open path
-        eids.append(e), uids.append(u), tss.append(t), types.append(k)
-    tbl = pa.table({
-        "event_id": pa.array(eids, pa.int64()),
-        "user_id": pa.array(uids, pa.int64()),
-        "ts": pa.array(np.asarray(tss, dtype="int64")
-                       ).cast(pa.timestamp("us")),
-        "event_type": pa.array(types, pa.string()),
-    })
-    ds = rd.from_arrow(tbl)
-    a = (asof_join_events(ds)
-         .to_pandas().sort_values("event_id").reset_index(drop=True))
-    b = (asof_join_events_salted(ds, bucket_us=day)
-         .to_pandas().sort_values("event_id").reset_index(drop=True))
-    assert a["asof_event_id"].isna().sum() == 1  # only the clickless user
-    # user 1's purchases carry the day-0 click across 10 and 25 buckets
-    assert (a.loc[a["user_id"] == 1, "asof_event_id"] == n).all()
-    # >2^53 ids survive both the res and the open stitch path exactly
-    # (checked via take_all — to_pandas itself would round to float64)
-    u5 = [r for r in asof_join_events_salted(ds, bucket_us=day)
-          .take_all() if r["user_id"] == 5]
-    assert len(u5) == 2
-    assert all(r["asof_event_id"] == big + 1 for r in u5)
-    pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
-    # all-purchase input: every stitch block is carry-less → all NULL
-    only_p = rd.from_arrow(tbl.filter(
-        pa.compute.equal(tbl["event_type"], "purchase")))
-    c = asof_join_events_salted(only_p, bucket_us=day).to_pandas()
-    assert len(c) and c["asof_event_id"].isna().all()
+        from clinicaltransformerner_ray.pipelines.events import (
+            asof_join_events, asof_join_events_salted)
+
+        us = 1_000_000
+        day = 24 * 3600 * us
+        rng = np.random.RandomState(1)
+        n = 3000
+        ts0 = (np.sort(rng.randint(0, 30 * 24 * 3600, n)).astype(np.int64)
+               * us + np.arange(n))
+        eids = list(range(n))
+        uids = [0] * n
+        tss = ts0.tolist()
+        types = ["click" if i % 3 == 0 else "purchase" for i in range(n)]
+        big = 1 << 60   # ids above 2^53: a pandas float64 roundtrip in the
+        # stitch would corrupt them — the Arrow passthrough must not
+        for e, u, t, k in [(n, 1, 5 * us, "click"),
+                           (n + 1, 1, 10 * day, "purchase"),
+                           (n + 2, 1, 25 * day, "purchase"),
+                           (n + 3, 2, 3 * day, "purchase"),
+                           (big + 1, 5, 7 * us, "click"),
+                           (big + 2, 5, 9 * us, "purchase"),      # res path
+                           (big + 3, 5, 20 * day, "purchase")]:   # open path
+            eids.append(e), uids.append(u), tss.append(t), types.append(k)
+        tbl = pa.table({
+            "event_id": pa.array(eids, pa.int64()),
+            "user_id": pa.array(uids, pa.int64()),
+            "ts": pa.array(np.asarray(tss, dtype="int64")
+                           ).cast(pa.timestamp("us")),
+            "event_type": pa.array(types, pa.string()),
+        })
+        ds = rd.from_arrow(tbl)
+        a = (asof_join_events(ds)
+             .to_pandas().sort_values("event_id").reset_index(drop=True))
+        b = (asof_join_events_salted(ds, bucket_us=day)
+             .to_pandas().sort_values("event_id").reset_index(drop=True))
+        assert a["asof_event_id"].isna().sum() == 1  # only the clickless user
+        # user 1's purchases carry the day-0 click across 10 and 25 buckets
+        assert (a.loc[a["user_id"] == 1, "asof_event_id"] == n).all()
+        # >2^53 ids survive both the res and the open stitch path exactly
+        # (checked via take_all — to_pandas itself would round to float64)
+        u5 = [r for r in asof_join_events_salted(ds, bucket_us=day)
+              .take_all() if r["user_id"] == 5]
+        assert len(u5) == 2
+        assert all(r["asof_event_id"] == big + 1 for r in u5)
+        pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+        # all-purchase input: every stitch block is carry-less → all NULL
+        only_p = rd.from_arrow(tbl.filter(
+            pa.compute.equal(tbl["event_type"], "purchase")))
+        c = asof_join_events_salted(only_p, bucket_us=day).to_pandas()
+        assert len(c) and c["asof_event_id"].isna().all()
+
+    _on_both_paths(monkeypatch, caplog, check)
 
 
 def test_asof_join_semantics(ray_session):
@@ -555,73 +582,81 @@ def test_asof_join_semantics(ray_session):
     assert pd.isna(got[2])
 
 
-def test_salted_sessionize_equals_unsalted(ray_session):
+def test_salted_sessionize_equals_unsalted(ray_session, monkeypatch, caplog):
     """sessionize_salted (time-bucket salt + ghost stitch) must be
     byte-identical to the plain per-user sort on the real events
     fixture."""
-    import pandas as pd
-    import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines.events import (
-        sessionize, sessionize_salted)
+    def check():
+        import pandas as pd
+        import ray.data as rd
 
-    SF_E = "/root/testdata/sf0.001/events.parquet"
-    cols = ["event_id", "user_id", "ts"]
-    a = (sessionize(rd.read_parquet(SF_E, columns=cols))
-         .to_pandas().sort_values(["user_id", "session_idx"])
-         .reset_index(drop=True))
-    b = (sessionize_salted(rd.read_parquet(SF_E, columns=cols))
-         .to_pandas().sort_values(["user_id", "session_idx"])
-         .reset_index(drop=True))
-    pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)],
-                                  check_dtype=False)
+        from clinicaltransformerner_ray.pipelines.events import (
+            sessionize, sessionize_salted)
+
+        SF_E = "/root/testdata/sf0.001/events.parquet"
+        cols = ["event_id", "user_id", "ts"]
+        a = (sessionize(rd.read_parquet(SF_E, columns=cols))
+             .to_pandas().sort_values(["user_id", "session_idx"])
+             .reset_index(drop=True))
+        b = (sessionize_salted(rd.read_parquet(SF_E, columns=cols))
+             .to_pandas().sort_values(["user_id", "session_idx"])
+             .reset_index(drop=True))
+        pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)],
+                                      check_dtype=False)
+
+    _on_both_paths(monkeypatch, caplog, check)
 
 
-def test_salted_sessionize_hyperactive_user_crosses_buckets(ray_session):
+def test_salted_sessionize_hyperactive_user_crosses_buckets(ray_session, monkeypatch, caplog):
     """A session chain spanning MANY salt buckets (hyperactive user with
     sub-gap inter-event times for days) must stitch into one session;
     separate sessions across quiet gaps keep exact global numbering."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines.events import (
-        sessionize, sessionize_salted)
+    def check():
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data as rd
 
-    HOUR = 3600 * 1_000_000
-    rows = []
-    eid = 0
-    # user 7: one 50-hour session, event every 20 min (gap 30 min)
-    for k in range(150):
-        rows.append({"event_id": eid, "user_id": 7,
-                     "ts": k * 20 * 60 * 1_000_000})
-        eid += 1
-    # then 3 quiet hours, then a short second session
-    base = 150 * 20 * 60 * 1_000_000 + 3 * HOUR
-    for k in range(5):
-        rows.append({"event_id": eid, "user_id": 7,
-                     "ts": base + k * 10 * 60 * 1_000_000})
-        eid += 1
-    # a normal user for contrast
-    for k in range(4):
-        rows.append({"event_id": eid, "user_id": 8,
-                     "ts": k * 2 * HOUR})
-        eid += 1
-    df = pd.DataFrame(rows)
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    # bucket = 2h so the long session crosses ~25 bucket boundaries
-    salted = (sessionize_salted(rd.from_arrow(tbl), bucket_us=2 * HOUR)
-              .to_pandas().sort_values(["user_id", "session_idx"])
-              .reset_index(drop=True))
-    plain = (sessionize(rd.from_arrow(tbl))
-             .to_pandas().sort_values(["user_id", "session_idx"])
-             .reset_index(drop=True))
-    pd.testing.assert_frame_equal(
-        salted[sorted(salted.columns)], plain[sorted(plain.columns)],
-        check_dtype=False)
-    u7 = salted[salted["user_id"] == 7]
-    assert len(u7) == 2 and int(u7["n_events"].iloc[0]) == 150
+        from clinicaltransformerner_ray.pipelines.events import (
+            sessionize, sessionize_salted)
+
+        HOUR = 3600 * 1_000_000
+        rows = []
+        eid = 0
+        # user 7: one 50-hour session, event every 20 min (gap 30 min)
+        for k in range(150):
+            rows.append({"event_id": eid, "user_id": 7,
+                         "ts": k * 20 * 60 * 1_000_000})
+            eid += 1
+        # then 3 quiet hours, then a short second session
+        base = 150 * 20 * 60 * 1_000_000 + 3 * HOUR
+        for k in range(5):
+            rows.append({"event_id": eid, "user_id": 7,
+                         "ts": base + k * 10 * 60 * 1_000_000})
+            eid += 1
+        # a normal user for contrast
+        for k in range(4):
+            rows.append({"event_id": eid, "user_id": 8,
+                         "ts": k * 2 * HOUR})
+            eid += 1
+        df = pd.DataFrame(rows)
+        df["ts"] = df["ts"].astype("datetime64[us]")
+        tbl = pa.Table.from_pandas(df, preserve_index=False)
+        # bucket = 2h so the long session crosses ~25 bucket boundaries
+        salted = (sessionize_salted(rd.from_arrow(tbl), bucket_us=2 * HOUR)
+                  .to_pandas().sort_values(["user_id", "session_idx"])
+                  .reset_index(drop=True))
+        plain = (sessionize(rd.from_arrow(tbl))
+                 .to_pandas().sort_values(["user_id", "session_idx"])
+                 .reset_index(drop=True))
+        pd.testing.assert_frame_equal(
+            salted[sorted(salted.columns)], plain[sorted(plain.columns)],
+            check_dtype=False)
+        u7 = salted[salted["user_id"] == 7]
+        assert len(u7) == 2 and int(u7["n_events"].iloc[0]) == 150
+
+    _on_both_paths(monkeypatch, caplog, check)
 
 
 def test_bioc_files_full_collection_wrapper(ray_session):
@@ -676,71 +711,75 @@ def test_mentions_via_offset_mapping(ray_session):
     assert row["ann"].startswith("T1\t")
 
 
-def test_salted_sessionize_multiblock_stitch(ray_session):
+def test_salted_sessionize_multiblock_stitch(ray_session, monkeypatch, caplog):
     """Regression (r2 advice, high): the stitch pass must sort on
     user_id ALONE — a composite (user_id, bucket, local_idx) sort lets
     Ray's range partitioner split one user's session chain across
     blocks, silently dropping boundary merges.  Force a multi-block
     stitch stage (16 input blocks, hundreds of users, sessions crossing
     bucket boundaries) and require byte-equality with sessionize()."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines.events import (
-        sessionize, sessionize_salted)
+    def check():
+        import numpy as np
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data as rd
 
-    HOUR = 3600 * 1_000_000
-    MIN20 = 20 * 60 * 1_000_000
-    rows_u, rows_t, rows_e = [], [], []
-    eid = 0
-    for u in range(250):
-        t = u * 13 * 60 * 1_000_000  # staggered starts
-        # session 1: 30 events 20min apart -> ~10h, crosses 2h buckets
-        for k in range(30):
-            rows_u.append(u)
-            rows_t.append(t + k * MIN20)
-            rows_e.append(eid)
-            eid += 1
-        # 3h quiet gap, then a short session 2
-        base = t + 30 * MIN20 + 3 * HOUR
-        for k in range(4):
-            rows_u.append(u)
-            rows_t.append(base + k * 10 * 60 * 1_000_000)
-            rows_e.append(eid)
-            eid += 1
-    df = pd.DataFrame({"event_id": rows_e, "user_id": rows_u,
-                       "ts": np.asarray(rows_t, dtype="datetime64[us]")})
-    # shuffle row order so blocks interleave users
-    df = df.sample(frac=1.0, random_state=0).reset_index(drop=True)
-    # tiny block targets force the stitch input to SPLIT across task
-    # bundles at test scale (the context is captured at dataset
-    # creation, so set BEFORE from_arrow); with the composite-key sort
-    # this scenario produced 79 duplicated (user_id, session_idx) rows
-    from ray.data import DataContext
+        from clinicaltransformerner_ray.pipelines.events import (
+            sessionize, sessionize_salted)
 
-    ctx = DataContext.get_current()
-    old_max, old_min = ctx.target_max_block_size, ctx.target_min_block_size
-    ctx.target_max_block_size = 4 * 1024
-    ctx.target_min_block_size = 1024
-    try:
-        ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-        ds = ds.repartition(16)
-        salted = (sessionize_salted(ds, bucket_us=2 * HOUR)
-                  .to_pandas().sort_values(["user_id", "session_idx"])
-                  .reset_index(drop=True))
-        plain = (sessionize(ds).to_pandas()
-                 .sort_values(["user_id", "session_idx"])
-                 .reset_index(drop=True))
-    finally:
-        ctx.target_max_block_size = old_max
-        ctx.target_min_block_size = old_min
-    # no duplicated (user, session_idx) rows — the observed failure mode
-    assert not salted.duplicated(["user_id", "session_idx"]).any()
-    pd.testing.assert_frame_equal(
-        salted[sorted(salted.columns)], plain[sorted(plain.columns)],
-        check_dtype=False)
+        HOUR = 3600 * 1_000_000
+        MIN20 = 20 * 60 * 1_000_000
+        rows_u, rows_t, rows_e = [], [], []
+        eid = 0
+        for u in range(250):
+            t = u * 13 * 60 * 1_000_000  # staggered starts
+            # session 1: 30 events 20min apart -> ~10h, crosses 2h buckets
+            for k in range(30):
+                rows_u.append(u)
+                rows_t.append(t + k * MIN20)
+                rows_e.append(eid)
+                eid += 1
+            # 3h quiet gap, then a short session 2
+            base = t + 30 * MIN20 + 3 * HOUR
+            for k in range(4):
+                rows_u.append(u)
+                rows_t.append(base + k * 10 * 60 * 1_000_000)
+                rows_e.append(eid)
+                eid += 1
+        df = pd.DataFrame({"event_id": rows_e, "user_id": rows_u,
+                           "ts": np.asarray(rows_t, dtype="datetime64[us]")})
+        # shuffle row order so blocks interleave users
+        df = df.sample(frac=1.0, random_state=0).reset_index(drop=True)
+        # tiny block targets force the stitch input to SPLIT across task
+        # bundles at test scale (the context is captured at dataset
+        # creation, so set BEFORE from_arrow); with the composite-key sort
+        # this scenario produced 79 duplicated (user_id, session_idx) rows
+        from ray.data import DataContext
+
+        ctx = DataContext.get_current()
+        old_max, old_min = ctx.target_max_block_size, ctx.target_min_block_size
+        ctx.target_max_block_size = 4 * 1024
+        ctx.target_min_block_size = 1024
+        try:
+            ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+            ds = ds.repartition(16)
+            salted = (sessionize_salted(ds, bucket_us=2 * HOUR)
+                      .to_pandas().sort_values(["user_id", "session_idx"])
+                      .reset_index(drop=True))
+            plain = (sessionize(ds).to_pandas()
+                     .sort_values(["user_id", "session_idx"])
+                     .reset_index(drop=True))
+        finally:
+            ctx.target_max_block_size = old_max
+            ctx.target_min_block_size = old_min
+        # no duplicated (user, session_idx) rows — the observed failure mode
+        assert not salted.duplicated(["user_id", "session_idx"]).any()
+        pd.testing.assert_frame_equal(
+            salted[sorted(salted.columns)], plain[sorted(plain.columns)],
+            check_dtype=False)
+
+    _on_both_paths(monkeypatch, caplog, check)
 
 
 def test_latest_event_per_user_ties(ray_session):
