@@ -215,12 +215,10 @@ def _q_kg_components(sf_dir: str):
     stats, all over the same edge table."""
     import pyarrow as pa
 
-    from clinicaltransformerner_ray.pipelines.dedup import (
-        check_converged, component_labels)
+    from clinicaltransformerner_ray.pipelines.dedup import component_labels
 
     ents, a, b = _co_vocab(sf_dir, "kg_components")
-    lab, n_changed = component_labels(a, b, len(ents))
-    check_converged(n_changed, 16, "warn")
+    lab = component_labels(a, b, len(ents))
     return pa.table({"entity_id": ents,
                      "component_id": ents.take(pa.array(lab))})
 

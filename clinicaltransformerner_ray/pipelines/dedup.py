@@ -655,26 +655,25 @@ def dup_clusters(
     if tbl is not None:
         nodes, (a, b) = sorted_codes(tbl.column("doc_a").cast(pa.int64()),
                                      tbl.column("doc_b").cast(pa.int64()))
-        lab, n_changed = component_labels(a, b, len(nodes), max_iters)
-        out = rd.from_arrow(pa.table({
+        lab = component_labels(a, b, len(nodes), max_iters, on_max_iters)
+        return rd.from_arrow(pa.table({
             "doc_id": nodes, "cluster_id": nodes.take(pa.array(lab))}))
-    else:
-        labels, n_changed = _components_exchange(src, max_iters)
-        out = labels.map_batches(
-            lambda t: pa.table({"doc_id": t.column("node"),
-                                "cluster_id": t.column("label")}),
-            batch_format="pyarrow")
-    check_converged(n_changed, max_iters, on_max_iters)
-    return out
+    labels, n_changed = _components_exchange(src, max_iters)
+    _check_converged(n_changed, max_iters, on_max_iters)
+    return labels.map_batches(
+        lambda t: pa.table({"doc_id": t.column("node"),
+                            "cluster_id": t.column("label")}),
+        batch_format="pyarrow")
 
 
 def component_labels(a: np.ndarray, b: np.ndarray, n: int,
-                     max_iters: int = 16) -> tuple[np.ndarray, int]:
+                     max_iters: int = 16,
+                     on_max_iters: str = "warn") -> np.ndarray:
     """:func:`dup_clusters`' fold rounds over int64 node codes: min-label
     propagation over the undirected edges (a, b) of nodes ``0..n-1`` plus
-    the pointer jump, at most ``max_iters`` rounds.  Returns each node's
-    label code (its component's min code once converged) and the number
-    of labels the last round changed (0 when converged)."""
+    the pointer jump, at most ``max_iters`` rounds, then
+    :func:`_check_converged`.  Returns each node's label code (its
+    component's min code once converged)."""
     s, d = np.concatenate([a, b]), np.concatenate([b, a])
     lab = np.arange(n)
     n_changed = 0
@@ -686,10 +685,11 @@ def component_labels(a: np.ndarray, b: np.ndarray, n: int,
         lab = new
         if n_changed == 0:
             break
-    return lab, n_changed
+    _check_converged(n_changed, max_iters, on_max_iters)
+    return lab
 
 
-def check_converged(n_changed: int, max_iters: int, on_max_iters: str):
+def _check_converged(n_changed: int, max_iters: int, on_max_iters: str):
     """Warn (``"warn"``) or raise (``"raise"``) when label propagation
     ended with labels still changing: the cluster ids are split."""
     if n_changed != 0:

@@ -241,7 +241,8 @@ def _salted(t: pa.Table, bucket: np.ndarray, n_buckets: int) -> pa.Table:
 
 def windowed_counts(events: rd.Dataset, *, window: str = "hour") -> rd.Dataset:
     """(user_id, window_start, n_events, sum_value_cents): a batch-local
-    ``grouped_agg`` partial, then one ``keyed_complete`` summing it."""
+    ``grouped_agg`` partial, then one ``keyed_complete`` summing it.
+    Rows with a null user_id drop."""
     assert window == "hour"
     total = _sum_by(["user_id", "window_start"],
                     ["n_events", "sum_value_cents"])
@@ -274,7 +275,8 @@ def sliding_window_counts(
     combine/complete shape as :func:`windowed_counts` — the exchange
     moves pre-aggregated (user, window) partials whose count is bounded
     by distinct keys per batch, not by the x4 replication.
-    ``window_start`` is a timestamp[ns], as it has always been."""
+    ``window_start`` is a timestamp[ns], as it has always been.  Rows
+    with a null user_id drop."""
     assert window_us % slide_us == 0
     n_covers = window_us // slide_us
     total = _sum_by(["user_id", "window_start"],
@@ -493,7 +495,8 @@ def range_join_events_salted(
     bucket boundary (``bucket_us > horizon_us`` enforced).  Each left
     event belongs to exactly one group, so output rows are unique with
     no stitch pass.  The completion is the unsalted one,
-    :func:`_range_rows`, over (user, bucket) groups."""
+    :func:`_range_rows`, over (user, bucket) groups.  Rows with a null
+    user_id drop, as in :func:`range_join_events`."""
     assert bucket_us > horizon_us, "bucket must exceed the horizon"
 
     def bucket_and_ghost(batch: pa.Table) -> pa.Table:
@@ -1243,7 +1246,8 @@ def session_quantiles(
     ``(q*N + 99) // 100`` (:func:`_quantile_rows`).  Durations quantize
     to seconds so the ``agg_fold`` of (metric, value, count) partials
     stays bounded by the session-length DOMAIN (~10^4 values), not the
-    session count; event counts are already small-domain.
+    session count; event counts are already small-domain.  Rows with a
+    null user_id drop (:func:`sessionize`).
 
     Output: pa.Table (q_pct, n_events_q, dur_s_q)."""
     keys = ["m", "v"]
@@ -1537,7 +1541,8 @@ def session_concurrency(events: rd.Dataset, *,
     (+1 at its start hour, -1 just after its end hour); ``agg_fold``
     folds O(hours) delta rows and one prefix sum yields the whole curve
     — the standard sweep-line, with the wide work all inside
-    sessionize's one keyed exchange.
+    sessionize's one keyed exchange.  Rows with a null user_id drop
+    (:func:`sessionize`).
 
     Output pa.Table (hour_us, n_active), one row per hour in range."""
 
