@@ -1898,139 +1898,85 @@ def _q_tpch_min_cost_supplier(sf_dir: str):
 
 def _q_tpch_segment_stats(sf_dir: str):
     """Per-market-segment rollup: customers, ordering customers,
-    orders and exact order cents — one custkey co-partition sort-merge
-    (orders pre-aggregate per custkey; segment payload rides the
-    customer row), segment-level fold on the driver (5 segments)."""
+    orders and exact order cents — one custkey ``cogroup`` (orders
+    pre-aggregate per custkey; segment payload rides the customer row),
+    segment-level ``agg_fold`` on the driver (5 segments)."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
 
+    from clinicaltransformerner_ray.arrowutil import agg_fold, cogroup
     from clinicaltransformerner_ray.pipelines.events import (
-        _round_half_away)
+        _np, _ones, _round_half_away, _sum_by)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_totalprice"])
-    customer = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_custkey", "c_mktsegment"])
+    per_cust = _sum_by(["key"], ["cents", "n"])
+    sums = ["n_customers", "n_ordering", "n_orders", "cents"]
 
-    def o_part(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (pd.DataFrame({
-                "key": df["o_custkey"].to_numpy(dtype=np.int64),
-                "cents": _round_half_away(
-                    df["o_totalprice"].to_numpy() * 100),
-                "n": np.int64(1),
-             })
-             .groupby("key", sort=False)
-             .agg(cents=("cents", "sum"), n=("n", "sum"))
-             .reset_index())
-        return pa.table({
-            "key": pa.array(g["key"].to_numpy(), pa.int64()),
-            "cents": pa.array(g["cents"].to_numpy(dtype=np.int64),
-                              pa.int64()),
-            "n": pa.array(g["n"].to_numpy(dtype=np.int64), pa.int64()),
-            "seg": pa.array([""] * len(g), pa.string()),
-            "kind": pa.array(np.ones(len(g), np.int8), pa.int8()),
-        })
+    def seg_partial(c: pa.Table, o: pa.Table) -> pa.Table:
+        j = c.join(per_cust(o), "key", join_type="left outer")
+        n = j.column("n").fill_null(0)
+        return _sum_by(["seg"], sums)(pa.table({
+            "seg": j.column("seg"), "n_customers": _ones(j),
+            "n_ordering": pc.greater(n, 0).cast(pa.int64()),
+            "n_orders": n, "cents": j.column("cents").fill_null(0)}))
 
-    def c_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        z = pa.array(np.zeros(n, np.int64), pa.int64())
-        return pa.table({
-            "key": batch.column("c_custkey").cast(pa.int64()),
-            "cents": z,
-            "n": z,
-            "seg": batch.column("c_mktsegment").cast(pa.string()),
-            "kind": pa.array(np.zeros(n, np.int8), pa.int8()),
-        })
-
-    def seg_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        c = df[df["kind"] == 0][["key", "seg"]]
-        o = (df[df["kind"] == 1]
-             .groupby("key", sort=False)[["cents", "n"]]
-             .sum().reset_index())
-        j = c.merge(o, on="key", how="left")
-        j[["cents", "n"]] = j[["cents", "n"]].fillna(0)
-        g = (j.assign(ordering=(j["n"] > 0).astype(np.int64),
-                      cust=np.int64(1))
-             .groupby("seg", sort=False)
-             .agg(n_customers=("cust", "sum"),
-                  n_ordering=("ordering", "sum"),
-                  n_orders=("n", "sum"),
-                  cents=("cents", "sum"))
-             .reset_index())
-        return from_pandas_clean(g, preserve_index=False)
-
-    acc: dict[str, list[int]] = {}
-    parts = (customer.map_batches(c_rows, batch_format="pyarrow",
-                                  batch_size=1 << 19)
-             .union(orders.map_batches(o_part, batch_format="pyarrow",
-                                       batch_size=1 << 19))
-             .sort("key")
-             .map_batches(seg_partial, batch_format="pyarrow",
-                          batch_size=None))
-    for r in parts.take_all():  # O(segments x blocks) — tiny
-        a = acc.setdefault(r["seg"], [0, 0, 0, 0])
-        a[0] += r["n_customers"]
-        a[1] += r["n_ordering"]
-        a[2] += r["n_orders"]
-        a[3] += int(r["cents"])
-    ks = sorted(acc)
-    return pa.table({
-        "c_mktsegment": pa.array(ks, pa.string()),
-        "n_customers": pa.array([acc[k][0] for k in ks], pa.int64()),
-        "n_ordering": pa.array([acc[k][1] for k in ks], pa.int64()),
-        "n_orders": pa.array([acc[k][2] for k in ks], pa.int64()),
-        "order_cents": pa.array([acc[k][3] for k in ks], pa.int64()),
-    })
+    parts = cogroup([
+        rd.read_parquet(f"{sf_dir}/customer.parquet",
+                        columns=["c_custkey", "c_mktsegment"]).map_batches(
+            lambda t: pa.table({"key": t.column("c_custkey").cast(pa.int64()),
+                                "seg": t.column("c_mktsegment")}),
+            batch_format="pyarrow", batch_size=None),
+        rd.read_parquet(f"{sf_dir}/orders.parquet",
+                        columns=["o_custkey", "o_totalprice"]).map_batches(
+            lambda t: per_cust(pa.table({
+                "key": _np(t, "o_custkey").astype(np.int64),
+                "cents": _round_half_away(_np(t, "o_totalprice") * 100),
+                "n": _ones(t)})), batch_format="pyarrow", batch_size=None)],
+        ["key"], seg_partial, op="tpch_segment_stats")
+    return agg_fold(parts, ["seg"], [(c, "sum") for c in sums],
+                    op="tpch_segment_stats.segments").rename_columns(
+        ["c_mktsegment"] + sums[:3] + ["order_cents"])
 
 
 def _q_tpch_q6(sf_dir: str):
     """Q6-shaped filtered scan aggregate: discount-band revenue with
-    ALL predicates vectorized in the batch map (pyarrow compute), one
-    partial-sum row per block folded on the driver — zero shuffles."""
+    ALL predicates vectorized in the batch map, one partial-sum row per
+    block folded by a keyless ``agg_fold`` — zero shuffles."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
     import ray.data as rd
+
+    from clinicaltransformerner_ray.arrowutil import agg_fold
+    from clinicaltransformerner_ray.pipelines.events import (
+        _np, _round_half_away)
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_quantity", "l_extendedprice", "l_discount",
                  "l_shipdate"])
-    lo = pd.Timestamp("1996-01-01").value // 1000
-    hi = pd.Timestamp("1997-01-01").value // 1000
-
-    from clinicaltransformerner_ray.pipelines.events import (
-        _round_half_away)
+    lo = np.datetime64("1996-01-01", "us").astype(np.int64)
+    hi = np.datetime64("1997-01-01", "us").astype(np.int64)
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        ts = df["l_shipdate"].to_numpy().astype("datetime64[us]") \
-            .astype(np.int64)
+        ts = _np(batch, "l_shipdate")
         # half-away-from-zero == DuckDB round() (np.rint would be
         # half-to-even and diverge on exact .5 cents)
-        qty = _round_half_away(df["l_quantity"].to_numpy())
-        cents = _round_half_away(df["l_extendedprice"].to_numpy() * 100)
-        disc = _round_half_away(df["l_discount"].to_numpy() * 100)
+        qty = _round_half_away(_np(batch, "l_quantity"))
+        cents = _round_half_away(_np(batch, "l_extendedprice") * 100)
+        disc = _round_half_away(_np(batch, "l_discount") * 100)
         keep = ((ts >= lo) & (ts < hi) & (qty < 24)
                 & (disc >= 5) & (disc <= 7))
         return pa.table({
-            "rev_e4": pa.array([int((cents[keep]
-                                     * disc[keep]).sum())], pa.int64()),
+            "revenue_e4": pa.array([int((cents[keep] * disc[keep]).sum())],
+                                   pa.int64()),
             "n_items": pa.array([int(keep.sum())], pa.int64()),
         })
 
-    rows = ds.map_batches(partial, batch_format="pyarrow",
-                          batch_size=1 << 19).take_all()  # O(blocks)
-    return pa.table({
-        "revenue_e4": pa.array([sum(r["rev_e4"] for r in rows)],
-                               pa.int64()),
-        "n_items": pa.array([sum(r["n_items"] for r in rows)],
-                            pa.int64()),
-    })
+    return agg_fold(ds.map_batches(partial, batch_format="pyarrow",
+                                   batch_size=1 << 19), [],
+                    [("revenue_e4", "sum"), ("n_items", "sum")],
+                    op="tpch_q6")
 
 
 def _q_tpch_trade_matrix(sf_dir: str):

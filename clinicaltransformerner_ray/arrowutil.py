@@ -44,11 +44,21 @@ logger, ``logging.getLogger("ray_kg")``, and reads the one cap when it
 is called, so a test that forces a path patches ``FOLD_MAX_BYTES`` here
 and nowhere else.
 
+:func:`cogroup` is the engine's one keyed join: the rows of each of
+several Datasets with equal keys meet in one completion call, one
+table per side with the side's own columns and types.  It chooses its
+path as :func:`keyed_complete` does, on the sides' summed size: a fold
+concatenates and sorts each side on the driver with no padding, union
+or Sort; an exchange pads the sides to one schema with a ``_side`` tag
+and runs one :func:`keyed_exchange`.  Every relational join is one
+call to it, as are the graph degree and coefficient joins,
+``kg.mention_ts_join`` and the similarity recall and coverage joins.
+
 :func:`attach_state` is the one vertex-round exchange: each edge row
-meets its node's state row in one :func:`keyed_complete` on ``node``,
-and the caller's ``emit`` turns them into messages that the caller
-folds per receiver.  Connected components (``dedup.dup_clusters``),
-pagerank and label propagation run their exchange rounds through it.
+meets its node's state row in one :func:`cogroup` on ``node``, and the
+caller's ``emit`` turns them into messages that the caller folds per
+receiver.  Connected components (``dedup.dup_clusters``), pagerank and
+label propagation run their exchange rounds through it.
 
 :func:`agg_fold` is the one keyed driver fold: a running
 :func:`grouped_agg` over a Dataset's blocks whose accumulator is checked
@@ -454,6 +464,107 @@ def _materialized(ds, combine):
     return ds.materialize(), None
 
 
+def cogroup(sides, keys: list[str], complete, *, op: str):
+    """The engine's one keyed join: every row of every Dataset in
+    ``sides`` with equal ``keys`` meets in one call
+    ``complete(*tables)``, which gets that group's rows of each side as
+    one table per side, with the side's own columns and types, and
+    returns an Arrow table.  Returns a Dataset.
+
+    Each side is materialized and must have a schema (a map over no
+    rows has none and raises ValueError; :func:`typed_map` gives it
+    one), a column that two sides share must have one type (ValueError
+    otherwise), and every side must hold ``keys``.  The path is chosen
+    on the sides' summed ``size_bytes()`` against
+    :data:`FOLD_MAX_BYTES`, read at the call, and logged through
+    ``LOG`` with ``op``:
+
+    - fold, at or below the cap: each side's blocks concatenated on the
+      driver and sorted on ``keys``, and ``complete`` called once.  No
+      padding, no union, no Sort.
+    - exchange, above the cap: each side padded with typed nulls to the
+      union of the sides' columns plus a ``_side`` int8 tag, the sides
+      unioned, and one :func:`keyed_exchange` on ``keys`` whose
+      per-block completion splits the block back into its sides.
+
+    ``complete`` must give the same rows for the whole sorted sides as
+    for any split of them into blocks of whole keys.  It joins with
+    ``pa.Table.join``, ``pc.is_in`` or ``pc.index_in``.
+
+    Null-key rule: the fold sorts a row with a null key last, the
+    exchange puts it where the Ray Sort does (Ray 2.49's range
+    partitioner raises on a null in a string key); ``complete``
+    decides what it counts toward."""
+    import ray
+    import ray.data as rd
+
+    sides = [_materialized(s, None)[0] for s in sides]
+    schemas = [s.schema() for s in sides]
+    fields: dict[str, pa.DataType] = {}
+    for i, schema in enumerate(schemas):
+        if schema is None or not isinstance(schema.base_schema, pa.Schema):
+            raise ValueError(f"{op}: side {i} has no schema (a map over "
+                             "no rows; see typed_map)")
+        schemas[i] = schema = schema.base_schema
+        missing = set(keys) - set(schema.names)
+        if missing:
+            raise ValueError(f"{op}: side {i} lacks the keys {missing}")
+        for f in schema:
+            if fields.setdefault(f.name, f.type) != f.type:
+                raise ValueError(f"{op}: column {f.name!r} is "
+                                 f"{fields[f.name]} on one side and "
+                                 f"{f.type} on side {i}")
+    size = sum(s.size_bytes() for s in sides)
+    fold = size <= FOLD_MAX_BYTES
+    LOG.info("%s: %s (size_bytes=%d, cap=%d)", op,
+             "fold" if fold else "exchange", size, FOLD_MAX_BYTES)
+    order = [(k, "ascending") for k in keys]
+    if fold:
+        return rd.from_arrow(complete(*[pa.concat_tables(
+            [schema.empty_table()] + [t for t in ray.get(s.to_arrow_refs())
+                                      if t.num_rows],
+            promote_options="default").sort_by(order)
+            for s, schema in zip(sides, schemas)]))
+
+    def pad(batch: pa.Table, i: int) -> pa.Table:
+        n = batch.num_rows
+        return pa.table([batch.column(c).cast(t) if c in batch.column_names
+                         else pa.nulls(n, t) for c, t in fields.items()]
+                        + [pa.array(np.full(n, i, np.int8))],
+                        names=list(fields) + ["_side"])
+
+    def split(t: pa.Table) -> pa.Table:
+        side = t.column("_side")
+        return complete(*[t.filter(pc.equal(side, i)).select(schema.names)
+                          for i, schema in enumerate(schemas)])
+
+    # a fresh Dataset over each side's blocks: Ray's stats of a union
+    # hold each input's whole stats tree, so a side that shares lineage
+    # with another (a vertex round's edges read its state) would double
+    # the tree, and the time to summarize it, round over round
+    padded = [rd.from_arrow_refs(s.to_arrow_refs()).map_batches(
+        pad, fn_args=(i,), batch_format="pyarrow", batch_size=None)
+        for i, s in enumerate(sides)]
+    return keyed_exchange(padded[0].union(*padded[1:]) if padded[1:]
+                          else padded[0], keys, split)
+
+
+def typed_map(ds, f):
+    """``f`` over each whole block of ``ds``, materialized, with a schema
+    even when ``ds`` has no rows: Ray runs no UDF on a block with no
+    rows, so a plain map over such an input has no schema, and
+    :func:`cogroup` rejects a side without one.  Then ``f`` runs once
+    on the input's typed empty table instead."""
+    import ray.data as rd
+
+    out = ds.map_batches(f, batch_format="pyarrow",
+                         batch_size=None).materialize()
+    schema = ds.schema() if out.schema() is None else None
+    if schema is None:
+        return out
+    return rd.from_arrow(f(schema.base_schema.empty_table()))
+
+
 def attach_state(state, edges, emit, *, op: str):
     """One vertex round's exchange: every ``edges`` row meets the state
     row of its ``node``, and ``emit`` turns them into messages.  Returns
@@ -462,48 +573,25 @@ def attach_state(state, edges, emit, *, op: str):
 
     ``state`` is a materialized Dataset of one row per ``node`` plus
     value columns; ``edges`` is a Dataset of (``node``, ``dst``) rows
-    of the node's type.  Both are padded with typed nulls to one union,
-    tagged by an ``_edge`` flag, that goes through one
-    :func:`keyed_complete` on ``node``, so a round under the cap folds
-    on its own.  Per sorted block, the completion splits the state rows
-    from the edge rows, attaches each edge to its node's state row
-    (``index_in``: node ids are unique among a block's state rows; an
-    edge whose node has no state row is dropped), and returns
-    ``emit(state_rows, attached_edges)``: the state rows as given, and
-    the (node, dst) edge rows with the state's value columns appended.
-    ``emit`` must give the same messages for any split of the nodes
-    into blocks."""
-    schema = state.schema().base_schema
-    vals = [f for f in schema if f.name != "node"]
-    node_type = schema.field("node").type
+    of the node's type.  They meet in one :func:`cogroup` on ``node``,
+    so a round under the cap folds on its own.  Per group of nodes, the
+    completion attaches each edge to its node's state row (``index_in``:
+    node ids are unique among the state rows; an edge whose node has no
+    state row is dropped), and returns ``emit(state_rows,
+    attached_edges)``: the state rows as given, and the (node, dst) edge
+    rows with the state's value columns appended.  ``emit`` must give
+    the same messages for any split of the nodes into blocks."""
 
-    def pad(batch: pa.Table, edge: bool) -> pa.Table:
-        n = batch.num_rows
-        cols = {"node": batch.column("node")}
-        for f in vals:
-            cols[f.name] = pa.nulls(n, f.type) if edge else batch.column(
-                f.name)
-        cols["dst"] = batch.column("dst") if edge else pa.nulls(n, node_type)
-        cols["_edge"] = pa.array(np.full(n, edge))
-        return pa.table(cols)
-
-    def complete(t: pa.Table) -> pa.Table:
-        edge = t.column("_edge")
-        s = t.filter(pc.invert(edge)).select(["node"] + [f.name for f in vals])
-        e = t.filter(edge).select(["node", "dst"])
+    def complete(s: pa.Table, e: pa.Table) -> pa.Table:
         pos = pc.index_in(e.column("node"), value_set=s.column("node"))
         if pos.null_count:
             e, pos = e.filter(pc.is_valid(pos)), pos.drop_null()
-        for f in vals:
-            e = e.append_column(f.name, s.column(f.name).take(pos))
+        for c in s.column_names:
+            if c != "node":
+                e = e.append_column(c, s.column(c).take(pos))
         return emit(s, e)
 
-    return keyed_complete(
-        state.map_batches(pad, fn_args=(False,), batch_format="pyarrow",
-                          batch_size=None)
-        .union(edges.map_batches(pad, fn_args=(True,),
-                                 batch_format="pyarrow", batch_size=None)),
-        ["node"], complete, op=op)
+    return cogroup([state, edges], ["node"], complete, op=op)
 
 
 def sorted_codes(*cols) -> tuple[pa.Array, list[np.ndarray]]:

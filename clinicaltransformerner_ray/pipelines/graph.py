@@ -76,7 +76,7 @@ import ray.data as rd
 
 from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
-    LOG, attach_state, driver_table, grouped_agg, grouped_topk,
+    LOG, attach_state, cogroup, driver_table, grouped_agg, grouped_topk,
     keyed_complete, keyed_exchange, sorted_codes, triu_pairs)
 
 SCALE = 10 ** 12
@@ -584,9 +584,9 @@ def triangle_counts(
 
     Exchange: nothing broadcasts —
       1. degrees        combine/sort/combine endpoint counts
-      2. annotate       two sort-merge passes attach deg(a), deg(b) to
-                        every edge (union with the degree table, sort on
-                        the SINGLE node key — equal keys never split)
+      2. annotate       two cogroup passes with the degree table on the
+                        SINGLE node key attach deg(a), deg(b) to every
+                        edge
       3. orient         u -> v iff (deg(u), u) < (deg(v), v); acyclic,
                         and every out-degree is bounded by O(sqrt(E)),
                         so hub nodes cannot square the wedge emission
@@ -642,7 +642,7 @@ def triangle_counts(
         return pa.table({out_col: g.column("node"),
                          "n_triangles": g.column("n")})
 
-    wed = keyed_exchange(_with_degrees(ed, ed, "a", "b", None, pa.int64())
+    wed = keyed_exchange(_with_degrees(ed, ed, "a", "b", None)
                          .map_batches(orient, batch_format="pyarrow",
                                       batch_size=1 << 19), ["src"], wedges)
     credits = keyed_complete(ed.map_batches(
@@ -675,9 +675,9 @@ def clustering_coefficients(
     (it feeds both the triangle enumeration and the degree count — Ray
     does no common-subexpression elimination); triangles come from
     :func:`triangle_counts`, degrees from a combine/sort/combine, and
-    the two per-node tables meet in a final sort-merge on the single
-    node key where a per-block Arrow left join fills triangle-free
-    nodes with 0."""
+    the two per-node tables meet in one :func:`arrowutil.cogroup` on
+    the node, whose Arrow left join fills triangle-free nodes with
+    0."""
 
     def coefficients(node, dg, nt) -> pa.Table:
         keep = dg >= 2
@@ -697,39 +697,16 @@ def clustering_coefficients(
         return rd.from_arrow(coefficients(nodes.to_numpy(), dg, nt))
 
     ed = _norm_ds(src, a_col, b_col, pa.int64())
-    tri = triangle_counts(ed, a_col="a", b_col="b", out_col="node")
-    deg = _degrees_ds(ed, ("a", "b"), "node", "deg")
 
-    def tag_deg(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "node": batch.column("node"),
-            "val": batch.column("deg"),
-            "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-        })
-
-    def tag_tri(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "node": batch.column("node").cast(pa.int64()),
-            "val": batch.column("n_triangles").cast(pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-        })
-
-    def finish(batch: pa.Table) -> pa.Table:
-        side = batch.column("side")
-        d = batch.filter(pc.equal(side, 0)).select(["node", "val"])
-        t = batch.filter(pc.equal(side, 1)).select(["node", "val"])
-        j = d.join(t.rename_columns(["node", "nt"]), "node",
-                   join_type="left outer")
+    def finish(d: pa.Table, t: pa.Table) -> pa.Table:
+        j = d.join(t, "node", join_type="left outer")
         return coefficients(j.column("node").to_numpy(),
-                            j.column("val").to_numpy(),
-                            j.column("nt").fill_null(0).to_numpy())
+                            j.column("deg").to_numpy(),
+                            j.column("n_triangles").fill_null(0).to_numpy())
 
-    return keyed_complete(deg.map_batches(tag_deg, batch_format="pyarrow")
-                          .union(tri.map_batches(tag_tri,
-                                                 batch_format="pyarrow")),
-                          ["node"], finish, op="clustering_coefficients.join")
+    return cogroup([_degrees_ds(ed, ("a", "b"), "node", "deg"),
+                    triangle_counts(ed, a_col="a", b_col="b", out_col="node")],
+                   ["node"], finish, op="clustering_coefficients.join")
 
 
 # -- common neighbors --------------------------------------------------------
@@ -840,9 +817,8 @@ def jaccard_links(
 
         cn = _pair_exchange(ed, _open_pairs, {"min_common": min_common,
                                               "cols": cols})
-        return _with_degrees(cn, ed, a_col, b_col, "n_common",
-                             node_type).map_batches(finish,
-                                                    batch_format="pyarrow")
+        return _with_degrees(cn, ed, a_col, b_col, "n_common").map_batches(
+            finish, batch_format="pyarrow")
     nodes, a, b, acc = fold
     acc = acc.filter(pc.greater_equal(acc.column("n"), min_common))
     n = len(nodes)
@@ -857,45 +833,30 @@ def jaccard_links(
 
 
 def _with_degrees(rows: rd.Dataset, ed: rd.Dataset, a: str, b: str,
-                  n: str | None, node_type: pa.DataType) -> rd.Dataset:
+                  n: str | None) -> rd.Dataset:
     """The (``a``, ``b``) ``rows`` (with an int64 payload column ``n``,
     or 0) as (k=a, o=b, n, d1=deg(b), d2=deg(a)), the degrees counted
     over the normalized (a, b) edges ``ed``, with NO per-node driver
     state.  The degrees become a Dataset (:func:`_degrees_ds`) and meet
-    the rows in two union -> sort -> Arrow left join passes
-    (``keyed_complete``), on a and then on b, relying only on Ray's
-    equal-keys-land-whole range-partitioner invariant.  Every endpoint
-    must be a node of ``ed``."""
-    def deg_rows(batch: pa.Table) -> pa.Table:
-        z = _zeros(batch.num_rows)
-        return pa.table({"k": batch.column("k"),
-                         "o": pa.nulls(batch.num_rows, node_type), "n": z,
-                         "d1": batch.column("d1"), "d2": z, "side": z})
-
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        z = _zeros(batch.num_rows)
-        return pa.table({"k": batch.column(a), "o": batch.column(b),
-                         "n": batch.column(n) if n else z, "d1": z, "d2": z,
-                         "side": _ones(batch.num_rows)})
-
-    def attach(batch: pa.Table) -> pa.Table:
-        """Per block: the degree of each row's k endpoint into d1 (the
-        one found before moves to d2), re-keyed on the other."""
-        side = batch.column("side")
-        p = (batch.filter(pc.equal(side, 1)).select(["k", "o", "n", "d1"])
-             .rename_columns(["k", "o", "n", "d2"])
-             .join(batch.filter(pc.equal(side, 0)).select(["k", "d1"]),
-                   "k", join_type="left outer"))
+    the rows in two :func:`arrowutil.cogroup` Arrow left joins, on a and
+    then on b.  Every endpoint must be a node of ``ed``."""
+    def attach(p: pa.Table, d: pa.Table) -> pa.Table:
+        """The degree of each row's k endpoint into d1 (the one found
+        before moves to d2), re-keyed on the other."""
+        p = p.select(["k", "o", "n", "d1"]).rename_columns(
+            ["k", "o", "n", "d2"]).join(d, "k", join_type="left outer")
         return pa.table({"k": p.column("o"), "o": p.column("k"),
                          "n": p.column("n"), "d1": p.column("d1"),
-                         "d2": p.column("d2"), "side": _ones(p.num_rows)})
+                         "d2": p.column("d2")})
 
     # read by both passes (Ray does no common-subexpression elimination)
-    degs = _degrees_ds(ed, ("a", "b"), "k", "d1").map_batches(
-        deg_rows, batch_format="pyarrow").materialize()
-    p1 = keyed_complete(rows.map_batches(pair_rows, batch_format="pyarrow")
-                        .union(degs), ["k"], attach, op="with_degrees")
-    return keyed_complete(p1.union(degs), ["k"], attach, op="with_degrees")
+    degs = _degrees_ds(ed, ("a", "b"), "k", "d1").materialize()
+    p1 = cogroup([rows.map_batches(lambda t: pa.table({
+        "k": t.column(a), "o": t.column(b),
+        "n": t.column(n) if n else _zeros(t.num_rows),
+        "d1": _zeros(t.num_rows)}), batch_format="pyarrow"), degs],
+        ["k"], attach, op="with_degrees")
+    return cogroup([p1, degs], ["k"], attach, op="with_degrees")
 
 
 # -- traversal and peeling ---------------------------------------------------

@@ -77,8 +77,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    COMBINE_BATCH, agg_fold, driver_table, grouped_agg, keyed_complete,
-    keyed_exchange, sorted_codes, triu_pairs)
+    COMBINE_BATCH, agg_fold, cogroup, driver_table, grouped_agg,
+    keyed_complete, keyed_exchange, sorted_codes, triu_pairs, typed_map)
 
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
@@ -706,57 +706,41 @@ def association_stats(
 
 def mention_ts_join(linked: rd.Dataset,
                     turns_ts: rd.Dataset) -> rd.Dataset:
-    """The mentions⋈turns timestamp sort-merge join SHARED by
+    """The mentions⋈turns timestamp join SHARED by
     :func:`mention_timeline` and :func:`entity_daily` (and computed
     once by :func:`kg_report`): mention rows become (conv_id, turn_idx,
-    entity_id, cnt=1) partials and turn rows (conv_id, turn_idx, us),
-    told apart by a ``side`` key, and ``grouped_agg`` sums ``cnt`` per
-    (conv_id, turn_idx, entity_id) on both sides of ONE
-    :func:`arrowutil.keyed_complete` on the high-cardinality (conv_id,
-    turn_idx) composite.
-    That sort co-locates each mention partial with its unique turn row
-    (Ray's range partitioner never splits equal keys), and a per-block
-    Arrow inner join attaches us.
+    entity_id, cnt) partials summed per block, turn rows (conv_id,
+    turn_idx, us), and ONE :func:`arrowutil.cogroup` on the
+    high-cardinality (conv_id, turn_idx) composite sums the partials
+    and attaches us with an Arrow inner join.
 
     Null-key rule: a mention or turn row with a null key drops, as the
-    pandas groupby and merge dropped it.
+    pandas groupby and merge dropped it (``grouped_agg`` drops it in
+    each side's map).
 
     Output: (entity_id, conv_id, turn_idx, cnt, us), one row per
     (entity_id, conv_id, turn_idx) with a turn row."""
+    turn = ["conv_id", "turn_idx"]
+    counts = functools.partial(grouped_agg, keys=turn + ["entity_id"],
+                               aggs=[("cnt", "sum")])
+    times = functools.partial(grouped_agg, keys=turn, aggs=[("us", "max")])
 
-    def rows(batch: pa.Table, side: int) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "conv_id": batch.column("conv_id"),
-            "turn_idx": batch.column("turn_idx").cast(pa.int64()),
-            "entity_id": (batch.column("entity_id") if side
-                          else pa.array([""] * n, pa.string())),
-            "side": pa.array(np.full(n, side, np.int8)),
-            "cnt": _int64s(n, side),
-            "us": (_int64s(n, 0) if side
-                   else batch.column("ts").cast(pa.int64())),
-        })
-
-    def attach_ts(batch: pa.Table) -> pa.Table:
-        side = batch.column("side")
-        ments = batch.filter(pc.equal(side, 1)).select(
-            ["conv_id", "turn_idx", "entity_id", "cnt"])
-        turns = batch.filter(pc.equal(side, 0)).select(
-            ["conv_id", "turn_idx", "us"])
-        return ments.join(turns, ["conv_id", "turn_idx"],
-                          join_type="inner", use_threads=False).select(
+    def attach_ts(m: pa.Table, t: pa.Table) -> pa.Table:
+        return counts(m).join(times(t), turn, join_type="inner",
+                              use_threads=False).select(
             ["entity_id", "conv_id", "turn_idx", "cnt", "us"])
 
-    both = linked.map_batches(rows, fn_args=(1,), batch_format="pyarrow"
-                              ).union(turns_ts.map_batches(
-                                  rows, fn_args=(0,),
-                                  batch_format="pyarrow"))
-    agg = functools.partial(
-        grouped_agg, keys=["conv_id", "turn_idx", "entity_id", "side"],
-        aggs=[("cnt", "sum"), ("us", "max")])
-    return keyed_complete(both, ["conv_id", "turn_idx"],
-                          lambda b: attach_ts(agg(b)), combine=agg,
-                          op="mention_ts_join")
+    return cogroup([
+        typed_map(linked, lambda b: counts(pa.table({
+            "conv_id": b.column("conv_id"),
+            "turn_idx": b.column("turn_idx").cast(pa.int64()),
+            "entity_id": b.column("entity_id"),
+            "cnt": _int64s(b.num_rows, 1)}))),
+        typed_map(turns_ts, lambda b: times(pa.table({
+            "conv_id": b.column("conv_id"),
+            "turn_idx": b.column("turn_idx").cast(pa.int64()),
+            "us": b.column("ts").cast(pa.int64())})))],
+        turn, attach_ts, op="mention_ts_join")
 
 
 def mention_timeline(linked: rd.Dataset, turns_ts: rd.Dataset,

@@ -15,13 +15,16 @@ float64 so rankings are reproducible across backends.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from clinicaltransformerner_ray.arrowutil import (
-    grouped_topk, keyed_complete, keyed_exchange, topk_complete)
+    agg_fold, cogroup, grouped_agg, grouped_topk, keyed_exchange,
+    topk_complete, typed_map)
 
 import ray
 import ray.data as rd
@@ -653,57 +656,36 @@ def topk_recall(exact: rd.Dataset, approx: rd.Dataset,
     every ANN index is tuned against).  Both inputs carry
     (query_id, neighbor_id, ...) rows.
 
-    Distributed composition, not a driver join: tag each side, union,
-    ONE sort on query_id (groups land whole per block), and a
-    vectorized per-block pass counts neighbors present on both sides.
-    Inputs are top-k tables (n_queries x k rows), so the shuffle is
-    inherently tiny no matter the corpus size behind them.
+    Distributed composition, not a driver join: ONE
+    :func:`arrowutil.cogroup` on query_id (a query's rows of both sides
+    meet whole), where an Arrow inner join counts the neighbors present
+    on both sides.  Inputs are top-k tables (n_queries x k rows), so
+    the join is inherently tiny no matter the corpus size behind them.
 
     Output: (query_id, n_common, recall_bp) with recall_bp =
     n_common * 10^4 // k (exact integers)."""
+    pair = ["query_id", "neighbor_id"]
+    distinct = functools.partial(grouped_agg, keys=pair, aggs=[])
 
-    def tag(kind: int):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "query_id": pa.array(
-                    batch.column("query_id").to_numpy(
-                        zero_copy_only=False).astype(np.int64),
-                    pa.int64()),
-                "neighbor_id": pa.array(
-                    batch.column("neighbor_id").to_numpy(
-                        zero_copy_only=False).astype(np.int64),
-                    pa.int64()),
-                "kind": pa.array(
-                    np.full(batch.num_rows, kind, np.int64), pa.int64()),
-            })
-        return f
+    def ids(ds: rd.Dataset) -> rd.Dataset:
+        return typed_map(ds.select_columns(pair), lambda b: b.cast(
+            pa.schema([(c, pa.int64()) for c in pair])))
 
-    def overlap(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "query_id": pa.array([], pa.int64()),
-            "n_common": pa.array([], pa.int64()),
-            "recall_bp": pa.array([], pa.int64()),
-        })
-        df = batch.to_pandas()
-        if df.empty:
-            return empty
-        g = (df.groupby(["query_id", "neighbor_id"], sort=False)["kind"]
-             .nunique().reset_index(name="sides"))
-        both = (g[g["sides"] == 2].groupby("query_id", sort=False)
-                .size())
-        qs = np.sort(df["query_id"].unique()).astype(np.int64)
-        n_common = both.reindex(qs, fill_value=0).to_numpy(np.int64)
+    def overlap(e: pa.Table, a: pa.Table) -> pa.Table:
+        both = distinct(e).join(distinct(a), pair, join_type="inner")
+        n = grouped_agg(pa.table({
+            "query_id": both.column("query_id"),
+            "n_common": np.ones(both.num_rows, np.int64)}),
+            ["query_id"], [("n_common", "sum")])
+        j = grouped_agg(pa.concat_tables([e, a]), ["query_id"], []).join(
+            n, "query_id", join_type="left outer")
+        n_common = j.column("n_common").fill_null(0)
         return pa.table({
-            "query_id": pa.array(qs, pa.int64()),
-            "n_common": pa.array(n_common, pa.int64()),
-            "recall_bp": pa.array(n_common * 10_000 // k, pa.int64()),
-        })
+            "query_id": j.column("query_id"), "n_common": n_common,
+            "recall_bp": pa.array(n_common.to_numpy() * 10_000 // k)})
 
-    tagged = (exact.select_columns(["query_id", "neighbor_id"])
-              .map_batches(tag(1), batch_format="pyarrow")
-              .union(approx.select_columns(["query_id", "neighbor_id"])
-                     .map_batches(tag(2), batch_format="pyarrow")))
-    return keyed_complete(tagged, ["query_id"], overlap, op="topk_recall")
+    return cogroup([ids(exact), ids(approx)], ["query_id"], overlap,
+                   op="topk_recall")
 
 
 # ---------------------------------------------------------------------------
@@ -964,65 +946,30 @@ def embedding_coverage(docs: rd.Dataset,
     (the round-3 rule: never assume a doc_id ⋈ vec_id join covers),
     promoted to a first-class data-QA table.
 
-    Shape: union (doc side carrying source | vec-id side), ONE sort on
-    the shared id (equal ids land whole per block), per-block
-    per-source integer partials, bounded driver fold.  Coverage is an
-    exact integer per-mille floor.
+    Shape: ONE :func:`arrowutil.cogroup` on the shared id (a doc row
+    and its vec rows meet whole) emits per-source integer partials, and
+    an ``agg_fold`` finishes them.  Coverage is an exact integer
+    per-mille floor.
 
     Output pa.Table (source, n_docs, n_with_vec, cov_per_mille),
     sorted by source."""
+    sums = [("n_docs", "sum"), ("n_with_vec", "sum")]
 
-    def d_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "id": batch.column("doc_id").cast(pa.int64()),
-            "kind": pa.array(np.zeros(batch.num_rows, np.int64),
-                             pa.int64()),
-            "source": batch.column("source"),
-        })
+    def per_source(d: pa.Table, v: pa.Table) -> pa.Table:
+        return grouped_agg(pa.table({
+            "source": d.column("source"),
+            "n_docs": np.ones(d.num_rows, np.int64),
+            "n_with_vec": pc.is_in(d.column("id"), value_set=v.column(
+                "id")).cast(pa.int64())}), ["source"], sums)
 
-    def v_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "id": batch.column("vec_id").cast(pa.int64()),
-            "kind": pa.array(np.ones(batch.num_rows, np.int64),
-                             pa.int64()),
-            "source": pa.array([""] * batch.num_rows, pa.string()),
-        })
-
-    def per_block(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        d = df[df["kind"] == 0]
-        if d.empty:
-            z = pa.array([], pa.int64())
-            return pa.table({"source": pa.array([], pa.string()),
-                             "n_docs": z, "n_with_vec": z})
-        vids = set(df[df["kind"] == 1]["id"].tolist())
-        has = d["id"].isin(vids).astype(np.int64)
-        g = (pd.DataFrame({"source": d["source"], "has": has})
-             .groupby("source", sort=False)["has"]
-             .agg(["size", "sum"]).reset_index())
-        return pa.table({
-            "source": pa.array(g["source"].tolist(), pa.string()),
-            "n_docs": pa.array(g["size"].to_numpy(np.int64),
-                               pa.int64()),
-            "n_with_vec": pa.array(g["sum"].to_numpy(np.int64),
-                                   pa.int64()),
-        })
-
-    unioned = keyed_complete(
-        docs.map_batches(d_rows, batch_format="pyarrow")
-        .union(vecs.map_batches(v_rows, batch_format="pyarrow")),
-        ["id"], per_block, op="embedding_coverage")
-    acc: dict[str, list] = {}
-    for r in unioned.take_all():  # O(blocks x sources)
-        a = acc.setdefault(r["source"], [0, 0])
-        a[0] += int(r["n_docs"])
-        a[1] += int(r["n_with_vec"])
-    ks = sorted(acc)
-    return pa.table({
-        "source": pa.array(ks, pa.string()),
-        "n_docs": pa.array([acc[k][0] for k in ks], pa.int64()),
-        "n_with_vec": pa.array([acc[k][1] for k in ks], pa.int64()),
-        "cov_per_mille": pa.array(
-            [acc[k][1] * 1000 // max(acc[k][0], 1) for k in ks],
-            pa.int64()),
-    })
+    acc = agg_fold(cogroup([
+        typed_map(docs, lambda b: pa.table({
+            "id": b.column("doc_id").cast(pa.int64()),
+            "source": b.column("source")})),
+        typed_map(vecs, lambda b: pa.table({
+            "id": b.column("vec_id").cast(pa.int64())}))],
+        ["id"], per_source, op="embedding_coverage"),
+        ["source"], sums, op="embedding_coverage.sources")
+    n_docs, n_vec = (acc.column(c).to_numpy() for c, _ in sums)
+    return acc.append_column(
+        "cov_per_mille", pa.array(n_vec * 1000 // np.maximum(n_docs, 1)))

@@ -6,22 +6,34 @@ onto through the ``ray_kg`` logger.  ``arrowutil.keyed_exchange``, its
 exchange, which pair and wedge enumerations run directly, never folds.
 The dedup family, whose other keyed steps all run through
 ``keyed_complete``, is checked the same way on sf0.001, and the
-query-set top-k searches are checked to fold by default."""
+query-set top-k searches are checked to fold by default.
+
+``arrowutil.cogroup``, the one keyed join, is checked the same way on
+one, two and three sides, and its fold leg is checked to run no
+exchange at all: no padding map, no union, no Sort."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
+import sys
 
+import numpy as np
 import pyarrow as pa
 import pytest
+from ray import cloudpickle
 
 from clinicaltransformerner_ray import arrowutil
 from clinicaltransformerner_ray.arrowutil import (
-    grouped_agg, grouped_topk, keyed_complete, keyed_exchange)
+    cogroup, grouped_agg, grouped_topk, keyed_complete, keyed_exchange)
 
 SF = "/root/testdata/sf0.001"
 HUGE = 1 << 40
+
+# the cogroup completions below run in Ray workers, which cannot import
+# this module: ship its functions by value
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 
 def _table(out) -> tuple[pa.Schema | None, pa.Table | None]:
@@ -231,6 +243,155 @@ def test_keyed_exchange_never_folds(ray_session, monkeypatch, caplog):
     assert out.num_blocks() > 1
     _assert_bit_equal(_table(keyed_complete(
         _ds(_rows()), ["g1", "g2"], agg, op="fold")), _table(out))
+
+
+# -- cogroup ----------------------------------------------------------------
+
+def _cogroup_legs(monkeypatch, caplog, run):
+    """``run()`` at a huge cap, then at cap 0, with a ``keyed_exchange``
+    spy.  The fold leg must log ``fold`` and call no exchange (so no
+    padding map, union or Sort runs); the exchange leg must log
+    ``exchange`` and call one.  Returns each leg's ``_table``."""
+    calls = []
+    real = arrowutil.keyed_exchange
+    monkeypatch.setattr(arrowutil, "keyed_exchange",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    out = []
+    for cap, path in ((HUGE, "fold"), (0, "exchange")):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
+        calls.clear()
+        out.append(_table(run()))
+        assert [m.split(" (")[0] for m in _logged(caplog)] == [f"cg: {path}"]
+        assert len(calls) == (path == "exchange")
+    return out
+
+
+def _side(name: str, n: int, mod: int, shift: int, t=pa.int64()) -> pa.Table:
+    """n rows over the int64 key k = (i * 7 + shift) % mod, with one
+    payload column ``name`` of type ``t``."""
+    return pa.table({"k": pa.array([(i * 7 + shift) % mod for i in range(n)],
+                                   pa.int64()),
+                     name: pa.array(range(n), pa.int64()).cast(t)})
+
+
+def _counts(*sides: pa.Table) -> pa.Table:
+    """Per key of any side, each side's row count (0 for none).  A key
+    whose rows of one side reached two calls would give two rows."""
+    out = None
+    for i, t in enumerate(sides):
+        g = grouped_agg(t.select(["k"]).append_column(
+            f"n{i}", pa.array(np.ones(t.num_rows, np.int64))),
+            ["k"], [(f"n{i}", "sum")])
+        out = g if out is None else out.join(g, "k", join_type="full outer")
+    names = [f"n{i}" for i in range(len(sides))]
+    return pa.table([out.column("k")] + [out.column(c).fill_null(0)
+                                         for c in names],
+                    names=["k"] + names)
+
+
+@pytest.mark.parametrize("n_sides", [1, 2, 3])
+def test_cogroup_sides(ray_session, monkeypatch, caplog, n_sides):
+    """Every row of every side with equal keys meets in one completion
+    call, with its side's own columns and types, on both legs."""
+    tables = [_side("v", 60, 7, 0), _side("w", 40, 5, 3, pa.string()),
+              _side("x", 30, 4, 1, pa.float64())][:n_sides]
+
+    def complete(*ts):
+        assert [t.schema for t in ts] == [t.schema for t in tables]
+        return _counts(*ts)
+
+    fold, exch = _cogroup_legs(monkeypatch, caplog, lambda: cogroup(
+        [_ds(t, 3) for t in tables], ["k"], complete, op="cg"))
+    _assert_bit_equal(fold, exch)
+    want = [collections.Counter(t.column("k").to_pylist()) for t in tables]
+    keys = sorted(set().union(*want))
+    assert fold[1].to_pydict() == {"k": keys, **{
+        f"n{i}": [w[k] for k in keys] for i, w in enumerate(want)}}
+
+
+def test_cogroup_typed_empty_side(ray_session, monkeypatch, caplog):
+    """A side with no rows but a schema reaches the completion as a
+    typed empty table on both legs."""
+    import ray.data as rd
+
+    a, b = _side("v", 60, 7, 0), _side("w", 40, 5, 3, pa.string())
+    fold, exch = _cogroup_legs(monkeypatch, caplog, lambda: cogroup(
+        [_ds(a, 3), rd.from_arrow(b.slice(0, 0))], ["k"],
+        lambda x, y: x.join(y, "k", join_type="left outer"), op="cg"))
+    _assert_bit_equal(fold, exch)
+    assert fold[0].names == ["k", "v", "w"]
+    assert fold[0].field("w").type == pa.string()
+    assert fold[1].num_rows == 60 and fold[1].column("w").null_count == 60
+
+
+def test_cogroup_side_without_schema_raises(ray_session, monkeypatch):
+    """A map over no blocks has no schema to type the side with: a clear
+    error on either cap, before any path is chosen."""
+    import ray.data as rd
+
+    a = _side("v", 60, 7, 0)
+    for cap in (HUGE, 0):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        none = rd.from_arrow(a.slice(0, 0)).map_batches(
+            lambda t: t, batch_format="pyarrow")
+        with pytest.raises(ValueError, match="side 1 has no schema"):
+            cogroup([_ds(a), none], ["k"], _counts, op="cg")
+
+
+def test_cogroup_type_conflict_raises(ray_session, monkeypatch):
+    """A column two sides share must have one type on both: a clear
+    error on either cap."""
+    a = _side("v", 60, 7, 0)
+    b = _side("v", 40, 5, 3, pa.string())
+    for cap in (HUGE, 0):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        with pytest.raises(ValueError, match="column 'v' is int64"):
+            cogroup([_ds(a), _ds(b)], ["k"], _counts, op="cg")
+
+
+def test_cogroup_null_key(ray_session, monkeypatch, caplog):
+    """Null-key rule: the fold sorts a null key last and the exchange
+    puts it where the Ray Sort does; ``complete`` decides what it counts
+    toward.  ``_counts`` (``grouped_agg``) drops it on both legs; a
+    completion that keeps every row keeps it on both.  The key is int64:
+    Ray's Sort raises on a null in a string key."""
+    a = _rows().select(["g3", "v"]).rename_columns(["k", "v"])
+    b = _side("w", 40, 5, 1)
+
+    fold, exch = _cogroup_legs(monkeypatch, caplog, lambda: cogroup(
+        [_ds(a), _ds(b, 3)], ["k"], _counts, op="cg"))
+    _assert_bit_equal(fold, exch)
+    assert fold[1].column("k").to_pylist() == [0, 1, 2, 3, 4]
+
+    fold, exch = _cogroup_legs(monkeypatch, caplog, lambda: cogroup(
+        [_ds(a), _ds(b, 3)], ["k"], lambda x, y: x, op="cg"))
+    _assert_bit_equal(fold, exch)
+    assert fold[1].column("k").null_count == 60
+
+
+def test_typed_map_types_an_input_with_no_rows(ray_session):
+    """Ray runs no UDF on a block with no rows, so a map over an input
+    with none has no schema and ``cogroup`` rejects it; ``typed_map``
+    runs the UDF once on the input's typed empty table instead, and
+    maps an input with rows as ``map_batches`` does."""
+    import ray.data as rd
+
+    def f(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t.column("k"), "w": t.column("v").cast(
+            pa.string())})
+
+    a = _side("v", 60, 7, 0)
+    empty = rd.from_arrow(a.slice(0, 0))
+    assert empty.map_batches(f, batch_format="pyarrow").materialize(
+        ).schema() is None
+    out = arrowutil.typed_map(empty, f)
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("k", pa.int64()), ("w", pa.string())])
+    assert _table(arrowutil.typed_map(_ds(a), f))[1].equals(
+        _table(f(a))[1])
 
 
 # -- the families routed through it ----------------------------------------

@@ -1,13 +1,19 @@
-"""Relational pipelines (TPC-H-shaped tables): oracle parity plus
-hand-built join semantics for the sort-merge co-partition shape."""
+"""Relational pipelines (TPC-H-shaped tables): oracle parity, hand-built
+join semantics, and forced-path parity: every ``cogroup`` and
+``keyed_complete`` folds at a huge cap and takes its exchange at cap
+0, and both legs give the same rows."""
 
 from __future__ import annotations
 
+import logging
+
 import duckdb
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
+HUGE = 1 << 40
 
 TABLES = ["lineitem", "orders", "customer", "nation", "region", "part",
           "supplier"]
@@ -25,6 +31,39 @@ def con():
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _legs(monkeypatch, caplog, run) -> list:
+    """``run()`` at a huge cap, where every keyed step must log ``fold``,
+    then at cap 0, where at least one must log ``exchange``.  A keyed
+    ``agg_fold`` has no exchange to force: it is a driver fold whose
+    accumulator the cap bounds, so it runs at the huge cap on both
+    legs.  Returns each leg's result, a Dataset as a frame."""
+    from clinicaltransformerner_ray import arrowutil
+    from clinicaltransformerner_ray.pipelines import relational
+
+    real = relational.agg_fold
+
+    def agg_fold(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(arrowutil, "FOLD_MAX_BYTES", HUGE)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(relational, "agg_fold", agg_fold)
+    caplog.set_level(logging.INFO, logger="ray_kg")
+    out = []
+    for cap in (HUGE, 0):
+        monkeypatch.setattr(arrowutil, "FOLD_MAX_BYTES", cap)
+        caplog.clear()
+        res = run()
+        out.append(res if isinstance(res, pa.Table) else res.to_pandas())
+        msgs = [r.getMessage() for r in caplog.records if r.name == "ray_kg"]
+        assert msgs, cap
+        if cap == HUGE:
+            assert all(": fold (" in m for m in msgs), msgs
+        else:
+            assert any(": exchange (" in m for m in msgs), msgs
+    return out
 
 
 @pytest.mark.parametrize("name", ["tpch_pricing", "tpch_revenue_nation",
@@ -216,12 +255,14 @@ def test_top_orders_per_customer_semantics(ray_session):
                                   "tpch_top_supplier",
                                   "tpch_market_share",
                                   "tpch_returned_top"])
-def test_new_joins_block_split_invariance(ray_session, con, name):
-    """The three newest join pipelines must produce oracle-identical
-    output when every input is split across multiple blocks — the
-    sf0.001 parquet reads are single-block, so this is the test that
-    actually exercises the co-partition / semi-join / local-top-k
-    block-boundary logic."""
+def test_new_joins_block_split_invariance(ray_session, con, monkeypatch,
+                                          caplog, name):
+    """The join pipelines must produce oracle-identical output when
+    every input is split across multiple blocks, on both legs of
+    ``_legs``: the fold concatenates the blocks, and the exchange at
+    cap 0 is the leg that exercises the cogroup / semi-join /
+    local-top-k block-boundary logic (the sf0.001 parquet reads are
+    single-block)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -234,152 +275,156 @@ def test_new_joins_block_split_invariance(ray_session, con, name):
         t = pq.read_table(f"{SF}/{table}.parquet", columns=cols)
         return rd.from_arrow(t).repartition(parts)
 
-    if name == "tpch_promo":
-        res = promo_revenue_by_month(
-            ds("lineitem", ["l_partkey", "l_extendedprice",
-                            "l_discount", "l_shipdate"]),
-            ds("part", ["p_partkey", "p_type"], 3))
-    elif name == "tpch_top_unshipped":
-        res = top_unshipped_orders(
-            ds("lineitem", ["l_orderkey", "l_extendedprice",
-                            "l_discount", "l_shipdate"]),
-            ds("orders", ["o_orderkey", "o_custkey", "o_orderdate",
-                          "o_orderpriority"], 4),
-            ds("customer", ["c_custkey", "c_mktsegment"], 3))
-    elif name == "tpch_order_priority":
-        res = order_priority_counts(
-            ds("orders", ["o_orderkey", "o_orderdate",
-                          "o_orderpriority"], 4),
-            ds("lineitem", ["l_orderkey", "l_returnflag"]))
-    elif name == "tpch_trade_matrix":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            _nation_region_map, trade_matrix)
+    def run():
+        if name == "tpch_promo":
+            res = promo_revenue_by_month(
+                ds("lineitem", ["l_partkey", "l_extendedprice",
+                                "l_discount", "l_shipdate"]),
+                ds("part", ["p_partkey", "p_type"], 3))
+        elif name == "tpch_top_unshipped":
+            res = top_unshipped_orders(
+                ds("lineitem", ["l_orderkey", "l_extendedprice",
+                                "l_discount", "l_shipdate"]),
+                ds("orders", ["o_orderkey", "o_custkey", "o_orderdate",
+                              "o_orderpriority"], 4),
+                ds("customer", ["c_custkey", "c_mktsegment"], 3))
+        elif name == "tpch_order_priority":
+            res = order_priority_counts(
+                ds("orders", ["o_orderkey", "o_orderdate",
+                              "o_orderpriority"], 4),
+                ds("lineitem", ["l_orderkey", "l_returnflag"]))
+        elif name == "tpch_trade_matrix":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                _nation_region_map, trade_matrix)
 
-        nn = {k: v[0] for k, v in _nation_region_map(SF).items()}
-        res = trade_matrix(
-            ds("lineitem", ["l_suppkey", "l_orderkey",
-                            "l_extendedprice", "l_discount"], 6),
-            ds("supplier", ["s_suppkey", "s_nationkey"], 2),
-            ds("orders", ["o_orderkey", "o_custkey"], 4),
-            ds("customer", ["c_custkey", "c_nationkey"], 3),
-            nn)
-    elif name == "tpch_revenue_deciles":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            customer_revenue_deciles)
+            nn = {k: v[0] for k, v in _nation_region_map(SF).items()}
+            res = trade_matrix(
+                ds("lineitem", ["l_suppkey", "l_orderkey",
+                                "l_extendedprice", "l_discount"], 6),
+                ds("supplier", ["s_suppkey", "s_nationkey"], 2),
+                ds("orders", ["o_orderkey", "o_custkey"], 4),
+                ds("customer", ["c_custkey", "c_nationkey"], 3),
+                nn)
+        elif name == "tpch_revenue_deciles":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                customer_revenue_deciles)
 
-        res = customer_revenue_deciles(
-            ds("orders", ["o_custkey", "o_totalprice"], 5))
-    elif name == "tpch_line_share":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            lineitem_order_share)
+            res = customer_revenue_deciles(
+                ds("orders", ["o_custkey", "o_totalprice"], 5))
+        elif name == "tpch_line_share":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                lineitem_order_share)
 
-        res = lineitem_order_share(
-            ds("lineitem", ["l_orderkey", "l_linenumber",
-                            "l_extendedprice", "l_discount"], 6))
-    elif name == "tpch_copurchase":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            copurchased_parts)
+            res = lineitem_order_share(
+                ds("lineitem", ["l_orderkey", "l_linenumber",
+                                "l_extendedprice", "l_discount"], 6))
+        elif name == "tpch_copurchase":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                copurchased_parts)
 
-        res = copurchased_parts(
-            ds("lineitem", ["l_orderkey", "l_partkey"], 7), min_count=2)
-    elif name == "tpch_disjunctive":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            disjunctive_revenue)
+            res = copurchased_parts(
+                ds("lineitem", ["l_orderkey", "l_partkey"], 7), min_count=2)
+        elif name == "tpch_disjunctive":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                disjunctive_revenue)
 
-        res = disjunctive_revenue(
-            ds("lineitem", ["l_partkey", "l_quantity",
-                            "l_extendedprice", "l_discount"]),
-            ds("part", ["p_partkey", "p_brand", "p_size"], 3))
-    elif name == "tpch_min_cost_supplier":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            _nation_region_map, min_cost_supplier)
+            res = disjunctive_revenue(
+                ds("lineitem", ["l_partkey", "l_quantity",
+                                "l_extendedprice", "l_discount"]),
+                ds("part", ["p_partkey", "p_brand", "p_size"], 3))
+        elif name == "tpch_min_cost_supplier":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                _nation_region_map, min_cost_supplier)
 
-        nn = {k: v[0] for k, v in _nation_region_map(SF).items()}
-        res = min_cost_supplier(
-            ds("lineitem", ["l_partkey", "l_suppkey",
-                            "l_extendedprice"]),
-            ds("part", ["p_partkey", "p_brand"], 3),
-            ds("supplier", ["s_suppkey", "s_name", "s_nationkey"], 2),
-            nn)
-    elif name == "tpch_waiting_suppliers":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            waiting_suppliers)
+            nn = {k: v[0] for k, v in _nation_region_map(SF).items()}
+            res = min_cost_supplier(
+                ds("lineitem", ["l_partkey", "l_suppkey",
+                                "l_extendedprice"]),
+                ds("part", ["p_partkey", "p_brand"], 3),
+                ds("supplier", ["s_suppkey", "s_name", "s_nationkey"], 2),
+                nn)
+        elif name == "tpch_waiting_suppliers":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                waiting_suppliers)
 
-        res = waiting_suppliers(
-            ds("lineitem", ["l_orderkey", "l_suppkey",
-                            "l_shipdate"], 6),
-            ds("orders", ["o_orderkey", "o_orderdate"], 4),
-            ds("supplier", ["s_suppkey", "s_name"], 2))
-    elif name == "tpch_value_conc":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            value_concentration)
+            res = waiting_suppliers(
+                ds("lineitem", ["l_orderkey", "l_suppkey",
+                                "l_shipdate"], 6),
+                ds("orders", ["o_orderkey", "o_orderdate"], 4),
+                ds("supplier", ["s_suppkey", "s_name"], 2))
+        elif name == "tpch_value_conc":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                value_concentration)
 
-        res = value_concentration(
-            ds("lineitem", ["l_suppkey", "l_partkey",
-                            "l_extendedprice", "l_discount"], 6))
-    elif name == "tpch_custdist":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            customer_order_distribution)
+            res = value_concentration(
+                ds("lineitem", ["l_suppkey", "l_partkey",
+                                "l_extendedprice", "l_discount"], 6))
+        elif name == "tpch_custdist":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                customer_order_distribution)
 
-        res = customer_order_distribution(
-            ds("orders", ["o_custkey"], 5),
-            ds("customer", ["c_custkey"], 3))
-    elif name == "tpch_part_variety":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            supplier_part_variety)
+            res = customer_order_distribution(
+                ds("orders", ["o_custkey"], 5),
+                ds("customer", ["c_custkey"], 3))
+        elif name == "tpch_part_variety":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                supplier_part_variety)
 
-        res = supplier_part_variety(
-            ds("lineitem", ["l_partkey", "l_suppkey"], 7),
-            ds("part", ["p_partkey", "p_brand", "p_type",
-                        "p_size"], 3),
-            ds("supplier", ["s_suppkey", "s_name"], 2))
-    elif name == "tpch_small_qty":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            small_qty_revenue)
+            res = supplier_part_variety(
+                ds("lineitem", ["l_partkey", "l_suppkey"], 7),
+                ds("part", ["p_partkey", "p_brand", "p_type",
+                            "p_size"], 3),
+                ds("supplier", ["s_suppkey", "s_name"], 2))
+        elif name == "tpch_small_qty":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                small_qty_revenue)
 
-        res = small_qty_revenue(
-            ds("lineitem", ["l_partkey", "l_quantity",
-                            "l_extendedprice"], 6),
-            ds("part", ["p_partkey", "p_brand"], 3))
-    elif name == "tpch_top_supplier":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            top_supplier)
+            res = small_qty_revenue(
+                ds("lineitem", ["l_partkey", "l_quantity",
+                                "l_extendedprice"], 6),
+                ds("part", ["p_partkey", "p_brand"], 3))
+        elif name == "tpch_top_supplier":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                top_supplier)
 
-        res = top_supplier(
-            ds("lineitem", ["l_suppkey", "l_extendedprice",
-                            "l_discount", "l_shipdate"], 6),
-            ds("supplier", ["s_suppkey", "s_name"], 2))
-    elif name == "tpch_market_share":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            _nation_region_map, market_share)
+            res = top_supplier(
+                ds("lineitem", ["l_suppkey", "l_extendedprice",
+                                "l_discount", "l_shipdate"], 6),
+                ds("supplier", ["s_suppkey", "s_name"], 2))
+        elif name == "tpch_market_share":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                _nation_region_map, market_share)
 
-        res = market_share(
-            ds("lineitem", ["l_orderkey", "l_suppkey",
-                            "l_extendedprice", "l_discount"], 6),
-            ds("supplier", ["s_suppkey", "s_nationkey"], 2),
-            ds("orders", ["o_orderkey", "o_custkey", "o_orderdate"], 4),
-            ds("customer", ["c_custkey", "c_nationkey"], 3),
-            _nation_region_map(SF))
-    elif name == "tpch_returned_top":
-        from clinicaltransformerner_ray.pipelines.relational import (
-            _nation_region_map, returned_top)
+            res = market_share(
+                ds("lineitem", ["l_orderkey", "l_suppkey",
+                                "l_extendedprice", "l_discount"], 6),
+                ds("supplier", ["s_suppkey", "s_nationkey"], 2),
+                ds("orders", ["o_orderkey", "o_custkey", "o_orderdate"], 4),
+                ds("customer", ["c_custkey", "c_nationkey"], 3),
+                _nation_region_map(SF))
+        elif name == "tpch_returned_top":
+            from clinicaltransformerner_ray.pipelines.relational import (
+                _nation_region_map, returned_top)
 
-        res = returned_top(
-            ds("lineitem", ["l_orderkey", "l_returnflag",
-                            "l_extendedprice", "l_discount"], 6),
-            ds("orders", ["o_orderkey", "o_custkey",
-                          "o_orderdate"], 4),
-            ds("customer", ["c_custkey", "c_name", "c_nationkey"], 3),
-            _nation_region_map(SF))
-    else:
-        res = revenue_by_supplier_nation(
-            ds("lineitem", ["l_suppkey", "l_extendedprice",
-                            "l_discount"]),
-            ds("supplier", ["s_suppkey", "s_nationkey"], 2))
-    rdf = res.to_pandas() if hasattr(res, "to_pandas") else res
+            res = returned_top(
+                ds("lineitem", ["l_orderkey", "l_returnflag",
+                                "l_extendedprice", "l_discount"], 6),
+                ds("orders", ["o_orderkey", "o_custkey",
+                              "o_orderdate"], 4),
+                ds("customer", ["c_custkey", "c_name", "c_nationkey"], 3),
+                _nation_region_map(SF))
+        else:
+            res = revenue_by_supplier_nation(
+                ds("lineitem", ["l_suppkey", "l_extendedprice",
+                                "l_discount"]),
+                ds("supplier", ["s_suppkey", "s_nationkey"], 2))
+        return res
+
     odf = con.execute(E.oracle_sql_for(SF)[name]).df()
-    pd.testing.assert_frame_equal(_canon(rdf), _canon(odf),
-                                  check_dtype=False, obj=name)
+    for res in _legs(monkeypatch, caplog, run):
+        rdf = res.to_pandas() if isinstance(res, pa.Table) else res
+        pd.testing.assert_frame_equal(_canon(rdf), _canon(odf),
+                                      check_dtype=False, obj=name)
 
 
 def test_order_priority_semi_join_semantics(ray_session):
@@ -519,67 +564,47 @@ def test_idle_rich_customers_semantics(ray_session):
     assert (r.c_mktsegment, r.n_custs, r.sum_acctbal_cents) == ("B", 1, 300)
 
 
-def test_market_share_broadcast_matches_sorted_path(ray_session,
-                                                   monkeypatch):
-    """Forced-path bit-parity (the graph-family precedent): the
-    zero-sort broadcast path (dims under MARKET_SHARE_FOLD_KEYS) and the
-    3-hop co-partition sort chain must produce identical tables."""
+def _parquet(table: str, cols: list[str], parts: int):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from clinicaltransformerner_ray.pipelines import relational
+    return rd.from_arrow(pq.read_table(f"{SF}/{table}.parquet",
+                                       columns=cols)).repartition(parts)
+
+
+def test_market_share_fold_matches_exchange(ray_session, monkeypatch,
+                                            caplog):
+    """Forced-path bit-parity: ``market_share``'s one path folds every
+    hop at a huge cap and exchanges at cap 0, and the two legs give
+    equal tables."""
     from clinicaltransformerner_ray.pipelines.relational import (
         _nation_region_map, market_share)
 
-    def args():
-        def ds(table, cols, parts):
-            t = pq.read_table(f"{SF}/{table}.parquet", columns=cols)
-            return rd.from_arrow(t).repartition(parts)
-
-        return [
-            ds("lineitem", ["l_orderkey", "l_suppkey",
-                            "l_extendedprice", "l_discount"], 6),
-            ds("supplier", ["s_suppkey", "s_nationkey"], 2),
-            ds("orders", ["o_orderkey", "o_custkey", "o_orderdate"], 4),
-            ds("customer", ["c_custkey", "c_nationkey"], 3),
-        ]
-
-    nm = _nation_region_map(SF)
-    bcast = market_share(*args(), nation_map=nm)
-    monkeypatch.setattr(relational, "MARKET_SHARE_FOLD_KEYS", 0)
-    sorted_path = market_share(*args(), nation_map=nm)
-    assert bcast.equals(sorted_path)
-    assert bcast.num_rows > 0
+    fold, exch = _legs(monkeypatch, caplog, lambda: market_share(
+        _parquet("lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
+                              "l_discount"], 6),
+        _parquet("supplier", ["s_suppkey", "s_nationkey"], 2),
+        _parquet("orders", ["o_orderkey", "o_custkey", "o_orderdate"], 4),
+        _parquet("customer", ["c_custkey", "c_nationkey"], 3),
+        nation_map=_nation_region_map(SF)))
+    assert fold.equals(exch)
+    assert fold.num_rows > 0
 
 
-def test_top_supplier_broadcast_matches_sorted_path(ray_session,
-                                                   monkeypatch):
-    """Forced-path bit-parity: the zero-wide-op broadcast fold
-    (supplier dim under TOP_SUPPLIER_FOLD_ROWS) and the sorted
-    co-partition chain must produce identical tables."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from clinicaltransformerner_ray.pipelines import relational
+def test_top_supplier_fold_matches_exchange(ray_session, monkeypatch,
+                                            caplog):
+    """Forced-path parity: ``top_supplier``'s one path folds at a huge
+    cap and exchanges at cap 0, and the two legs give the same rows."""
     from clinicaltransformerner_ray.pipelines.relational import (
         top_supplier)
 
-    def args():
-        def ds(table, cols, parts):
-            t = pq.read_table(f"{SF}/{table}.parquet", columns=cols)
-            return rd.from_arrow(t).repartition(parts)
-
-        return [
-            ds("lineitem", ["l_suppkey", "l_extendedprice",
-                            "l_discount", "l_shipdate"], 6),
-            ds("supplier", ["s_suppkey", "s_name"], 2),
-        ]
-
-    a = _canon(top_supplier(*args()).to_pandas())
-    monkeypatch.setattr(relational, "TOP_SUPPLIER_FOLD_ROWS", 0)
-    b = _canon(top_supplier(*args()).to_pandas())
-    assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+    fold, exch = _legs(monkeypatch, caplog, lambda: top_supplier(
+        _parquet("lineitem", ["l_suppkey", "l_extendedprice", "l_discount",
+                              "l_shipdate"], 6),
+        _parquet("supplier", ["s_suppkey", "s_name"], 2)))
+    assert len(fold) > 0
+    pd.testing.assert_frame_equal(_canon(fold), _canon(exch),
+                                  check_dtype=False)
 
 
 def test_market_share_empty_region(ray_session):
